@@ -39,9 +39,9 @@ from .documents import (
     validate_satellite_document,
 )
 from .errors import DsliceError, MalformedInput
-from .groups import finite_cover_homology, metabelian_quotient_homs
+from .groups import metabelian_quotient_homs
 from .modules import alexander_module, alexander_polynomial, detect_splitting
-from .twisted import crowell_check, twisted_invariants
+from .twisted import crowell_check, crowell_compare
 
 __all__ = ["main"]
 
@@ -251,12 +251,13 @@ def cmd_oracle(doc: dict, n: int, m: int, fmt: str):
     target, homs = metabelian_quotient_homs(pres, meridian, n, m)
     maps = []
     for hom in homs:
-        free, torsion = finite_cover_homology(pres, hom, target)
-        tfree, ttors = twisted_invariants(pres, hom, target)
+        (free, torsion), (tfree, ttors), agree = crowell_compare(
+            pres, hom, target
+        )
         maps.append({
             "cover": {"free": free, "torsion": list(torsion)},
             "twisted": {"free": tfree, "torsion": list(ttors)},
-            "agree": crowell_check(pres, hom, target),
+            "agree": agree,
         })
     all_agree = bool(maps) and all(item["agree"] for item in maps)
     report = {

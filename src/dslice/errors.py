@@ -14,6 +14,7 @@ __all__ = [
     "NotTorsion",
     "HypothesisNotMet",
     "BudgetExceeded",
+    "VerificationFailed",
 ]
 
 
@@ -71,3 +72,7 @@ class NoSplitting(HypothesisNotMet):
 
 class BudgetExceeded(DsliceError):
     """A bounded search ran out of its configured budget."""
+
+
+class VerificationFailed(DsliceError):
+    """An exact re-check of a computed result failed: do not trust it."""

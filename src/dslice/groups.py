@@ -29,7 +29,12 @@ from .bs12 import (
     check_relators,
     evaluate_word,
 )
-from .errors import BudgetExceeded, HypothesisNotMet, TargetMismatch
+from .errors import (
+    BudgetExceeded,
+    HypothesisNotMet,
+    TargetMismatch,
+    VerificationFailed,
+)
 from .groebner import GroebnerBasis, module_contains
 from .laurent import ONE, ZERO
 from .modules import (
@@ -288,7 +293,8 @@ def finite_cover_homology(pres: GroupPresentation, images, target, cap=20000):
             if (p, i) not in tree:
                 schreier[(p, i)] = len(schreier)
     nschreier = len(schreier)
-    assert nschreier == ncosets * ng - (ncosets - 1)
+    if nschreier != ncosets * ng - (ncosets - 1):
+        raise VerificationFailed("Schreier generator count is off")
 
     inv_images = [target.inv(g) for g in images]
     rows = []

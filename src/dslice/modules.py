@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import BudgetExceeded, HypothesisNotMet
+from .errors import BudgetExceeded, HypothesisNotMet, VerificationFailed
 from .groebner import GroebnerBasis
 from .laurent import ONE, T, ZERO, LaurentPoly, poly_gcd
 from .snf import abelian_invariants
@@ -67,7 +67,8 @@ def infinite_cyclic_weights(pres: GroupPresentation, meridian: int):
         for i in range(n)
         if i >= len(mt[0]) or d[i][i] == 0
     ]
-    assert len(free) == 1, "abelian_invariants promised rank one"
+    if len(free) != 1:
+        raise VerificationFailed("abelian_invariants promised rank one")
     weights = list(s[free[0]])
     if weights[meridian] == -1:
         weights = [-w for w in weights]
@@ -201,7 +202,8 @@ def _bareiss_det(m) -> LaurentPoly:
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                 q = num.exact_divide(prev)
-                assert q is not None, "Bareiss division must be exact"
+                if q is None:
+                    raise VerificationFailed("Bareiss division must be exact")
                 m[i][j] = q
         prev = m[k][k]
     d = m[n - 1][n - 1]
@@ -325,7 +327,10 @@ def _verify_split(module, v1, v2, budget):
     """Re-check the certificate against the original, unsimplified matrix."""
     k = module.ncols
     gb = GroebnerBasis(list(module.rows), k, budget=budget)
-    assert gb.contains(_scale_vec(T - 2 * ONE, v1))
-    assert gb.contains(_scale_vec(2 * T - ONE, v2))
+    if not gb.contains(_scale_vec(T - 2 * ONE, v1)):
+        raise VerificationFailed("witness 1 is not killed by t - 2")
+    if not gb.contains(_scale_vec(2 * T - ONE, v2)):
+        raise VerificationFailed("witness 2 is not killed by 2t - 1")
     stacked = GroebnerBasis(list(module.rows) + [v1, v2], k, budget=budget)
-    assert all(stacked.contains(_unit_vector(k, i)) for i in range(k))
+    if not all(stacked.contains(_unit_vector(k, i)) for i in range(k)):
+        raise VerificationFailed("the witnesses do not generate the module")

@@ -3,8 +3,15 @@
 The sparse routine is tuned for the matrices this package actually meets:
 abelianised Reidemeister-Schreier relators and regular-representation
 blocks, which are large (hundreds of rows) but overwhelmingly filled with
-0 and +-1.  Pivoting prefers unit entries with minimal fill, so the usual
-coefficient explosion of naive SNF rarely gets a chance to start.
+0 and +-1.  Rows are kept in buckets by their current number of nonzeros;
+each row operation moves the row it changes to its new bucket.  A pivot
+is chosen from the lowest nonempty buckets upward, among the entries of
+the two shortest rows (more if those hold no unit): smallest |value|
+first, then least Markowitz fill (row count - 1) * (column count - 1).
+So a pivot choice never rescans the whole matrix, and since a unit is
+taken whenever one is left, the coefficient explosion of naive SNF rarely
+gets a chance to start.  The pivot order changes the work, never the
+invariants.
 
 Everything returns plain ints; no floats anywhere.
 """
@@ -21,6 +28,9 @@ __all__ = [
     "normalize_divisor_chain",
 ]
 
+# rows whose entries compete for a pivot once one of them holds a unit
+_PIVOT_ROWS = 2
+
 
 def sparse_invariants(rows, ncols: int):
     """Diagonalise a sparse integer matrix by row/column operations.
@@ -36,66 +46,84 @@ def sparse_invariants(rows, ncols: int):
     """
     mat = {}
     colidx: dict = {}
+    buckets: dict = {}  # nonzero count -> set of rows with that count
     for i, r in enumerate(rows):
         if not isinstance(r, dict):
             r = {j: v for j, v in enumerate(r)}
         clean = {j: v for j, v in r.items() if v}
         if clean:
             mat[i] = clean
+            buckets.setdefault(len(clean), set()).add(i)
             for j in clean:
                 colidx.setdefault(j, set()).add(i)
 
-    def set_entry(i, j, v):
-        if v:
-            mat[i][j] = v
-            colidx.setdefault(j, set()).add(i)
-        else:
-            mat[i].pop(j, None)
-            s = colidx.get(j)
-            if s:
-                s.discard(i)
-                if not s:
-                    colidx.pop(j, None)
+    def rebucket(i, old, new):
+        # move row i from the bucket of count old to that of count new
+        if old:
+            b = buckets[old]
+            b.discard(i)
+            if not b:
+                del buckets[old]
+        if new:
+            buckets.setdefault(new, set()).add(i)
+
+    def unlink(i, j):
+        # entry (i, j) has become zero
+        s = colidx[j]
+        s.discard(i)
+        if not s:
+            del colidx[j]
 
     def row_op(dst, src, q):
         # row dst -= q * row src
-        if not q:
-            return
-        for j, v in list(mat[src].items()):
-            set_entry(dst, j, mat[dst].get(j, 0) - q * v)
-        if not mat[dst]:
+        row = mat[dst]
+        old = len(row)
+        for j, v in mat[src].items():
+            w = row.get(j, 0) - q * v
+            if w:
+                if j not in row:
+                    colidx.setdefault(j, set()).add(dst)
+                row[j] = w
+            else:
+                del row[j]
+                unlink(dst, j)
+        rebucket(dst, old, len(row))
+        if not row:
             del mat[dst]
+
+    def choose_pivot():
+        # smallest |value|, then least fill, over the shortest rows
+        best = None
+        seen = 0
+        for count in sorted(buckets):
+            fill = count - 1
+            for i in buckets[count]:
+                for j, v in mat[i].items():
+                    key = (abs(v), fill * (len(colidx[j]) - 1))
+                    if best is None or key < best[0]:
+                        best = (key, i, j)
+                        if key == (1, 0):
+                            return i, j
+                seen += 1
+                if seen >= _PIVOT_ROWS and best[0][0] == 1:
+                    return best[1], best[2]
+        return best[1], best[2]
 
     divisors = []
     while mat:
-        # pivot choice: smallest |value|, then least fill
-        best = None
-        for i, r in mat.items():
-            for j, v in r.items():
-                key = (abs(v), (len(r) - 1) * (len(colidx[j]) - 1))
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-                    if key[0] == 1 and key[1] == 0:
-                        break
-            else:
-                continue
-            break
-        _, pi, pj = best
+        pi, pj = choose_pivot()
 
         while True:
             # clear the pivot column with row operations
             pv = mat[pi][pj]
             moved = False
-            for i in list(colidx.get(pj, ())):
-                if i == pi or i not in mat:
+            for i in list(colidx[pj]):
+                if i == pi:
                     continue
-                v = mat[i].get(pj, 0)
-                if not v:
-                    continue
-                q = v // pv  # floor division: |remainder| < |pv|
-                row_op(i, pi, q)
-                rem = mat.get(i, {}).get(pj, 0)
-                if rem:
+                q = mat[i][pj] // pv  # floor division: |remainder| < |pv|
+                if q:
+                    row_op(i, pi, q)
+                if mat.get(i, {}).get(pj):
                     # smaller remainder becomes the new pivot (Euclid step)
                     pi = i
                     moved = True
@@ -104,26 +132,29 @@ def sparse_invariants(rows, ncols: int):
                 continue
             # column is clear except the pivot; clear the pivot row with
             # column operations, which now touch only row pi
-            pv = mat[pi][pj]
-            stuck = False
-            for j, v in list(mat[pi].items()):
+            row = mat[pi]
+            old = len(row)
+            for j, v in list(row.items()):
                 if j == pj:
                     continue
-                q, r = divmod(v, pv)
-                set_entry(pi, j, r)
+                r = v % pv
                 if r:
                     # switch pivot to the smaller entry in the same row
+                    row[j] = r
                     pj = j
-                    stuck = True
+                    moved = True
                     break
-            if stuck:
-                continue
-            break
+                del row[j]
+                unlink(pi, j)
+            rebucket(pi, old, len(row))
+            if not moved:
+                break
 
-        divisors.append(abs(mat[pi][pj]))
-        for j in list(mat[pi]):
-            set_entry(pi, j, 0)
-        mat.pop(pi, None)
+        row = mat.pop(pi)
+        divisors.append(abs(row[pj]))
+        rebucket(pi, len(row), 0)
+        for j in row:
+            unlink(pi, j)
 
     rank = len(divisors)
     chain = normalize_divisor_chain([d for d in divisors if d != 1])

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .bs12 import Bs12Group, evaluate_word
 from .diagrams import SurgeryPresentation, infect, wirtinger, zero_surgery
-from .errors import TargetMismatch
+from .errors import BudgetExceeded, TargetMismatch
 from .groups import (
     MetabelianHom,
     finite_cover_homology,
@@ -42,6 +42,7 @@ __all__ = [
     "twisted_rows",
     "twisted_invariants",
     "crowell_check",
+    "crowell_compare",
     "summand_specialization_check",
     "companion_collapse",
     "collapse_is_free_or_relator",
@@ -64,13 +65,26 @@ def twisted_rows(pres, images, target):
     return rows
 
 
+# Largest target order the regular representation is built for; the same
+# count of group elements that finite_cover_homology allows for the image.
+_REGULAR_CAP = 20000
+
+
+def _check_regular_budget(target) -> None:
+    if target.order() > _REGULAR_CAP:
+        raise BudgetExceeded("target group larger than the cap")
+
+
 def _regular_blocks(rows, target, ncols):
     """Integer relation rows spanning the left-translates of each row.
 
     A group-ring row r generates the left submodule spanned by u*r over
     all u in the group; the integer row for (r, u) has, at column
-    (j, u*k), the coefficient of k in entry j.
+    (j, u*k), the coefficient of k in entry j.  Raises BudgetExceeded,
+    before building anything, when the target has more than
+    ``_REGULAR_CAP`` elements.
     """
+    _check_regular_budget(target)
     order = target.order()
     idx = target.element_index()
     elements = target.elements()
@@ -107,19 +121,32 @@ def _image_order(images, target) -> int:
     return len(seen)
 
 
-def crowell_check(pres, images, target) -> bool:
-    """Do the Fox-calculus and covering-space paths agree?
+def crowell_compare(pres, images, target):
+    """Both paths' invariants, and whether they agree.
 
-    When the images generate a subgroup of index d, the twisted module
-    is d copies of the one over the image, and the cover splits into d
-    homeomorphic pieces; the comparison accounts for both.
+    Returns ``(cover, twisted, agree)``: ``cover`` is the covering-space
+    homology and ``twisted`` the invariants of the twisted Jacobian's
+    cokernel, each as ``(free_rank, torsion)``.  When the images generate
+    a subgroup of index d, the twisted module is d copies of the one over
+    the image, and the cover splits into d homeomorphic pieces; the
+    comparison accounts for both.
     """
-    free, torsion = finite_cover_homology(pres, images, target)
+    # the image is no larger than the target, so once the twisted path's
+    # budget holds the cover path's holds too: check it before either runs
+    _check_regular_budget(target)
+    cover = finite_cover_homology(pres, images, target)
+    twisted = twisted_invariants(pres, images, target)
+    free, torsion = cover
     s = _image_order(images, target)
     d = target.order() // s
     expected = (d * (free + s - 1), sorted(torsion * d))
-    got_free, got_tors = twisted_invariants(pres, images, target)
-    return (got_free, sorted(got_tors)) == expected
+    agree = (twisted[0], sorted(twisted[1])) == expected
+    return cover, twisted, agree
+
+
+def crowell_check(pres, images, target) -> bool:
+    """Do the Fox-calculus and covering-space paths agree?"""
+    return crowell_compare(pres, images, target)[2]
 
 
 def summand_specialization_check(pres, meridian, hom: MetabelianHom) -> bool:

@@ -1,5 +1,6 @@
 """End-to-end exit-code and output contract for the command line."""
 
+import hashlib
 import json
 
 import pytest
@@ -188,6 +189,62 @@ def test_oracle_pattern_metabelian(docs, capsys):
     report = json.loads(out)
     assert report["all_agree"] is True
     assert len(report["maps"]) >= 1
+
+
+# exit code and stdout SHA-256 of `oracle --no-cache`; the text digests are
+# also those the benchmark checks in perfbench/expected.json
+ORACLE_DIGESTS = {
+    ("946", 3, 7, "text"):
+        (0, "0dd5b64e7667f621f6718249899b5ff930fca9f5952847798d9230732cff0dac"),
+    ("946", 3, 7, "json"):
+        (0, "d30c8acdb6f760ac8e7ff124a763bfdcc1a67cf36264dea2da52aa3285b1a8c8"),
+    ("trefoil", 4, 15, "text"):
+        (0, "5f98efa674084923866302cf132e50abd749821ba8f713467cd50000dce71438"),
+    ("trefoil", 4, 15, "json"):
+        (0, "84609110260893a708c49b3abadd14ef41b30144d2405af211f3a5778899ab00"),
+}
+
+
+@pytest.mark.parametrize("name,n,m,fmt", sorted(ORACLE_DIGESTS))
+def test_oracle_output_bytes_are_pinned(docs, capsys, name, n, m, fmt):
+    code, out, _ = run(
+        capsys, "oracle", "--knot", docs[name], "--n", str(n), "--m", str(m),
+        "--format", fmt, "--no-cache",
+    )
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == ORACLE_DIGESTS[(name, n, m, fmt)]
+
+
+def test_oracle_computes_each_path_once_per_map(docs, capsys, monkeypatch):
+    import dslice.cli as cli
+    import dslice.twisted as twisted
+
+    calls = {"finite_cover_homology": 0, "twisted_invariants": 0}
+
+    def counting(fname):
+        inner = getattr(twisted, fname)
+
+        def wrapper(*args, **kwargs):
+            calls[fname] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    # count calls through every module-level binding of the two paths
+    for fname in calls:
+        wrapper = counting(fname)
+        for module in (cli, twisted):
+            if hasattr(module, fname):
+                monkeypatch.setattr(module, fname, wrapper)
+    code, out, _ = run(
+        capsys, "oracle", "--knot", docs["946"], "--n", "2", "--m", "3",
+        "--format", "json", "--no-cache",
+    )
+    assert code == 0
+    nmaps = len(json.loads(out)["maps"])
+    assert nmaps > 1
+    assert calls == {
+        "finite_cover_homology": nmaps, "twisted_invariants": nmaps
+    }
 
 
 def test_oracle_rejects_incompatible_parameters(docs, capsys):

@@ -3,11 +3,12 @@
 import pytest
 
 from dslice.diagrams import Diagram, infect, wirtinger, zero_surgery
-from dslice.errors import HypothesisNotMet
+from dslice.errors import HypothesisNotMet, VerificationFailed
 from dslice.laurent import ONE, T, ZERO, LaurentPoly
 from dslice.modules import (
     LambdaModule,
     TARGET_ORDER,
+    _verify_split,
     alexander_module,
     alexander_polynomial,
     detect_splitting,
@@ -89,6 +90,21 @@ def test_detect_splitting_direct_sum():
     rep = detect_splitting(mod)
     assert rep.certified
     assert rep.order == TARGET_ORDER
+
+
+def test_verify_split_rejects_wrong_witnesses():
+    mod = LambdaModule.make(
+        [(T_MINUS_2, ZERO), (ZERO, TWO_T_MINUS_1)], 2
+    )
+    e1, e2 = (ONE, ZERO), (ZERO, ONE)
+    _verify_split(mod, e1, e2, 400000)
+    with pytest.raises(VerificationFailed, match="t - 2"):
+        _verify_split(mod, e2, e2, 400000)
+    with pytest.raises(VerificationFailed, match="2t - 1"):
+        _verify_split(mod, e1, e1, 400000)
+    # 3 is no unit mod t - 2, so 3*e1 is killed but generates too little
+    with pytest.raises(VerificationFailed, match="generate"):
+        _verify_split(mod, (3 * ONE, ZERO), e2, 400000)
 
 
 def test_detect_splitting_pretzel_seifert_form():

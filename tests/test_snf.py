@@ -43,6 +43,55 @@ def test_sparse_invariants_vs_sympy():
         assert chain == [v for v in expected if v > 1]
 
 
+def random_sparse_rows(rng, nr, nc):
+    """Dict rows, mostly empty, mostly +-1, now and then +-2..+-6."""
+    rows = []
+    for _ in range(nr):
+        row = {}
+        for j in range(nc):
+            if rng.random() < 0.25:
+                mag = 1 if rng.random() < 0.8 else rng.randint(2, 6)
+                row[j] = rng.choice((-1, 1)) * mag
+        rows.append(row)
+    return rows
+
+
+def test_sparse_invariants_vs_sympy_on_sparse_matrices():
+    rng = random.Random(1957)
+    for _ in range(60):
+        nr = rng.randint(6, 14)
+        nc = rng.randint(6, 14)
+        rows = random_sparse_rows(rng, nr, nc)
+        dense = [[r.get(j, 0) for j in range(nc)] for r in rows]
+        rank, chain = sparse_invariants(rows, nc)
+        expected = sympy_divisors(dense, nc)
+        assert rank == len(expected)
+        assert chain == [v for v in expected if v > 1]
+
+
+def test_sparse_invariants_pinned_regular_block():
+    # the regular-representation block of trefoil at the (4,15) quotient
+    # for the map with translations (0, 5, 10): 240 x 180, 1080 nonzeros
+    from dslice.corpus import bundled_document
+    from dslice.diagrams import zero_surgery
+    from dslice.documents import diagram_from_document
+    from dslice.groups import metabelian_quotient_homs
+    from dslice.twisted import _regular_blocks, twisted_rows
+
+    diagram, _ = diagram_from_document(bundled_document("trefoil"))
+    plain = zero_surgery(diagram, 0)
+    target, homs = metabelian_quotient_homs(plain.group, plain.meridian, 4, 15)
+    images = ((1, 0), (1, 5), (1, 10))
+    assert images in homs
+    rows, ncols = _regular_blocks(
+        twisted_rows(plain.group, images, target), target,
+        plain.group.num_generators,
+    )
+    assert (len(rows), ncols) == (240, 180)
+    assert sum(len(r) for r in rows) == 1080
+    assert sparse_invariants(rows, ncols) == (120, [3, 3, 3, 3, 3])
+
+
 def test_abelian_invariants_examples():
     # coker [[2,0],[0,3]] on Z^2: single Z/6 after chain normalisation
     assert abelian_invariants([[2, 0], [0, 3]], 2) == (0, [6])

@@ -2,16 +2,19 @@ import pytest
 
 from dslice.bs12 import FiniteMetabelian
 from dslice.diagrams import Diagram, SurgeryPresentation, infect, wirtinger, zero_surgery
-from dslice.errors import TargetMismatch
+from dslice.errors import BudgetExceeded, TargetMismatch
 from dslice.groups import metabelian_quotient_homs, summand_homs
 from dslice.modules import alexander_module, detect_splitting, infinite_cyclic_weights
+from dslice import twisted
 from dslice.snf import abelian_invariants
 from dslice.twisted import (
     MetabelianHom,
     TransportRecord,
     collapse_is_free_or_relator,
     companion_collapse,
+    _regular_blocks,
     crowell_check,
+    crowell_compare,
     summand_specialization_check,
     transport_record,
     twisted_invariants,
@@ -103,6 +106,47 @@ def test_crowell_check_non_surjective_images():
     q = FiniteMetabelian(2, 1)
     images = tuple((0, 0) for _ in lg.group.names)
     assert crowell_check(lg.group, images, q)
+
+
+def test_crowell_compare_returns_both_paths():
+    lg = wirtinger(Diagram(TREFOIL))
+    q = FiniteMetabelian(2, 1)
+    images = all_ones_images(lg.group, 2)
+    cover, twisted, agree = crowell_compare(lg.group, images, q)
+    assert cover == (1, [3])
+    assert twisted == twisted_invariants(lg.group, images, q) == (2, [3])
+    assert agree is crowell_check(lg.group, images, q) is True
+
+
+def test_regular_blocks_cap_is_checked_before_building():
+    # 2^20 = 1 mod 2^20 - 1: a group of order about 2 * 10^7, far too large
+    # to enumerate, so only the up-front check can make this return quickly
+    big = FiniteMetabelian(20, 2**20 - 1)
+    with pytest.raises(BudgetExceeded):
+        _regular_blocks([({(0, 0): 1},)], big, 1)
+    lg = wirtinger(Diagram(TREFOIL))
+    with pytest.raises(BudgetExceeded):
+        twisted_invariants(lg.group, tuple((1, 0) for _ in lg.group.names), big)
+
+
+def test_regular_cap_counts_target_elements(monkeypatch):
+    # the cap counts group elements, as finite_cover_homology's does, not
+    # order x generators: a target of order 6 with three generators (18
+    # columns) is inside a cap of 6, and the refusal at 5 comes before
+    # the cover path runs
+    lg = wirtinger(Diagram(TREFOIL))
+    q, homs = metabelian_quotient_homs(lg.group, 0, 2, 3)
+    assert q.order() == 6 and lg.group.num_generators == 3 and homs
+    monkeypatch.setattr(twisted, "_REGULAR_CAP", 6)
+    assert crowell_compare(lg.group, homs[0], q)[2]
+    monkeypatch.setattr(twisted, "_REGULAR_CAP", 5)
+
+    def cover_must_not_run(*args):
+        raise AssertionError("cover path ran past the twisted budget")
+
+    monkeypatch.setattr(twisted, "finite_cover_homology", cover_must_not_run)
+    with pytest.raises(BudgetExceeded):
+        crowell_compare(lg.group, homs[0], q)
 
 
 # ----------------------------------------------- summand specialization
