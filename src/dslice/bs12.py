@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import IncompatibleParameters, NotSurjective, RelatorViolation
+from .groebner import _xgcd
 from .laurent import DyadicRational
 from .words import Word
 
@@ -155,20 +156,6 @@ def _odd_part(v: int) -> int:
     while v and v % 2 == 0:
         v //= 2
     return v
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def _unit_section(images) -> BS12:

@@ -19,11 +19,10 @@ is re-verified by plain multiplication before it is trusted.  Stage B
 can answer ``holds`` or give up (``undetermined``); it never answers
 ``fails``.  Failure verdicts only enter through curated rules.
 
-Commutative shadows give a cheap soundness gate for stage B: applying
-the group homomorphism onto the infinite cyclic quotient turns any
-right-inverse identity over the group ring into one over the Laurent
-ring, so a candidate matrix whose shadow cannot be right-invertible is
-skipped without search.
+Commutative shadows give a cheap soundness gate for stage B: the map onto
+the infinite cyclic quotient turns a right inverse over the group ring
+into one over the Laurent ring, so a candidate matrix is skipped without
+search when the exact maximal minors of its shadow rule that out.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .groups import (
     second_derived_certificate,
     summand_homs,
 )
-from .laurent import LaurentPoly, ONE, ZERO
+from .laurent import LaurentPoly, det, maximal_minors, poly_gcd
 from .modules import (
     TARGET_ORDER,
     alexander_module,
@@ -316,9 +315,10 @@ def _verify_right_inverse(rows, y) -> bool:
 # The group homomorphism onto the infinite cyclic quotient (kill the
 # dyadic part) linearizes any right-inverse identity, so a matrix whose
 # shadow is not right-invertible over the Laurent ring never admits one
-# over the group ring.  For a square shadow that means the determinant
-# must be a unit; for a wide matrix the maximal minors must generate the
-# unit ideal, which a nonunit common divisor already rules out.
+# over the group ring.  A square shadow needs a unit determinant; the
+# maximal minors of a wide one, evaluated once by ``maximal_minors``, must
+# have no nonunit common divisor (the gcd stops at the first unit, and
+# more than 64 column subsets pass the matrix on to the search).
 
 
 def _shadow(entry: dict) -> LaurentPoly:
@@ -328,49 +328,19 @@ def _shadow(entry: dict) -> LaurentPoly:
     return LaurentPoly({k: v for k, v in out.items() if v})
 
 
-def _shadow_det(mat) -> LaurentPoly:
-    """Fraction-free determinant of a square Laurent matrix."""
-    m = [row[:] for row in mat]
-    k = len(m)
-    if k == 0:
-        return ONE
-    prev = ONE
-    sign = 1
-    for p in range(k - 1):
-        if m[p][p].is_zero():
-            for r in range(p + 1, k):
-                if not m[r][p].is_zero():
-                    m[p], m[r] = m[r], m[p]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        for r in range(p + 1, k):
-            for c in range(p + 1, k):
-                num = m[r][c] * m[p][p] - m[r][p] * m[p][c]
-                m[r][c] = num.exact_divide(prev)
-            m[r][p] = ZERO
-        prev = m[p][p]
-    d = m[k - 1][k - 1]
-    return d if sign == 1 else -d
-
-
 def _shadow_obstructed(rows, ncols: int) -> bool:
     """True when the commutative shadow rules out any right inverse."""
-    from .laurent import poly_gcd
-
     m = len(rows)
     if m > ncols:
         return True
     shadow = [[_shadow(e) for e in row] for row in rows]
     if m == ncols:
-        return not _shadow_det(shadow).is_unit()
+        return not det(shadow).is_unit()
     choices = list(itertools.combinations(range(ncols), m))
     if len(choices) > 64:
         return False
     gcd = None
-    for cols in choices:
-        d = _shadow_det([[shadow[r][c] for c in cols] for r in range(m)])
+    for d in maximal_minors(shadow, choices):
         if d.is_zero():
             continue
         gcd = d if gcd is None else poly_gcd(gcd, d)

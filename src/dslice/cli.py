@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 
+from .bs12 import FiniteMetabelian
 from .cache import ENV_CACHE_DIR, cache_key, load_entry, store_entry
 from .certify import (
     CERTIFIED,
@@ -41,7 +42,7 @@ from .documents import (
 from .errors import DsliceError, MalformedInput
 from .groups import metabelian_quotient_homs
 from .modules import alexander_module, alexander_polynomial, detect_splitting
-from .twisted import crowell_check, crowell_compare
+from .twisted import _check_regular_budget, crowell_check, crowell_compare
 
 __all__ = ["main"]
 
@@ -248,6 +249,8 @@ def cmd_oracle(doc: dict, n: int, m: int, fmt: str):
     diagram, name = diagram_from_document(doc)
     plain = zero_surgery(diagram, 0)
     pres, meridian = plain.group, plain.meridian
+    # the zero map always exists and its check would refuse this target
+    _check_regular_budget(FiniteMetabelian(n, m))
     target, homs = metabelian_quotient_homs(pres, meridian, n, m)
     maps = []
     for hom in homs:

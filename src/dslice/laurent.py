@@ -9,6 +9,16 @@ Two Laurent polynomials are *associate* when they differ by a unit
 ``+-t^k``.  ``canonical()`` picks the representative with lowest degree 0
 and positive trailing coefficient, so associates compare equal after
 canonicalisation.
+
+``det`` and ``maximal_minors`` evaluate a matrix once: each row is shifted
+to lowest degree 0 and t is replaced by ``2**B`` (Kronecker substitution),
+so every minor is an integer Bareiss determinant with checked divisions.
+``2**(B-1)`` exceeds the product over the rows of max(1, l1-norm of the
+row's coefficients).  Expanding a minor over permutations, each term takes
+one entry per row, so that product bounds the l1-norm of every minor, on
+any columns.  Each coefficient then lies strictly between ``-2**(B-1)``
+and ``2**(B-1)``, and balanced base-``2**B`` digits, being unique, give
+the coefficients back exactly.  Only integer coefficients are accepted.
 """
 
 from __future__ import annotations
@@ -16,9 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .errors import VerificationFailed
+
 __all__ = [
     "DyadicRational",
     "LaurentPoly",
+    "det",
+    "maximal_minors",
     "poly_gcd",
     "ZERO",
     "ONE",
@@ -50,10 +64,6 @@ class DyadicRational:
                 exp = 0
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
-
-    @staticmethod
-    def from_int(n: int) -> "DyadicRational":
-        return DyadicRational(n, 0)
 
     def __add__(self, other):
         other = _as_dyadic(other)
@@ -145,9 +155,6 @@ class LaurentPoly:
     def max_degree(self) -> int:
         return max(self.coeffs) if self.coeffs else 0
 
-    def degree_span(self) -> int:
-        return self.max_degree() - self.min_degree() if self.coeffs else 0
-
     def __add__(self, other):
         d = dict(self.coeffs)
         for k, c in other.coeffs.items():
@@ -228,42 +235,6 @@ class LaurentPoly:
     def is_symmetric(self) -> bool:
         """True when p(t) and p(1/t) are associates (Alexander symmetry)."""
         return self.is_associate(self.mirror())
-
-    def dyadic_coeffs(self) -> "LaurentPoly":
-        return LaurentPoly({d: _as_dyadic(c) for d, c in self.coeffs.items()})
-
-    def exact_divide(self, divisor: "LaurentPoly"):
-        """Quotient self/divisor when it exists in the Laurent ring, else None.
-
-        Works up the coefficient list from the lowest degree; each step
-        must divide exactly over the integers, which pins the quotient
-        down uniquely when it exists.
-        """
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPoly()
-        lo_s, lo_d = self.min_degree(), divisor.min_degree()
-        ds = [self.coeffs.get(lo_s + i, 0) for i in range(self.degree_span() + 1)]
-        dd = [divisor.coeffs.get(lo_d + i, 0) for i in range(divisor.degree_span() + 1)]
-        if len(ds) < len(dd):
-            return None
-        qlen = len(ds) - len(dd) + 1
-        q = [0] * qlen
-        rem = list(ds)
-        for i in range(qlen):
-            c = rem[i]
-            if c % dd[0]:
-                return None
-            q[i] = c // dd[0]
-            for k, dc in enumerate(dd):
-                rem[i + k] -= q[i] * dc
-        if any(rem):
-            return None
-        return LaurentPoly({lo_s - lo_d + i: c for i, c in enumerate(q)})
-
-    def divides(self, other: "LaurentPoly") -> bool:
-        return other.exact_divide(self) is not None
 
     def __repr__(self):
         return f"LaurentPoly({dict(sorted(self.coeffs.items()))!r})"
@@ -349,3 +320,90 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         f, g = g, _primitive(r)
     prim = LaurentPoly({i: c for i, c in enumerate(f)})
     return (prim * gcd(ca, cb)).canonical()
+
+
+def _kronecker(mat):
+    """Rows shifted to degree 0 and evaluated at t = 2**B; B; the shift."""
+    if not all(isinstance(c, int)
+               for row in mat for p in row for c in p.coeffs.values()):
+        raise TypeError("determinants need integer coefficients")
+    lows = [min((p.min_degree() for p in row if p), default=0) for row in mat]
+    bound = 1
+    for row in mat:
+        bound *= max(1, sum(abs(c) for p in row for c in p.coeffs.values()))
+    bits = bound.bit_length() + 1
+    ints = [
+        [sum(c << bits * (d - lo) for d, c in p.coeffs.items()) for p in row]
+        for row, lo in zip(mat, lows)
+    ]
+    return ints, bits, sum(lows)
+
+
+def _int_det(rows: list) -> int:
+    """Fraction-free (Bareiss) determinant of a square integer matrix.
+
+    Works in place on ``rows``.  Every division is checked: a remainder
+    raises ``VerificationFailed``.
+    """
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        prow = rows[k]
+        pivot = prow[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            a = row[k]
+            for j in range(k + 1, n):
+                q, r = divmod(row[j] * pivot - a * prow[j], prev)
+                if r:
+                    raise VerificationFailed("Bareiss division must be exact")
+                row[j] = q
+        prev = pivot
+    return sign * rows[-1][-1] if rows else 1
+
+
+def _decode(value: int, bits: int, low: int) -> LaurentPoly:
+    """Balanced base-2**bits digits of value, as coefficients from low up."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    coeffs = {}
+    d = low
+    while value:
+        c = value & mask
+        if c >= half:
+            c -= 1 << bits
+        if c:
+            coeffs[d] = c
+        value = (value - c) >> bits
+        d += 1
+    return LaurentPoly(coeffs)
+
+
+def maximal_minors(mat, subsets):
+    """Yield the k x k minor of the k-row matrix ``mat`` on each column subset.
+
+    The matrix is evaluated once (see the module docstring), so the
+    minors cost one integer determinant each.  Minors are computed as
+    the iteration asks for them.  Raises ``TypeError`` on a non-integer
+    coefficient and ``ValueError`` on a subset of the wrong size.
+    """
+    k = len(mat)
+    ints, bits, low = _kronecker(mat)
+    for cols in subsets:
+        if len(cols) != k:
+            raise ValueError(f"a maximal minor of {k} rows needs {k} columns")
+        value = _int_det([[row[c] for c in cols] for row in ints])
+        yield _decode(value, bits, low)
+
+
+def det(mat) -> LaurentPoly:
+    """Determinant of a square Laurent matrix (1 for the empty matrix)."""
+    k = len(mat)
+    if any(len(row) != k for row in mat):
+        raise ValueError("det needs a square matrix")
+    return next(maximal_minors(mat, [range(k)]))

@@ -24,7 +24,7 @@ from math import comb
 
 from .errors import BudgetExceeded, HypothesisNotMet, VerificationFailed
 from .groebner import GroebnerBasis
-from .laurent import ONE, T, ZERO, LaurentPoly, poly_gcd
+from .laurent import ONE, T, ZERO, LaurentPoly, maximal_minors, poly_gcd
 from .snf import abelian_invariants
 from .words import GroupPresentation, Word, fox_derivative
 
@@ -170,44 +170,15 @@ class LambdaModule:
             raise BudgetExceeded(
                 "too many maximal minors; simplify the presentation first"
             )
+        # row subsets of the relations are column subsets of the transpose
+        columns = list(zip(*self.rows))
+        subsets = combinations(range(len(self.rows)), k)
         g = ZERO
-        for subset in combinations(range(len(self.rows)), k):
-            d = _bareiss_det([list(self.rows[i]) for i in subset])
+        for d in maximal_minors(columns, subsets):
             g = poly_gcd(g, d)
             if g == ONE:
                 break
         return g.canonical()
-
-    def specialize_int(self, x: int):
-        return [
-            [p.evaluate_int(x) for p in row] for row in self.rows
-        ]
-
-
-def _bareiss_det(m) -> LaurentPoly:
-    """Fraction-free determinant over the Laurent ring."""
-    n = len(m)
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            swap = next(
-                (i for i in range(k + 1, n) if not m[i][k].is_zero()), None
-            )
-            if swap is None:
-                return ZERO
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                q = num.exact_divide(prev)
-                if q is None:
-                    raise VerificationFailed("Bareiss division must be exact")
-                m[i][j] = q
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return d * sign if sign < 0 else d
 
 
 def alexander_module(pres: GroupPresentation, meridian: int) -> LambdaModule:
@@ -249,10 +220,6 @@ def _unit_vector(ncols, i, scale=None):
     return tuple(
         (scale or ONE) if j == i else ZERO for j in range(ncols)
     )
-
-
-def _vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def _vec_add(u, v):

@@ -34,7 +34,6 @@ from dslice.certify import (
     _ring_add,
     _ring_right_inverse,
     _shadow,
-    _shadow_det,
     _shadow_obstructed,
     _verify_right_inverse,
     certify_doubly_slice,
@@ -55,7 +54,7 @@ from dslice.corpus import (
 )
 from dslice.diagrams import Diagram, diagram_hash, zero_surgery
 from dslice.errors import BudgetExceeded, NoSplitting, RelatorViolation
-from dslice.laurent import LaurentPoly
+from dslice.laurent import LaurentPoly, det
 from dslice.twisted import MetabelianHom
 from dslice.words import GroupPresentation, Word
 
@@ -230,7 +229,7 @@ def test_shadow_det_matches_naive_expansion():
             ]
             for _ in range(k)
         ]
-        assert _shadow_det(mat) == _naive_det(mat)
+        assert det(mat) == _naive_det(mat)
 
 
 def test_shadow_obstruction_tall_matrix():

@@ -72,6 +72,46 @@ def test_certify_rejects_bad_quotient(docs, capsys):
     assert "2^n = 1 mod m" in err
 
 
+# Two diagrams of 9_46 whose hashes the registry does not know, so certify
+# runs the stage-B search: the mirror (each PD row [a,b,c,d] becomes
+# [a,d,c,b]) and a negative Reidemeister-I kink on edge 7.  The exit code
+# and the stdout SHA-256 of `certify --format json --no-cache` pin the
+# certificate bytes.
+UNREGISTERED_946 = {
+    "mirror": (
+        [[11, 18, 12, 1], [1, 10, 2, 11], [9, 2, 10, 3], [5, 12, 6, 13],
+         [13, 4, 14, 5], [3, 14, 4, 15], [6, 18, 7, 17], [16, 8, 17, 7],
+         [8, 16, 9, 15]],
+        "418c56318aa703d344c7ca6dd9c3d4b514b5a8dcbd37b521141cf34c5b1fc96b",
+    ),
+    "kink07-": (
+        [[13, 1, 14, 20], [1, 13, 2, 12], [11, 3, 12, 2], [5, 15, 6, 14],
+         [15, 5, 16, 4], [3, 17, 4, 16], [6, 19, 7, 20], [18, 9, 19, 10],
+         [10, 17, 11, 18], [7, 8, 8, 9]],
+        "98aa04d2904f3d197fe3d5a664ef9463a550f37970d90f2de79d5f375aefae5c",
+    ),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(UNREGISTERED_946))
+def test_certify_unregistered_946_bytes_are_pinned(capsys, tmp_path, tag):
+    pd, want = UNREGISTERED_946[tag]
+    path = tmp_path / f"{tag}.json"
+    path.write_text(json.dumps(
+        {"format": "dslice-diagram/1", "name": tag, "pd": pd}
+    ))
+    code, out, _ = run(
+        capsys, "certify", str(path), "--format", "json", "--no-cache"
+    )
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (1, want)
+    verdicts = json.loads(out)["verdicts"]
+    assert sorted(verdicts) == ["P1", "P2"]
+    for verdict in verdicts.values():
+        assert verdict["reason"] == (
+            "commutative shadow obstructs every candidate matrix"
+        )
+
+
 # ----------------------------------------------------------------- analyze
 
 
@@ -245,6 +285,23 @@ def test_oracle_computes_each_path_once_per_map(docs, capsys, monkeypatch):
     assert calls == {
         "finite_cover_homology": nmaps, "twisted_invariants": nmaps
     }
+
+
+def test_oracle_refuses_oversized_target_before_enumerating(
+    docs, capsys, monkeypatch
+):
+    import dslice.groups as groups
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nullspace_mod must not run")
+
+    monkeypatch.setattr(groups, "nullspace_mod", refuse)
+    code, out, err = run(
+        capsys, "oracle", "--knot", docs["946"], "--n", "20",
+        "--m", "1048575", "--no-cache",
+    )
+    assert (code, out) == (2, "")
+    assert "target group larger than the cap" in err
 
 
 def test_oracle_rejects_incompatible_parameters(docs, capsys):

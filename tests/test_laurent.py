@@ -1,11 +1,26 @@
-"""Laurent polynomial and dyadic arithmetic against sympy oracles."""
+"""Laurent polynomial and dyadic arithmetic against sympy oracles, and
+determinants against permutation expansion."""
 
+import itertools
+import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from dslice.laurent import DyadicRational, LaurentPoly, poly_gcd, ONE, T
+import dslice.laurent as laurent
+from dslice.errors import VerificationFailed
+from dslice.laurent import (
+    DyadicRational,
+    LaurentPoly,
+    det,
+    maximal_minors,
+    poly_gcd,
+    ONE,
+    T,
+    ZERO,
+)
 
 
 def to_sympy(p: LaurentPoly):
@@ -100,3 +115,141 @@ def test_symmetry_check():
     delta_trefoil = LaurentPoly({0: 1, 1: -1, 2: 1})
     assert delta_trefoil.is_symmetric()
     assert not (T - 2 * ONE).is_symmetric()
+
+
+# ------------------------------------------------------------- determinants
+
+
+def naive_det(mat):
+    """Permutation expansion, the definition itself."""
+    total = ZERO
+    for perm in itertools.permutations(range(len(mat))):
+        inversions = sum(
+            perm[i] > perm[j]
+            for i in range(len(perm))
+            for j in range(i + 1, len(perm))
+        )
+        term = LaurentPoly.constant(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * mat[i][j]
+        total = total + term
+    return total
+
+
+def random_poly(rng, big=False):
+    if rng.random() < 0.2:
+        return ZERO
+    bound = 10**9 if big else 5
+    return LaurentPoly({
+        rng.randint(-3, 3): rng.randint(-bound, bound)
+        for _ in range(rng.randint(1, 3))
+    })
+
+
+def random_matrix(rng, rows, cols, big=False):
+    return [[random_poly(rng, big) for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_det_matches_naive_expansion(size):
+    rng = random.Random(f"det:{size}")
+    for trial in range(12 if size < 5 else 3):
+        mat = random_matrix(rng, size, size, big=trial % 2 == 1)
+        assert det(mat) == naive_det(mat)
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 4), (2, 5), (3, 6), (4, 6)])
+def test_maximal_minors_match_naive_expansion(rows, cols):
+    rng = random.Random(f"minors:{rows}x{cols}")
+    for trial in range(3):
+        mat = random_matrix(rng, rows, cols, big=trial == 2)
+        subsets = list(itertools.combinations(range(cols), rows))
+        got = list(maximal_minors(mat, subsets))
+        assert got == [
+            naive_det([[row[c] for c in sub] for row in mat])
+            for sub in subsets
+        ]
+
+
+def test_det_of_empty_matrix_is_one():
+    assert det([]) == ONE
+    assert list(maximal_minors([], [()])) == [ONE]
+
+
+def test_det_zero_rows_and_singular_matrices():
+    rng = random.Random("singular")
+    for size in range(1, 6):
+        mat = random_matrix(rng, size, size)
+        mat[rng.randrange(size)] = [ZERO] * size
+        assert det(mat).is_zero()
+    for size in range(2, 6):
+        mat = random_matrix(rng, size, size, big=True)
+        # one row a Laurent multiple of another, the rest arbitrary
+        mat[1] = [p * LaurentPoly({-2: 3, 1: -7}) for p in mat[0]]
+        assert det(mat).is_zero()
+        assert naive_det(mat).is_zero()
+
+
+def test_wide_matrix_with_all_zero_minors():
+    rng = random.Random("wide")
+    first = [random_poly(rng, big=True) for _ in range(5)]
+    mat = [first, [p.shift(-3) * 4 for p in first], [ZERO] * 5]
+    subsets = list(itertools.combinations(range(5), 3))
+    assert all(d.is_zero() for d in maximal_minors(mat, subsets))
+    mat = [first, [p.shift(2) for p in first]]
+    subsets = list(itertools.combinations(range(5), 2))
+    assert all(d.is_zero() for d in maximal_minors(mat, subsets))
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1), (-1, 1, 1), (-1, -1, -1)])
+def test_det_coefficient_equal_to_the_bound(signs):
+    # single terms on a diagonal or an anti-diagonal: the one coefficient
+    # of the determinant is the product of the rows' l1-norms, the bound
+    coeffs = [signs[0] * 10**9, signs[1] * (2**31 - 1), signs[2] * 7]
+    degrees = [-4, 0, 5]
+    product = coeffs[0] * coeffs[1] * coeffs[2]
+    for flip, sign in ((False, 1), (True, -1)):
+        mat = [[ZERO] * 3 for _ in range(3)]
+        for i, (c, d) in enumerate(zip(coeffs, degrees)):
+            mat[i][2 - i if flip else i] = LaurentPoly.monomial(c, d)
+        want = LaurentPoly.monomial(sign * product, sum(degrees))
+        assert det(mat) == want == naive_det(mat)
+        # the coefficient lies in the top half of the balanced digit range
+        _, bits, _ = laurent._kronecker(mat)
+        assert 2 ** (bits - 2) <= abs(product) < 2 ** (bits - 1)
+
+
+def test_det_rejects_non_integer_coefficients():
+    for c in (DyadicRational(1, 1), DyadicRational(2), Fraction(1, 3)):
+        mat = [[ONE, LaurentPoly({1: c})], [T, ONE]]
+        with pytest.raises(TypeError):
+            det(mat)
+        with pytest.raises(TypeError):
+            list(maximal_minors([[ONE, LaurentPoly({1: c}), ONE]], [(0,)]))
+
+
+def test_det_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        det([[ONE, T]])
+    with pytest.raises(ValueError):
+        list(maximal_minors([[ONE, T, ONE]], [(0, 1)]))
+
+
+def test_maximal_minors_are_lazy():
+    mat = [[T, ONE, 2 * ONE]]
+    minors = maximal_minors(mat, iter([(0,), (1, 2)]))
+    assert next(minors) == T
+    with pytest.raises(ValueError):
+        next(minors)
+
+
+def test_inexact_bareiss_division_is_refused(monkeypatch):
+    # every Bareiss division is exact in Z; forge a remainder to check that
+    # the guard is a raise, which survives python -O, not an assert
+    def forged(a, b):
+        q, r = divmod(a, b)
+        return q, r + 1
+
+    monkeypatch.setattr(laurent, "divmod", forged, raising=False)
+    with pytest.raises(VerificationFailed):
+        det([[T, ONE], [ONE, T]])
