@@ -18,7 +18,7 @@ from math import gcd
 
 from .errors import IncompatibleParameters, NotSurjective, RelatorViolation
 from .groebner import _xgcd
-from .laurent import DyadicRational
+from .laurent import DyadicRational, LaurentPoly
 from .words import Word
 
 __all__ = [
@@ -30,8 +30,11 @@ __all__ = [
     "evaluate_word",
     "check_relators",
     "bs12_surjective",
+    "ring_add",
     "ring_mul",
     "ring_apply",
+    "unit_inverse",
+    "shadow",
 ]
 
 
@@ -87,13 +90,11 @@ class FiniteMetabelian:
     """
 
     def __init__(self, n: int, m: int):
-        if n < 1 or m < 1:
-            raise IncompatibleParameters("quotient parameters must be positive")
-        if m % 2 == 0:
-            raise IncompatibleParameters("the dyadic part collapses unless m is odd")
-        if pow(2, n, m) != 1 % m:
+        # an even m > 1 fails the congruence too: 2^n is even mod m
+        if n < 1 or m < 1 or pow(2, n, m) != 1 % m:
             raise IncompatibleParameters(
-                f"2^{n} is not 1 mod {m}; the action does not descend"
+                f"incompatible parameters ({n},{m}): need n >= 1, m >= 1"
+                " and 2^n = 1 mod m, so that the action descends"
             )
         self.n = n
         self.m = m
@@ -118,15 +119,11 @@ class FiniteMetabelian:
         return {e: i for i, e in enumerate(self.elements())}
 
     def from_bs12(self, g: BS12):
-        inv2 = pow(2, -1, self.m) if self.m > 1 else 0
-        q = g.q.num * pow(inv2, g.q.exp, self.m) % self.m
-        return (g.k % self.n, q)
+        return (g.k % self.n, self.from_dyadic(g.q))
 
     def from_dyadic(self, d: DyadicRational) -> int:
-        if self.m == 1:
-            return 0
-        inv2 = pow(2, -1, self.m)
-        return d.num * pow(inv2, d.exp, self.m) % self.m
+        # m is odd, so 2 is invertible mod m (and everything is 0 mod 1)
+        return d.num * pow(2, -d.exp, self.m) % self.m
 
     def __repr__(self):
         return f"FiniteMetabelian(n={self.n}, m={self.m})"
@@ -205,6 +202,18 @@ def bs12_surjective(images, strict=False) -> bool:
     return True
 
 
+def ring_add(x: dict, y: dict, sign: int = 1) -> dict:
+    """``x + sign * y``; group-ring elements are {element: nonzero int}."""
+    out = dict(x)
+    for g, c in y.items():
+        v = out.get(g, 0) + sign * c
+        if v:
+            out[g] = v
+        else:
+            out.pop(g, None)
+    return out
+
+
 def ring_mul(x: dict, y: dict, target) -> dict:
     """Product in the integral group ring of ``target``."""
     out: dict = {}
@@ -230,3 +239,16 @@ def ring_apply(x: dict, fn) -> dict:
         else:
             out.pop(k, None)
     return out
+
+
+def unit_inverse(x: dict, target):
+    """Inverse of a trivial unit +-g, or None when ``x`` is not one."""
+    if len(x) != 1:
+        return None
+    ((g, c),) = x.items()
+    return {target.inv(g): c} if c in (1, -1) else None
+
+
+def shadow(x: dict) -> LaurentPoly:
+    """Image in Lambda = Z[t, t^-1] under (k, q) -> t^k: the dyadic part dies."""
+    return LaurentPoly(ring_apply(x, lambda g: g.k))

@@ -31,7 +31,16 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 
-from .bs12 import BS12, BS12_A, BS12_C, Bs12Group, ring_mul
+from .bs12 import (
+    BS12,
+    BS12_A,
+    BS12_C,
+    Bs12Group,
+    ring_add,
+    ring_mul,
+    shadow,
+    unit_inverse,
+)
 from .diagrams import Diagram, SurgeryPresentation, diagram_hash, zero_surgery
 from .errors import BudgetExceeded, NoSplitting, RelatorViolation
 from .groups import (
@@ -40,7 +49,7 @@ from .groups import (
     second_derived_certificate,
     summand_homs,
 )
-from .laurent import LaurentPoly, det, maximal_minors, poly_gcd
+from .laurent import det, maximal_minors, poly_gcd
 from .modules import (
     TARGET_ORDER,
     alexander_module,
@@ -52,6 +61,7 @@ from .twisted import (
     crowell_check,
     summand_specialization_check,
     transport_record,
+    twisted_rows,
 )
 from .words import GroupPresentation, Word, fox_derivative
 
@@ -157,11 +167,7 @@ def relator_lift(word: Word, budget: int = 20000) -> dict:
                 u = prefix
                 for letter in extra:
                     u = u * _letter_elt(letter)
-                v = delta.get(u, 0) + eps
-                if v:
-                    delta[u] = v
-                else:
-                    del delta[u]
+                delta = ring_add(delta, {u: eps})
                 letters[p:p + 2] = list(repl)
                 letters = list(Word(tuple(letters)).letters)
                 applied = True
@@ -196,32 +202,6 @@ def _check_lift(word: Word, delta: dict) -> None:
 # right inverses over the target group ring
 
 
-def _ring_add(x: dict, y: dict, sign: int = 1) -> dict:
-    out = dict(x)
-    for g, c in y.items():
-        v = out.get(g, 0) + sign * c
-        if v:
-            out[g] = v
-        else:
-            out.pop(g, None)
-    return out
-
-
-def _ring_sub(x: dict, y: dict) -> dict:
-    return _ring_add(x, y, -1)
-
-
-def _is_unit(x: dict) -> bool:
-    if len(x) != 1:
-        return False
-    return abs(next(iter(x.values()))) == 1
-
-
-def _unit_inverse(x: dict) -> dict:
-    ((g, c),) = x.items()
-    return {g.inverse(): c}
-
-
 def _ring_right_inverse(rows, ncols: int, budget: int = 300000):
     """Find Y with rows * Y = identity by unit-pivot column elimination.
 
@@ -249,7 +229,7 @@ def _ring_right_inverse(rows, ncols: int, budget: int = 300000):
                 continue
             row_nnz = sum(1 for e in M[i] if e)
             for j in range(ncols):
-                if j in used or not _is_unit(M[i][j]):
+                if j in used or unit_inverse(M[i][j], Bs12Group) is None:
                     continue
                 col_nnz = sum(1 for r in range(m) if r not in piv and M[r][j])
                 col_terms = sum(len(M[r][j]) for r in range(m))
@@ -260,7 +240,7 @@ def _ring_right_inverse(rows, ncols: int, budget: int = 300000):
         if found is None:
             return None
         i, j = found
-        s = _unit_inverse(M[i][j])
+        s = unit_inverse(M[i][j], Bs12Group)
         for r in range(m):
             if M[r][j]:
                 ops += len(M[r][j])
@@ -278,14 +258,14 @@ def _ring_right_inverse(rows, ncols: int, budget: int = 300000):
             for r in range(m):
                 if M[r][j]:
                     ops += len(M[r][j]) * len(s2)
-                    M[r][j2] = _ring_sub(
-                        M[r][j2], ring_mul(M[r][j], s2, Bs12Group)
+                    M[r][j2] = ring_add(
+                        M[r][j2], ring_mul(M[r][j], s2, Bs12Group), -1
                     )
             for r in range(ncols):
                 if T[r][j]:
                     ops += len(T[r][j]) * len(s2)
-                    T[r][j2] = _ring_sub(
-                        T[r][j2], ring_mul(T[r][j], s2, Bs12Group)
+                    T[r][j2] = ring_add(
+                        T[r][j2], ring_mul(T[r][j], s2, Bs12Group), -1
                     )
         if ops > budget:
             raise BudgetExceeded("right inverse search budget exhausted")
@@ -302,7 +282,7 @@ def _verify_right_inverse(rows, y) -> bool:
             acc: dict = {}
             for j, entry in enumerate(rows[i]):
                 if entry and y[j][k]:
-                    acc = _ring_add(acc, ring_mul(entry, y[j][k], Bs12Group))
+                    acc = ring_add(acc, ring_mul(entry, y[j][k], Bs12Group))
             want = {identity: 1} if i == k else {}
             if acc != want:
                 return False
@@ -321,26 +301,19 @@ def _verify_right_inverse(rows, y) -> bool:
 # more than 64 column subsets pass the matrix on to the search).
 
 
-def _shadow(entry: dict) -> LaurentPoly:
-    out: dict = {}
-    for g, c in entry.items():
-        out[g.k] = out.get(g.k, 0) + c
-    return LaurentPoly({k: v for k, v in out.items() if v})
-
-
 def _shadow_obstructed(rows, ncols: int) -> bool:
     """True when the commutative shadow rules out any right inverse."""
     m = len(rows)
     if m > ncols:
         return True
-    shadow = [[_shadow(e) for e in row] for row in rows]
+    image = [[shadow(e) for e in row] for row in rows]
     if m == ncols:
-        return not det(shadow).is_unit()
+        return not det(image).is_unit()
     choices = list(itertools.combinations(range(ncols), m))
     if len(choices) > 64:
         return False
     gcd = None
-    for d in maximal_minors(shadow, choices):
+    for d in maximal_minors(image, choices):
         if d.is_zero():
             continue
         gcd = d if gcd is None else poly_gcd(gcd, d)
@@ -371,14 +344,6 @@ def _ser_matrix(y):
     return [[_ser_ring(e) for e in row] for row in y]
 
 
-def _jacobian_rows(pres: GroupPresentation, hom):
-    n = pres.num_generators
-    return [
-        [push_fox(fox_derivative(r, i), hom.images, Bs12Group) for i in range(n)]
-        for r in pres.relators
-    ]
-
-
 def _deleted_rows(full_rows, meridian: int):
     return [
         [e for i, e in enumerate(row) if i != meridian] for row in full_rows
@@ -404,7 +369,7 @@ def _stage_b_methods(pres, meridian, hom, lift_budget):
     ``relative`` keeps every column and appends the relation-lifting
     column, which presents the module relative to the basepoint fiber.
     """
-    full = _jacobian_rows(pres, hom)
+    full = twisted_rows(pres, hom.images, Bs12Group)
     n = pres.num_generators
     yield "deleted", _deleted_rows(full, meridian), n - 1
     yield "relative", _relative_rows(pres, hom, full, lift_budget), n + 1
@@ -508,7 +473,7 @@ def verify_stage_b(
         return False
     plus, minus = summand_homs(plain.group, plain.meridian, report)
     hom = plus if which == "P1" else minus
-    full = _jacobian_rows(pres, hom)
+    full = twisted_rows(pres, hom.images, Bs12Group)
     method = log.get("method")
     if method == "deleted":
         rows = _deleted_rows(full, meridian)

@@ -319,12 +319,8 @@ def _run_cached(args, operation: str, payload, compute):
 
 
 def _quotient(args):
-    n, m = args.quotient_bound
-    if n < 1 or m < 1 or pow(2, n, m) != 1 % m:
-        raise MalformedInput(
-            f"invalid quotient bound ({n},{m}): need 2^n = 1 mod m"
-        )
-    return n, m
+    target = FiniteMetabelian(*args.quotient_bound)
+    return target.n, target.m
 
 
 def _add_common(p):
@@ -440,11 +436,7 @@ def main(argv=None) -> int:
                 ),
             )
         if args.command == "oracle":
-            if args.n < 1 or args.m < 1 or pow(2, args.n, args.m) != 1 % args.m:
-                raise MalformedInput(
-                    f"incompatible parameters ({args.n},{args.m}):"
-                    " need 2^n = 1 mod m"
-                )
+            FiniteMetabelian(args.n, args.m)  # refuses bad parameters
             doc = load_document(args.knot)
             payload = {"doc": doc, "n": args.n, "m": args.m,
                        "format": args.format}

@@ -389,14 +389,6 @@ class LinkGroup:
     longitudes: tuple
     component_of_gen: tuple
 
-    def gen_of_edge(self, e):
-        return self._edge_gen[e]
-
-    def __post_init__(self):
-        self._edge_gen = {
-            e: i for i, arc in enumerate(self.arc_edges) for e in arc
-        }
-
 
 def _underpass_word(diagram, comp, arc_of, gen_names=None):
     """Product of over-arc generators along a component's underpasses."""

@@ -28,6 +28,7 @@ from .bs12 import (
     bs12_surjective,
     check_relators,
     evaluate_word,
+    ring_apply,
 )
 from .errors import (
     BudgetExceeded,
@@ -334,21 +335,14 @@ def second_derived_certificate(
     if _word_weight(word, weights) != 0:
         return False
     n = pres.num_generators
-    rows = [tuple(r) for r in fox_jacobian(pres, weights)]
     vec = tuple(
         _eval_fox(fox_derivative(word, i), weights) for i in range(n)
     )
-    return module_contains(rows, n, vec, budget=budget)
+    return module_contains(fox_jacobian(pres, weights), n, vec, budget=budget)
 
 
 def push_fox(poly: FoxPolynomial, images, target) -> dict:
     """Image of a Fox polynomial in the integral group ring of ``target``."""
-    out: dict = {}
-    for w, c in poly.terms:
-        g = evaluate_word(w, images, target)
-        v = out.get(g, 0) + c
-        if v:
-            out[g] = v
-        else:
-            out.pop(g, None)
-    return out
+    return ring_apply(
+        poly.as_dict(), lambda w: evaluate_word(w, images, target)
+    )

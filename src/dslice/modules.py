@@ -22,11 +22,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from .bs12 import ring_apply
 from .errors import BudgetExceeded, HypothesisNotMet, VerificationFailed
 from .groebner import GroebnerBasis
 from .laurent import ONE, T, ZERO, LaurentPoly, maximal_minors, poly_gcd
 from .snf import abelian_invariants
-from .words import GroupPresentation, Word, fox_derivative
+from .words import GroupPresentation, Word
 
 __all__ = [
     "LambdaModule",
@@ -84,24 +85,16 @@ def _word_weight(word: Word, weights) -> int:
 
 
 def _eval_fox(poly, weights) -> LaurentPoly:
-    coeffs: dict[int, int] = {}
-    for word, c in poly.terms:
-        d = _word_weight(word, weights)
-        coeffs[d] = coeffs.get(d, 0) + c
-    return LaurentPoly(coeffs)
+    return LaurentPoly(
+        ring_apply(poly.as_dict(), lambda w: _word_weight(w, weights))
+    )
 
 
 def fox_jacobian(pres: GroupPresentation, weights):
-    """Rows of Fox derivatives pushed through the abelianisation."""
-    rows = []
-    for r in pres.relators:
-        rows.append(
-            tuple(
-                _eval_fox(fox_derivative(r, i), weights)
-                for i in range(pres.num_generators)
-            )
-        )
-    return rows
+    """The Fox matrix pushed through the abelianisation into Lambda."""
+    return [
+        tuple(_eval_fox(p, weights) for p in row) for row in pres.fox_matrix
+    ]
 
 
 @dataclass

@@ -290,9 +290,13 @@ def smith_with_transforms(a):
 def nullspace_mod(a, m: int, ncols: int | None = None):
     """Generators of ``{x in (Z/m)^nc : a @ x = 0 mod m}``.
 
-    Returns a list of generator vectors (tuples of ints mod m) for the
-    solution subgroup, derived from the Smith form of ``a``.  ``ncols``
-    is required when ``a`` has no rows.
+    Diagonalises ``a`` over Z/m, reducing every entry and the column
+    transform t mod m after each operation; x = t z is a solution exactly
+    when d_j z_j = 0 mod m for each diagonal entry d_j.  Each pivot's gcd
+    with m divides every entry left below and right of it, so there are
+    as few generators as the solutions need: the maximum over primes
+    p | m of (nc - rank of a mod p).  ``ncols`` is required when ``a``
+    has no rows.
     """
     nr = len(a)
     nc = len(a[0]) if nr else ncols
@@ -300,17 +304,58 @@ def nullspace_mod(a, m: int, ncols: int | None = None):
         raise ValueError("ncols required for an empty matrix")
     if nc == 0 or m == 1:
         return []
-    if nr == 0:
-        return [tuple(int(i == j) for i in range(nc)) for j in range(nc)]
-    d, _, t = smith_with_transforms(a)
+    w = [[x % m for x in row] for row in a]
+    t = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def row_op(i, k, q):
+        w[i] = [(x - q * y) % m for x, y in zip(w[i], w[k])]
+
+    def col_op(j, k, q):
+        for row in (*w, *t):
+            row[j] = (row[j] - q * row[k]) % m
+
+    def swap_cols(j, k):
+        for row in (*w, *t):
+            row[j], row[k] = row[k], row[j]
+
+    for p in range(min(nr, nc)):
+        live = [
+            (gcd(w[i][j], m), w[i][j], i, j)
+            for i in range(p, nr) for j in range(p, nc) if w[i][j]
+        ]
+        if not live:
+            break
+        _, _, i, j = min(live)
+        w[p], w[i] = w[i], w[p]
+        swap_cols(p, j)
+        while True:
+            # Euclid steps: a nonzero remainder becomes the smaller pivot
+            done = True
+            for i in range(p + 1, nr):
+                if w[i][p]:
+                    row_op(i, p, w[i][p] // w[p][p])
+                    if w[i][p]:
+                        w[p], w[i] = w[i], w[p]
+                        done = False
+            for j in range(p + 1, nc):
+                if w[p][j]:
+                    col_op(j, p, w[p][j] // w[p][p])
+                    if w[p][j]:
+                        swap_cols(p, j)
+                        done = False
+            if done:
+                g = gcd(w[p][p], m)
+                bad = next((i for i in range(p + 1, nr)
+                            if any(x % g for x in w[i][p + 1:])), None)
+                if bad is None:
+                    break
+                # g does not divide row bad: adding it to the pivot row
+                # lets the next Euclid steps take the pivot's gcd down
+                row_op(p, bad, -1)
     gens = []
     for j in range(nc):
-        dj = d[j][j] if j < min(nr, nc) else 0
-        # constraint on z_j is dj * z_j == 0 mod m
-        step = 1 if dj == 0 else m // gcd(dj, m)
-        if step % m == 0:
-            continue  # only z_j = 0 works
-        col = tuple(t[i][j] * step % m for i in range(nc))
-        if any(col):
-            gens.append(col)
+        d = w[j][j] if j < min(nr, nc) else 0
+        g = gcd(d, m)  # d_j z_j = 0 mod m exactly when (m / g) | z_j
+        if g > 1:
+            gens.append(tuple(t[i][j] * (m // g) % m for i in range(nc)))
     return gens

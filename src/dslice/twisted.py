@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bs12 import Bs12Group, evaluate_word
+from .bs12 import Bs12Group, evaluate_word, shadow
 from .diagrams import SurgeryPresentation, infect, wirtinger, zero_surgery
 from .errors import BudgetExceeded, TargetMismatch
 from .groups import (
@@ -33,10 +33,10 @@ from .groups import (
     push_fox,
     second_derived_certificate,
 )
-from .laurent import ONE, LaurentPoly
+from .laurent import ONE
 from .modules import alexander_polynomial, fox_jacobian, infinite_cyclic_weights
 from .snf import abelian_invariants
-from .words import Word, fox_derivative
+from .words import Word
 
 __all__ = [
     "twisted_rows",
@@ -53,16 +53,11 @@ __all__ = [
 
 
 def twisted_rows(pres, images, target):
-    """Fox Jacobian with entries in the integral group ring of ``target``."""
-    rows = []
-    for r in pres.relators:
-        rows.append(
-            tuple(
-                push_fox(fox_derivative(r, i), images, target)
-                for i in range(pres.num_generators)
-            )
-        )
-    return rows
+    """The Fox matrix pushed into the integral group ring of ``target``."""
+    return [
+        tuple(push_fox(p, images, target) for p in row)
+        for row in pres.fox_matrix
+    ]
 
 
 # Largest target order the regular representation is built for; the same
@@ -157,21 +152,11 @@ def summand_specialization_check(pres, meridian, hom: MetabelianHom) -> bool:
     Jacobian therefore has to match the plain one entry by entry, with
     t inverted when the meridian maps to a^-1.
     """
-    weights = infinite_cyclic_weights(pres, meridian)
-    plain = fox_jacobian(pres, weights)
-    for ri, r in enumerate(pres.relators):
-        for i in range(pres.num_generators):
-            pushed = push_fox(fox_derivative(r, i), hom.images, Bs12Group)
-            coeffs: dict[int, int] = {}
-            for g, c in pushed.items():
-                coeffs[g.k] = coeffs.get(g.k, 0) + c
-            collapsed = LaurentPoly(coeffs)
-            expected = plain[ri][i]
-            if hom.merid_exponent == -1:
-                expected = expected.mirror()
-            if collapsed != expected:
-                return False
-    return True
+    plain = fox_jacobian(pres, infinite_cyclic_weights(pres, meridian))
+    if hom.merid_exponent == -1:
+        plain = [tuple(p.mirror() for p in row) for row in plain]
+    pushed = twisted_rows(pres, hom.images, Bs12Group)
+    return [tuple(shadow(e) for e in row) for row in pushed] == plain
 
 
 # ------------------------------------------------------------ transport

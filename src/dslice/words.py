@@ -19,6 +19,7 @@ holds for every word ``w`` and is used as a property test downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = [
     "Word",
@@ -201,6 +202,14 @@ class GroupPresentation:
     @property
     def num_generators(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def fox_matrix(self) -> tuple:
+        """Fox derivatives, relators by generators; computed once."""
+        return tuple(
+            tuple(fox_derivative(r, i) for i in range(len(self.names)))
+            for r in self.relators
+        )
 
     def abelianization_matrix(self):
         """Rows = relators, columns = generators, entries = exponent sums."""

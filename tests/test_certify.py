@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dslice.bs12 import BS12_A, BS12_C, Bs12Group, ring_mul
+from dslice.bs12 import ring_add as _ring_add, shadow as _shadow
 from dslice.certify import (
     CERT_VERSION,
     CERTIFIED,
@@ -31,9 +32,7 @@ from dslice.certify import (
     UNDETERMINED,
     _check_lift,
     _relative_rows,
-    _ring_add,
     _ring_right_inverse,
-    _shadow,
     _shadow_obstructed,
     _verify_right_inverse,
     certify_doubly_slice,

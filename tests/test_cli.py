@@ -72,6 +72,27 @@ def test_certify_rejects_bad_quotient(docs, capsys):
     assert "2^n = 1 mod m" in err
 
 
+def test_quotient_bound_kernel_is_computed_mod_m(docs, capsys):
+    # 54 elements, inside every cap: the translation kernel comes from an
+    # elimination over Z/9, not an integer Smith form that blows up
+    code, out, _ = run(
+        capsys, "analyze", docs["946"], "--quotient-bound", "6", "9",
+        "--no-cache",
+    )
+    assert code == 0
+    assert "metabelian quotient (6,9): 243 map(s)" in out
+
+
+def test_oversized_quotient_kernel_is_refused_or_skipped(docs, capsys):
+    bound = ("--quotient-bound", "20", "1048575", "--no-cache")
+    code, out, err = run(capsys, "analyze", docs["946"], *bound)
+    assert (code, out) == (2, "")
+    assert "translation kernel too large" in err
+    code, out, _ = run(capsys, "certify", docs["946"], *bound)
+    assert code == 0
+    assert "metabelian quotient maps at (20,1048575): skipped" in out
+
+
 # Two diagrams of 9_46 whose hashes the registry does not know, so certify
 # runs the stage-B search: the mirror (each PD row [a,b,c,d] becomes
 # [a,d,c,b]) and a negative Reidemeister-I kink on edge 7.  The exit code
@@ -416,3 +437,29 @@ def test_console_entry_point(docs):
     )
     assert proc.returncode == 0
     assert "alexander polynomial: 1" in proc.stdout
+
+
+def test_oracle_computes_the_fox_matrix_once(docs, capsys, monkeypatch):
+    import importlib
+
+    import dslice.words as words
+
+    inner = words.fox_derivative
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    # count calls through every module-level binding of fox_derivative
+    for name in ("words", "modules", "groups", "twisted", "certify"):
+        module = importlib.import_module(f"dslice.{name}")
+        if getattr(module, "fox_derivative", None) is inner:
+            monkeypatch.setattr(module, "fox_derivative", counting)
+    code, _, _ = run(
+        capsys, "oracle", "--knot", docs["946"], "--n", "3", "--m", "7",
+        "--no-cache",
+    )
+    assert code == 0
+    # the zero-surgery presentation of 9_46: 10 relators by 9 generators
+    assert len(calls) == 10 * 9

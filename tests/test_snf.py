@@ -136,8 +136,8 @@ def test_smith_with_transforms_properties():
 
 def brute_nullspace(a, m, nc):
     sols = set()
-    if nc > 3 or m > 9:
-        raise ValueError("brute force kept tiny on purpose")
+    if m ** nc > 20000:
+        raise ValueError("brute force kept small on purpose")
     import itertools
 
     for vec in itertools.product(range(m), repeat=nc):
@@ -168,3 +168,42 @@ def test_nullspace_mod_spans_exactly():
         a = random_matrix(rng, nr, nc, -4, 4)
         gens = nullspace_mod(a, m, nc)
         assert span_mod(gens, m, nc) == brute_nullspace(a, m, nc)
+
+
+def corank_mod(a, p, nc):
+    """nc minus the rank of ``a`` over the field Z/p."""
+    rows = [[x % p for x in r] for r in a]
+    rank = 0
+    for c in range(nc):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return nc - rank
+
+
+def test_nullspace_mod_eliminates_over_z_mod_m():
+    # matrices up to 8 x 7 with entries below m: integer Smith forms of
+    # these blow up, the elimination over Z/m keeps every entry below m
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(300):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 7)
+        m = rng.choice([3, 5, 9, 15, 21, 25, 27, 31, 45, 63, 85, 255, 1023])
+        a = [[rng.randrange(m) for _ in range(nc)] for _ in range(nr)]
+        gens = nullspace_mod(a, m, nc)
+        # as few generators as the solution group needs, which is what
+        # metabelian_quotient_homs compares against its cap
+        assert len(gens) == max(
+            corank_mod(a, p, nc) for p in sympy.primefactors(m)
+        )
+        if m ** nc <= 20000:
+            assert span_mod(gens, m, nc) == brute_nullspace(a, m, nc)
+            checked += 1
+    assert checked > 100
