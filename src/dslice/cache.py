@@ -1,11 +1,12 @@
 """Content-addressed result cache for command outputs.
 
 Each entry is a small JSON envelope stored under a key derived from the
-canonical form of the inputs: the toolchain version, the operation id,
-and the full request payload (document contents and flags, never file
-paths).  Writes go to a temp file in the same directory and are
-renamed into place, so concurrent runs sharing a cache directory can
-never observe a half-written entry.
+canonical form of the inputs: the toolchain (the version plus a digest
+of the package's own sources and data files), the operation id, and the
+full request payload (document contents and flags, never file paths).
+Writes go to a temp file in the same directory and are renamed into
+place, so concurrent runs sharing a cache directory can never observe a
+half-written entry.
 """
 
 from __future__ import annotations
@@ -16,7 +17,24 @@ import os
 import tempfile
 from pathlib import Path
 
-TOOLCHAIN = "dslice/0.1.0"
+
+def _source_digest() -> str:
+    """SHA-256 over the names and bytes of the package sources and data."""
+    package = Path(__file__).resolve().parent
+    files = sorted(package.glob("*.py")) + sorted(package.glob("data/*.json"))
+    digest = hashlib.sha256()
+    for path in files:
+        name = path.relative_to(package).as_posix().encode()
+        data = path.read_bytes()
+        for part in (name, data):
+            digest.update(len(part).to_bytes(8, "big"))
+            digest.update(part)
+    return digest.hexdigest()
+
+
+# Part of every key and every entry: a change to any source or data file
+# makes all older entries misses.
+TOOLCHAIN = "dslice/0.1.0+" + _source_digest()[:16]
 
 ENV_CACHE_DIR = "DSLICE_CACHE_DIR"
 

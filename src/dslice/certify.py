@@ -36,6 +36,7 @@ from .bs12 import (
     BS12_A,
     BS12_C,
     Bs12Group,
+    FiniteMetabelian,
     ring_add,
     ring_mul,
     shadow,
@@ -58,6 +59,7 @@ from .modules import (
 )
 from .twisted import (
     TransportRecord,
+    _check_regular_budget,
     crowell_check,
     summand_specialization_check,
     transport_record,
@@ -295,10 +297,12 @@ def _verify_right_inverse(rows, y) -> bool:
 # The group homomorphism onto the infinite cyclic quotient (kill the
 # dyadic part) linearizes any right-inverse identity, so a matrix whose
 # shadow is not right-invertible over the Laurent ring never admits one
-# over the group ring.  A square shadow needs a unit determinant; the
-# maximal minors of a wide one, evaluated once by ``maximal_minors``, must
-# have no nonunit common divisor (the gcd stops at the first unit, and
-# more than 64 column subsets pass the matrix on to the search).
+# over the group ring.  A square shadow needs a unit determinant, one
+# Bareiss pass.  The maximal minors of a wide one must have no nonunit
+# common divisor; ``maximal_minors`` eliminates the wide shadow once and
+# reads every minor off that one matrix, in the order the gcd asks for
+# them (the gcd stops at the first unit, and more than 64 column subsets
+# pass the matrix on to the search).
 
 
 def _shadow_obstructed(rows, ncols: int) -> bool:
@@ -676,6 +680,9 @@ def certify_doubly_slice(
     )
     qn, qm = quotient
     try:
+        # a target past the regular-representation cap would refuse the
+        # cross-check below, so it is refused before enumerating the maps
+        _check_regular_budget(FiniteMetabelian(qn, qm))
         target, homs = metabelian_quotient_homs(pres, plain.meridian, qn, qm)
         hyps.append(f"metabelian quotient maps at ({qn},{qm}): {len(homs)}")
         if homs:

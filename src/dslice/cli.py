@@ -121,6 +121,8 @@ def _render_certificate(cert: Certificate, fmt: str) -> str:
 def _analyze_report(doc: dict, quotient) -> dict:
     if document_kind(doc) != "diagram":
         raise MalformedInput("analyze expects a knot or link document")
+    # the cross-check below would refuse this target after the enumeration
+    _check_regular_budget(FiniteMetabelian(*quotient))
     diagram, name = diagram_from_document(doc)
     pattern = (doc.get("marks") or {}).get("pattern", 0)
     plain = zero_surgery(diagram, pattern)

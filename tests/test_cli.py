@@ -87,10 +87,45 @@ def test_oversized_quotient_kernel_is_refused_or_skipped(docs, capsys):
     bound = ("--quotient-bound", "20", "1048575", "--no-cache")
     code, out, err = run(capsys, "analyze", docs["946"], *bound)
     assert (code, out) == (2, "")
-    assert "translation kernel too large" in err
+    # 20 * 1048575 elements: refused by the target cap before the kernel
+    assert "target group larger than the cap" in err
     code, out, _ = run(capsys, "certify", docs["946"], *bound)
     assert code == 0
     assert "metabelian quotient maps at (20,1048575): skipped" in out
+
+
+def test_oversized_kernel_inside_the_target_cap_is_refused(docs, capsys):
+    # 10 * 1023 elements are within the target cap, 1023^3 maps are not
+    bound = ("--quotient-bound", "10", "1023", "--no-cache")
+    code, out, err = run(capsys, "analyze", docs["946"], *bound)
+    assert (code, out) == (2, "")
+    assert "translation kernel too large" in err
+    code, out, _ = run(capsys, "certify", docs["946"], *bound)
+    assert code == 0
+    assert "metabelian quotient maps at (10,1023): skipped" in out
+
+
+def test_target_cap_is_checked_before_enumerating_maps(
+    docs, capsys, monkeypatch
+):
+    import dslice.certify as certify
+    import dslice.cli as cli
+    import dslice.twisted as twisted
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("metabelian_quotient_homs must not run")
+
+    # the default (2,3) target has 6 elements, one past a cap of 5
+    monkeypatch.setattr(twisted, "_REGULAR_CAP", 5)
+    monkeypatch.setattr(certify, "metabelian_quotient_homs", refuse)
+    monkeypatch.setattr(cli, "metabelian_quotient_homs", refuse)
+    code, out, _ = run(capsys, "certify", docs["946"], "--no-cache")
+    assert code == 0
+    maps = [line for line in out.splitlines() if "quotient maps" in line]
+    assert maps == ["  - metabelian quotient maps at (2,3): skipped"]
+    code, out, err = run(capsys, "analyze", docs["946"], "--no-cache")
+    assert (code, out) == (2, "")
+    assert "target group larger than the cap" in err
 
 
 # Two diagrams of 9_46 whose hashes the registry does not know, so certify
@@ -415,6 +450,27 @@ def test_corrupt_cache_entry_is_ignored(docs, capsys, tmp_path):
         p.write_text("{broken")
     code2, out2, _ = run(capsys, "analyze", docs["unknot"])
     assert (code1, out1) == (code2, out2)
+
+
+def test_entry_of_another_toolchain_is_a_miss(docs, capsys, tmp_path,
+                                             monkeypatch):
+    import dslice.cache as cache
+
+    current = cache.TOOLCHAIN
+    assert current.startswith("dslice/0.1.0+")
+    monkeypatch.setattr(cache, "TOOLCHAIN", "dslice/0.1.0+older")
+    run(capsys, "certify", docs["946"])
+    (old,) = (tmp_path / "cache").glob("*.json")
+    entry = json.loads(old.read_text())
+    entry["result"] = "stale bytes\n"
+    old.write_text(json.dumps(entry))
+    monkeypatch.setattr(cache, "TOOLCHAIN", current)
+    code, out, _ = run(capsys, "certify", docs["946"])
+    assert code == 0
+    assert "conclusion: DoublySliceCertified" in out
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+    # under the old entry's own key the toolchain field refuses it too
+    assert cache.load_entry(old.stem, tmp_path / "cache") is None
 
 
 def test_cached_exit_code_round_trips(docs, capsys):

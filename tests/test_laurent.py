@@ -253,3 +253,111 @@ def test_inexact_bareiss_division_is_refused(monkeypatch):
     monkeypatch.setattr(laurent, "divmod", forged, raising=False)
     with pytest.raises(VerificationFailed):
         det([[T, ONE], [ONE, T]])
+
+
+# ------------------------------------------- minors of wide matrices (Sylvester)
+
+
+def combination_of_rows(rng, mat):
+    """A row that is a Laurent combination of the rows of ``mat``."""
+    out = [ZERO] * len(mat[0])
+    for row in mat:
+        factor = random_poly(rng)
+        out = [a + factor * b for a, b in zip(out, row)]
+    return out
+
+
+def wide_cases(rng, k, n):
+    yield random_matrix(rng, k, n)
+    yield random_matrix(rng, k, n, big=True)
+    mat = random_matrix(rng, k, n)
+    mat[rng.randrange(k)] = [ZERO] * n
+    yield mat
+    if k > 1:
+        # rank k - 1: the last row depends on the others
+        mat = random_matrix(rng, k - 1, n, big=True)
+        yield mat + [combination_of_rows(rng, mat)]
+    # leading zero columns push every pivot search past column 0
+    mat = random_matrix(rng, k, n)
+    for row in mat:
+        row[0] = row[1] = ZERO
+    yield mat
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_wide_minors_match_naive_expansion_on_every_subset(k):
+    rng = random.Random(f"sylvester:{k}")
+    for n in range(k + 1, k + 5):
+        subsets = list(itertools.combinations(range(n), k))
+        for mat in wide_cases(rng, k, n):
+            got = list(maximal_minors(mat, subsets))
+            assert got == [
+                naive_det([[row[c] for c in sub] for row in mat])
+                for sub in subsets
+            ], (k, n)
+
+
+def test_wide_minors_on_permuted_and_repeated_columns():
+    rng = random.Random("sylvester:order")
+    mat = random_matrix(rng, 3, 6, big=True)
+    subsets = [(5, 0, 3), (2, 1, 0), (4, 3, 2), (1, 5, 4), (0, 0, 4),
+               (5, 2, 5)]
+    got = list(maximal_minors(mat, subsets))
+    assert got == [
+        naive_det([[row[c] for c in sub] for row in mat]) for sub in subsets
+    ]
+    assert got[-2].is_zero() and got[-1].is_zero()
+
+
+def test_inexact_elimination_and_sylvester_divisions_are_refused(monkeypatch):
+    def forge_when(pred):
+        def forged(a, b):
+            q, r = divmod(a, b)
+            return (q, r + 1) if pred(b) else (q, r)
+        return forged
+
+    monkeypatch.setattr(laurent, "divmod", forge_when(lambda b: True),
+                        raising=False)
+    with pytest.raises(VerificationFailed, match="Bareiss"):
+        next(maximal_minors([[T, ONE, T], [ONE, T, T]], [(0, 1)]))
+    # pivots 2 and 5 = 2*3 - 1*1: the elimination divides by 1 and 2 only,
+    # and the minor on columns (2, 3) is a 2 x 2 block divided by 5
+    mat = [[2 * ONE, ONE, ZERO, ONE], [ONE, 3 * ONE, ONE, ZERO]]
+    subsets = list(itertools.combinations(range(4), 2))
+    monkeypatch.setattr(laurent, "divmod", forge_when(lambda b: b == 5),
+                        raising=False)
+    minors = maximal_minors(mat, subsets)
+    for sub in subsets[:-1]:
+        assert next(minors) == naive_det([[row[c] for c in sub] for row in mat])
+    with pytest.raises(VerificationFailed, match="Sylvester"):
+        next(minors)
+
+
+def test_shadow_gate_eliminates_each_wide_matrix_once(monkeypatch):
+    from collections import Counter
+
+    from dslice.certify import certify_doubly_slice
+    from dslice.corpus import bundled_document
+    from dslice.diagrams import Diagram
+
+    eliminations, dets = Counter(), Counter()
+    inner_eliminate, inner_det = laurent._gauss_jordan, laurent._int_det
+
+    def eliminate(rows):
+        eliminations[len(rows), len(rows[0])] += 1
+        return inner_eliminate(rows)
+
+    def int_det(rows):
+        dets[len(rows)] += 1
+        return inner_det(rows)
+
+    monkeypatch.setattr(laurent, "_gauss_jordan", eliminate)
+    monkeypatch.setattr(laurent, "_int_det", int_det)
+    # the mirror of 9_46 is unregistered, so stage B runs the shadow gate
+    pd = bundled_document("946")["pd"]
+    mirror = Diagram([(a, d, c, b) for a, b, c, d in pd])
+    certify_doubly_slice(mirror, registry=None)
+    # 20 wide shadows, and the module order on its transposed 2 x 4 matrix
+    assert eliminations == {(8, 10): 18, (9, 10): 2, (2, 4): 1}
+    # the square shadows; every other determinant is a Sylvester block
+    assert {size: n for size, n in dets.items() if size > 2} == {8: 18}
