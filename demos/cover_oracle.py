@@ -8,11 +8,13 @@ coset enumeration and abelianise it.  They must agree, always.
 Run from the repository root:  python3 demos/cover_oracle.py
 """
 
+from itertools import islice
+
 from dslice.corpus import bundled_document
 from dslice.diagrams import zero_surgery
 from dslice.documents import diagram_from_document
 from dslice.groups import metabelian_quotient_homs
-from dslice.twisted import crowell_check, crowell_compare
+from dslice.twisted import crowell_compares
 
 
 def describe(free, torsion):
@@ -27,14 +29,15 @@ def main():
         plain = zero_surgery(diagram, 0)
         target, homs = metabelian_quotient_homs(plain.group, plain.meridian, n, m)
         print(f"{name}, quotient parameters ({n}, {m}): {len(homs)} map(s)")
-        for h in homs[:6]:
-            cover, twisted, agree = crowell_compare(plain.group, h, target)
+        # conjugate maps share their Smith forms once their matrices are
+        # checked, entry by entry, to be relabellings of each other
+        results = crowell_compares(plain.group, homs, target)
+        for cover, twisted, agree in islice(results, 6):
             print(f"  cover {describe(*cover):18}"
                   f" twisted {describe(*twisted):22} agree {agree}")
-        rest = homs[6:]
-        if rest:
-            agree = all(crowell_check(plain.group, h, target) for h in rest)
-            print(f"  ... {len(rest)} more map(s), all agree: {agree}")
+        if len(homs) > 6:
+            agree = all(agree for _, _, agree in results)
+            print(f"  ... {len(homs) - 6} more map(s), all agree: {agree}")
         print()
 
 

@@ -14,6 +14,7 @@ certificates at finite level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .errors import IncompatibleParameters, NotSurjective, RelatorViolation
@@ -99,15 +100,21 @@ class FiniteMetabelian:
         self.n = n
         self.m = m
 
+    @cached_property
+    def _pow2(self):
+        # 2^k mod m for 0 <= k < n, the action of k; built on first use, so
+        # a target that a size cap refuses never builds it
+        return [pow(2, k, self.m) for k in range(self.n)]
+
     def identity(self):
         return (0, 0)
 
     def mul(self, x, y):
-        return ((x[0] + y[0]) % self.n, (x[1] + pow(2, x[0], self.m) * y[1]) % self.m)
+        return ((x[0] + y[0]) % self.n, (x[1] + self._pow2[x[0]] * y[1]) % self.m)
 
     def inv(self, x):
-        s = pow(2, -x[0] % self.n, self.m)
-        return (-x[0] % self.n, -s * x[1] % self.m)
+        k = -x[0] % self.n
+        return (k, -self._pow2[k] * x[1] % self.m)
 
     def order(self) -> int:
         return self.n * self.m

@@ -42,7 +42,7 @@ from .documents import (
 from .errors import DsliceError, MalformedInput
 from .groups import metabelian_quotient_homs
 from .modules import alexander_module, alexander_polynomial, detect_splitting
-from .twisted import _check_regular_budget, crowell_check, crowell_compare
+from .twisted import _check_regular_budget, crowell_check, crowell_compares
 
 __all__ = ["main"]
 
@@ -255,10 +255,9 @@ def cmd_oracle(doc: dict, n: int, m: int, fmt: str):
     _check_regular_budget(FiniteMetabelian(n, m))
     target, homs = metabelian_quotient_homs(pres, meridian, n, m)
     maps = []
-    for hom in homs:
-        (free, torsion), (tfree, ttors), agree = crowell_compare(
-            pres, hom, target
-        )
+    for (free, torsion), (tfree, ttors), agree in crowell_compares(
+        pres, homs, target
+    ):
         maps.append({
             "cover": {"free": free, "torsion": list(torsion)},
             "twisted": {"free": tfree, "torsion": list(ttors)},

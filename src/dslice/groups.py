@@ -53,10 +53,15 @@ __all__ = [
     "MetabelianHom",
     "summand_homs",
     "metabelian_quotient_homs",
+    "cover_rows",
     "finite_cover_homology",
     "second_derived_certificate",
     "push_fox",
 ]
+
+# Largest group a cover computation enumerates: the image subgroup in
+# cover_rows, and the whole target for twisted.py's regular representation.
+_REGULAR_CAP = 20000
 
 
 def _cyclic_reduce(w: Word) -> Word:
@@ -260,33 +265,46 @@ def _finite_surjective(chi, weights, meridian, n, m) -> bool:
     return gcd(g, m) == 1
 
 
-def finite_cover_homology(pres: GroupPresentation, images, target, cap=20000):
-    """Integral homology of the cover attached to ker(pi -> target).
+def cover_rows(pres: GroupPresentation, images, target):
+    """Abelianised relators of the cover attached to ker(pi -> target).
 
     Builds a Schreier transversal by breadth-first search over the image
-    subgroup, rewrites every relator at every coset into Schreier
-    generators, and reads off abelian invariants.  Returns
-    ``(free_rank, torsion_divisors)``.
+    subgroup and rewrites every relator at every coset into Schreier
+    generators.  Returns ``(rows, ncols, ncosets)``: sparse integer rows
+    over the ``ncols`` Schreier generators, and the order of the image.
+    Raises BudgetExceeded past ``_REGULAR_CAP`` cosets.
     """
     ident = target.identity()
     index = {ident: 0}
     elements = [ident]
     tree: dict[tuple[int, int], bool] = {}
+    # step[p][i]: the coset of elements[p] * images[i]; cosets leave the
+    # queue in index order, so step is filled in that order too
+    step = []
     queue = deque([0])
     ng = pres.num_generators
     while queue:
         p = queue.popleft()
         h = elements[p]
+        out = []
         for i in range(ng):
             nxt = target.mul(h, images[i])
             if nxt not in index:
-                if len(elements) >= cap:
+                if len(elements) >= _REGULAR_CAP:
                     raise BudgetExceeded("image subgroup larger than the cap")
                 index[nxt] = len(elements)
                 elements.append(nxt)
                 tree[(p, i)] = True
                 queue.append(index[nxt])
+            out.append(index[nxt])
+        step.append(out)
     ncosets = len(elements)
+    # back[i][q]: the coset p with step[p][i] = q, since right
+    # multiplication by an image permutes the image subgroup
+    back = [[0] * ncosets for _ in range(ng)]
+    for p, out in enumerate(step):
+        for i, q in enumerate(out):
+            back[i][q] = p
 
     schreier: dict[tuple[int, int], int] = {}
     for p in range(ncosets):
@@ -297,27 +315,30 @@ def finite_cover_homology(pres: GroupPresentation, images, target, cap=20000):
     if nschreier != ncosets * ng - (ncosets - 1):
         raise VerificationFailed("Schreier generator count is off")
 
-    inv_images = [target.inv(g) for g in images]
     rows = []
     for p0 in range(ncosets):
         for r in pres.relators:
             row: dict[int, int] = {}
-            h = elements[p0]
+            p = p0
             for g, e in r.letters:
                 if e == 1:
-                    p = index[h]
                     s = schreier.get((p, g))
                     if s is not None:
                         row[s] = row.get(s, 0) + 1
-                    h = target.mul(h, images[g])
+                    p = step[p][g]
                 else:
-                    h = target.mul(h, inv_images[g])
-                    p = index[h]
+                    p = back[g][p]
                     s = schreier.get((p, g))
                     if s is not None:
                         row[s] = row.get(s, 0) - 1
             rows.append({k: v for k, v in row.items() if v})
-    return abelian_invariants(rows, nschreier)
+    return rows, nschreier, ncosets
+
+
+def finite_cover_homology(pres: GroupPresentation, images, target):
+    """Integral homology ``(free_rank, torsion_divisors)`` of the cover."""
+    rows, ncols, _ = cover_rows(pres, images, target)
+    return abelian_invariants(rows, ncols)
 
 
 def second_derived_certificate(

@@ -13,6 +13,19 @@ This identity is used as a two-independent-paths consistency oracle:
 the left side never looks at covering spaces, the right side
 (Reidemeister-Schreier) never looks at Fox calculus.
 
+Conjugate maps h and h' = g h g^-1 have matrices that are relabellings
+of each other.  Conjugation by g is an automorphism of the target, so
+the coset search for h' visits g x g^-1 wherever the one for h visits
+x, in the same order: the cover rows come out identical.  In the group
+ring, h' sends each Fox entry's element k to g k g^-1, so the integer
+row (r, u) of h' is row (r, u g) of h with column (j, x) moved to
+(j, x g^-1).  ``crowell_compares`` therefore computes Smith forms only
+for the first map of each conjugacy orbit, and a later map reuses them
+only after its own matrix has been compared with the relabelled one,
+entry by entry.  Equal matrices have equal invariants, so no theorem
+about conjugate representations is trusted; a failed comparison just
+means that path gets its own Smith form.
+
 Also here: the companion-collapse homomorphism that forgets the
 companions of an infection (sending each companion group to the cyclic
 group on the infection curve's longitude), plus the transport records
@@ -27,8 +40,9 @@ from .bs12 import Bs12Group, evaluate_word, shadow
 from .diagrams import SurgeryPresentation, infect, wirtinger, zero_surgery
 from .errors import BudgetExceeded, TargetMismatch
 from .groups import (
+    _REGULAR_CAP,
     MetabelianHom,
-    finite_cover_homology,
+    cover_rows,
     metabelian_quotient_homs,
     push_fox,
     second_derived_certificate,
@@ -43,6 +57,7 @@ __all__ = [
     "twisted_invariants",
     "crowell_check",
     "crowell_compare",
+    "crowell_compares",
     "summand_specialization_check",
     "companion_collapse",
     "collapse_is_free_or_relator",
@@ -58,11 +73,6 @@ def twisted_rows(pres, images, target):
         tuple(push_fox(p, images, target) for p in row)
         for row in pres.fox_matrix
     ]
-
-
-# Largest target order the regular representation is built for; the same
-# count of group elements that finite_cover_homology allows for the image.
-_REGULAR_CAP = 20000
 
 
 def _check_regular_budget(target) -> None:
@@ -83,60 +93,130 @@ def _regular_blocks(rows, target, ncols):
     order = target.order()
     idx = target.element_index()
     elements = target.elements()
+    times: dict = {}  # k -> index of u*k for each u, in element order
     out = []
     for row in rows:
         blocks = [dict() for _ in range(order)]
         for j, entry in enumerate(row):
+            base = j * order
             for k, c in entry.items():
-                for ui, u in enumerate(elements):
-                    col = j * order + idx[target.mul(u, k)]
-                    blocks[ui][col] = blocks[ui].get(col, 0) + c
+                cols = times.get(k)
+                if cols is None:
+                    cols = times[k] = [idx[target.mul(u, k)] for u in elements]
+                for block, ci in zip(blocks, cols):
+                    col = base + ci
+                    block[col] = block.get(col, 0) + c
         out.extend(blocks)
     return out, ncols * order
 
 
+def _twisted_matrix(pres, images, target):
+    """``(rows, ncols)`` of the twisted Jacobian as an integer matrix."""
+    rows = twisted_rows(pres, images, target)
+    return _regular_blocks(rows, target, pres.num_generators)
+
+
 def twisted_invariants(pres, images, target):
     """Abelian invariants of the twisted Jacobian's integer cokernel."""
-    rows = twisted_rows(pres, images, target)
-    int_rows, ncols = _regular_blocks(rows, target, pres.num_generators)
-    return abelian_invariants(int_rows, ncols)
+    return abelian_invariants(*_twisted_matrix(pres, images, target))
 
 
-def _image_order(images, target) -> int:
-    seen = {target.identity()}
-    frontier = [target.identity()]
-    gens = list(images) + [target.inv(g) for g in images]
-    while frontier:
-        h = frontier.pop()
-        for g in gens:
-            x = target.mul(h, g)
-            if x not in seen:
-                seen.add(x)
-                frontier.append(x)
-    return len(seen)
+def _relabelling_holds(rows, rep_rows, row_of=None, col_of=None) -> bool:
+    """Is row i of ``rows`` row ``row_of[i]`` of ``rep_rows`` with each
+    column c moved to ``col_of[c]``?  Compares every entry; without maps
+    the relabelling is the identity."""
+    if row_of is None:
+        return rows == rep_rows
+    if not len(rows) == len(rep_rows) == len(row_of):
+        return False
+    for row, i in zip(rows, row_of):
+        src = rep_rows[i]
+        if len(row) != len(src):
+            return False
+        for c, v in src.items():
+            if row.get(col_of[c]) != v:
+                return False
+    return True
 
 
-def crowell_compare(pres, images, target):
-    """Both paths' invariants, and whether they agree.
+def _conjugation_relabelling(target, g, nrows, ncols):
+    """Row and column maps taking the twisted matrix of h to that of
+    g*h*g^-1: row (r, u) from row (r, u*g), column (j, x) to (j, x*g^-1)."""
+    order = target.order()
+    idx = target.element_index()
+    elements = target.elements()
+    gi = target.inv(g)
+    times_g = [idx[target.mul(u, g)] for u in elements]
+    times_gi = [idx[target.mul(x, gi)] for x in elements]
+    row_of = [b + i for b in range(0, nrows, order) for i in times_g]
+    col_of = [b + i for b in range(0, ncols, order) for i in times_gi]
+    return row_of, col_of
 
-    Returns ``(cover, twisted, agree)``: ``cover`` is the covering-space
-    homology and ``twisted`` the invariants of the twisted Jacobian's
-    cokernel, each as ``(free_rank, torsion)``.  When the images generate
-    a subgroup of index d, the twisted module is d copies of the one over
-    the image, and the cover splits into d homeomorphic pieces; the
-    comparison accounts for both.
+
+def crowell_compares(pres, homs, target):
+    """Both paths' invariants for each map of ``homs``, and whether they agree.
+
+    Yields ``(cover, twisted, agree)`` per map, in order: ``cover`` is the
+    covering-space homology and ``twisted`` the invariants of the twisted
+    Jacobian's cokernel, each as ``(free_rank, torsion)``.  When the
+    images generate a subgroup of index d, the twisted module is d copies
+    of the one over the image, and the cover splits into d homeomorphic
+    pieces; the comparison accounts for both.
+
+    Every map's two matrices are built.  The first map of each conjugacy
+    orbit gets its Smith forms; a later map g*h*g^-1 reuses them for a
+    path only when its matrix equals the representative's under that
+    path's relabelling by g, entry by entry, and gets its own otherwise.
     """
     # the image is no larger than the target, so once the twisted path's
     # budget holds the cover path's holds too: check it before either runs
     _check_regular_budget(target)
-    cover = finite_cover_homology(pres, images, target)
-    twisted = twisted_invariants(pres, images, target)
-    free, torsion = cover
-    s = _image_order(images, target)
-    d = target.order() // s
-    expected = (d * (free + s - 1), sorted(torsion * d))
-    agree = (twisted[0], sorted(twisted[1])) == expected
-    return cover, twisted, agree
+    order = target.order()
+    elements = target.elements()
+    # conjugate images -> (representative's matrices and invariants, g)
+    orbits: dict = {}
+    for images in homs:
+        images = tuple(images)
+        cover_mat = cover_rows(pres, images, target)
+        twisted_mat = _twisted_matrix(pres, images, target)
+        rows, ncols, ncosets = cover_mat
+        trows, tcols = twisted_mat
+        found = orbits.get(images)
+        if found is None:
+            cover = abelian_invariants(rows, ncols)
+            twisted = abelian_invariants(trows, tcols)
+            rep = (cover_mat, cover, twisted_mat, twisted)
+            for g in elements:
+                gi = target.inv(g)
+                conj = tuple(target.mul(target.mul(g, x), gi) for x in images)
+                orbits.setdefault(conj, (rep, g))
+        else:
+            (rep_cover, cover, rep_twisted, twisted), g = found
+            # conjugation by g is an automorphism, so the coset search and
+            # its numbering are unchanged: the relabelling is the identity
+            if not (
+                cover_mat[1:] == rep_cover[1:]
+                and _relabelling_holds(rows, rep_cover[0])
+            ):
+                cover = abelian_invariants(rows, ncols)
+            row_of, col_of = _conjugation_relabelling(
+                target, g, len(trows), tcols
+            )
+            if not (
+                tcols == rep_twisted[1]
+                and _relabelling_holds(trows, rep_twisted[0], row_of, col_of)
+            ):
+                twisted = abelian_invariants(trows, tcols)
+        free, torsion = cover
+        d = order // ncosets
+        expected = (d * (free + ncosets - 1), sorted(torsion * d))
+        agree = (twisted[0], sorted(twisted[1])) == expected
+        yield cover, twisted, agree
+
+
+def crowell_compare(pres, images, target):
+    """``(cover, twisted, agree)`` for one map; see ``crowell_compares``."""
+    return next(crowell_compares(pres, [images], target))
 
 
 def crowell_check(pres, images, target) -> bool:

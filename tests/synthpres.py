@@ -80,3 +80,17 @@ def brute_subgroup(images, target):
                 seen.add(x)
                 frontier.append(x)
     return seen
+
+
+def brute_orbit_count(homs, target):
+    """Number of conjugacy orbits among ``homs``, by closing each orbit."""
+    seen = set()
+    count = 0
+    for h in homs:
+        if h in seen:
+            continue
+        count += 1
+        for g in target.elements():
+            gi = target.inv(g)
+            seen.add(tuple(target.mul(target.mul(g, x), gi) for x in h))
+    return count

@@ -311,11 +311,14 @@ def test_oracle_output_bytes_are_pinned(docs, capsys, name, n, m, fmt):
     assert (code, digest) == ORACLE_DIGESTS[(name, n, m, fmt)]
 
 
-def test_oracle_computes_each_path_once_per_map(docs, capsys, monkeypatch):
-    import dslice.cli as cli
+def test_oracle_computes_smith_forms_once_per_orbit(docs, capsys, monkeypatch):
     import dslice.twisted as twisted
+    from dslice.diagrams import zero_surgery
+    from dslice.documents import diagram_from_document
+    from dslice.groups import metabelian_quotient_homs
+    from synthpres import brute_orbit_count
 
-    calls = {"finite_cover_homology": 0, "twisted_invariants": 0}
+    calls = {"cover_rows": 0, "_regular_blocks": 0, "abelian_invariants": 0}
 
     def counting(fname):
         inner = getattr(twisted, fname)
@@ -325,21 +328,24 @@ def test_oracle_computes_each_path_once_per_map(docs, capsys, monkeypatch):
             return inner(*args, **kwargs)
         return wrapper
 
-    # count calls through every module-level binding of the two paths
     for fname in calls:
-        wrapper = counting(fname)
-        for module in (cli, twisted):
-            if hasattr(module, fname):
-                monkeypatch.setattr(module, fname, wrapper)
+        monkeypatch.setattr(twisted, fname, counting(fname))
     code, out, _ = run(
         capsys, "oracle", "--knot", docs["946"], "--n", "2", "--m", "3",
         "--format", "json", "--no-cache",
     )
     assert code == 0
     nmaps = len(json.loads(out)["maps"])
-    assert nmaps > 1
+    diagram, _ = diagram_from_document(bundled_document("946"))
+    plain = zero_surgery(diagram, 0)
+    target, homs = metabelian_quotient_homs(plain.group, plain.meridian, 2, 3)
+    orbits = brute_orbit_count(homs, target)
+    assert (nmaps, orbits) == (27, 5)
+    # every map's matrices are built; each orbit's Smith forms are computed
+    # once per path and reused only after the relabelling check
     assert calls == {
-        "finite_cover_homology": nmaps, "twisted_invariants": nmaps
+        "cover_rows": nmaps, "_regular_blocks": nmaps,
+        "abelian_invariants": 2 * orbits,
     }
 
 

@@ -1,9 +1,19 @@
+import hashlib
+
 import pytest
 
 from dslice.bs12 import FiniteMetabelian
+from dslice.cache import ENV_CACHE_DIR
+from dslice.cli import main
+from dslice.corpus import bundled_document
 from dslice.diagrams import Diagram, SurgeryPresentation, infect, wirtinger, zero_surgery
 from dslice.errors import BudgetExceeded, TargetMismatch
-from dslice.groups import metabelian_quotient_homs, summand_homs
+from dslice.documents import diagram_from_document, dump_document
+from dslice.groups import (
+    finite_cover_homology,
+    metabelian_quotient_homs,
+    summand_homs,
+)
 from dslice.modules import alexander_module, detect_splitting, infinite_cyclic_weights
 from dslice import twisted
 from dslice.snf import abelian_invariants
@@ -15,6 +25,7 @@ from dslice.twisted import (
     _regular_blocks,
     crowell_check,
     crowell_compare,
+    crowell_compares,
     summand_specialization_check,
     transport_record,
     twisted_invariants,
@@ -22,7 +33,7 @@ from dslice.twisted import (
 )
 from dslice.words import GroupPresentation, Word
 
-from synthpres import presentation_from_rows
+from synthpres import brute_orbit_count, brute_subgroup, presentation_from_rows
 
 TREFOIL = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
 FIG8 = [(4, 2, 5, 1), (8, 6, 1, 5), (6, 3, 7, 4), (2, 7, 3, 8)]
@@ -130,7 +141,7 @@ def test_regular_blocks_cap_is_checked_before_building():
 
 
 def test_regular_cap_counts_target_elements(monkeypatch):
-    # the cap counts group elements, as finite_cover_homology's does, not
+    # the cap counts group elements, as cover_rows's does, not
     # order x generators: a target of order 6 with three generators (18
     # columns) is inside a cap of 6, and the refusal at 5 comes before
     # the cover path runs
@@ -144,9 +155,78 @@ def test_regular_cap_counts_target_elements(monkeypatch):
     def cover_must_not_run(*args):
         raise AssertionError("cover path ran past the twisted budget")
 
-    monkeypatch.setattr(twisted, "finite_cover_homology", cover_must_not_run)
+    monkeypatch.setattr(twisted, "cover_rows", cover_must_not_run)
     with pytest.raises(BudgetExceeded):
         crowell_compare(lg.group, homs[0], q)
+
+
+def _zero_surgery(name):
+    diagram, _ = diagram_from_document(bundled_document(name))
+    return zero_surgery(diagram, 0)
+
+
+def _count_snf(monkeypatch):
+    calls = []
+    inner = twisted.abelian_invariants
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(twisted, "abelian_invariants", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["trefoil", "figure8", "946"])
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 7)])
+def test_crowell_compares_equals_the_per_map_paths(name, n, m, monkeypatch):
+    plain = _zero_surgery(name)
+    pres = plain.group
+    target, homs = metabelian_quotient_homs(pres, plain.meridian, n, m)
+    expected = []
+    for h in homs:
+        cover = finite_cover_homology(pres, h, target)
+        tw = twisted_invariants(pres, h, target)
+        s = len(brute_subgroup(h, target))
+        d = target.order() // s
+        agree = (tw[0], sorted(tw[1])) == (
+            d * (cover[0] + s - 1), sorted(cover[1] * d)
+        )
+        expected.append((cover, tw, agree))
+    calls = _count_snf(monkeypatch)
+    assert list(crowell_compares(pres, homs, target)) == expected
+    assert all(agree for _, _, agree in expected)
+    # every relabelling check passed: one Smith form per path per orbit
+    assert len(calls) == 2 * brute_orbit_count(homs, target)
+
+
+def test_forged_relabelling_recomputes_every_smith_form(
+    monkeypatch, tmp_path, capsys
+):
+    from test_cli import ORACLE_DIGESTS
+
+    monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "cache"))
+    path = tmp_path / "946.json"
+    dump_document(bundled_document("946"), str(path))
+    genuine = twisted._relabelling_holds
+
+    def forged(rows, rep_rows, *maps):
+        # the representative's matrix with one coefficient flipped
+        rep_rows = [dict(r) for r in rep_rows]
+        row = next(r for r in rep_rows if r)
+        col = next(iter(row))
+        row[col] += 1
+        return genuine(rows, rep_rows, *maps)
+
+    monkeypatch.setattr(twisted, "_relabelling_holds", forged)
+    calls = _count_snf(monkeypatch)
+    code = main(["oracle", "--knot", str(path), "--n", "3", "--m", "7",
+                 "--no-cache"])
+    text = capsys.readouterr().out
+    assert text.count("\nmap ") == 49
+    assert len(calls) == 2 * 49
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (code, digest) == ORACLE_DIGESTS[("946", 3, 7, "text")]
 
 
 # ----------------------------------------------- summand specialization
