@@ -19,6 +19,14 @@ downstream trusts the bookkeeping blindly.
 Monomials are (i, j) exponent pairs for t^i u^j; module terms add a
 position.  The order is graded (total degree, then t-degree), with ties
 broken towards the lower position.
+
+Each basis element is stored with its leading monomial and leading
+coefficient, computed once when it joins the basis, and is indexed by
+the module position of that monomial.  A reduction step scans only the
+elements at the position of the term it reduces, in basis order, and
+subtracts the chosen multiple from the working vector in place.  The
+reducer chosen at each step is the one a scan of the whole basis would
+choose, so the basis and its work count do not depend on the index.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ def _balanced_div(a, b):
     return -q if b < 0 else q
 
 
-def vector_to_tu(vec, width=None):
+def vector_to_tu(vec):
     """Laurent vector -> {(i, j, pos): int} with u = t^-1."""
     out = {}
     for pos, p in enumerate(vec):
@@ -81,10 +89,6 @@ def scalar_from_tu(mono_dict) -> LaurentPoly:
 def _mono_key(m):
     i, j, pos = m
     return (i + j, i, -pos)
-
-
-def _mono_divides(m1, m2):
-    return m1[2] == m2[2] and m1[0] <= m2[0] and m1[1] <= m2[1]
 
 
 def _mono_mul(m, i, j):
@@ -146,7 +150,10 @@ class GroebnerBasis:
         self.track = track
         self.budget = budget
         self._work = 0
-        self.basis = []  # list of (elem, coords or None)
+        # (elem, coords or None, leading monomial, leading coefficient)
+        self.basis = []
+        self._by_pos = [[] for _ in range(width)]  # basis order per position
+        self._pairs = []
         gens = []
         for idx, vec in enumerate(generators):
             if len(vec) != width:
@@ -160,66 +167,82 @@ class GroebnerBasis:
             gens.append((rel, {} if track else None))
         self._complete(gens)
 
-    def _tick(self, n=1):
-        self._work += n
+    def _tick(self):
+        self._work += 1
         if self._work > self.budget:
             raise BudgetExceeded("groebner computation exceeded its budget")
+
+    def _append(self, elem, coords):
+        """Add a reduced element, queueing its pairs with every earlier one."""
+        m = _lead(elem)
+        entry = (elem, coords, m, elem[m])
+        n = len(self.basis)
+        self._pairs.extend((k, n) for k in range(n))
+        self.basis.append(entry)
+        self._by_pos[m[2]].append(entry)
 
     def _reduce_full(self, elem, coords):
         """Normal form; returns (reduced elem, coords)."""
         result = {}
         work = dict(elem)
+        by_pos = self._by_pos
         while work:
             self._tick()
             m = _lead(work)
             c = work[m]
+            mi, mj, pos = m
             # prefer a reducer whose leading coefficient divides exactly;
             # in a strong basis every member's lead admits one, so exact
-            # steps alone decide membership and partial steps only help
+            # steps alone decide membership and partial steps only help.
+            # Among partial reducers the smallest |lc| wins, the first on
+            # ties.
             exact = None
             partial = None
-            for belem, bcoords in self.basis:
-                bm = _lead(belem)
-                if not _mono_divides(bm, m):
+            plc = 0
+            for entry in by_pos[pos]:
+                bm = entry[2]
+                if bm[0] > mi or bm[1] > mj:
                     continue
-                lc = belem[bm]
+                lc = entry[3]
                 if c % lc == 0:
-                    exact = (belem, bcoords, bm, c // lc)
+                    exact = (entry, c // lc)
                     break
                 q = _balanced_div(c, lc)
-                if q and (partial is None or abs(lc) < abs(partial[0][_lead(partial[0])])):
-                    partial = (belem, bcoords, bm, q)
+                if q and (partial is None or abs(lc) < plc):
+                    partial, plc = (entry, q), abs(lc)
             hit = exact or partial
             if hit is None:
                 result[m] = c
                 del work[m]
                 continue
-            belem, bcoords, bm, q = hit
-            i, j = m[0] - bm[0], m[1] - bm[1]
-            work = _add(work, _scale_shift(belem, -q, i, j))
+            (belem, bcoords, bm, _), q = hit
+            i, j = mi - bm[0], mj - bm[1]
+            for (a, b, p), v in belem.items():
+                key = (a + i, b + j, p)
+                w = work.get(key, 0) - q * v
+                if w:
+                    work[key] = w
+                else:
+                    del work[key]
             if coords is not None and bcoords is not None:
                 coords = _coords_add(coords, _coords_scale(bcoords, -q, i, j))
         return result, coords
 
     def _complete(self, gens):
         basis = self.basis
-        pairs = []
+        pairs = self._pairs
         for elem, coords in gens:
             red, rc = self._reduce_full(elem, coords)
             if red:
-                for k in range(len(basis)):
-                    pairs.append((k, len(basis)))
-                basis.append((red, rc))
+                self._append(red, rc)
         while pairs:
             self._tick()
             k1, k2 = pairs.pop()
-            e1, c1 = basis[k1]
-            e2, c2 = basis[k2]
-            m1, m2 = _lead(e1), _lead(e2)
+            e1, c1, m1, a1 = basis[k1]
+            e2, c2, m2, a2 = basis[k2]
             if m1[2] != m2[2]:
                 continue
             lcm = (max(m1[0], m2[0]), max(m1[1], m2[1]), m1[2])
-            a1, a2 = e1[m1], e2[m2]
             new_items = []
             # S-combination: cancel leading terms
             g = gcd(a1, a2)
@@ -253,18 +276,15 @@ class GroebnerBasis:
             for elem, coords in new_items:
                 red, rc = self._reduce_full(elem, coords)
                 if red:
-                    for k in range(len(basis)):
-                        pairs.append((k, len(basis)))
-                    basis.append((red, rc))
+                    self._append(red, rc)
 
     def reduce(self, vec):
         """Normal form of a Laurent vector modulo the submodule.
 
         Returns ``(normal_form_elem, coords)``; membership holds exactly
         when the normal form is empty.  ``coords`` (tracking only) maps
-        generator index -> Laurent coefficient such that
-        ``vec = sum coeff_g * generator_g`` modulo nothing at all when
-        the normal form vanished.
+        generator index -> Laurent coefficient; when the normal form is
+        empty, ``vec = sum coeff_g * generator_g`` holds exactly.
         """
         elem = vector_to_tu(vec)
         coords = {} if self.track else None

@@ -6,10 +6,18 @@ dyadic rationals), which gives an oracle that never touches the
 Groebner code.
 """
 
+import hashlib
 import random
 
+import pytest
+
+from dslice.corpus import bundled_document
+from dslice.diagrams import zero_surgery
+from dslice.documents import diagram_from_document
+from dslice.errors import BudgetExceeded
 from dslice.groebner import GroebnerBasis, reduce_vector
 from dslice.laurent import ONE, T, ZERO, LaurentPoly
+from dslice.modules import alexander_module, fox_jacobian, infinite_cyclic_weights
 
 
 def rand_poly(rng, span=4, hi=5):
@@ -108,3 +116,95 @@ def test_module_membership_946_style():
     )
     assert stacked.contains((ONE, ZERO))
     assert stacked.contains((ZERO, ONE))
+
+
+def _basis_digest(gb):
+    # SHA-256 of the ordered (element, coords) list, each dict sorted
+    h = hashlib.sha256()
+    for elem, coords, *_ in gb.basis:
+        tracked = None if coords is None else sorted(
+            (g, sorted(d.items())) for g, d in coords.items()
+        )
+        h.update(repr((sorted(elem.items()), tracked)).encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def plain946():
+    diagram, _ = diagram_from_document(bundled_document("946"))
+    return zero_surgery(diagram, 0)
+
+
+def _fox946(plain):
+    weights = infinite_cyclic_weights(plain.group, plain.meridian)
+    return fox_jacobian(plain.group, weights), plain.group.num_generators
+
+
+# the basis, the work count and so every budget's firing point; a change
+# to the engine that alters any of them changes what callers compute
+PINNED_946 = {
+    "fox": (
+        30, 933,
+        "ff6e242e9ef3bcdf807c69d9c85e45dd133700dabdc0cbfcfc2ff7e0c40493f8",
+    ),
+    "alexander": (
+        20, 428,
+        "91798178ea061d64ddc851dfc5115da3f16b2ccbc07c942ff557ce8da9e7db25",
+    ),
+}
+
+
+def test_946_bases_are_pinned(plain946):
+    rows, width = _fox946(plain946)
+    assert width == 9
+    gb = GroebnerBasis(rows, width)
+    assert (len(gb.basis), gb._work, _basis_digest(gb)) == PINNED_946["fox"]
+    module = alexander_module(plain946.group, plain946.meridian)
+    assert module.ncols == 8
+    gb = GroebnerBasis(list(module.rows), module.ncols, track=True)
+    assert (len(gb.basis), gb._work, _basis_digest(gb)) == PINNED_946["alexander"]
+
+
+def test_budget_fires_at_the_pinned_work_count(plain946):
+    rows, width = _fox946(plain946)
+    GroebnerBasis(rows, width, budget=933)
+    with pytest.raises(BudgetExceeded):
+        GroebnerBasis(rows, width, budget=932)
+
+
+def _combine(coeffs, rows, width):
+    out = [ZERO] * width
+    for c, row in zip(coeffs, rows):
+        for i in range(width):
+            out[i] = out[i] + c * row[i]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("width", (2, 3, 4))
+def test_random_submodules_track_without_steering(width):
+    # coordinates are bookkeeping only: the tracked basis has the same
+    # elements in the same order, and every zero normal form comes with
+    # coordinates that rebuild its vector exactly
+    rng = random.Random(60 + width)
+    probe = random.Random(width)
+    for _ in range(12):
+        rows = [
+            tuple(rand_poly(rng, 1, 3) for _ in range(width))
+            for _ in range(rng.randint(1, width))
+        ]
+        plain = GroebnerBasis(rows, width)
+        tracked = GroebnerBasis(rows, width, track=True)
+        assert [e[0] for e in tracked.basis] == [e[0] for e in plain.basis]
+        assert tracked._work == plain._work
+        for _ in range(6):
+            member = _combine([rand_poly(probe, 1, 3) for _ in rows], rows, width)
+            other = tuple(rand_poly(probe, 1, 3) for _ in range(width))
+            for vec in (member, other):
+                nf, coords = tracked.reduce(vec)
+                assert (not nf) == plain.contains(vec)
+                if not nf:
+                    assert _combine(
+                        [coords.get(g, ZERO) for g in range(len(rows))],
+                        rows, width,
+                    ) == vec
+            assert not tracked.reduce(member)[0]
