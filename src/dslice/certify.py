@@ -19,15 +19,16 @@ is re-verified by plain multiplication before it is trusted.  Stage B
 can answer ``holds`` or give up (``undetermined``); it never answers
 ``fails``.  Failure verdicts only enter through curated rules.
 
-Commutative shadows give a cheap soundness gate for stage B: the map onto
-the infinite cyclic quotient turns a right inverse over the group ring
-into one over the Laurent ring, so a candidate matrix is skipped without
-search when the exact maximal minors of its shadow rule that out.
+Commutative shadows give an exact gate for stage B: the map onto the
+infinite cyclic quotient turns a right inverse over the group ring into
+one over the Laurent ring, so a candidate matrix whose shadow has none is
+skipped without search.  The gate looks for a point of a small finite
+field at which the shadow drops rank, which by McCoy's theorem is how an
+obstruction shows, and decides exactly when no such point is found.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, replace
 
@@ -50,13 +51,15 @@ from .groups import (
     second_derived_certificate,
     summand_homs,
 )
-from .laurent import det, maximal_minors, poly_gcd
+from .groebner import GroebnerBasis
+from .laurent import ONE, ZERO, det
 from .modules import (
     TARGET_ORDER,
     alexander_module,
     detect_splitting,
     infinite_cyclic_weights,
 )
+from .snf import rank_mod_p
 from .twisted import (
     TransportRecord,
     _check_regular_budget,
@@ -296,34 +299,75 @@ def _verify_right_inverse(rows, y) -> bool:
 
 # The group homomorphism onto the infinite cyclic quotient (kill the
 # dyadic part) linearizes any right-inverse identity, so a matrix whose
-# shadow is not right-invertible over the Laurent ring never admits one
-# over the group ring.  A square shadow needs a unit determinant, one
-# Bareiss pass.  The maximal minors of a wide one must have no nonunit
-# common divisor; ``maximal_minors`` eliminates the wide shadow once and
-# reads every minor off that one matrix, in the order the gcd asks for
-# them (the gcd stops at the first unit, and more than 64 column subsets
-# pass the matrix on to the search).
+# shadow is not right-invertible over Lambda = Z[t, t^-1] never admits one
+# over the group ring.  McCoy's theorem (W. C. Brown, Matrices over
+# Commutative Rings, 1993): an m x n matrix over a commutative ring has a
+# right inverse exactly when its m x m minors generate the unit ideal.  If
+# they do not, they lie in a maximal ideal (p, f) of Lambda, and the shadow
+# drops rank at a root alpha of f in an extension of F_p.
+#
+# So the gate first searches for a witness: a point t = alpha of F_p^* at
+# which the rank mod p is below m.  t -> alpha is a ring map Lambda -> F_p,
+# so a witness is a proof of obstruction.  Each group-ring entry is
+# evaluated straight into F_p (g contributes c * alpha^(g.k)).  The point
+# alpha = 2 mod 3 comes first, where both t - 2 and 2t - 1 vanish, the
+# annihilators of the two summands; then every other alpha in F_p^* for
+# p <= 13.  Only when no point is a witness does the gate decide exactly:
+# a square shadow needs a unit determinant, and a wide one needs every
+# unit vector in the module spanned by its columns (strong Groebner
+# membership).  When that computation runs out of budget, the matrix is
+# passed on to the search, which re-verifies anything it finds.
+#
+# Apart from a budget that runs out, the gate is exact, so it obstructs
+# every matrix that a weaker sound test obstructs (one whose maximal minors
+# share a nonunit factor, say): replacing such a test by this gate moves
+# decisions only from "passed on" to "obstructed".  An obstructed matrix
+# has no right inverse over the group ring, so no ``holds`` verdict depends
+# on the gate.
+
+_WITNESS_POINTS = ((3, 2),) + tuple(
+    (p, a) for p in (2, 3, 5, 7, 11, 13) for a in range(1, p) if (p, a) != (3, 2)
+)
+
+
+def _shadow_witness(rows):
+    """The first point (p, alpha) where the shadow of ``rows`` drops rank."""
+    m = len(rows)
+    for p, a in _WITNESS_POINTS:
+        powers: dict = {}  # alpha^k mod p; the entries share few exponents
+        image = []
+        for row in rows:
+            vals = []
+            for e in row:
+                v = 0
+                for g, c in e.items():
+                    w = powers.get(g.k)
+                    if w is None:
+                        w = powers[g.k] = pow(a, g.k, p)
+                    v += c * w
+                vals.append(v)
+            image.append(vals)
+        if rank_mod_p(image, p) < m:
+            return p, a
+    return None
 
 
 def _shadow_obstructed(rows, ncols: int) -> bool:
     """True when the commutative shadow rules out any right inverse."""
     m = len(rows)
-    if m > ncols:
+    if m > ncols or _shadow_witness(rows) is not None:
         return True
     image = [[shadow(e) for e in row] for row in rows]
     if m == ncols:
         return not det(image).is_unit()
-    choices = list(itertools.combinations(range(ncols), m))
-    if len(choices) > 64:
+    try:
+        basis = GroebnerBasis(list(zip(*image)), m)
+        return not all(
+            basis.contains([ONE if r == i else ZERO for r in range(m)])
+            for i in range(m)
+        )
+    except BudgetExceeded:
         return False
-    gcd = None
-    for d in maximal_minors(image, choices):
-        if d.is_zero():
-            continue
-        gcd = d if gcd is None else poly_gcd(gcd, d)
-        if gcd.is_unit():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,11 @@ elements at the position of the term it reduces, in basis order, and
 subtracts the chosen multiple from the working vector in place.  The
 reducer chosen at each step is the one a scan of the whole basis would
 choose, so the basis and its work count do not depend on the index.
+
+The work budget counts steps, not the size of the integers they touch,
+and over Z the coefficients of a completion can grow without bound while
+the step count stays small.  So a basis element whose largest coefficient
+exceeds ``_COEFF_BITS`` bits also raises ``BudgetExceeded`` as it joins.
 """
 
 from __future__ import annotations
@@ -43,6 +48,12 @@ __all__ = [
     "module_contains",
     "reduce_vector",
 ]
+
+
+# far above the bundled knots' bases (5 bits) and the small random
+# submodules of the tests (25 bits, one of 311 that completes), and reached
+# within milliseconds once coefficient growth runs away
+_COEFF_BITS = 1024
 
 
 def _xgcd(a, b):
@@ -174,6 +185,8 @@ class GroebnerBasis:
 
     def _append(self, elem, coords):
         """Add a reduced element, queueing its pairs with every earlier one."""
+        if max(map(abs, elem.values())).bit_length() > _COEFF_BITS:
+            raise BudgetExceeded("groebner coefficients exceeded their size bound")
         m = _lead(elem)
         entry = (elem, coords, m, elem[m])
         n = len(self.basis)

@@ -7,11 +7,12 @@ mind (the interesting part is the search, not the topology).
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dslice.bs12 import BS12_A, BS12_C, Bs12Group, ring_mul
+from dslice.bs12 import BS12, BS12_A, BS12_C, Bs12Group, ring_mul
 from dslice.bs12 import ring_add as _ring_add, shadow as _shadow
 from dslice.certify import (
     CERT_VERSION,
@@ -34,6 +35,7 @@ from dslice.certify import (
     _relative_rows,
     _ring_right_inverse,
     _shadow_obstructed,
+    _shadow_witness,
     _verify_right_inverse,
     certify_doubly_slice,
     certify_family,
@@ -53,7 +55,16 @@ from dslice.corpus import (
 )
 from dslice.diagrams import Diagram, diagram_hash, zero_surgery
 from dslice.errors import BudgetExceeded, NoSplitting, RelatorViolation
-from dslice.laurent import LaurentPoly, det
+from dslice.groebner import GroebnerBasis
+from dslice.laurent import (
+    ONE,
+    ZERO,
+    DyadicRational,
+    LaurentPoly,
+    det,
+    maximal_minors,
+    poly_gcd,
+)
 from dslice.twisted import MetabelianHom
 from dslice.words import GroupPresentation, Word
 
@@ -245,6 +256,111 @@ def test_shadow_obstruction_wide():
     assert not _shadow_obstructed([[{ID: 2}, {ID: 3}]], 2)
     assert _shadow_obstructed([[{ID: 2}, {ID: 4}]], 2)
     assert _shadow_obstructed([[{}, {}]], 2)
+
+
+def _lift(poly: LaurentPoly) -> dict:
+    """A group-ring entry with shadow ``poly``; its dyadic parts die."""
+    return {BS12(k, DyadicRational(k)): c for k, c in poly.coeffs.items()}
+
+
+def _lifted(image):
+    return [[_lift(p) for p in row] for row in image]
+
+
+def _poly(*coeffs) -> LaurentPoly:
+    return LaurentPoly(dict(enumerate(coeffs)))
+
+
+def _gcd_obstructed(image, ncols: int) -> bool:
+    """Reference: the maximal minors of the shadow share a nonunit factor."""
+    g = ZERO
+    for d in maximal_minors(image, itertools.combinations(range(ncols), len(image))):
+        g = poly_gcd(g, d)
+    return not g.is_unit()
+
+
+def test_shadow_gate_sees_minors_with_unit_gcd():
+    # minors 2 and 1 + t have gcd 1 but lie in the maximal ideal (2, t - 1)
+    rows = _lifted([[_poly(2), _poly(1, 1)]])
+    assert not _gcd_obstructed([[_poly(2), _poly(1, 1)]], 2)
+    assert _shadow_witness(rows) == (2, 1)
+    assert _shadow_obstructed(rows, 2)
+    # (2, t^2 + t + 1) is maximal with residue field F_4: no point of a
+    # prime field is a witness, and the exact membership test decides
+    rows = _lifted([[_poly(2), _poly(1, 1, 1)]])
+    assert _shadow_witness(rows) is None
+    assert _shadow_obstructed(rows, 2)
+
+
+def test_shadow_gate_decides_many_column_subsets():
+    # 3 x 10 has 120 column subsets; the first row vanishes at t = 2
+    rng = random.Random(5)
+    image = [
+        [_poly(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(10)]
+        for _ in range(3)
+    ]
+    image[0] = [p * _poly(-2, 1) for p in image[0]]
+    assert _shadow_witness(_lifted(image)) == (3, 2)
+    assert _shadow_obstructed(_lifted(image), 10)
+
+
+def test_shadow_gate_passes_right_invertible_shadows():
+    assert _shadow_witness([[{ID: 2}, {ID: 3}]]) is None
+    assert not _shadow_obstructed([[{ID: 2}, {ID: 3}]], 2)
+    # (1 - t)(1 + t) + t^2 = 1, and minors 2, 3 and 3t generate Lambda
+    for image in (
+        [[_poly(1, -1), _poly(0, 0, 1)]],
+        [[ONE, _poly(0, 1), ZERO], [ZERO, _poly(2), _poly(3)]],
+    ):
+        assert not _shadow_obstructed(_lifted(image), len(image[0]))
+
+
+def _random_shadows(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 3)
+        ncols = m + rng.randint(0, 2)
+        yield [
+            [
+                LaurentPoly({
+                    rng.randint(-1, 1): rng.randint(-2, 2)
+                    for _ in range(rng.randint(0, 2))
+                })
+                for _ in range(ncols)
+            ]
+            for _ in range(m)
+        ], ncols
+
+
+def test_shadow_gate_is_exact_on_random_shadows():
+    passed = 0
+    for image, ncols in _random_shadows(11, 150):
+        m = len(image)
+        obstructed = _shadow_obstructed(_lifted(image), ncols)
+        if _gcd_obstructed(image, ncols):
+            assert obstructed
+        if obstructed:
+            continue
+        # rebuild a right inverse Y from the coordinates of each unit vector
+        # in the column module, and check image * Y = identity
+        passed += 1
+        columns = list(zip(*image))
+        basis = GroebnerBasis(columns, m, track=True)
+        y = [[ZERO] * m for _ in range(ncols)]
+        for i in range(m):
+            normal_form, coords = basis.reduce(
+                [ONE if r == i else ZERO for r in range(m)]
+            )
+            assert not normal_form
+            for j, c in coords.items():
+                y[j][i] = c
+        for i in range(m):
+            for k in range(m):
+                acc = ZERO
+                for j in range(ncols):
+                    acc = acc + image[i][j] * y[j][k]
+                assert acc == (ONE if i == k else ZERO)
+    assert passed > 20
 
 
 # ----------------------------------------------------------------- stage B

@@ -8,6 +8,7 @@ Groebner code.
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -170,6 +171,23 @@ def test_budget_fires_at_the_pinned_work_count(plain946):
     GroebnerBasis(rows, width, budget=933)
     with pytest.raises(BudgetExceeded):
         GroebnerBasis(rows, width, budget=932)
+
+
+def test_coefficient_growth_raises_budget_exceeded():
+    # of these draws the third completes with 311-bit coefficients; the
+    # fifth passes 266,000 bits within 15 s at a small step count, so only
+    # the coefficient bound stops it
+    rng = random.Random(54)
+    draws = [
+        [tuple(rand_poly(rng, 1, 3) for _ in range(4))
+         for _ in range(rng.randint(1, 5))]
+        for _ in range(5)
+    ]
+    GroebnerBasis(draws[2], 4)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="coefficients"):
+        GroebnerBasis(draws[4], 4)
+    assert time.perf_counter() - start < 5
 
 
 def _combine(coeffs, rows, width):

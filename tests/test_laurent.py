@@ -333,31 +333,57 @@ def test_inexact_elimination_and_sylvester_divisions_are_refused(monkeypatch):
         next(minors)
 
 
-def test_shadow_gate_eliminates_each_wide_matrix_once(monkeypatch):
+def test_shadow_gate_obstructs_the_mirror_by_witness(monkeypatch):
     from collections import Counter
 
-    from dslice.certify import certify_doubly_slice
+    from dslice import certify, groebner, modules
     from dslice.corpus import bundled_document
     from dslice.diagrams import Diagram
 
-    eliminations, dets = Counter(), Counter()
-    inner_eliminate, inner_det = laurent._gauss_jordan, laurent._int_det
+    eliminations, witnesses = Counter(), Counter()
+    decisions, from_gate, in_gate = [], [], []
+    inner_eliminate = laurent._gauss_jordan
+    inner_gate, inner_witness = certify._shadow_obstructed, certify._shadow_witness
 
     def eliminate(rows):
         eliminations[len(rows), len(rows[0])] += 1
         return inner_eliminate(rows)
 
-    def int_det(rows):
-        dets[len(rows)] += 1
-        return inner_det(rows)
+    def witness(rows):
+        point = inner_witness(rows)
+        witnesses[point] += 1
+        return point
+
+    def gate(rows, ncols):
+        in_gate.append(True)
+        try:
+            decision = inner_gate(rows, ncols)
+        finally:
+            in_gate.pop()
+        decisions.append(decision)
+        return decision
+
+    def watch(name, inner):
+        def watched(*args, **kwargs):
+            if in_gate:
+                from_gate.append(name)
+            return inner(*args, **kwargs)
+        return watched
 
     monkeypatch.setattr(laurent, "_gauss_jordan", eliminate)
-    monkeypatch.setattr(laurent, "_int_det", int_det)
+    monkeypatch.setattr(certify, "_shadow_witness", witness)
+    monkeypatch.setattr(certify, "_shadow_obstructed", gate)
+    monkeypatch.setattr(laurent, "poly_gcd", watch("poly_gcd", laurent.poly_gcd))
+    monkeypatch.setattr(modules, "poly_gcd", watch("poly_gcd", modules.poly_gcd))
+    monkeypatch.setattr(groebner.GroebnerBasis, "_complete", watch(
+        "GroebnerBasis", groebner.GroebnerBasis._complete))
     # the mirror of 9_46 is unregistered, so stage B runs the shadow gate
     pd = bundled_document("946")["pd"]
     mirror = Diagram([(a, d, c, b) for a, b, c, d in pd])
-    certify_doubly_slice(mirror, registry=None)
-    # 20 wide shadows, and the module order on its transposed 2 x 4 matrix
-    assert eliminations == {(8, 10): 18, (9, 10): 2, (2, 4): 1}
-    # the square shadows; every other determinant is a Sylvester block
-    assert {size: n for size, n in dets.items() if size > 2} == {8: 18}
+    certify.certify_doubly_slice(mirror, registry=None)
+    # 18 square and 20 wide shadows, each obstructed at alpha = 2 mod 3
+    assert decisions == [True] * 38
+    assert witnesses == {(3, 2): 38}
+    assert from_gate == []
+    # only the module order eliminates, on its transposed 2 x 4 matrix
+    assert eliminations == {(2, 4): 1}
