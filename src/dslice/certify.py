@@ -30,6 +30,7 @@ obstruction shows, and decides exactly when no such point is found.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 
 from .bs12 import (
@@ -44,7 +45,13 @@ from .bs12 import (
     unit_inverse,
 )
 from .diagrams import Diagram, SurgeryPresentation, diagram_hash, zero_surgery
-from .errors import BudgetExceeded, NoSplitting, RelatorViolation
+from .errors import (
+    BudgetExceeded,
+    DsliceError,
+    MalformedInput,
+    NoSplitting,
+    RelatorViolation,
+)
 from .groups import (
     metabelian_quotient_homs,
     push_fox,
@@ -515,7 +522,7 @@ def verify_stage_b(
     if verdict.get("status") != HOLDS or evidence.get("kind") != "GeneralAttempt":
         return False
     log = evidence.get("log", {})
-    pres, meridian = _stage_b_presentation(plain)
+    pres, meridian = plain.stage_b_group, plain.meridian
     report = detect_splitting(alexander_module(plain.group, plain.meridian))
     if not report.certified:
         return False
@@ -544,19 +551,6 @@ def verify_stage_b(
 
 # ---------------------------------------------------------------------------
 # staged verdicts
-
-
-def _stage_b_presentation(plain: SurgeryPresentation):
-    """The presentation stage B analyzes: surgery relators minus the framing.
-
-    The framing relator's row is redundant for the module (the framing
-    curve is trivial in the module because multiplication by t fixes it
-    and the module has no (t-1)-torsion), and keeping it would make the
-    matrix too tall for any right inverse.
-    """
-    pres = plain.group
-    relators = tuple(r for r in pres.relators if r != plain.longitude)
-    return GroupPresentation(pres.names, relators), plain.meridian
 
 
 def ext_condition(
@@ -613,9 +607,8 @@ def ext_condition(
     if hom is None:
         plus, minus = summand_homs(plain.group, plain.meridian, report)
         hom = plus if which == "P1" else minus
-    pres, meridian = _stage_b_presentation(plain)
     return stage_b_certificate(
-        pres, meridian, hom,
+        plain.stage_b_group, plain.meridian, hom,
         lift_budget=lift_budget, solve_budget=solve_budget,
     )
 
@@ -1065,10 +1058,6 @@ def family_946(
 # replay
 
 
-def _statuses(cert: dict) -> dict:
-    return {k: v["status"] for k, v in cert["verdicts"].items()}
-
-
 def _restore_curves(plain: SurgeryPresentation, curves: dict):
     words = dict(plain.curve_words)
     linking = dict(plain.curve_linking)
@@ -1078,82 +1067,102 @@ def _restore_curves(plain: SurgeryPresentation, curves: dict):
     return replace(plain, curve_words=words, curve_linking=linking)
 
 
-def replay_certificate(cert: dict, resolve, registry: dict | None = None) -> bool:
-    """Independently rebuild a certificate and compare the verdicts.
+# the only place a knot certificate records the quotient it was made at
+_QUOTIENT_LINE = re.compile(r"metabelian quotient maps at \((\d+),(\d+)\): .*")
 
-    ``resolve`` maps a diagram hash to a Diagram.  Stored right-inverse
-    witnesses are re-verified by multiplication rather than re-searched.
+
+def _resolved(resolve, h):
+    """The diagram stored under hash ``h``; ``None`` stands for no diagram."""
+    if h is None:
+        return None
+    d = resolve(h)
+    if d is None:
+        raise MalformedInput(f"no diagram resolves the hash {h}")
+    return d
+
+
+def _rebuild(cert: dict, resolve, registry):
+    """The certificate the CLI builds from ``cert``'s stored inputs.
+
+    Returns it with the surgery presentation its stage-B witnesses refer
+    to: the subject's for a knot, the pattern's otherwise.
     """
-    kind = cert.get("subject", {}).get("kind", "knot")
-    if cert.get("version") != CERT_VERSION:
-        return False
+    subject, inputs = cert["subject"], cert["inputs"]
+    kind = subject["kind"]
+    if kind not in ("knot", "satellite", "family"):
+        raise MalformedInput(f"unknown certificate kind {kind!r}")
     if kind == "knot":
-        d = resolve(cert["inputs"]["diagram"])
-        if d is None or diagram_hash(d) != cert["inputs"]["diagram"]:
-            return False
+        d = _resolved(resolve, inputs["diagram"])
+        hits = map(_QUOTIENT_LINE.fullmatch, cert["hypotheses"])
+        hit = next(filter(None, hits), None)
+        quotient = (int(hit[1]), int(hit[2])) if hit else (2, 3)
         fresh = certify_doubly_slice(
-            d, name=cert["subject"].get("name") or "", registry=registry
-        ).as_dict()
-        if fresh["conclusion"] != cert["conclusion"]:
-            return False
-        if _statuses(fresh) != _statuses(cert):
-            return False
-        plain = zero_surgery(d, 0)
-        for tag in ("P1", "P2"):
-            v = cert["verdicts"][tag]
-            ev = v.get("evidence", {})
-            if v["status"] == HOLDS and ev.get("kind") == "GeneralAttempt":
-                if not verify_stage_b(plain, tag, v):
-                    return False
-        return True
+            d, name=subject["name"] or "", registry=registry,
+            quotient=quotient,
+        )
+        return fresh, zero_surgery(d, 0)
+    d = _resolved(resolve, inputs["pattern"])
+    base = certify_doubly_slice(d, registry=registry)
     if kind == "satellite":
-        d = resolve(cert["inputs"]["pattern"])
-        if d is None:
-            return False
-        ch = cert["inputs"].get("companion")
-        companion = resolve(ch) if ch else None
-        if ch and companion is None:
-            return False
-        base = certify_doubly_slice(d, registry=registry)
-        plain = _restore_curves(
-            zero_surgery(d, 0),
-            {cert["subject"]["curve"]: {
-                "word": cert["inputs"]["curve_word"],
-                "linking": cert["inputs"]["curve_linking"],
-            }},
-        )
+        curve = subject["curve"]
+        plain = _restore_curves(zero_surgery(d, 0), {curve: {
+            "word": inputs["curve_word"], "linking": inputs["curve_linking"],
+        }})
+        label = subject["companion"]
+        name = label["name"] if isinstance(label, dict) else None
         fresh = certify_satellite(
-            base, plain, cert["subject"]["curve"], companion,
-            companion_kind=cert["inputs"].get("companion_kind"),
-        ).as_dict()
-        return (
-            fresh["conclusion"] == cert["conclusion"]
-            and _statuses(fresh) == _statuses(cert)
+            base, plain, curve, _resolved(resolve, inputs["companion"]),
+            companion_name=name or "", companion_kind=inputs["companion_kind"],
         )
-    if kind == "family":
-        d = resolve(cert["inputs"]["pattern"])
-        if d is None:
+        return fresh, plain
+    plain = _restore_curves(zero_surgery(d, 0), inputs["curves"])
+    infections = [
+        {
+            "curve": item["curve"],
+            "companion": _resolved(resolve, item["hash"]),
+            "name": item["name"] or "",
+            "kind": item["kind"],
+        }
+        for item in subject["infections"]
+    ]
+    fresh = certify_family(
+        plain, base.subject["hash"], base, infections,
+        registry=registry, pattern_name=subject["pattern"]["name"] or "",
+    )
+    return fresh, plain
+
+
+def replay_certificate(cert: dict, resolve, registry: dict | None = None) -> bool:
+    """Whether ``cert`` is exactly the certificate its stored inputs give.
+
+    The certificate is rebuilt by the call the CLI makes for its kind:
+    ``certify_doubly_slice`` on the diagram stored under
+    ``inputs.diagram``, at the quotient read from its ``metabelian
+    quotient maps at (n,m)`` hypothesis ((2, 3) when it has none) and the
+    default stage-B budget; ``certify_satellite`` or ``certify_family`` on
+    the pattern stored under ``inputs.pattern``, with the stored curve
+    words and companions.  The rebuilt certificate's canonical JSON must
+    equal ``json.dumps(cert, indent=2, sort_keys=True)`` byte for byte, so
+    any edited, removed or added field rejects it.  Subject and companion
+    names are labels taken as inputs: a certificate with a renamed label is
+    still the one the CLI prints for that diagram under that name, and
+    replays.  Each stage-B witness is then re-verified by multiplication.
+
+    ``resolve`` maps a diagram hash to a Diagram, or None when it knows
+    none.  Replay never raises: a malformed certificate, an unresolved
+    hash or a rebuild that raises ``DsliceError`` gives False.
+    """
+    try:
+        if cert["version"] != CERT_VERSION:
             return False
-        base = certify_doubly_slice(d, registry=registry)
-        plain = _restore_curves(zero_surgery(d, 0), cert["inputs"]["curves"])
-        infections = []
-        for item in cert["subject"]["infections"]:
-            companion = resolve(item["hash"]) if item.get("hash") else None
-            if item.get("hash") and companion is None:
-                return False
-            infections.append({
-                "curve": item["curve"],
-                "companion": companion,
-                "name": item.get("name") or "",
-                "kind": item.get("kind", "concrete"),
-            })
-        fresh = certify_family(
-            plain, cert["inputs"]["pattern"], base, infections,
-            registry=registry,
-            pattern_name=cert["subject"]["pattern"].get("name") or "",
-        ).as_dict()
-        return (
-            fresh["conclusion"] == cert["conclusion"]
-            and _statuses(fresh) == _statuses(cert)
+        fresh, plain = _rebuild(cert, resolve, registry)
+        if fresh.to_json() != json.dumps(cert, indent=2, sort_keys=True):
+            return False
+        return all(
+            verify_stage_b(plain, tag, v)
+            for tag, v in fresh.verdicts.items()
+            if v["status"] == HOLDS
+            and v["evidence"]["kind"] == "GeneralAttempt"
         )
-    return False
+    except (LookupError, TypeError, AttributeError, ValueError, DsliceError):
+        return False

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import (
     InvalidDiagram,
@@ -486,6 +487,19 @@ class SurgeryPresentation:
     orig_edge_gen: dict = field(default_factory=dict)
     sites: tuple = ()
     base_gen_count: int = 0
+
+    @cached_property
+    def stage_b_group(self) -> GroupPresentation:
+        """The group the lifting search analyzes: relators minus the framing.
+
+        The framing relator's row is redundant for the module (the framing
+        curve is trivial in the module because multiplication by t fixes it
+        and the module has no (t-1)-torsion), and keeping it would make the
+        matrix too tall for any right inverse.  Built once, so its Fox
+        matrix is computed once per surgery presentation.
+        """
+        relators = tuple(r for r in self.group.relators if r != self.longitude)
+        return GroupPresentation(self.group.names, relators)
 
 
 def _curve_word_in_sub(diagram, curve_comp, edge_map, sub_arc_of):

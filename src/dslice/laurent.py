@@ -394,13 +394,14 @@ def _gauss_jordan(rows: list):
     """Fraction-free Gauss-Jordan (Bareiss-Montante) elimination, in place.
 
     ``rows`` is a k x n integer matrix.  Row i takes its pivot in its first
-    nonzero column outside the earlier pivots, so no row is swapped.
-    Returns ``(pivots, d)``, where ``pivots`` maps each pivot column to its
-    row and ``d`` is the determinant on the pivot columns taken in row
-    order, or ``({}, 0)`` when the rank is below k.  Only the other columns
-    are updated: the pivot columns would hold ``d`` times the identity, and
-    nothing reads them.  Every division is checked: a remainder raises
-    ``VerificationFailed``.
+    nonzero column outside the earlier pivots, so no row is swapped.  A row
+    left with no such column depends on the rows above it; it is skipped,
+    and stays zero outside the pivot columns.  Returns ``(pivots, d)``,
+    where ``pivots`` maps each pivot column to its row and ``d`` is the
+    determinant on the pivot rows and columns, taken in row order.  Only
+    the other columns are updated: on the pivot rows the pivot columns
+    would hold ``d`` times the identity, and nothing reads them.  Every
+    division is checked: a remainder raises ``VerificationFailed``.
     """
     pivots: dict = {}
     free = list(range(len(rows[0])))
@@ -408,7 +409,7 @@ def _gauss_jordan(rows: list):
     for i, prow in enumerate(rows):
         p = next((c for c in free if prow[c]), None)
         if p is None:
-            return {}, 0
+            continue
         free.remove(p)
         a = prow[p]
         for j, row in enumerate(rows):
@@ -445,8 +446,8 @@ def _sylvester_minor(rows: list, pivots: dict, d: int, cols) -> int:
     rows they leave uncovered; the minor is the determinant of that r x r
     block of ``rows`` divided, exactly, by ``d**(r-1)``.
     """
-    if not d:
-        return 0
+    if len(pivots) < len(rows):
+        return 0  # rank below k
     at = [None] * len(pivots)  # at[i]: position in cols of row i's column
     added = []
     for position, c in enumerate(cols):

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
+from . import laurent
 from .bs12 import ring_apply
 from .errors import BudgetExceeded, HypothesisNotMet, VerificationFailed
 from .groebner import GroebnerBasis
@@ -48,7 +49,12 @@ TARGET_ORDER = ((T - 2 * ONE) * (2 * T - ONE)).canonical()
 def infinite_cyclic_weights(pres: GroupPresentation, meridian: int):
     """Exponents of the generators under the map onto H_1 = Z.
 
-    Fails loudly when the abelianisation is not infinite cyclic or the
+    The weights span the integer kernel of the abelianisation matrix, which
+    has rank one when H_1 = Z.  One fraction-free elimination leaves one
+    free column f and, on each pivot row, d x_p + row[f] x_f = 0 with d the
+    pivot minor; so x_f = d, x_p = -row[f] solves, and dividing by the gcd
+    gives the primitive generator.  The meridian fixes its sign.  Fails
+    loudly when the abelianisation is not infinite cyclic or the
     distinguished meridian does not generate it.
     """
     n = pres.num_generators
@@ -59,18 +65,14 @@ def infinite_cyclic_weights(pres: GroupPresentation, meridian: int):
         if n != 1:
             raise HypothesisNotMet("free group of rank > 1")
         return [1]
-    from .snf import smith_with_transforms
-
-    mt = [[m[r][g] for r in range(len(m))] for g in range(n)]
-    d, s, _ = smith_with_transforms(mt)
-    free = [
-        i
-        for i in range(n)
-        if i >= len(mt[0]) or d[i][i] == 0
-    ]
+    pivots, d = laurent._gauss_jordan(m)
+    free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         raise VerificationFailed("abelian_invariants promised rank one")
-    weights = list(s[free[0]])
+    f = free[0]
+    weights = [d if c == f else -m[pivots[c]][f] for c in range(n)]
+    g = gcd(*weights)
+    weights = [w // g for w in weights]
     if weights[meridian] == -1:
         weights = [-w for w in weights]
     if weights[meridian] != 1:

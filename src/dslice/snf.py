@@ -1,5 +1,5 @@
-"""Integer Smith normal form, sparse and dense, plus mod-m nullspaces and
-ranks mod a prime.
+"""Sparse integer Smith normal form, plus mod-m nullspaces and ranks mod a
+prime.
 
 The sparse routine is tuned for the matrices this package actually meets:
 abelianised Reidemeister-Schreier relators and regular-representation
@@ -24,7 +24,6 @@ from math import gcd
 __all__ = [
     "sparse_invariants",
     "abelian_invariants",
-    "smith_with_transforms",
     "nullspace_mod",
     "rank_mod_p",
     "normalize_divisor_chain",
@@ -185,108 +184,6 @@ def abelian_invariants(rows, ncols: int):
     """Cokernel invariants ``(free_rank, torsion_chain)`` of an integer matrix."""
     rank, torsion = sparse_invariants(rows, ncols)
     return ncols - rank, torsion
-
-
-def smith_with_transforms(a):
-    """Dense SNF with unimodular transforms: returns (d, s, t), s*a*t = d.
-
-    Suitable for small matrices only (cubic, dense).  ``d`` is diagonal as
-    a list of lists with a proper divisibility chain.
-    """
-    m = [list(row) for row in a]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    s = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    t = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def row_op(i, k, q):
-        for j in range(nc):
-            m[i][j] -= q * m[k][j]
-        for j in range(nr):
-            s[i][j] -= q * s[k][j]
-
-    def col_op(j, k, q):
-        for i in range(nr):
-            m[i][j] -= q * m[i][k]
-        for i in range(nc):
-            t[i][j] -= q * t[i][k]
-
-    def swap_rows(i, k):
-        m[i], m[k] = m[k], m[i]
-        s[i], s[k] = s[k], s[i]
-
-    def swap_cols(j, k):
-        for row in m:
-            row[j], row[k] = row[k], row[j]
-        for row in t:
-            row[j], row[k] = row[k], row[j]
-
-    def find_pivot(start):
-        best = None
-        for i in range(start, nr):
-            for j in range(start, nc):
-                if m[i][j]:
-                    if best is None or abs(m[i][j]) < abs(m[best[0]][best[1]]):
-                        best = (i, j)
-        return best
-
-    p = 0
-    while True:
-        loc = find_pivot(p)
-        if loc is None:
-            break
-        swap_rows(p, loc[0])
-        swap_cols(p, loc[1])
-        while True:
-            done = True
-            for i in range(p + 1, nr):
-                if m[i][p]:
-                    q = m[i][p] // m[p][p]
-                    row_op(i, p, q)
-                    if m[i][p]:
-                        swap_rows(p, i)
-                        done = False
-            for j in range(p + 1, nc):
-                if m[p][j]:
-                    q = m[p][j] // m[p][p]
-                    col_op(j, p, q)
-                    if m[p][j]:
-                        swap_cols(p, j)
-                        done = False
-            if done:
-                break
-        p += 1
-
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(min(nr, nc) - 1):
-            a_, b_ = m[i][i], m[i + 1][i + 1]
-            if b_ and a_ and b_ % a_ != 0:
-                # standard 2x2 fixup: add col i+1 to col i, then reduce
-                col_op(i, i + 1, -1)
-                while True:
-                    if m[i + 1][i]:
-                        q = m[i + 1][i] // m[i][i]
-                        row_op(i + 1, i, q)
-                        if m[i + 1][i]:
-                            swap_rows(i, i + 1)
-                            continue
-                    if m[i][i + 1]:
-                        q = m[i][i + 1] // m[i][i]
-                        col_op(i + 1, i, q)
-                        if m[i][i + 1]:
-                            swap_cols(i, i + 1)
-                            continue
-                    break
-                changed = True
-    for i in range(min(nr, nc)):
-        if m[i][i] < 0:
-            for j in range(nc):
-                t[j][i] = -t[j][i]
-            m[i][i] = -m[i][i]
-    return m, s, t
 
 
 def nullspace_mod(a, m: int, ncols: int | None = None):

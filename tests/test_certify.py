@@ -7,6 +7,7 @@ mind (the interesting part is the search, not the topology).
 """
 
 import itertools
+import json
 import random
 
 import pytest
@@ -47,8 +48,10 @@ from dslice.certify import (
     stage_b_certificate,
     verify_stage_b,
 )
+from dslice.cli import cmd_certify
 from dslice.corpus import (
     bundled_diagram,
+    bundled_document,
     bundled_pattern,
     default_registry,
     resolve_hash,
@@ -815,3 +818,245 @@ def test_replay_family_detects_companion_swap(base_and_plain):
         return resolve_hash(h)
 
     assert not replay_certificate(cert, resolve, registry=reg)
+
+
+# ------------------------------------------------------- replay: tampering
+
+
+def _stored(cert):
+    """A certificate as it is read back from its JSON."""
+    return json.loads(cert.to_json())
+
+
+def _mirror_946():
+    pd = bundled_document("946")["pd"]
+    return Diagram([(a, d, c, b) for a, b, c, d in pd])
+
+
+@pytest.fixture(scope="module")
+def stored(base_and_plain):
+    base, plain = base_and_plain
+    trefoil = bundled_diagram("trefoil")
+    rrr, _ = cmd_certify(bundled_document("r-rr"), (2, 3), 300000, "json")
+    return {
+        "knot": _stored(base),
+        "satellite": _stored(certify_satellite(
+            base, plain, "eta1", trefoil, companion_name="trefoil",
+        )),
+        "family": _stored(family_946(k1=trefoil, names=("", "", "3_1", ""))),
+        "family r-rr": json.loads(rrr),
+    }
+
+
+def _set(*path_and_value):
+    """An edit that sets the value at a path of keys and indices."""
+    *path, value = path_and_value
+
+    def edit(cert):
+        node = cert
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+def _forge_hypothesis(cert):
+    cert["hypotheses"].append("curve gamma3: winding 0")
+
+
+TREFOIL_HASH = diagram_hash(bundled_diagram("trefoil"))
+FIGURE8_HASH = diagram_hash(bundled_diagram("figure8"))
+
+TAMPERS = {
+    "knot": {
+        "subject hash": _set("subject", "hash", TREFOIL_HASH),
+        "subject kind": _set("subject", "kind", "satellite"),
+        "hypothesis line": _set("hypotheses", 0, "module order: 1"),
+        "citations": _set("citations", []),
+        "evidence rule": _set(
+            "verdicts", "P1", "evidence", "rule", RULE_FAMILY_HOLDS),
+        "inputs": _set("inputs", "diagram", TREFOIL_HASH),
+        "added key": _set("note", "checked by hand"),
+        "added nested key": _set("verdicts", "P2", "reason", "none"),
+    },
+    "satellite": {
+        "subject hash": _set("subject", "pattern", TREFOIL_HASH),
+        "subject kind": _set("subject", "kind", "knot"),
+        "hypothesis line": _set(
+            "hypotheses", 1, "infection curve winding number: 1"),
+        "citations": _set("citations", []),
+        "transport record": _set(
+            "verdicts", "P1", "evidence", "records", 0, "second_derived",
+            False),
+        "inputs": _set("inputs", "companion", FIGURE8_HASH),
+        "added key": _set("note", "checked by hand"),
+    },
+    "family": {
+        "subject hash": _set("subject", "pattern", "hash", TREFOIL_HASH),
+        "subject kind": _set("subject", "kind", "satellite"),
+        "hypothesis line": _set(
+            "hypotheses", 0, "base pattern verdicts both hold: False"),
+        "citations": _set("citations", []),
+        "transport record": _set(
+            "verdicts", "P2", "evidence", "records", 2, "winding", 1),
+        "inputs": _set("inputs", "companions", 2, None),
+        "added key": _set("note", "checked by hand"),
+    },
+    "family r-rr": {
+        "forged hypothesis": _forge_hypothesis,
+        "evidence rule": _set(
+            "verdicts", "P1", "evidence", "rule", RULE_FAMILY_HOLDS),
+        "citations": _set("citations", []),
+        "subject hash": _set(
+            "subject", "infections", 1, "hash", FIGURE8_HASH),
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TAMPERS))
+def test_replay_accepts_each_genuine_certificate(stored, kind):
+    assert replay_certificate(
+        stored[kind], resolve_hash, registry=default_registry()
+    )
+
+
+@pytest.mark.parametrize("kind, field", [
+    (kind, field) for kind in sorted(TAMPERS) for field in TAMPERS[kind]
+])
+def test_replay_rejects_each_tampered_field(stored, kind, field):
+    import copy
+
+    cert = copy.deepcopy(stored[kind])
+    TAMPERS[kind][field](cert)
+    assert cert != stored[kind]
+    assert not replay_certificate(cert, resolve_hash, registry=default_registry())
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("knot", _set("subject", "name", "renamed")),
+    ("satellite", _set("subject", "companion", "name", "renamed")),
+    ("family", _set("subject", "pattern", "name", "renamed")),
+    ("family", _set("subject", "infections", 2, "name", "renamed")),
+], ids=["knot", "satellite companion", "family pattern", "family slot"])
+def test_replay_accepts_renamed_labels(stored, kind, edit):
+    # names are labels: the renamed certificate is the one the CLI prints
+    # for the same diagrams under the new names
+    import copy
+
+    cert = copy.deepcopy(stored[kind])
+    edit(cert)
+    assert replay_certificate(cert, resolve_hash, registry=default_registry())
+
+
+def test_replay_accepts_a_certificate_at_another_quotient():
+    text, _ = cmd_certify(bundled_document("946"), (3, 7), 300000, "json")
+    cert = json.loads(text)
+    assert "metabelian quotient maps at (3,7): 49" in cert["hypotheses"]
+    assert replay_certificate(cert, resolve_hash, registry=default_registry())
+
+
+def _without_pattern(stored):
+    cert = json.loads(json.dumps(stored["satellite"]))
+    del cert["inputs"]["pattern"]
+    return cert
+
+
+def _forged_quotient(stored):
+    cert = json.loads(json.dumps(stored["knot"]))
+    cert["hypotheses"] = [
+        "metabelian quotient maps at (0,0): 27"
+        if h.startswith("metabelian quotient maps") else h
+        for h in cert["hypotheses"]
+    ]
+    return cert
+
+
+def _null_subject(stored):
+    cert = json.loads(json.dumps(stored["knot"]))
+    cert["subject"] = None
+    return cert
+
+
+@pytest.mark.parametrize("make", [
+    lambda stored: {"version": CERT_VERSION},
+    _without_pattern,
+    _null_subject,
+    _forged_quotient,
+    lambda stored: None,
+], ids=["version only", "satellite without pattern", "null subject",
+        "quotient (0,0)", "not a dict"])
+def test_replay_returns_false_instead_of_raising(stored, make):
+    replayed = replay_certificate(
+        make(stored), resolve_hash, registry=default_registry()
+    )
+    assert replayed is False
+
+
+# a stage-B verdict carrying a witness; no bundled knot reaches one, so
+# stage B is stubbed to return it
+_STUB_WITNESS = {
+    "status": HOLDS,
+    "evidence": {"kind": "GeneralAttempt", "log": {
+        "method": "deleted", "dropped": None, "witness": [[[[0, 1, 0, 1]]]],
+    }},
+}
+
+
+@pytest.fixture
+def stubbed_stage_b(monkeypatch):
+    """The 9_46 mirror's certificate, with stage B stubbed, and a resolver."""
+    import copy
+
+    from dslice import certify
+
+    monkeypatch.setattr(
+        certify, "stage_b_certificate",
+        lambda *args, **kwargs: copy.deepcopy(_STUB_WITNESS),
+    )
+    mirror = _mirror_946()
+    cert = _stored(certify_doubly_slice(mirror, registry=default_registry()))
+    assert cert["conclusion"] == CERTIFIED
+
+    def resolve(h):
+        return mirror if h == diagram_hash(mirror) else resolve_hash(h)
+    return cert, resolve
+
+
+def test_replay_rejects_an_edited_witness_entry(stubbed_stage_b, monkeypatch):
+    from dslice import certify
+
+    cert, resolve = stubbed_stage_b
+    checked = []
+    monkeypatch.setattr(
+        certify, "verify_stage_b",
+        lambda plain, tag, verdict: checked.append(tag) or True,
+    )
+    assert replay_certificate(cert, resolve, registry=default_registry())
+    assert checked == ["P1", "P2"]
+    cert["verdicts"]["P2"]["evidence"]["log"]["witness"][0][0][0][3] = -1
+    assert not replay_certificate(cert, resolve, registry=default_registry())
+
+
+def test_replay_remultiplies_stage_b_witnesses(stubbed_stage_b):
+    # the rebuilt certificate matches, but the witness is no right inverse
+    cert, resolve = stubbed_stage_b
+    assert not replay_certificate(cert, resolve, registry=default_registry())
+
+
+def test_certify_builds_one_stage_b_presentation(monkeypatch):
+    from functools import cached_property
+
+    inner = GroupPresentation.__dict__["fox_matrix"].func
+    computed = []
+
+    def counting(pres):
+        computed.append((len(pres.relators), pres.num_generators))
+        return inner(pres)
+
+    prop = cached_property(counting)
+    prop.__set_name__(GroupPresentation, "fox_matrix")
+    monkeypatch.setattr(GroupPresentation, "fox_matrix", prop)
+    cert = certify_doubly_slice(_mirror_946(), registry=None)
+    assert cert.conclusion == UNDECIDED
+    # the surgery presentation's, then the stage-B one shared by P1 and P2
+    assert computed == [(10, 9), (9, 9)]

@@ -1,6 +1,11 @@
 """Alexander modules, orders, and the splitting detector."""
 
+import random
+import time
+from math import gcd, lcm
+
 import pytest
+import sympy
 
 from dslice.diagrams import Diagram, infect, wirtinger, zero_surgery
 from dslice.errors import HypothesisNotMet, VerificationFailed
@@ -15,6 +20,8 @@ from dslice.modules import (
     fox_jacobian,
     infinite_cyclic_weights,
 )
+from dslice.snf import abelian_invariants
+from dslice.words import GroupPresentation, Word
 
 from test_diagrams import FIG8, HOPF, KINK, TREFOIL, TREFOIL_MERID
 
@@ -160,3 +167,71 @@ def test_infection_weights():
     w = infinite_cyclic_weights(s.group, s.meridian)
     assert w[s.meridian] == 1
     assert set(w) <= {0, 1}
+
+
+# ------------------------------------------------------------ weights kernel
+
+
+def exponent_sum_presentation(mat):
+    """A presentation whose abelianisation matrix is ``mat``."""
+    n = len(mat[0])
+    relators = tuple(
+        Word(tuple(
+            letter
+            for g, a in enumerate(row)
+            for letter in [(g, 1 if a > 0 else -1)] * abs(a)
+        ))
+        for row in mat
+    )
+    return GroupPresentation(tuple(f"x{i}" for i in range(n)), relators)
+
+
+def primitive_sympy_kernel(mat):
+    (v,) = sympy.Matrix(mat).nullspace()
+    scale = lcm(*(int(sympy.fraction(x)[1]) for x in v))
+    ints = [int(x * scale) for x in v]
+    g = gcd(*ints)
+    return [x // g for x in ints]
+
+
+def test_weights_match_sympy_nullspace():
+    rng = random.Random(90)
+    checked = 0
+    while checked < 60:
+        n = rng.randint(1, 6)
+        mat = [[rng.randint(-3, 3) for _ in range(n)]
+               for _ in range(rng.randint(n - 1, n + 2) or 1)]
+        if len(mat) > 2 and rng.random() < 0.4:
+            mat[0] = [0] * n  # a zero row
+        if len(mat) > 2 and rng.random() < 0.4:
+            # a dependent row, ahead of the rows it depends on
+            mat.insert(0, [a - 2 * b for a, b in zip(mat[-1], mat[-2])])
+        if abelian_invariants(mat, n) != (1, []):
+            continue
+        checked += 1
+        kernel = primitive_sympy_kernel(mat)
+        pres = exponent_sum_presentation(mat)
+        for meridian, x in enumerate(kernel):
+            if abs(x) == 1:
+                want = [x * y for y in kernel]
+                assert infinite_cyclic_weights(pres, meridian) == want
+            else:
+                with pytest.raises(HypothesisNotMet):
+                    infinite_cyclic_weights(pres, meridian)
+
+
+def test_weights_of_a_dense_10_by_8_matrix_are_fast():
+    # the dense Smith form with transforms ran past 120 s on this matrix
+    mat = [
+        [0, 2, 0, -1, 0, 0, -2, 1], [10, -2, 1, -2, 1, -2, -2, -1],
+        [-3, -2, 1, 2, 1, -1, -2, -1], [-6, 1, 2, 2, 0, 0, -2, -1],
+        [-5, -2, -1, 2, 0, 0, 0, 1], [8, 1, 0, -1, -2, 1, -1, 0],
+        [-5, 2, 2, 0, -1, 0, 2, 0], [-10, -1, 0, 0, 2, 2, 0, 1],
+        [-6, 1, -1, 1, 2, -1, -1, 0], [5, 1, -2, -2, 0, -1, 2, 1],
+    ]
+    pres = exponent_sum_presentation(mat)
+    start = time.perf_counter()
+    weights = infinite_cyclic_weights(pres, 0)
+    assert time.perf_counter() - start < 1.0
+    assert weights == [1, 1, 2, 3, 3, 1, 1, 3]
+    assert weights == primitive_sympy_kernel(mat)

@@ -10,7 +10,6 @@ from dslice.snf import (
     normalize_divisor_chain,
     nullspace_mod,
     rank_mod_p,
-    smith_with_transforms,
     sparse_invariants,
 )
 
@@ -107,32 +106,6 @@ def test_normalize_divisor_chain():
     assert normalize_divisor_chain([4, 6]) == [2, 12]
     assert normalize_divisor_chain([1, 1, 5]) == [5]
     assert normalize_divisor_chain([]) == []
-
-
-def test_smith_with_transforms_properties():
-    rng = random.Random(23)
-    for _ in range(80):
-        nr = rng.randint(1, 5)
-        nc = rng.randint(1, 5)
-        a = random_matrix(rng, nr, nc)
-        d, s, t = smith_with_transforms(a)
-        sm = sympy.Matrix(s)
-        tm = sympy.Matrix(t)
-        am = sympy.Matrix(a)
-        dm = sympy.Matrix(d)
-        assert sm * am * tm == dm
-        assert abs(sm.det()) == 1
-        assert abs(tm.det()) == 1
-        diag = [d[i][i] for i in range(min(nr, nc))]
-        assert all(x >= 0 for x in diag)
-        for i in range(len(diag) - 1):
-            if diag[i + 1]:
-                assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-            # off-diagonal must vanish
-        for i in range(nr):
-            for j in range(nc):
-                if i != j:
-                    assert d[i][j] == 0
 
 
 def brute_nullspace(a, m, nc):
