@@ -4,11 +4,9 @@ Run from the repository root:  python3 demos/certify_pattern.py
 """
 
 from dslice import (
-    alexander_module,
     alexander_polynomial,
     certify_doubly_slice,
     default_registry,
-    detect_splitting,
     resolve_hash,
 )
 from dslice.corpus import bundled_document
@@ -23,7 +21,8 @@ def main():
     delta = alexander_polynomial(plain.group, plain.meridian)
     print(f"alexander polynomial: {delta}")
 
-    report = detect_splitting(alexander_module(plain.group, plain.meridian))
+    # the surgery presentation computes its module and splitting once
+    report = plain.splitting
     print(f"module splits: {report.verdict}")
     print(f"  witness 1: ({', '.join(str(p) for p in report.v1)})")
     print(f"  witness 2: ({', '.join(str(p) for p in report.v2)})")

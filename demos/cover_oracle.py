@@ -27,7 +27,7 @@ def main():
     for name, n, m in (("trefoil", 2, 1), ("trefoil", 2, 3), ("946", 2, 3)):
         diagram, _ = diagram_from_document(bundled_document(name))
         plain = zero_surgery(diagram, 0)
-        target, homs = metabelian_quotient_homs(plain.group, plain.meridian, n, m)
+        target, homs = metabelian_quotient_homs(plain, n, m)
         print(f"{name}, quotient parameters ({n}, {m}): {len(homs)} map(s)")
         # conjugate maps share their Smith forms once their matrices are
         # checked, entry by entry, to be relabellings of each other

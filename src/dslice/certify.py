@@ -52,23 +52,12 @@ from .errors import (
     NoSplitting,
     RelatorViolation,
 )
-from .groups import (
-    metabelian_quotient_homs,
-    push_fox,
-    second_derived_certificate,
-    summand_homs,
-)
+from .groups import metabelian_quotient_homs, push_fox
 from .groebner import GroebnerBasis
 from .laurent import ONE, ZERO, det
-from .modules import (
-    TARGET_ORDER,
-    alexander_module,
-    detect_splitting,
-    infinite_cyclic_weights,
-)
+from .modules import TARGET_ORDER
 from .snf import rank_mod_p
 from .twisted import (
-    TransportRecord,
     _check_regular_budget,
     crowell_check,
     summand_specialization_check,
@@ -420,14 +409,17 @@ def _relative_rows(pres: GroupPresentation, hom, full_rows, lift_budget: int):
 def _stage_b_methods(pres, meridian, hom, lift_budget):
     """Candidate matrices for the right-inverse hunt, laziest first.
 
+    Maps each method name to a builder of its ``(rows, ncols)``.
     ``deleted`` drops the meridian column of the free derivative matrix;
     ``relative`` keeps every column and appends the relation-lifting
     column, which presents the module relative to the basepoint fiber.
     """
     full = twisted_rows(pres, hom.images, Bs12Group)
     n = pres.num_generators
-    yield "deleted", _deleted_rows(full, meridian), n - 1
-    yield "relative", _relative_rows(pres, hom, full, lift_budget), n + 1
+    return {
+        "deleted": lambda: (_deleted_rows(full, meridian), n - 1),
+        "relative": lambda: (_relative_rows(pres, hom, full, lift_budget), n + 1),
+    }
 
 
 def _verdict(status, evidence=None, reason=""):
@@ -461,11 +453,9 @@ def stage_b_certificate(
     budget_hit = False
     violation = ""
     methods = _stage_b_methods(pres, meridian, hom, lift_budget)
-    while True:
+    for method, build in methods.items():
         try:
-            method, rows, ncols = next(methods)
-        except StopIteration:
-            break
+            rows, ncols = build()
         except BudgetExceeded:
             # methods are ordered cheapest first, so stop at the first blowup
             budget_hit = True
@@ -517,29 +507,25 @@ def verify_stage_b(
     verdict: dict,
     lift_budget: int = 20000,
 ) -> bool:
-    """Replay a stored stage-B witness by plain multiplication."""
+    """Replay a stored stage-B witness by plain multiplication, on the
+    matrix the ``_stage_b_methods`` entry named in its log rebuilds."""
     evidence = verdict.get("evidence", {})
     if verdict.get("status") != HOLDS or evidence.get("kind") != "GeneralAttempt":
         return False
-    log = evidence.get("log", {})
-    pres, meridian = plain.stage_b_group, plain.meridian
-    report = detect_splitting(alexander_module(plain.group, plain.meridian))
-    if not report.certified:
+    if not plain.splitting.certified:
         return False
-    plus, minus = summand_homs(plain.group, plain.meridian, report)
-    hom = plus if which == "P1" else minus
-    full = twisted_rows(pres, hom.images, Bs12Group)
-    method = log.get("method")
-    if method == "deleted":
-        rows = _deleted_rows(full, meridian)
-        ncols = pres.num_generators - 1
-    elif method == "relative":
-        try:
-            rows = _relative_rows(pres, hom, full, lift_budget)
-        except (BudgetExceeded, RelatorViolation):
-            return False
-        ncols = pres.num_generators + 1
-    else:
+    log = evidence.get("log", {})
+    plus, minus = plain.summands
+    methods = _stage_b_methods(
+        plain.stage_b_group, plain.meridian,
+        plus if which == "P1" else minus, lift_budget,
+    )
+    build = methods.get(log.get("method"))
+    if build is None:
+        return False
+    try:
+        rows, ncols = build()
+    except (BudgetExceeded, RelatorViolation):
         return False
     j = log.get("dropped")
     kept = rows if j is None else [r for i, r in enumerate(rows) if i != j]
@@ -556,27 +542,22 @@ def verify_stage_b(
 def ext_condition(
     plain: SurgeryPresentation,
     which: str,
-    report=None,
-    hom=None,
     subject_hash: str | None = None,
     registry: dict | None = None,
-    satellite: dict | None = None,
     lift_budget: int = 20000,
     solve_budget: int = 300000,
 ) -> dict:
-    """Three-valued per-summand verdict, staged closed forms first.
+    """Three-valued verdict for summand ``which`` of ``plain``.
 
-    Stage A sources: the curated registry row for the subject's canonical
-    hash; a satellite context carrying the base verdict and a valid
-    transport record; a satellite context carrying a curated failure
-    rule.  Stage B is the bounded right-inverse search.  Raises
-    NoSplitting when the module hypothesis has not been certified.
+    Stage A is the curated registry row for the subject's canonical hash.
+    Stage B is the bounded right-inverse search on ``plain.stage_b_group``
+    through the summand map from ``plain.summands``.  Satellites and
+    families build their transport verdicts themselves.  Raises
+    NoSplitting when ``plain.splitting`` is not certified.
     """
     if which not in ("P1", "P2"):
         raise ValueError("summand tag must be P1 or P2")
-    if report is None:
-        report = detect_splitting(alexander_module(plain.group, plain.meridian))
-    if not report.certified:
+    if not plain.splitting.certified:
         raise NoSplitting("module splitting has not been certified")
     registry = registry or {}
     curated = registry.get("ext", {}).get(subject_hash or "", {}).get(which)
@@ -586,29 +567,9 @@ def ext_condition(
             "rule": curated["rule"],
             "citations": [curated["rule"]],
         })
-    if satellite is not None:
-        records = satellite.get("records", ())
-        rule = satellite.get("fails_rule")
-        if rule is not None:
-            return _verdict(FAILS, {
-                "kind": "ClosedFormFamily",
-                "rule": rule,
-                "citations": [rule],
-            })
-        if (
-            satellite.get("base_status") == HOLDS
-            and records
-            and all(rec.valid for rec in records)
-        ):
-            return _verdict(HOLDS, {
-                "kind": "TransportChain",
-                "records": [rec.as_dict() for rec in records],
-            })
-    if hom is None:
-        plus, minus = summand_homs(plain.group, plain.meridian, report)
-        hom = plus if which == "P1" else minus
+    plus, minus = plain.summands
     return stage_b_certificate(
-        plain.stage_b_group, plain.meridian, hom,
+        plain.stage_b_group, plain.meridian, plus if which == "P1" else minus,
         lift_budget=lift_budget, solve_budget=solve_budget,
     )
 
@@ -688,10 +649,8 @@ def certify_doubly_slice(
     subject = {"kind": "knot", "name": name or None, "hash": h}
     inputs = {"diagram": h}
     plain = zero_surgery(diagram, 0)
-    pres = plain.group
     hyps = []
-    module = alexander_module(pres, plain.meridian)
-    report = detect_splitting(module)
+    report = plain.splitting
     hyps.append(f"module order: {report.order}")
     hyps.append(
         "order matches (t-2)(2t-1) up to units: "
@@ -706,12 +665,12 @@ def certify_doubly_slice(
             subject, hyps, _not_evaluated(), NOT_APPLICABLE, [], inputs
         )
     citations = [RULE_SPLIT]
-    plus, minus = summand_homs(pres, plain.meridian, report)
+    plus, minus = plain.summands
     hyps.append(
         f"summand maps surjective: P1 {plus.surjective}, P2 {minus.surjective}"
     )
-    spec1 = summand_specialization_check(pres, plain.meridian, plus)
-    spec2 = summand_specialization_check(pres, plain.meridian, minus)
+    spec1 = summand_specialization_check(plain, plus)
+    spec2 = summand_specialization_check(plain, minus)
     hyps.append(
         f"summand maps specialize the plain Jacobian: P1 {spec1}, P2 {spec2}"
     )
@@ -720,20 +679,20 @@ def certify_doubly_slice(
         # a target past the regular-representation cap would refuse the
         # cross-check below, so it is refused before enumerating the maps
         _check_regular_budget(FiniteMetabelian(qn, qm))
-        target, homs = metabelian_quotient_homs(pres, plain.meridian, qn, qm)
+        target, homs = metabelian_quotient_homs(plain, qn, qm)
         hyps.append(f"metabelian quotient maps at ({qn},{qm}): {len(homs)}")
         if homs:
-            ok = crowell_check(pres, homs[0], target)
+            ok = crowell_check(plain.group, homs[0], target)
             hyps.append(f"cover homology cross-check at ({qn},{qm}): {ok}")
     except BudgetExceeded:
         hyps.append(f"metabelian quotient maps at ({qn},{qm}): skipped")
-    verdicts = {}
-    for tag, hom in (("P1", plus), ("P2", minus)):
-        verdicts[tag] = ext_condition(
-            plain, tag, report=report, hom=hom,
-            subject_hash=h, registry=registry,
+    verdicts = {
+        tag: ext_condition(
+            plain, tag, subject_hash=h, registry=registry,
             solve_budget=stageb_budget,
         )
+        for tag in ("P1", "P2")
+    }
     conclusion = _conclusion_from(verdicts)
     if conclusion == INCONCLUSIVE:
         hyps.append(
@@ -900,7 +859,6 @@ def certify_family(
     inputs_curves = {}
     hyps = [f"base pattern verdicts both hold: {_base_both_hold(base)}"]
     recs = []
-    weights = infinite_cyclic_weights(plain.group, plain.meridian)
     derived_curves = []
     for item in infections:
         curve = item["curve"]
@@ -980,7 +938,7 @@ def certify_family(
         )
     if len(derived_curves) > 1:
         stable = all(
-            _commutator_of_nullhomologous(plain.curve_words[c], weights)
+            _commutator_of_nullhomologous(plain.curve_words[c], plain.weights)
             for c in derived_curves
         )
         hyps.append(

@@ -41,7 +41,6 @@ from .documents import (
 )
 from .errors import DsliceError, MalformedInput
 from .groups import metabelian_quotient_homs
-from .modules import alexander_module, alexander_polynomial, detect_splitting
 from .twisted import _check_regular_budget, crowell_check, crowell_compares
 
 __all__ = ["main"]
@@ -126,12 +125,13 @@ def _analyze_report(doc: dict, quotient) -> dict:
     diagram, name = diagram_from_document(doc)
     pattern = (doc.get("marks") or {}).get("pattern", 0)
     plain = zero_surgery(diagram, pattern)
-    pres, meridian = plain.group, plain.meridian
-    report = detect_splitting(alexander_module(pres, meridian))
+    report = plain.splitting
     out = {
         "name": name or None,
         "hash": diagram_hash(diagram),
-        "alexander_polynomial": _poly_str(alexander_polynomial(pres, meridian)),
+        # the order is the gcd of the maximal minors of the simplified
+        # Alexander module, which is the Alexander polynomial
+        "alexander_polynomial": _poly_str(report.order),
         "module_order": _poly_str(report.order),
         "splitting": {
             "verdict": _VERDICT_NAMES[report.verdict],
@@ -147,13 +147,13 @@ def _analyze_report(doc: dict, quotient) -> dict:
         },
     }
     n, m = quotient
-    target, homs = metabelian_quotient_homs(pres, meridian, n, m)
+    target, homs = metabelian_quotient_homs(plain, n, m)
     out["metabelian_quotient"] = {
         "n": n,
         "m": m,
         "maps": len(homs),
         "crowell_agree": (
-            crowell_check(pres, homs[0], target) if homs else None
+            crowell_check(plain.group, homs[0], target) if homs else None
         ),
     }
     return out
@@ -250,13 +250,12 @@ def cmd_oracle(doc: dict, n: int, m: int, fmt: str):
         raise MalformedInput("oracle expects a knot document")
     diagram, name = diagram_from_document(doc)
     plain = zero_surgery(diagram, 0)
-    pres, meridian = plain.group, plain.meridian
     # the zero map always exists and its check would refuse this target
     _check_regular_budget(FiniteMetabelian(n, m))
-    target, homs = metabelian_quotient_homs(pres, meridian, n, m)
+    target, homs = metabelian_quotient_homs(plain, n, m)
     maps = []
     for (free, torsion), (tfree, ttors), agree in crowell_compares(
-        pres, homs, target
+        plain.group, homs, target
     ):
         maps.append({
             "cover": {"free": free, "torsion": list(torsion)},

@@ -34,6 +34,13 @@ from .errors import (
     MissingSigns,
     NotAKnot,
 )
+from .groups import summand_homs
+from .modules import (
+    deleted_column_module,
+    detect_splitting,
+    fox_jacobian,
+    infinite_cyclic_weights,
+)
 from .words import GroupPresentation, Word
 
 __all__ = [
@@ -391,18 +398,20 @@ class LinkGroup:
     component_of_gen: tuple
 
 
-def _underpass_word(diagram, comp, arc_of, gen_names=None):
-    """Product of over-arc generators along a component's underpasses."""
-    ends = {}
-    for k, (a, _, _, _) in enumerate(diagram.crossings):
-        ends[a] = k
+def _underpass_word(diagram, comp, gen_of):
+    """Product of generators along a component's underpasses.
+
+    ``gen_of`` maps an over-strand edge to the generator of its arc; an
+    underpass beneath an edge the map lacks (a strand of an erased
+    component) contributes nothing, and overpasses never do.
+    """
+    ends = {a: k for k, (a, _, _, _) in enumerate(diagram.crossings)}
     letters = []
     for e in diagram.components[comp]:
         k = ends.get(e)
-        if k is None:
-            continue
-        _, b, _, _ = diagram.crossings[k]
-        letters.append((arc_of[b], diagram.signs[k]))
+        over = None if k is None else diagram.crossings[k][1]
+        if over in gen_of:
+            letters.append((gen_of[over], diagram.signs[k]))
     return Word(tuple(letters))
 
 
@@ -466,7 +475,7 @@ class InfectionSite:
     pattern_linking: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurgeryPresentation:
     """pi_1 of the manifold obtained by zero-surgery on one knot component.
 
@@ -476,6 +485,10 @@ class SurgeryPresentation:
     ``orig_edge_gen`` maps edges of the *input* diagram to the base
     generator of the arc they land on, which is what later stages use to
     line presentations over the same diagram up with each other.
+
+    ``weights``, ``jacobian``, ``module``, ``splitting`` and ``summands``
+    are computed on first use and kept on this frozen object, which every
+    stage reads; ``dataclasses.replace`` gives an object with its own.
     """
 
     group: GroupPresentation
@@ -501,25 +514,32 @@ class SurgeryPresentation:
         relators = tuple(r for r in self.group.relators if r != self.longitude)
         return GroupPresentation(self.group.names, relators)
 
+    @cached_property
+    def weights(self) -> tuple:
+        """Exponent of each generator under the map onto H_1 = Z."""
+        return tuple(infinite_cyclic_weights(self.group, self.meridian))
 
-def _curve_word_in_sub(diagram, curve_comp, edge_map, sub_arc_of):
-    """Class of a marked curve in the complement of the kept sublink.
+    @cached_property
+    def jacobian(self) -> tuple:
+        """The full Fox matrix pushed into Lambda, one row per relator."""
+        return tuple(fox_jacobian(self.group, self.weights))
 
-    Reads off the curve's underpasses beneath kept strands; overpasses
-    and passes under discarded curves contribute nothing.
-    """
-    ends = {}
-    for k, (a, _, _, _) in enumerate(diagram.crossings):
-        ends[a] = k
-    letters = []
-    for e in diagram.components[curve_comp]:
-        k = ends.get(e)
-        if k is None:
-            continue
-        _, b, _, _ = diagram.crossings[k]
-        if b in edge_map:
-            letters.append((sub_arc_of[edge_map[b]], diagram.signs[k]))
-    return Word(tuple(letters))
+    @cached_property
+    def module(self):
+        """The Alexander module: ``jacobian`` without the meridian column."""
+        return deleted_column_module(
+            self.jacobian, self.meridian, self.group.num_generators
+        )
+
+    @cached_property
+    def splitting(self):
+        """Whether ``module`` is Lambda/(t-2) + Lambda/(2t-1), with witnesses."""
+        return detect_splitting(self.module)
+
+    @cached_property
+    def summands(self) -> tuple:
+        """The two maps onto BS(1,2) a certified splitting induces."""
+        return summand_homs(self)
 
 
 def zero_surgery(diagram: Diagram, pattern: int, curves=None) -> SurgeryPresentation:
@@ -538,12 +558,13 @@ def zero_surgery(diagram: Diagram, pattern: int, curves=None) -> SurgeryPresenta
         pres.group.names, pres.group.relators + ((lam,) if lam else ())
     )
     sub_arc_of = sub.arc_of_edge()
+    gen_of = {e: sub_arc_of[ne] for e, ne in edge_map.items()}
     words = {}
     linking = {}
     for name, comp in curves.items():
         if not 0 <= comp < diagram.num_components or comp == pattern:
             raise MissingMark(f"curve {name!r}: no such component {comp}")
-        words[name] = _curve_word_in_sub(diagram, comp, edge_map, sub_arc_of)
+        words[name] = _underpass_word(diagram, comp, gen_of)
         linking[name] = diagram.linking_number(comp, pattern)
     return SurgeryPresentation(
         group=group,
@@ -552,7 +573,7 @@ def zero_surgery(diagram: Diagram, pattern: int, curves=None) -> SurgeryPresenta
         curve_words=words,
         pattern_diagram=sub,
         curve_linking=linking,
-        orig_edge_gen={e: sub_arc_of[ne] for e, ne in edge_map.items()},
+        orig_edge_gen=gen_of,
         base_gen_count=pres.group.num_generators,
     )
 
@@ -641,12 +662,13 @@ def infect(
         )
         offset += len(cpres.group.names)
     sub_arc_of = sub.arc_of_edge()
+    gen_of = {e: sub_arc_of[ne] for e, ne in edge_map.items()}
     words = {}
     linking = {}
     for name, comp in curves.items():
         if comp == pattern or comp in companions:
             raise MissingMark(f"curve {name!r} clashes with surgered components")
-        words[name] = _curve_word_in_sub(diagram, comp, edge_map, sub_arc_of)
+        words[name] = _underpass_word(diagram, comp, gen_of)
         linking[name] = diagram.linking_number(comp, pattern)
     group = GroupPresentation(tuple(names), tuple(r for r in relators if r))
     return SurgeryPresentation(
@@ -656,7 +678,7 @@ def infect(
         curve_words=words,
         pattern_diagram=sub,
         curve_linking=linking,
-        orig_edge_gen={e: sub_arc_of[ne] for e, ne in edge_map.items()},
+        orig_edge_gen=gen_of,
         sites=tuple(site_records),
         base_gen_count=pres.group.num_generators,
     )

@@ -38,13 +38,7 @@ from .errors import (
 )
 from .groebner import GroebnerBasis, module_contains
 from .laurent import ONE, ZERO
-from .modules import (
-    _eval_fox,
-    _word_weight,
-    alexander_module,
-    fox_jacobian,
-    infinite_cyclic_weights,
-)
+from .modules import _eval_fox, _word_weight
 from .snf import abelian_invariants, nullspace_mod
 from .words import FoxPolynomial, GroupPresentation, Word, fox_derivative
 
@@ -167,8 +161,9 @@ class MetabelianHom:
         return evaluate_word(word, self.images, Bs12Group)
 
 
-def summand_homs(pres: GroupPresentation, meridian: int, report, budget=400000):
-    """The two quotient maps induced by a certified splitting.
+def summand_homs(plain, budget=400000):
+    """The two quotient maps induced by the certified splitting of
+    ``plain``, a SurgeryPresentation (read them as ``plain.summands``).
 
     Each splitting summand is a copy of Z[1/2] on which the meridian
     acts by 2 or by 1/2, so collapsing the other summand yields a map
@@ -177,10 +172,11 @@ def summand_homs(pres: GroupPresentation, meridian: int, report, budget=400000):
     Groebner basis; they are well defined exactly modulo the summand's
     annihilator, which evaluation at t = 2 (resp. t = 1/2) kills.
     """
+    report = plain.splitting
     if not report.certified:
         raise HypothesisNotMet("no certified splitting to project from")
-    weights = infinite_cyclic_weights(pres, meridian)
-    module = alexander_module(pres, meridian)
+    pres, meridian, weights = plain.group, plain.meridian, plain.weights
+    module = plain.module
     gens = [report.v1, report.v2] + list(module.rows)
     gb = GroebnerBasis(gens, module.ncols, track=True, budget=budget)
     plus = []
@@ -208,25 +204,20 @@ def summand_homs(pres: GroupPresentation, meridian: int, report, budget=400000):
 
 
 def metabelian_quotient_homs(
-    pres: GroupPresentation,
-    meridian: int,
-    n: int,
-    m: int,
-    surjective_only=False,
-    cap=250000,
+    plain, n: int, m: int, surjective_only=False, cap=250000
 ):
-    """All homomorphisms to Z/n x| Z/m lifting the mod-n abelianisation.
+    """All homomorphisms from ``plain.group`` to Z/n x| Z/m lifting the
+    mod-n abelianisation, for a SurgeryPresentation ``plain``.
 
     A candidate is determined by its vector of translation parts, and
-    the relator conditions are exactly the kernel of the Fox Jacobian
+    the relator conditions are exactly the kernel of ``plain.jacobian``
     evaluated at t = 2 over Z/m.  Returns ``(target, image_tuples)``
     with a deterministic ordering.
     """
     target = FiniteMetabelian(n, m)
-    weights = infinite_cyclic_weights(pres, meridian)
+    pres, meridian, weights = plain.group, plain.meridian, plain.weights
     ng = pres.num_generators
-    rows = fox_jacobian(pres, weights)
-    rows_mod = [[p.evaluate_mod(2, m) for p in row] for row in rows]
+    rows_mod = [[p.evaluate_mod(2, m) for p in row] for row in plain.jacobian]
     basis = nullspace_mod(rows_mod, m, ncols=ng)
     if m ** len(basis) > cap:
         raise BudgetExceeded(
@@ -341,25 +332,23 @@ def finite_cover_homology(pres: GroupPresentation, images, target):
     return abelian_invariants(rows, ncols)
 
 
-def second_derived_certificate(
-    pres: GroupPresentation, meridian: int, word: Word, budget=300000
-) -> bool:
-    """Exact membership test for the second derived subgroup.
+def second_derived_certificate(plain, word: Word, budget=300000) -> bool:
+    """Exact membership test for the second derived subgroup of
+    ``plain.group``, for a SurgeryPresentation ``plain``.
 
     A loop lies in the second derived subgroup iff it dies in the
     maximal metabelian quotient: its total winding must vanish and its
-    Fox vector must lie in the row span of the full Jacobian over the
-    Laurent ring.  Both checks are exact, so the answer is a theorem in
-    either direction.
+    Fox vector must lie in the row span of ``plain.jacobian``.  Both
+    checks are exact, so the answer is a theorem in either direction.
     """
-    weights = infinite_cyclic_weights(pres, meridian)
+    weights = plain.weights
     if _word_weight(word, weights) != 0:
         return False
-    n = pres.num_generators
+    n = plain.group.num_generators
     vec = tuple(
         _eval_fox(fox_derivative(word, i), weights) for i in range(n)
     )
-    return module_contains(fox_jacobian(pres, weights), n, vec, budget=budget)
+    return module_contains(plain.jacobian, n, vec, budget=budget)
 
 
 def push_fox(poly: FoxPolynomial, images, target) -> dict:

@@ -37,6 +37,7 @@ __all__ = [
     "infinite_cyclic_weights",
     "fox_jacobian",
     "alexander_module",
+    "deleted_column_module",
     "alexander_polynomial",
     "detect_splitting",
 ]
@@ -176,14 +177,19 @@ class LambdaModule:
         return g.canonical()
 
 
-def alexander_module(pres: GroupPresentation, meridian: int) -> LambdaModule:
-    """Deleted-column Fox Jacobian: presents H_1 of the infinite cyclic cover."""
-    weights = infinite_cyclic_weights(pres, meridian)
-    rows = fox_jacobian(pres, weights)
+def deleted_column_module(rows, meridian: int, ngens: int) -> LambdaModule:
+    """The Fox Jacobian ``rows`` over ``ngens`` generators, meridian column
+    deleted: it presents H_1 of the infinite cyclic cover."""
     deleted = [
         tuple(p for i, p in enumerate(row) if i != meridian) for row in rows
     ]
-    return LambdaModule.make(deleted, pres.num_generators - 1)
+    return LambdaModule.make(deleted, ngens - 1)
+
+
+def alexander_module(pres: GroupPresentation, meridian: int) -> LambdaModule:
+    """Deleted-column Fox Jacobian: presents H_1 of the infinite cyclic cover."""
+    rows = fox_jacobian(pres, infinite_cyclic_weights(pres, meridian))
+    return deleted_column_module(rows, meridian, pres.num_generators)
 
 
 def alexander_polynomial(pres: GroupPresentation, meridian: int) -> LaurentPoly:

@@ -48,7 +48,7 @@ from .groups import (
     second_derived_certificate,
 )
 from .laurent import ONE
-from .modules import alexander_polynomial, fox_jacobian, infinite_cyclic_weights
+from .modules import alexander_polynomial
 from .snf import abelian_invariants
 from .words import Word
 
@@ -224,19 +224,19 @@ def crowell_check(pres, images, target) -> bool:
     return crowell_compare(pres, images, target)[2]
 
 
-def summand_specialization_check(pres, meridian, hom: MetabelianHom) -> bool:
+def summand_specialization_check(plain, hom: MetabelianHom) -> bool:
     """Collapsing translations must recover the untwisted Jacobian.
 
     Composing a summand homomorphism with (k, q) -> t^k is the
     abelianisation, up to the recorded meridian exponent; the pushed
-    Jacobian therefore has to match the plain one entry by entry, with
-    t inverted when the meridian maps to a^-1.
+    Jacobian therefore has to match ``plain.jacobian`` entry by entry,
+    with t inverted when the meridian maps to a^-1.
     """
-    plain = fox_jacobian(pres, infinite_cyclic_weights(pres, meridian))
+    want = plain.jacobian
     if hom.merid_exponent == -1:
-        plain = [tuple(p.mirror() for p in row) for row in plain]
-    pushed = twisted_rows(pres, hom.images, Bs12Group)
-    return [tuple(shadow(e) for e in row) for row in pushed] == plain
+        want = tuple(tuple(p.mirror() for p in row) for row in want)
+    pushed = twisted_rows(plain.group, hom.images, Bs12Group)
+    return tuple(tuple(shadow(e) for e in row) for row in pushed) == want
 
 
 # ------------------------------------------------------------ transport
@@ -294,7 +294,7 @@ def validate_collapse_at(inf, plain, images, n, m):
     """Pull every metabelian quotient of the plain group back along the
     collapse and check all infected relators die.  Returns the number of
     quotient maps exercised."""
-    target, homs = metabelian_quotient_homs(plain.group, plain.meridian, n, m)
+    target, homs = metabelian_quotient_homs(plain, n, m)
     for hom in homs:
         composite = tuple(evaluate_word(w, hom, target) for w in images)
         for r in inf.group.relators:
@@ -319,7 +319,6 @@ class TransportRecord:
     winding: int
     second_derived: bool
     companion_alexander_trivial: bool | None
-    quotient_checks: tuple = ()
 
     @property
     def valid(self) -> bool:
@@ -348,7 +347,7 @@ def transport_record(
     sd = False
     if winding == 0:
         sd = second_derived_certificate(
-            plain.group, plain.meridian, plain.curve_words[curve], budget=budget
+            plain, plain.curve_words[curve], budget=budget
         )
     triv = None
     if companion is not None:

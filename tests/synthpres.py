@@ -12,6 +12,9 @@ the weight of x_i is zero), so the product rule for Fox derivatives
 degenerates to a plain sum and the abelianised row is exactly
 ``(0, p_1, ..., p_k)``.  H1 stays infinite cyclic on x0.
 
+``as_surgery`` wraps a bare presentation in the SurgeryPresentation the
+stage functions take.
+
 Also here: brute-force enumeration oracles over small finite metabelian
 groups, kept independent of the library's own linear algebra.
 """
@@ -19,7 +22,15 @@ groups, kept independent of the library's own linear algebra.
 from itertools import product as iproduct
 
 from dslice.bs12 import evaluate_word
+from dslice.diagrams import SurgeryPresentation
 from dslice.words import GroupPresentation, Word
+
+
+def as_surgery(pres, meridian=0) -> SurgeryPresentation:
+    """``pres`` with distinguished meridian ``meridian`` and no marked curves."""
+    return SurgeryPresentation(
+        group=pres, meridian=meridian, longitude=Word.identity(), curve_words={}
+    )
 
 
 def _conjugated_power(d: int, gen: int, c: int) -> Word:

@@ -37,6 +37,8 @@ from dslice.modules import alexander_module, alexander_polynomial, detect_splitt
 from dslice.twisted import crowell_check, twisted_invariants
 from dslice.words import FoxPolynomial, Word, fox_derivative
 
+from synthpres import as_surgery
+
 pytestmark = pytest.mark.acceptance
 
 KNOTS = ("unknot", "trefoil", "figure8", "946")
@@ -176,9 +178,7 @@ def test_05_dual_path_cover_oracle(surgery):
     for name in KNOTS:
         _, plain = surgery[name]
         for n, m in QUOTIENTS:
-            target, homs = metabelian_quotient_homs(
-                plain.group, plain.meridian, n, m
-            )
+            target, homs = metabelian_quotient_homs(plain, n, m)
             assert homs, (name, n, m)
             if m == 1:
                 assert len(homs) == 1, (name, n, m)
@@ -189,14 +189,14 @@ def test_05_dual_path_cover_oracle(surgery):
                 assert crowell_check(plain.group, h, target), (name, n, m)
     # anchor value: double branched-free cover of the trefoil
     _, plain = surgery["trefoil"]
-    target, homs = metabelian_quotient_homs(plain.group, plain.meridian, 2, 1)
+    target, homs = metabelian_quotient_homs(plain, 2, 1)
     free, torsion = finite_cover_homology(plain.group, homs[0], target)
     assert (free, list(torsion)) == (1, [3])
     assert time.monotonic() - start < 300.0
 
 
 def _invariant_multiset(pres, meridian, n, m):
-    target, homs = metabelian_quotient_homs(pres, meridian, n, m)
+    target, homs = metabelian_quotient_homs(as_surgery(pres, meridian), n, m)
     out = []
     for h in homs:
         free, tors = finite_cover_homology(pres, h, target)
@@ -223,9 +223,7 @@ def test_06_meridian_and_conjugation_invariance(surgery):
     for name in ("trefoil", "figure8", "946"):
         _, plain = surgery[name]
         for n, m in ((2, 3), (3, 7)):
-            target, homs = metabelian_quotient_homs(
-                plain.group, plain.meridian, n, m
-            )
+            target, homs = metabelian_quotient_homs(plain, n, m)
             nontrivial = [h for h in homs if any(q for _, q in h)] or homs
             for h in nontrivial[:3]:
                 base = (
@@ -240,7 +238,7 @@ def test_06_meridian_and_conjugation_invariance(surgery):
                     ) == base, (name, n, m, g)
     # spot check at the largest quotient size
     _, plain = surgery["946"]
-    target, homs = metabelian_quotient_homs(plain.group, plain.meridian, 4, 15)
+    target, homs = metabelian_quotient_homs(plain, 4, 15)
     h = next(h for h in homs if any(q for _, q in h))
     base = (
         finite_cover_homology(plain.group, h, target),
@@ -338,10 +336,6 @@ def test_09_second_derived_membership_gates(marked946):
     start = time.monotonic()
     _, plain, _ = marked946
     for curve in ("eta1", "eta2"):
-        assert second_derived_certificate(
-            plain.group, plain.meridian, plain.curve_words[curve]
-        ), curve
-    assert not second_derived_certificate(
-        plain.group, plain.meridian, Word.gen(plain.meridian)
-    )
+        assert second_derived_certificate(plain, plain.curve_words[curve]), curve
+    assert not second_derived_certificate(plain, Word.gen(plain.meridian))
     assert time.monotonic() - start < 60.0

@@ -526,27 +526,37 @@ def test_ext_condition_meridian_arc_invariance():
     }
 
 
-def test_ext_condition_satellite_transport_branch():
-    d, plain, _ = bundled_pattern("946")
-    from dslice.twisted import transport_record
-
-    rec = transport_record(plain, "eta1")
-    assert rec.valid
-    v = ext_condition(plain, "P1", satellite={
-        "base_status": HOLDS, "records": [rec],
-    })
-    assert v["status"] == HOLDS
-    assert v["evidence"]["kind"] == "TransportChain"
-
-
-def test_ext_condition_satellite_fails_rule_branch():
-    _, plain, _ = bundled_pattern("946")
-    v = ext_condition(plain, "P2", satellite={"fails_rule": RULE_FAMILY_FAILS})
-    assert v["status"] == FAILS
-    assert v["evidence"]["rule"] == RULE_FAMILY_FAILS
-
-
 # ------------------------------------------------------- knot certificates
+
+
+def test_certify_builds_the_abelian_data_once(monkeypatch):
+    # every stage reads the weights and the Lambda-Jacobian from the one
+    # surgery presentation; count the calls through every module binding
+    import sys
+
+    from dslice import modules
+
+    calls = []
+
+    def counting(fname):
+        inner = getattr(modules, fname)
+
+        def wrapper(*args, **kwargs):
+            calls.append(fname)
+            return inner(*args, **kwargs)
+        return inner, wrapper
+
+    for fname in ("infinite_cyclic_weights", "fox_jacobian"):
+        inner, wrapper = counting(fname)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("dslice") and getattr(module, fname, None) is inner:
+                monkeypatch.setattr(module, fname, wrapper)
+    # the mirror of 9_46 is unregistered, so stage B runs on both summands
+    pd = bundled_document("946")["pd"]
+    mirror = Diagram([(a, d, c, b) for a, b, c, d in pd])
+    cert = certify_doubly_slice(mirror, registry=None)
+    assert [v["status"] for v in cert.verdicts.values()] == [UNDETERMINED] * 2
+    assert sorted(calls) == ["fox_jacobian", "infinite_cyclic_weights"]
 
 
 def test_certify_bundled_pattern_is_certified():

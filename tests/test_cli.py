@@ -338,7 +338,7 @@ def test_oracle_computes_smith_forms_once_per_orbit(docs, capsys, monkeypatch):
     nmaps = len(json.loads(out)["maps"])
     diagram, _ = diagram_from_document(bundled_document("946"))
     plain = zero_surgery(diagram, 0)
-    target, homs = metabelian_quotient_homs(plain.group, plain.meridian, 2, 3)
+    target, homs = metabelian_quotient_homs(plain, 2, 3)
     orbits = brute_orbit_count(homs, target)
     assert (nmaps, orbits) == (27, 5)
     # every map's matrices are built; each orbit's Smith forms are computed

@@ -5,10 +5,13 @@ to the knot must reproduce the plain trefoil code, and the meridian's
 word must come out as one meridian generator.
 """
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from dslice.diagrams import (
     Diagram,
+    SurgeryPresentation,
     canonical_code,
     diagram_hash,
     infect,
@@ -17,7 +20,7 @@ from dslice.diagrams import (
 )
 from dslice.errors import InvalidDiagram, MissingSigns, NotAKnot
 from dslice.snf import abelian_invariants
-from dslice.words import Word
+from dslice.words import GroupPresentation, Word
 
 TREFOIL = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
 FIG8 = [(4, 2, 5, 1), (8, 6, 1, 5), (6, 3, 7, 4), (2, 7, 3, 8)]
@@ -141,6 +144,22 @@ def test_zero_surgery_homology_fig8():
     s = zero_surgery(Diagram(FIG8), 0)
     m = s.group.abelianization_matrix()
     assert abelian_invariants(m, len(s.group.names)) == (1, [])
+
+
+def test_surgery_presentation_data_belongs_to_one_object():
+    # <x0, x1 | x0 x1>: H_1 = Z, and the meridian fixes the weights' sign
+    based = SurgeryPresentation(
+        group=GroupPresentation(("x0", "x1"), (Word.gen(0) * Word.gen(1),)),
+        meridian=0,
+        longitude=Word.identity(),
+        curve_words={},
+    )
+    assert based.weights == (1, -1)
+    moved = replace(based, meridian=1)
+    assert moved.weights == (-1, 1)
+    assert based.weights == (1, -1)
+    with pytest.raises(FrozenInstanceError):
+        based.meridian = 1
 
 
 def test_canonical_code_relabelling_invariance():

@@ -18,12 +18,16 @@ from dslice.laurent import DyadicRational, LaurentPoly
 from dslice.modules import (
     alexander_module,
     alexander_polynomial,
-    detect_splitting,
     infinite_cyclic_weights,
 )
 from dslice.words import GroupPresentation, Word, fox_derivative
 
-from synthpres import brute_metabelian_homs, brute_subgroup, presentation_from_rows
+from synthpres import (
+    as_surgery,
+    brute_metabelian_homs,
+    brute_subgroup,
+    presentation_from_rows,
+)
 
 TREFOIL = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
 FIG8 = [(4, 2, 5, 1), (8, 6, 1, 5), (6, 3, 7, 4), (2, 7, 3, 8)]
@@ -65,7 +69,7 @@ def test_simplify_images_transport_homs():
     small, images = simplify_presentation(pres, keep={meridian})
     new_meridian = images[meridian].letters[0][0]
     target, homs = metabelian_quotient_homs(
-        small, new_meridian, 2, 3, surjective_only=True
+        as_surgery(small, new_meridian), 2, 3, surjective_only=True
     )
     assert homs
     for hom in homs:
@@ -117,9 +121,12 @@ def test_summand_homs_on_split_module():
         LaurentPoly({1: 2, 0: -1}),
     ]
     assert list(module.rows[1]) == [LaurentPoly({1: 1, 0: -2}), LaurentPoly({})]
-    report = detect_splitting(module)
+    plain = as_surgery(pres)
+    assert plain.module == module
+    report = plain.splitting
     assert report.certified
-    plus, minus = summand_homs(pres, 0, report)
+    plus, minus = summand_homs(plain)
+    assert (plus, minus) == plain.summands
     assert isinstance(plus, MetabelianHom)
     assert plus.merid_exponent == 1 and minus.merid_exponent == -1
     assert plus.factor == "t-2" and minus.factor == "2t-1"
@@ -138,11 +145,12 @@ def test_summand_homs_on_split_module():
 
 
 def test_summand_homs_need_certificate():
-    pres, meridian = trefoil_group()
-    report = detect_splitting(alexander_module(pres, meridian))
-    assert report.verdict == "no_split"
+    plain = as_surgery(*trefoil_group())
+    assert plain.splitting.verdict == "no_split"
     with pytest.raises(HypothesisNotMet):
-        summand_homs(pres, meridian, report)
+        summand_homs(plain)
+    with pytest.raises(HypothesisNotMet):
+        plain.summands
 
 
 # ------------------------------------------- finite metabelian quotients
@@ -152,7 +160,7 @@ def test_quotient_homs_match_brute_force_trefoil():
     pres, meridian = trefoil_group()
     weights = infinite_cyclic_weights(pres, meridian)
     for n, m in [(2, 3), (4, 5), (2, 1)]:
-        target, homs = metabelian_quotient_homs(pres, meridian, n, m)
+        target, homs = metabelian_quotient_homs(as_surgery(pres, meridian), n, m)
         brute = brute_metabelian_homs(pres, weights, target)
         assert sorted(homs) == sorted(brute)
 
@@ -160,11 +168,11 @@ def test_quotient_homs_match_brute_force_trefoil():
 def test_quotient_homs_match_brute_force_synthetic():
     pres = presentation_from_rows(ROWS_946)
     weights = infinite_cyclic_weights(pres, 0)
-    target, homs = metabelian_quotient_homs(pres, 0, 2, 3)
+    target, homs = metabelian_quotient_homs(as_surgery(pres), 2, 3)
     assert len(homs) == 27
     brute = brute_metabelian_homs(pres, weights, target)
     assert sorted(homs) == sorted(brute)
-    target5, homs5 = metabelian_quotient_homs(pres, 0, 4, 5)
+    target5, homs5 = metabelian_quotient_homs(as_surgery(pres), 4, 5)
     assert len(homs5) == 25
     assert sorted(homs5) == sorted(brute_metabelian_homs(pres, weights, target5))
 
@@ -176,10 +184,11 @@ def test_surjectivity_filter_is_exact():
         trefoil_group(),
         (wirtinger(Diagram(FIG8)).group, wirtinger(Diagram(FIG8)).meridians[0]),
     ]:
+        plain = as_surgery(pres, meridian)
         for n, m in [(2, 3), (4, 5)]:
-            target, all_homs = metabelian_quotient_homs(pres, meridian, n, m)
+            target, all_homs = metabelian_quotient_homs(plain, n, m)
             _, surj = metabelian_quotient_homs(
-                pres, meridian, n, m, surjective_only=True
+                plain, n, m, surjective_only=True
             )
             surj = set(surj)
             for hom in all_homs:
@@ -188,16 +197,16 @@ def test_surjectivity_filter_is_exact():
 
 
 def test_surjective_counts():
-    pres = presentation_from_rows(ROWS_946)
-    _, surj = metabelian_quotient_homs(pres, 0, 2, 3, surjective_only=True)
+    plain = as_surgery(presentation_from_rows(ROWS_946))
+    _, surj = metabelian_quotient_homs(plain, 2, 3, surjective_only=True)
     assert len(surj) == 24
-    _, surj5 = metabelian_quotient_homs(pres, 0, 4, 5, surjective_only=True)
+    _, surj5 = metabelian_quotient_homs(plain, 4, 5, surjective_only=True)
     assert len(surj5) == 20
     # figure-eight: determinant is -1 at t=2, so only conjugation-principal
     # translation vectors survive and nothing surjects
     lg = wirtinger(Diagram(FIG8))
     _, fig_surj = metabelian_quotient_homs(
-        lg.group, lg.meridians[0], 2, 3, surjective_only=True
+        as_surgery(lg.group, lg.meridians[0]), 2, 3, surjective_only=True
     )
     assert fig_surj == []
 
@@ -232,7 +241,9 @@ def test_metabelian_cover_homology_is_class_invariant():
     # scaling the translation vector by a unit re-parametrises the same
     # kernel, so the cover homology cannot change
     pres = presentation_from_rows(ROWS_946)
-    target, surj = metabelian_quotient_homs(pres, 0, 2, 3, surjective_only=True)
+    target, surj = metabelian_quotient_homs(
+        as_surgery(pres), 2, 3, surjective_only=True
+    )
     hom = surj[0]
     scaled = tuple((k, 2 * q % 3) for k, q in hom)
     assert scaled in set(surj)
@@ -244,37 +255,38 @@ def test_metabelian_cover_homology_is_class_invariant():
 
 
 def test_second_derived_unknot():
-    pres = GroupPresentation(("x",), ())
-    assert second_derived_certificate(pres, 0, Word.identity())
-    assert not second_derived_certificate(pres, 0, Word.gen(0))
+    plain = as_surgery(GroupPresentation(("x",), ()))
+    assert second_derived_certificate(plain, Word.identity())
+    assert not second_derived_certificate(plain, Word.gen(0))
 
 
 def test_second_derived_trefoil():
     pres, meridian = trefoil_group()
+    plain = as_surgery(pres, meridian)
     gens = [i for i in range(pres.num_generators)]
     u = commutator(Word.gen(gens[0]), Word.gen(gens[1]))
     # a commutator generates the infinite cyclic cover's homology: not
     # in the second derived subgroup
-    assert not second_derived_certificate(pres, meridian, u)
+    assert not second_derived_certificate(plain, u)
     # ... and some finite metabelian quotient must see that
-    target, surj = metabelian_quotient_homs(pres, meridian, 2, 3, surjective_only=True)
+    target, surj = metabelian_quotient_homs(plain, 2, 3, surjective_only=True)
     seen = [evaluate_word(u, hom, target) for hom in surj]
     assert any(v != target.identity() for v in seen)
     # a commutator of two commutator-subgroup elements dies metabelianly
     v = Word.gen(gens[0]) * u * Word.gen(gens[0], -1)
     w = commutator(u, v)
-    assert second_derived_certificate(pres, meridian, w)
+    assert second_derived_certificate(plain, w)
     for hom in surj:
         assert evaluate_word(w, hom, target) == target.identity()
 
 
 def test_second_derived_conjugation_invariance():
-    pres, meridian = trefoil_group()
+    plain = as_surgery(*trefoil_group())
     u = commutator(Word.gen(0), Word.gen(1))
     v = Word.gen(1) * u * Word.gen(1, -1)
     w = commutator(u, v)
     for c in [Word.gen(0), Word.gen(1, -1) * Word.gen(0)]:
-        assert second_derived_certificate(pres, meridian, c * w * c.inverse())
+        assert second_derived_certificate(plain, c * w * c.inverse())
 
 
 # -------------------------------------------------------------- push_fox

@@ -386,7 +386,6 @@ def test_shadow_gate_obstructs_the_mirror_by_witness(monkeypatch):
     assert witnesses == {(3, 2): 38}
     assert from_gate == []
     # the module order eliminates once, on its transposed 2 x 4 matrix; the
-    # generator weights, once per computation on the 10 x 9 abelianization
-    # matrix: twice for the Alexander module, twice for the specialization
-    # checks, once each for the summand maps and the quotient maps
-    assert eliminations == {(2, 4): 1, (10, 9): 6}
+    # generator weights once, on the 10 x 9 abelianization matrix, since
+    # every stage reads them from the one surgery presentation
+    assert eliminations == {(2, 4): 1, (10, 9): 1}

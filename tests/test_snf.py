@@ -80,7 +80,7 @@ def test_sparse_invariants_pinned_regular_block():
 
     diagram, _ = diagram_from_document(bundled_document("trefoil"))
     plain = zero_surgery(diagram, 0)
-    target, homs = metabelian_quotient_homs(plain.group, plain.meridian, 4, 15)
+    target, homs = metabelian_quotient_homs(plain, 4, 15)
     images = ((1, 0), (1, 5), (1, 10))
     assert images in homs
     rows, ncols = _regular_blocks(

@@ -21,6 +21,47 @@ def test_package_has_no_assert_statement():
     assert found == []
 
 
+def _unused_imports(source: str, filename: str) -> list:
+    """Names a module imports but neither reads nor lists in ``__all__``."""
+    tree = ast.parse(source, filename)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    return [
+        f"{filename}:{line} {name}"
+        for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+        if name not in read
+    ]
+
+
+def test_package_imports_are_used():
+    # an import nothing reads is dead code, and it blurs which module
+    # owns a computation
+    root = Path(dslice.__file__).parent
+    found = [
+        hit
+        for path in sorted(root.rglob("*.py"))
+        for hit in _unused_imports(path.read_text(), str(path.relative_to(root)))
+    ]
+    assert found == []
+
+
+def test_unused_import_rule_sees_a_dead_import():
+    source = "import os\nfrom .a import b, c as d\n__all__ = ['b']\n"
+    assert _unused_imports(source, "m.py") == ["m.py:1 os", "m.py:2 d"]
+    assert _unused_imports("import os\nos.sep\n", "m.py") == []
+
+
 def test_benchmark_spans_resolve(monkeypatch):
     # `perfbench/run.py --trace 1` wraps each span's function by name and
     # skips names that no longer exist; a renamed hot path must fail here

@@ -14,7 +14,7 @@ from dslice.groups import (
     metabelian_quotient_homs,
     summand_homs,
 )
-from dslice.modules import alexander_module, detect_splitting, infinite_cyclic_weights
+from dslice.modules import infinite_cyclic_weights
 from dslice import twisted
 from dslice.snf import abelian_invariants
 from dslice.twisted import (
@@ -33,7 +33,12 @@ from dslice.twisted import (
 )
 from dslice.words import GroupPresentation, Word
 
-from synthpres import brute_orbit_count, brute_subgroup, presentation_from_rows
+from synthpres import (
+    as_surgery,
+    brute_orbit_count,
+    brute_subgroup,
+    presentation_from_rows,
+)
 
 TREFOIL = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
 FIG8 = [(4, 2, 5, 1), (8, 6, 1, 5), (6, 3, 7, 4), (2, 7, 3, 8)]
@@ -98,7 +103,7 @@ def test_crowell_check_cyclic_covers():
 def test_crowell_check_metabelian_covers():
     lg = wirtinger(Diagram(TREFOIL))
     target, homs = metabelian_quotient_homs(
-        lg.group, lg.meridians[0], 2, 3, surjective_only=True
+        as_surgery(lg.group, lg.meridians[0]), 2, 3, surjective_only=True
     )
     assert homs
     assert crowell_check(lg.group, homs[0], target)
@@ -106,7 +111,7 @@ def test_crowell_check_metabelian_covers():
 
 def test_crowell_check_synthetic_module_presentation():
     pres = presentation_from_rows(ROWS_946)
-    target, homs = metabelian_quotient_homs(pres, 0, 2, 3)
+    target, homs = metabelian_quotient_homs(as_surgery(pres), 2, 3)
     for hom in homs[:5]:
         assert crowell_check(pres, hom, target)
 
@@ -146,7 +151,7 @@ def test_regular_cap_counts_target_elements(monkeypatch):
     # columns) is inside a cap of 6, and the refusal at 5 comes before
     # the cover path runs
     lg = wirtinger(Diagram(TREFOIL))
-    q, homs = metabelian_quotient_homs(lg.group, 0, 2, 3)
+    q, homs = metabelian_quotient_homs(as_surgery(lg.group), 2, 3)
     assert q.order() == 6 and lg.group.num_generators == 3 and homs
     monkeypatch.setattr(twisted, "_REGULAR_CAP", 6)
     assert crowell_compare(lg.group, homs[0], q)[2]
@@ -182,7 +187,7 @@ def _count_snf(monkeypatch):
 def test_crowell_compares_equals_the_per_map_paths(name, n, m, monkeypatch):
     plain = _zero_surgery(name)
     pres = plain.group
-    target, homs = metabelian_quotient_homs(pres, plain.meridian, n, m)
+    target, homs = metabelian_quotient_homs(plain, n, m)
     expected = []
     for h in homs:
         cover = finite_cover_homology(pres, h, target)
@@ -233,14 +238,13 @@ def test_forged_relabelling_recomputes_every_smith_form(
 
 
 def test_summand_specialization():
-    pres = presentation_from_rows(ROWS_946)
-    report = detect_splitting(alexander_module(pres, 0))
-    plus, minus = summand_homs(pres, 0, report)
-    assert summand_specialization_check(pres, 0, plus)
-    assert summand_specialization_check(pres, 0, minus)
+    plain = as_surgery(presentation_from_rows(ROWS_946))
+    plus, minus = summand_homs(plain)
+    assert summand_specialization_check(plain, plus)
+    assert summand_specialization_check(plain, minus)
     # lying about the meridian exponent flips the expected mirror
     doctored = MetabelianHom(plus.images, -1, plus.factor, plus.surjective)
-    assert not summand_specialization_check(pres, 0, doctored)
+    assert not summand_specialization_check(plain, doctored)
 
 
 # ------------------------------------------------------------- collapse
