@@ -52,7 +52,7 @@ from .errors import (
     NoSplitting,
     RelatorViolation,
 )
-from .groups import metabelian_quotient_homs, push_fox
+from .groups import metabelian_quotient_homs
 from .groebner import GroebnerBasis
 from .laurent import ONE, ZERO, det
 from .modules import TARGET_ORDER
@@ -64,7 +64,7 @@ from .twisted import (
     transport_record,
     twisted_rows,
 )
-from .words import GroupPresentation, Word, fox_derivative
+from .words import GroupPresentation, Word, fox_row
 
 __all__ = [
     "HOLDS",
@@ -184,19 +184,14 @@ def relator_lift(word: Word, budget: int = 20000) -> dict:
 
 
 _ID_IMAGES = (BS12_A, BS12_C)
-_RHO_FOX = tuple(
-    push_fox(fox_derivative(RHO, i), _ID_IMAGES, Bs12Group)
-    for i in (_GEN_A, _GEN_C)
-)
+_RHO_FOX = fox_row(RHO, 2, _ID_IMAGES, Bs12Group)
 
 
 def _check_lift(word: Word, delta: dict) -> None:
     """The lift must reproduce the word's Fox vector: a chain-map identity."""
-    for i in (_GEN_A, _GEN_C):
-        lhs = push_fox(fox_derivative(word, i), _ID_IMAGES, Bs12Group)
-        rhs = ring_mul(delta, _RHO_FOX[i], Bs12Group)
-        if lhs != rhs:
-            raise RelatorViolation("lift fails the Fox vector identity")
+    rhs = tuple(ring_mul(delta, f, Bs12Group) for f in _RHO_FOX)
+    if fox_row(word, 2, _ID_IMAGES, Bs12Group) != rhs:
+        raise RelatorViolation("lift fails the Fox vector identity")
 
 
 # ---------------------------------------------------------------------------

@@ -508,8 +508,8 @@ class SurgeryPresentation:
         The framing relator's row is redundant for the module (the framing
         curve is trivial in the module because multiplication by t fixes it
         and the module has no (t-1)-torsion), and keeping it would make the
-        matrix too tall for any right inverse.  Built once, so its Fox
-        matrix is computed once per surgery presentation.
+        matrix too tall for any right inverse.  Built once per surgery
+        presentation; its Fox rows are one pass per relator and map.
         """
         relators = tuple(r for r in self.group.relators if r != self.longitude)
         return GroupPresentation(self.group.names, relators)

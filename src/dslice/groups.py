@@ -28,7 +28,6 @@ from .bs12 import (
     bs12_surjective,
     check_relators,
     evaluate_word,
-    ring_apply,
 )
 from .errors import (
     BudgetExceeded,
@@ -37,10 +36,10 @@ from .errors import (
     VerificationFailed,
 )
 from .groebner import GroebnerBasis, module_contains
-from .laurent import ONE, ZERO
-from .modules import _eval_fox, _word_weight
+from .laurent import ONE, ZERO, LaurentPoly
+from .modules import _Degree
 from .snf import abelian_invariants, nullspace_mod
-from .words import FoxPolynomial, GroupPresentation, Word, fox_derivative
+from .words import GroupPresentation, Word, fox_row
 
 __all__ = [
     "simplify_presentation",
@@ -50,7 +49,6 @@ __all__ = [
     "cover_rows",
     "finite_cover_homology",
     "second_derived_certificate",
-    "push_fox",
 ]
 
 # Largest group a cover computation enumerates: the image subgroup in
@@ -342,17 +340,8 @@ def second_derived_certificate(plain, word: Word, budget=300000) -> bool:
     checks are exact, so the answer is a theorem in either direction.
     """
     weights = plain.weights
-    if _word_weight(word, weights) != 0:
+    if evaluate_word(word, weights, _Degree) != 0:
         return False
     n = plain.group.num_generators
-    vec = tuple(
-        _eval_fox(fox_derivative(word, i), weights) for i in range(n)
-    )
+    vec = tuple(LaurentPoly(e) for e in fox_row(word, n, weights, _Degree))
     return module_contains(plain.jacobian, n, vec, budget=budget)
-
-
-def push_fox(poly: FoxPolynomial, images, target) -> dict:
-    """Image of a Fox polynomial in the integral group ring of ``target``."""
-    return ring_apply(
-        poly.as_dict(), lambda w: evaluate_word(w, images, target)
-    )

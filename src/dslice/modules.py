@@ -18,17 +18,17 @@ undetermined.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
 
 from . import laurent
-from .bs12 import ring_apply
 from .errors import BudgetExceeded, HypothesisNotMet, VerificationFailed
 from .groebner import GroebnerBasis
 from .laurent import ONE, T, ZERO, LaurentPoly, maximal_minors, poly_gcd
 from .snf import abelian_invariants
-from .words import GroupPresentation, Word
+from .words import GroupPresentation, fox_rows
 
 __all__ = [
     "LambdaModule",
@@ -83,20 +83,19 @@ def infinite_cyclic_weights(pres: GroupPresentation, meridian: int):
     return weights
 
 
-def _word_weight(word: Word, weights) -> int:
-    return sum(e * weights[g] for g, e in word.letters)
+class _Degree:
+    """Z = <t> under +; with the weights as images, Fox rows land in Lambda."""
 
-
-def _eval_fox(poly, weights) -> LaurentPoly:
-    return LaurentPoly(
-        ring_apply(poly.as_dict(), lambda w: _word_weight(w, weights))
-    )
+    identity = staticmethod(int)
+    mul = staticmethod(operator.add)
+    inv = staticmethod(operator.neg)
 
 
 def fox_jacobian(pres: GroupPresentation, weights):
     """The Fox matrix pushed through the abelianisation into Lambda."""
     return [
-        tuple(_eval_fox(p, weights) for p in row) for row in pres.fox_matrix
+        tuple(LaurentPoly(e) for e in row)
+        for row in fox_rows(pres, weights, _Degree)
     ]
 
 

@@ -44,13 +44,12 @@ from .groups import (
     MetabelianHom,
     cover_rows,
     metabelian_quotient_homs,
-    push_fox,
     second_derived_certificate,
 )
 from .laurent import ONE
 from .modules import alexander_polynomial
 from .snf import abelian_invariants
-from .words import Word
+from .words import Word, fox_rows
 
 __all__ = [
     "twisted_rows",
@@ -69,10 +68,7 @@ __all__ = [
 
 def twisted_rows(pres, images, target):
     """The Fox matrix pushed into the integral group ring of ``target``."""
-    return [
-        tuple(push_fox(p, images, target) for p in row)
-        for row in pres.fox_matrix
-    ]
+    return fox_rows(pres, images, target)
 
 
 def _check_regular_budget(target) -> None:

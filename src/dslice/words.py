@@ -8,8 +8,17 @@ The free differential calculus follows the usual rules
 
     d(x)/dx = 1,   d(x^-1)/dx = -x^-1,   d(uv)/dx = du/dx + u * dv/dx,
 
-and ``fox_derivative`` returns a formal integer combination of free-group
-words (a :class:`FoxPolynomial`).  The fundamental identity
+so every term of dw/dx_g is a prefix of ``w``, times x_g^-1 when the
+letter is inverted.  ``fox_row`` therefore pushes a whole row of
+derivatives through a map phi in one pass along ``w``: it keeps
+phi(prefix), adds +phi(prefix) to column g before a letter x_g, and
+-phi(prefix * x_g^-1) after a letter x_g^-1.  The map is given by the
+images of the generators in a *target*, any bundle with ``identity()``,
+``mul(x, y)`` and ``inv(x)``; each entry comes back as an element of the
+integral group ring, ``{element: nonzero int}``.  The Alexander
+Jacobian (target Z = <t> by the weights), the twisted Jacobians
+(BS(1,2) and its finite quotients) and ``fox_derivative`` itself (the
+free group on ``Word``) are all this one pass.  The fundamental identity
 
     sum_i (dw/dx_i) * (x_i - 1) = w - 1
 
@@ -19,12 +28,14 @@ holds for every word ``w`` and is used as a property test downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 __all__ = [
     "Word",
     "FoxPolynomial",
     "fox_derivative",
+    "fox_row",
+    "fox_rows",
+    "FreeGroup",
     "GroupPresentation",
 ]
 
@@ -163,23 +174,47 @@ class FoxPolynomial:
         return not self.terms
 
 
-def fox_derivative(w: Word, i: int) -> FoxPolynomial:
-    """Free derivative of ``w`` with respect to generator ``i``.
+def fox_row(word: Word, n: int, images, target) -> tuple:
+    """Free derivatives of ``word`` by x_0..x_{n-1}, pushed into Z[target].
 
-    Runs once along the word: d(l1...lm)/dx = sum_k prefix(k) * d(lk)/dx.
+    One pass along the word, keeping the image of the prefix read so far.
     """
-    acc: dict = {}
-    prefix = Word.identity()
-    for g, e in w.letters:
-        if g == i:
-            if e == 1:
-                t = prefix
-                acc[t] = acc.get(t, 0) + 1
-            else:
-                t = prefix * Word.gen(g, -1)
-                acc[t] = acc.get(t, 0) - 1
-        prefix = prefix * Word(((g, e),))
-    return FoxPolynomial.from_dict(acc)
+    row = tuple({} for _ in range(n))
+    mul = target.mul
+    prefix = target.identity()
+    for g, e in word.letters:
+        if e == -1:
+            prefix = mul(prefix, target.inv(images[g]))
+        entry = row[g]
+        c = entry.get(prefix, 0) + e
+        if c:
+            entry[prefix] = c
+        else:
+            del entry[prefix]
+        if e == 1:
+            prefix = mul(prefix, images[g])
+    return row
+
+
+def fox_rows(pres: GroupPresentation, images, target) -> list:
+    """The Fox matrix of ``pres`` in Z[target], one ``fox_row`` per relator."""
+    n = len(pres.names)
+    return [fox_row(r, n, images, target) for r in pres.relators]
+
+
+class FreeGroup:
+    """The free group on ``Word``, as a ``fox_row`` target."""
+
+    identity = staticmethod(Word.identity)
+    mul = staticmethod(Word.__mul__)
+    inv = staticmethod(Word.inverse)
+
+
+def fox_derivative(w: Word, i: int) -> FoxPolynomial:
+    """Free derivative of ``w`` with respect to generator ``i``."""
+    n = max(w.max_generator(), i) + 1
+    images = [Word.gen(g) for g in range(n)]
+    return FoxPolynomial.from_dict(fox_row(w, n, images, FreeGroup)[i])
 
 
 @dataclass(frozen=True)
@@ -196,20 +231,12 @@ class GroupPresentation:
 
     def __post_init__(self):
         for r in self.relators:
-            if r.max_generator() >= len(self.names):
+            if any(not 0 <= g < len(self.names) for g, _ in r.letters):
                 raise ValueError("relator uses an undeclared generator")
 
     @property
     def num_generators(self) -> int:
         return len(self.names)
-
-    @cached_property
-    def fox_matrix(self) -> tuple:
-        """Fox derivatives, relators by generators; computed once."""
-        return tuple(
-            tuple(fox_derivative(r, i) for i in range(len(self.names)))
-            for r in self.relators
-        )
 
     def abelianization_matrix(self):
         """Rows = relators, columns = generators, entries = exponent sums."""

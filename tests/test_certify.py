@@ -1054,19 +1054,41 @@ def test_replay_remultiplies_stage_b_witnesses(stubbed_stage_b):
 
 
 def test_certify_builds_one_stage_b_presentation(monkeypatch):
-    from functools import cached_property
+    import importlib
 
-    inner = GroupPresentation.__dict__["fox_matrix"].func
-    computed = []
+    import dslice.words as words
 
-    def counting(pres):
-        computed.append((len(pres.relators), pres.num_generators))
-        return inner(pres)
+    inner = words.fox_row
+    calls = []
 
-    prop = cached_property(counting)
-    prop.__set_name__(GroupPresentation, "fox_matrix")
-    monkeypatch.setattr(GroupPresentation, "fox_matrix", prop)
-    cert = certify_doubly_slice(_mirror_946(), registry=None)
+    def counting(word, n, images, target):
+        calls.append((word, n, target))
+        return inner(word, n, images, target)
+
+    # count passes through every module-level binding of fox_row
+    for name in ("words", "modules", "groups", "twisted", "certify"):
+        module = importlib.import_module(f"dslice.{name}")
+        if getattr(module, "fox_row", None) is inner:
+            monkeypatch.setattr(module, "fox_row", counting)
+    mirror = _mirror_946()
+    cert = certify_doubly_slice(mirror, registry=None)
     assert cert.conclusion == UNDECIDED
-    # the surgery presentation's, then the stage-B one shared by P1 and P2
-    assert computed == [(10, 9), (9, 9)]
+    plain = zero_surgery(mirror, 0)
+    relators = plain.group.relators
+    stage_b = plain.stage_b_group.relators
+    assert (len(relators), len(stage_b)) == (10, 9)
+    # One pass per relator and map.  The surgery presentation (10
+    # relators on 9 generators) is pushed into Lambda once (10), into
+    # BS(1,2) once per summand by the specialization check (2 x 10), and
+    # into Z/2 x| Z/3 for the one cross-checked quotient map (10).  Stage
+    # B pushes the one stage-B presentation, the framing relator dropped
+    # (9 relators), into BS(1,2) once per summand (2 x 9), and checks one
+    # relation lift per stage-B relator and summand, each a 2-generator
+    # pass over a word in a and c (2 x 9).  10 + 20 + 10 + 18 + 18 = 76.
+    assert len(calls) == 76
+    wide = [w for w, n, _ in calls if n == 9]
+    assert sorted(map(repr, wide)) == sorted(
+        map(repr, 4 * relators + 2 * stage_b)
+    )
+    lifts = [t for _, n, t in calls if n == 2]
+    assert len(lifts) == 18 and set(lifts) == {Bs12Group}

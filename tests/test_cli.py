@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from dslice.bs12 import FiniteMetabelian
 from dslice.cache import ENV_CACHE_DIR
 from dslice.cli import main
 from dslice.corpus import bundled_document, default_registry, resolve_hash
@@ -506,22 +507,28 @@ def test_oracle_computes_the_fox_matrix_once(docs, capsys, monkeypatch):
 
     import dslice.words as words
 
-    inner = words.fox_derivative
+    inner = words.fox_row
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
+    def counting(word, n, images, target):
+        calls.append((n, target))
+        return inner(word, n, images, target)
 
-    # count calls through every module-level binding of fox_derivative
+    # count passes through every module-level binding of fox_row
     for name in ("words", "modules", "groups", "twisted", "certify"):
         module = importlib.import_module(f"dslice.{name}")
-        if getattr(module, "fox_derivative", None) is inner:
-            monkeypatch.setattr(module, "fox_derivative", counting)
-    code, _, _ = run(
+        if getattr(module, "fox_row", None) is inner:
+            monkeypatch.setattr(module, "fox_row", counting)
+    code, out, _ = run(
         capsys, "oracle", "--knot", docs["946"], "--n", "3", "--m", "7",
         "--no-cache",
     )
     assert code == 0
-    # the zero-surgery presentation of 9_46: 10 relators by 9 generators
-    assert len(calls) == 10 * 9
+    maps = int(out.splitlines()[1].split(", ")[1].split()[0])
+    assert maps > 0
+    # the zero-surgery presentation of 9_46 has 10 relators on 9
+    # generators: one pass per relator for the Lambda-Jacobian, which the
+    # map enumeration reads, and one per relator for each map's twisted rows
+    assert len(calls) == 10 + 10 * maps
+    assert {n for n, _ in calls} == {9}
+    assert sum(isinstance(t, FiniteMetabelian) for _, t in calls) == 10 * maps

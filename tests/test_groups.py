@@ -9,7 +9,6 @@ from dslice.groups import (
     MetabelianHom,
     finite_cover_homology,
     metabelian_quotient_homs,
-    push_fox,
     second_derived_certificate,
     simplify_presentation,
     summand_homs,
@@ -20,7 +19,7 @@ from dslice.modules import (
     alexander_polynomial,
     infinite_cyclic_weights,
 )
-from dslice.words import GroupPresentation, Word, fox_derivative
+from dslice.words import GroupPresentation, Word, fox_row
 
 from synthpres import (
     as_surgery,
@@ -289,19 +288,19 @@ def test_second_derived_conjugation_invariance():
         assert second_derived_certificate(plain, c * w * c.inverse())
 
 
-# -------------------------------------------------------------- push_fox
+# --------------------------------------------------------------- fox_row
 
 
-def test_push_fox_values():
-    # d/dc of the defining BS relator a c a^-1 c^-2
+def test_fox_row_values():
+    # the defining BS relator a c a^-1 c^-2, pushed by the identity map
     r = (Word.gen(0) * Word.gen(1) * Word.gen(0, -1)
          * Word.gen(1, -1) * Word.gen(1, -1))
     from dslice.bs12 import BS12_A, BS12_C
 
-    poly = fox_derivative(r, 1)
-    pushed = push_fox(poly, (BS12_A, BS12_C), Bs12Group)
+    da, dc = fox_row(r, 2, (BS12_A, BS12_C), Bs12Group)
     e = Bs12Group.identity()
-    assert pushed == {
+    assert da == {e: 1, BS12(0, DyadicRational(2)): -1}
+    assert dc == {
         BS12_A: 1,
         BS12(0, DyadicRational(1)): -1,
         e: -1,

@@ -79,3 +79,49 @@ def test_benchmark_spans_resolve(monkeypatch):
         if not callable(obj):
             unresolved.append(name)
     assert unresolved == []
+
+
+_FOX_NAMES = {"fox_derivative", "FoxPolynomial"}
+_RETIRED_FOX = {"fox_matrix", "push_fox", "_eval_fox"}
+
+
+def _fox_owners(source: str, filename: str) -> list:
+    """Fox calculus outside ``fox_row``: a module other than words.py that
+    imports the free-word derivative, or a retired second implementation."""
+    hits = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.ImportFrom) and filename != "words.py":
+            hits += [
+                f"{filename}:{node.lineno} imports {alias.name}"
+                for alias in node.names if alias.name in _FOX_NAMES
+            ]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in _RETIRED_FOX:
+                hits.append(f"{filename}:{node.lineno} defines {node.name}")
+    return hits
+
+
+def test_fox_calculus_has_one_owner():
+    # every Fox row is one pass of words.fox_row; a second evaluator of
+    # free derivatives would drift from it
+    root = Path(dslice.__file__).parent
+    found = [
+        hit
+        for path in sorted(root.rglob("*.py"))
+        for hit in _fox_owners(path.read_text(), str(path.relative_to(root)))
+    ]
+    assert found == []
+
+
+def test_fox_owner_rule_sees_a_second_implementation():
+    source = (
+        "from .words import Word, fox_derivative\n"
+        "class P:\n    def fox_matrix(self):\n        pass\n"
+        "def push_fox(poly):\n    pass\n"
+    )
+    assert sorted(_fox_owners(source, "m.py")) == [
+        "m.py:1 imports fox_derivative",
+        "m.py:3 defines fox_matrix",
+        "m.py:5 defines push_fox",
+    ]
+    assert _fox_owners(source.splitlines()[0], "words.py") == []

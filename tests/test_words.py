@@ -2,9 +2,27 @@
 
 import random
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from dslice.words import Word, FoxPolynomial, fox_derivative
+from dslice.bs12 import (
+    BS12,
+    Bs12Group,
+    FiniteMetabelian,
+    evaluate_word,
+    ring_add,
+    ring_mul,
+)
+from dslice.laurent import DyadicRational
+from dslice.modules import _Degree
+from dslice.words import (
+    FoxPolynomial,
+    FreeGroup,
+    GroupPresentation,
+    Word,
+    fox_derivative,
+    fox_row,
+)
 
 
 def w(*pairs):
@@ -78,3 +96,65 @@ def test_fundamental_identity_random_words():
             for _ in range(rng.randint(0, 14))
         )
         _check_fundamental_identity(Word(ltrs), n)
+
+
+def test_presentation_rejects_undeclared_generators():
+    for g in (-1, 2):
+        with pytest.raises(ValueError, match="undeclared generator"):
+            GroupPresentation(("x", "y"), (w((g, 1), (0, 1)),))
+
+
+# ------------------------------------------------------------- fox_row
+
+NGENS = 3
+short_words = st.lists(
+    st.tuples(st.integers(0, NGENS - 1), st.sampled_from([1, -1])),
+    max_size=14,
+).map(lambda ls: Word(tuple(ls)))
+
+
+def _images(elements):
+    return st.lists(elements, min_size=NGENS, max_size=NGENS)
+
+
+# each target with a strategy for the images of x_0 .. x_{NGENS-1}
+TARGETS = {
+    "degree": (_Degree, _images(st.integers(-3, 3))),
+    "bs12": (Bs12Group, _images(st.builds(
+        BS12,
+        st.integers(-3, 3),
+        st.builds(DyadicRational, st.integers(-9, 9), st.integers(0, 3)),
+    ))),
+    "finite": (FiniteMetabelian(3, 7), _images(
+        st.tuples(st.integers(0, 2), st.integers(0, 6)))),
+    "free": (FreeGroup, _images(short_words)),
+}
+
+
+def _naive_row(word, n, images, target):
+    """Each term from its own prefix, rebuilt and evaluated from scratch:
+    +prefix before a letter x_g, -(prefix x_g^-1) for a letter x_g^-1."""
+    row = [{} for _ in range(n)]
+    letters = word.letters
+    for k, (g, e) in enumerate(letters):
+        end = k if e == 1 else k + 1
+        row[g] = ring_add(
+            row[g], {evaluate_word(Word(letters[:end]), images, target): e}
+        )
+    return tuple(row)
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fox_row_is_the_pushed_free_derivative(name, data):
+    target, images = TARGETS[name]
+    word, images = data.draw(short_words), data.draw(images)
+    row = fox_row(word, NGENS, images, target)
+    assert row == _naive_row(word, NGENS, images, target)
+    # Fox's fundamental formula in Z[target]
+    one = {target.identity(): 1}
+    total = {}
+    for entry, x in zip(row, images):
+        total = ring_add(total, ring_mul(entry, ring_add({x: 1}, one, -1), target))
+    assert total == ring_add({evaluate_word(word, images, target): 1}, one, -1)
