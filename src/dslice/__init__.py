@@ -2,8 +2,9 @@
 
 The pipeline starts from a PD code, forms the zero-surgery group, and
 tests whether the Alexander module splits as Lambda/(t-2) + Lambda/(2t-1).
-On certified splittings it evaluates a per-summand lifting condition
-over the group ring of the metabelian group BS(1,2) and assembles a
+On certified splittings it gives a per-summand verdict on the lifting
+condition over the group ring of the metabelian group BS(1,2), from
+curated closed-form rules or as undetermined, and assembles a
 replayable certificate; satellite and family constructions transport
 certified verdicts along marked curves.
 """

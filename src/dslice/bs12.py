@@ -34,7 +34,6 @@ __all__ = [
     "ring_add",
     "ring_mul",
     "ring_apply",
-    "unit_inverse",
     "shadow",
 ]
 
@@ -246,14 +245,6 @@ def ring_apply(x: dict, fn) -> dict:
         else:
             out.pop(k, None)
     return out
-
-
-def unit_inverse(x: dict, target):
-    """Inverse of a trivial unit +-g, or None when ``x`` is not one."""
-    if len(x) != 1:
-        return None
-    ((g, c),) = x.items()
-    return {target.inv(g): c} if c in (1, -1) else None
 
 
 def shadow(x: dict) -> LaurentPoly:

@@ -10,21 +10,14 @@ three-valued verdict per module summand:
 
 Verdict evaluation is staged.  Stage A consults closed-form rules: the
 curated registry keyed by the canonical diagram hash, and transport
-records for satellites of certified patterns.  Stage B is a bounded
-general search: it pushes the presentation's free derivative matrix into
-the integral group ring of the target metabelian group and hunts for an
-explicit right inverse, on the meridian-deleted matrix and on the
-relative matrix augmented by a relation-lifting column.  A found witness
-is re-verified by plain multiplication before it is trusted.  Stage B
-can answer ``holds`` or give up (``undetermined``); it never answers
-``fails``.  Failure verdicts only enter through curated rules.
-
-Commutative shadows give an exact gate for stage B: the map onto the
-infinite cyclic quotient turns a right inverse over the group ring into
-one over the Laurent ring, so a candidate matrix whose shadow has none is
-skipped without search.  The gate looks for a point of a small finite
-field at which the shadow drops rank, which by McCoy's theorem is how an
-obstruction shows, and decides exactly when no such point is found.
+records for satellites of certified patterns.  Stage B covers every other
+knot whose module splits.  It cannot answer ``holds``: a right inverse of
+any candidate matrix of a lifting search over the integral group ring of
+BS(1,2) would survive the ring map to F_3 that sends t to 2, and there a
+certified splitting caps the rank of every candidate below its row count
+(see ``stage_b_certificate``).  Stage B checks the rank that argument
+rests on and answers ``undetermined``; it never answers ``fails``.
+Every ``holds`` and ``fails`` verdict comes from a closed-form rule.
 """
 
 from __future__ import annotations
@@ -33,17 +26,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 
-from .bs12 import (
-    BS12,
-    BS12_A,
-    BS12_C,
-    Bs12Group,
-    FiniteMetabelian,
-    ring_add,
-    ring_mul,
-    shadow,
-    unit_inverse,
-)
+from .bs12 import BS12, BS12_A, BS12_C, Bs12Group, FiniteMetabelian, ring_add
 from .diagrams import Diagram, SurgeryPresentation, diagram_hash, zero_surgery
 from .errors import (
     BudgetExceeded,
@@ -51,10 +34,9 @@ from .errors import (
     MalformedInput,
     NoSplitting,
     RelatorViolation,
+    VerificationFailed,
 )
 from .groups import metabelian_quotient_homs
-from .groebner import GroebnerBasis
-from .laurent import ONE, ZERO, det
 from .modules import TARGET_ORDER
 from .snf import rank_mod_p
 from .twisted import (
@@ -62,9 +44,8 @@ from .twisted import (
     crowell_check,
     summand_specialization_check,
     transport_record,
-    twisted_rows,
 )
-from .words import GroupPresentation, Word, fox_row
+from .words import Word
 
 __all__ = [
     "HOLDS",
@@ -78,7 +59,6 @@ __all__ = [
     "CERT_VERSION",
     "relator_lift",
     "stage_b_certificate",
-    "verify_stage_b",
     "ext_condition",
     "Certificate",
     "certify_doubly_slice",
@@ -106,9 +86,10 @@ RULE_TRIVIAL = "transport/trivial-companion"
 RULE_DERIVED = "transport/second-derived-curve"
 RULE_FAMILY_HOLDS = "family/iterated-curves"
 RULE_FAMILY_FAILS = "family/nontrivial-companions-fail"
-RULE_ATTEMPT = "general-attempt/right-inverse"
 
-# Generators of the target group's own presentation < a, c | a c a^-1 c^-2 >.
+# Relation lifting in the target group's own presentation
+# < a, c | a c a^-1 c^-2 >.  No stage calls ``relator_lift``; it stays
+# because the benchmark traces it as the ``certify.relator_lift`` span.
 _GEN_A = 0
 _GEN_C = 1
 RHO = Word(((_GEN_A, 1), (_GEN_C, 1), (_GEN_A, -1), (_GEN_C, -1), (_GEN_C, -1)))
@@ -135,17 +116,6 @@ def _letter_elt(letter) -> BS12:
     g, e = letter
     base = BS12_A if g == _GEN_A else BS12_C
     return base if e == 1 else base.inverse()
-
-
-def _target_word(g: BS12) -> Word:
-    """A word in a, c evaluating to ``g``: a^-e c^num a^(e+k)."""
-    e = g.q.exp
-    num = g.q.num
-    letters = [(_GEN_A, -1)] * e
-    letters += [(_GEN_C, 1 if num > 0 else -1)] * abs(num)
-    tail = e + g.k
-    letters += [(_GEN_A, 1 if tail > 0 else -1)] * abs(tail)
-    return Word(tuple(letters))
 
 
 def relator_lift(word: Word, budget: int = 20000) -> dict:
@@ -183,240 +153,6 @@ def relator_lift(word: Word, budget: int = 20000) -> dict:
     return delta
 
 
-_ID_IMAGES = (BS12_A, BS12_C)
-_RHO_FOX = fox_row(RHO, 2, _ID_IMAGES, Bs12Group)
-
-
-def _check_lift(word: Word, delta: dict) -> None:
-    """The lift must reproduce the word's Fox vector: a chain-map identity."""
-    rhs = tuple(ring_mul(delta, f, Bs12Group) for f in _RHO_FOX)
-    if fox_row(word, 2, _ID_IMAGES, Bs12Group) != rhs:
-        raise RelatorViolation("lift fails the Fox vector identity")
-
-
-# ---------------------------------------------------------------------------
-# right inverses over the target group ring
-
-
-def _ring_right_inverse(rows, ncols: int, budget: int = 300000):
-    """Find Y with rows * Y = identity by unit-pivot column elimination.
-
-    Column operations are right multiplications, so the accumulated
-    transform composes to a genuine right inverse.  Pivots are picked
-    Markowitz style (least fill first).  Returns None when some row
-    cannot be given a unit pivot.
-    """
-    m = len(rows)
-    if m == 0:
-        return []
-    M = [[dict(e) for e in row] for row in rows]
-    T = [
-        [({Bs12Group.identity(): 1} if i == j else {}) for j in range(ncols)]
-        for i in range(ncols)
-    ]
-    ops = 0
-    piv: dict = {}
-    used = set()
-    while len(piv) < m:
-        found = None
-        best = None
-        for i in range(m):
-            if i in piv:
-                continue
-            row_nnz = sum(1 for e in M[i] if e)
-            for j in range(ncols):
-                if j in used or unit_inverse(M[i][j], Bs12Group) is None:
-                    continue
-                col_nnz = sum(1 for r in range(m) if r not in piv and M[r][j])
-                col_terms = sum(len(M[r][j]) for r in range(m))
-                cost = ((row_nnz - 1) * (col_nnz - 1), col_terms)
-                if best is None or cost < best:
-                    best = cost
-                    found = (i, j)
-        if found is None:
-            return None
-        i, j = found
-        s = unit_inverse(M[i][j], Bs12Group)
-        for r in range(m):
-            if M[r][j]:
-                ops += len(M[r][j])
-                M[r][j] = ring_mul(M[r][j], s, Bs12Group)
-        for r in range(ncols):
-            if T[r][j]:
-                ops += len(T[r][j])
-                T[r][j] = ring_mul(T[r][j], s, Bs12Group)
-        for j2 in range(ncols):
-            if j2 == j:
-                continue
-            s2 = M[i][j2]
-            if not s2:
-                continue
-            for r in range(m):
-                if M[r][j]:
-                    ops += len(M[r][j]) * len(s2)
-                    M[r][j2] = ring_add(
-                        M[r][j2], ring_mul(M[r][j], s2, Bs12Group), -1
-                    )
-            for r in range(ncols):
-                if T[r][j]:
-                    ops += len(T[r][j]) * len(s2)
-                    T[r][j2] = ring_add(
-                        T[r][j2], ring_mul(T[r][j], s2, Bs12Group), -1
-                    )
-        if ops > budget:
-            raise BudgetExceeded("right inverse search budget exhausted")
-        piv[i] = j
-        used.add(j)
-    return [[T[r][piv[i]] for i in range(m)] for r in range(ncols)]
-
-
-def _verify_right_inverse(rows, y) -> bool:
-    m = len(rows)
-    identity = Bs12Group.identity()
-    for i in range(m):
-        for k in range(m):
-            acc: dict = {}
-            for j, entry in enumerate(rows[i]):
-                if entry and y[j][k]:
-                    acc = ring_add(acc, ring_mul(entry, y[j][k], Bs12Group))
-            want = {identity: 1} if i == k else {}
-            if acc != want:
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# commutative shadow gate
-
-# The group homomorphism onto the infinite cyclic quotient (kill the
-# dyadic part) linearizes any right-inverse identity, so a matrix whose
-# shadow is not right-invertible over Lambda = Z[t, t^-1] never admits one
-# over the group ring.  McCoy's theorem (W. C. Brown, Matrices over
-# Commutative Rings, 1993): an m x n matrix over a commutative ring has a
-# right inverse exactly when its m x m minors generate the unit ideal.  If
-# they do not, they lie in a maximal ideal (p, f) of Lambda, and the shadow
-# drops rank at a root alpha of f in an extension of F_p.
-#
-# So the gate first searches for a witness: a point t = alpha of F_p^* at
-# which the rank mod p is below m.  t -> alpha is a ring map Lambda -> F_p,
-# so a witness is a proof of obstruction.  Each group-ring entry is
-# evaluated straight into F_p (g contributes c * alpha^(g.k)).  The point
-# alpha = 2 mod 3 comes first, where both t - 2 and 2t - 1 vanish, the
-# annihilators of the two summands; then every other alpha in F_p^* for
-# p <= 13.  Only when no point is a witness does the gate decide exactly:
-# a square shadow needs a unit determinant, and a wide one needs every
-# unit vector in the module spanned by its columns (strong Groebner
-# membership).  When that computation runs out of budget, the matrix is
-# passed on to the search, which re-verifies anything it finds.
-#
-# Apart from a budget that runs out, the gate is exact, so it obstructs
-# every matrix that a weaker sound test obstructs (one whose maximal minors
-# share a nonunit factor, say): replacing such a test by this gate moves
-# decisions only from "passed on" to "obstructed".  An obstructed matrix
-# has no right inverse over the group ring, so no ``holds`` verdict depends
-# on the gate.
-
-_WITNESS_POINTS = ((3, 2),) + tuple(
-    (p, a) for p in (2, 3, 5, 7, 11, 13) for a in range(1, p) if (p, a) != (3, 2)
-)
-
-
-def _shadow_witness(rows):
-    """The first point (p, alpha) where the shadow of ``rows`` drops rank."""
-    m = len(rows)
-    for p, a in _WITNESS_POINTS:
-        powers: dict = {}  # alpha^k mod p; the entries share few exponents
-        image = []
-        for row in rows:
-            vals = []
-            for e in row:
-                v = 0
-                for g, c in e.items():
-                    w = powers.get(g.k)
-                    if w is None:
-                        w = powers[g.k] = pow(a, g.k, p)
-                    v += c * w
-                vals.append(v)
-            image.append(vals)
-        if rank_mod_p(image, p) < m:
-            return p, a
-    return None
-
-
-def _shadow_obstructed(rows, ncols: int) -> bool:
-    """True when the commutative shadow rules out any right inverse."""
-    m = len(rows)
-    if m > ncols or _shadow_witness(rows) is not None:
-        return True
-    image = [[shadow(e) for e in row] for row in rows]
-    if m == ncols:
-        return not det(image).is_unit()
-    try:
-        basis = GroebnerBasis(list(zip(*image)), m)
-        return not all(
-            basis.contains([ONE if r == i else ZERO for r in range(m)])
-            for i in range(m)
-        )
-    except BudgetExceeded:
-        return False
-
-
-# ---------------------------------------------------------------------------
-# stage B: bounded right-inverse search
-
-
-def _ser_ring(x: dict):
-    return sorted(
-        (g.k, g.q.num, g.q.exp, c) for g, c in x.items()
-    )
-
-
-def _de_ring(data) -> dict:
-    from .laurent import DyadicRational
-
-    return {
-        BS12(k, DyadicRational(num, exp)): c for k, num, exp, c in data
-    }
-
-
-def _ser_matrix(y):
-    return [[_ser_ring(e) for e in row] for row in y]
-
-
-def _deleted_rows(full_rows, meridian: int):
-    return [
-        [e for i, e in enumerate(row) if i != meridian] for row in full_rows
-    ]
-
-
-def _relative_rows(pres: GroupPresentation, hom, full_rows, lift_budget: int):
-    n = pres.num_generators
-    image_words = {i: _target_word(hom.images[i]) for i in range(n)}
-    rows = []
-    for r, jac in zip(pres.relators, full_rows):
-        w = r.substitute(image_words)
-        delta = relator_lift(w, budget=lift_budget)
-        _check_lift(w, delta)
-        rows.append(list(jac) + [delta])
-    return rows
-
-
-def _stage_b_methods(pres, meridian, hom, lift_budget):
-    """Candidate matrices for the right-inverse hunt, laziest first.
-
-    Maps each method name to a builder of its ``(rows, ncols)``.
-    ``deleted`` drops the meridian column of the free derivative matrix;
-    ``relative`` keeps every column and appends the relation-lifting
-    column, which presents the module relative to the basepoint fiber.
-    """
-    full = twisted_rows(pres, hom.images, Bs12Group)
-    n = pres.num_generators
-    return {
-        "deleted": lambda: (_deleted_rows(full, meridian), n - 1),
-        "relative": lambda: (_relative_rows(pres, hom, full, lift_budget), n + 1),
-    }
-
-
 def _verdict(status, evidence=None, reason=""):
     out = {"status": status, "evidence": evidence or {"kind": "None"}}
     if reason:
@@ -424,110 +160,59 @@ def _verdict(status, evidence=None, reason=""):
     return out
 
 
-def stage_b_certificate(
-    pres: GroupPresentation,
-    meridian: int,
-    hom,
-    lift_budget: int = 20000,
-    solve_budget: int = 300000,
-) -> dict:
-    """Bounded general search for the per-summand lifting condition.
+# ---------------------------------------------------------------------------
+# stage B: the rank certificate
 
-    Tries each candidate matrix with each single redundant-relator drop,
-    skipping candidates whose commutative shadow already rules a right
-    inverse out.  A found witness is re-verified by multiplication.  The
-    search never reports failure, only ``holds`` or ``undetermined``.
+# A lifting search over the integral group ring of BS(1,2) would look for
+# a right inverse of a candidate matrix: the Fox matrix of the m
+# non-framing relators pushed through a summand map, either with the
+# meridian column deleted (n - 1 columns) or with a relation-lifting
+# column appended (n + 1 columns), and with at most one relator dropped,
+# so at least m - 1 >= n - 1 rows.  None of them has one.  The ring map
+# (k, q) -> t^k, t -> 2 into F_3 sends a right inverse to a right inverse,
+# and over a field that needs full row rank (over Lambda the same test is
+# McCoy's theorem on maximal minors; W. C. Brown, Matrices over
+# Commutative Rings, 1993).  Under that map the pushed Fox
+# matrix becomes ``plain.jacobian`` at t = 2, which the specialization
+# check confirms summand by summand.  Both t - 2 and 2t - 1 vanish at 2
+# mod 3, so a certified splitting gives M (x) F_3 = F_3^2, and the
+# meridian-deleted Jacobian, which presents M, has rank n - 3 there.
+# Fox's fundamental formula, sum_j dr/dx_j (t^w_j - 1) = 0, with the
+# meridian of weight 1 and 2 - 1 a unit, puts the meridian column in the
+# span of the others, so the full Jacobian has rank n - 3 as well
+# (R. H. Fox, Free differential calculus I, Ann. Math. 57, 1953).  A
+# lifting column adds at most 1, so every candidate has rank at most
+# n - 2 and at least n - 1 rows.
+
+
+def stage_b_certificate(plain: SurgeryPresentation) -> dict:
+    """The stage-B verdict for a knot whose splitting is certified.
+
+    Checks the two facts the argument above rests on: ``plain`` has at
+    least as many non-framing relators as generators, and its Jacobian at
+    t = 2 has rank n - 3 over F_3.  Either failing contradicts the
+    certified splitting and raises VerificationFailed; otherwise no
+    candidate matrix has a right inverse, and the verdict is
+    ``undetermined``.
     """
-    m = len(pres.relators)
-    if m == 0:
-        return _verdict(HOLDS, {
-            "kind": "GeneralAttempt",
-            "log": {"method": "deleted", "dropped": None, "witness": []},
-        })
-    attempts = []
-    budget_hit = False
-    violation = ""
-    methods = _stage_b_methods(pres, meridian, hom, lift_budget)
-    for method, build in methods.items():
-        try:
-            rows, ncols = build()
-        except BudgetExceeded:
-            # methods are ordered cheapest first, so stop at the first blowup
-            budget_hit = True
-            break
-        except RelatorViolation as exc:
-            violation = str(exc)
-            break
-        drops = []
-        if m <= ncols:
-            drops.append(None)
-        if m - 1 <= ncols:
-            drops.extend(range(m))
-        for j in drops:
-            kept = rows if j is None else [rows[i] for i in range(m) if i != j]
-            if _shadow_obstructed(kept, ncols):
-                attempts.append((method, j, "shadow"))
-                continue
-            try:
-                y = _ring_right_inverse(kept, ncols, budget=solve_budget)
-            except BudgetExceeded:
-                attempts.append((method, j, "budget"))
-                budget_hit = True
-                continue
-            if y is None or not _verify_right_inverse(kept, y):
-                attempts.append((method, j, "stuck"))
-                continue
-            return _verdict(HOLDS, {
-                "kind": "GeneralAttempt",
-                "log": {
-                    "method": method,
-                    "dropped": j,
-                    "witness": _ser_matrix(y),
-                },
-            })
-    if budget_hit:
-        reason = "budget"
-    elif violation:
-        reason = violation
-    elif attempts and all(a[2] == "shadow" for a in attempts):
-        reason = "commutative shadow obstructs every candidate matrix"
-    else:
-        reason = "no unit-pivot witness found"
-    return _verdict(UNDETERMINED, reason=reason)
-
-
-def verify_stage_b(
-    plain: SurgeryPresentation,
-    which: str,
-    verdict: dict,
-    lift_budget: int = 20000,
-) -> bool:
-    """Replay a stored stage-B witness by plain multiplication, on the
-    matrix the ``_stage_b_methods`` entry named in its log rebuilds."""
-    evidence = verdict.get("evidence", {})
-    if verdict.get("status") != HOLDS or evidence.get("kind") != "GeneralAttempt":
-        return False
-    if not plain.splitting.certified:
-        return False
-    log = evidence.get("log", {})
-    plus, minus = plain.summands
-    methods = _stage_b_methods(
-        plain.stage_b_group, plain.meridian,
-        plus if which == "P1" else minus, lift_budget,
+    n = plain.group.num_generators
+    m = sum(1 for r in plain.group.relators if r != plain.longitude)
+    if m < n:
+        raise VerificationFailed(
+            f"{m} non-framing relators on {n} generators contradict the"
+            " zero-surgery presentation"
+        )
+    rank = rank_mod_p(
+        [[p.evaluate_mod(2, 3) for p in row] for row in plain.jacobian], 3
     )
-    build = methods.get(log.get("method"))
-    if build is None:
-        return False
-    try:
-        rows, ncols = build()
-    except (BudgetExceeded, RelatorViolation):
-        return False
-    j = log.get("dropped")
-    kept = rows if j is None else [r for i, r in enumerate(rows) if i != j]
-    y = [[_de_ring(e) for e in row] for row in log.get("witness", [])]
-    if len(y) != ncols or any(len(r) != len(kept) for r in y):
-        return False
-    return _verify_right_inverse(kept, y)
+    if rank != n - 3:
+        raise VerificationFailed(
+            f"Jacobian rank {rank} at t = 2 over F_3 contradicts the"
+            f" certified splitting, which forces {n - 3}"
+        )
+    return _verdict(
+        UNDETERMINED, reason="commutative shadow obstructs every candidate matrix"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -539,16 +224,14 @@ def ext_condition(
     which: str,
     subject_hash: str | None = None,
     registry: dict | None = None,
-    lift_budget: int = 20000,
-    solve_budget: int = 300000,
 ) -> dict:
     """Three-valued verdict for summand ``which`` of ``plain``.
 
     Stage A is the curated registry row for the subject's canonical hash.
-    Stage B is the bounded right-inverse search on ``plain.stage_b_group``
-    through the summand map from ``plain.summands``.  Satellites and
-    families build their transport verdicts themselves.  Raises
-    NoSplitting when ``plain.splitting`` is not certified.
+    Without one, stage B's rank certificate answers ``undetermined`` for
+    either summand.  Satellites and families build their transport
+    verdicts themselves.  Raises NoSplitting when ``plain.splitting`` is
+    not certified.
     """
     if which not in ("P1", "P2"):
         raise ValueError("summand tag must be P1 or P2")
@@ -562,11 +245,7 @@ def ext_condition(
             "rule": curated["rule"],
             "citations": [curated["rule"]],
         })
-    plus, minus = plain.summands
-    return stage_b_certificate(
-        plain.stage_b_group, plain.meridian, plus if which == "P1" else minus,
-        lift_budget=lift_budget, solve_budget=solve_budget,
-    )
+    return stage_b_certificate(plain)
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +303,6 @@ def _cite_from_verdicts(verdicts: dict, citations: list) -> list:
             rule = ev.get("rule")
         elif kind == "TransportChain":
             rule = RULE_DERIVED
-        elif kind == "GeneralAttempt" and v["status"] == HOLDS:
-            rule = RULE_ATTEMPT
         if rule and rule not in out:
             out.append(rule)
     return out
@@ -635,7 +312,6 @@ def certify_doubly_slice(
     diagram: Diagram,
     name: str = "",
     registry: dict | None = None,
-    stageb_budget: int = 300000,
     quotient=(2, 3),
 ) -> Certificate:
     """Run the full pipeline on a knot diagram and assemble a certificate."""
@@ -682,10 +358,7 @@ def certify_doubly_slice(
     except BudgetExceeded:
         hyps.append(f"metabelian quotient maps at ({qn},{qm}): skipped")
     verdicts = {
-        tag: ext_condition(
-            plain, tag, subject_hash=h, registry=registry,
-            solve_budget=stageb_budget,
-        )
+        tag: ext_condition(plain, tag, subject_hash=h, registry=registry)
         for tag in ("P1", "P2")
     }
     conclusion = _conclusion_from(verdicts)
@@ -1012,10 +685,16 @@ def family_946(
 
 
 def _restore_curves(plain: SurgeryPresentation, curves: dict):
+    n = plain.group.num_generators
     words = dict(plain.curve_words)
     linking = dict(plain.curve_linking)
     for name, data in curves.items():
-        words[name] = Word(tuple((g, s) for g, s in data["word"]))
+        letters = tuple((g, s) for g, s in data["word"])
+        # Word would take a negative index, read as a generator from the end
+        if not all(0 <= g < n and s in (1, -1) for g, s in letters):
+            raise MalformedInput(f"curve {name!r} has a letter outside the"
+                                 f" {n} generators")
+        words[name] = Word(letters)
         linking[name] = data["linking"]
     return replace(plain, curve_words=words, curve_linking=linking)
 
@@ -1035,11 +714,7 @@ def _resolved(resolve, h):
 
 
 def _rebuild(cert: dict, resolve, registry):
-    """The certificate the CLI builds from ``cert``'s stored inputs.
-
-    Returns it with the surgery presentation its stage-B witnesses refer
-    to: the subject's for a knot, the pattern's otherwise.
-    """
+    """The certificate the CLI builds from ``cert``'s stored inputs."""
     subject, inputs = cert["subject"], cert["inputs"]
     kind = subject["kind"]
     if kind not in ("knot", "satellite", "family"):
@@ -1049,11 +724,10 @@ def _rebuild(cert: dict, resolve, registry):
         hits = map(_QUOTIENT_LINE.fullmatch, cert["hypotheses"])
         hit = next(filter(None, hits), None)
         quotient = (int(hit[1]), int(hit[2])) if hit else (2, 3)
-        fresh = certify_doubly_slice(
+        return certify_doubly_slice(
             d, name=subject["name"] or "", registry=registry,
             quotient=quotient,
         )
-        return fresh, zero_surgery(d, 0)
     d = _resolved(resolve, inputs["pattern"])
     base = certify_doubly_slice(d, registry=registry)
     if kind == "satellite":
@@ -1063,11 +737,10 @@ def _rebuild(cert: dict, resolve, registry):
         }})
         label = subject["companion"]
         name = label["name"] if isinstance(label, dict) else None
-        fresh = certify_satellite(
+        return certify_satellite(
             base, plain, curve, _resolved(resolve, inputs["companion"]),
             companion_name=name or "", companion_kind=inputs["companion_kind"],
         )
-        return fresh, plain
     plain = _restore_curves(zero_surgery(d, 0), inputs["curves"])
     infections = [
         {
@@ -1078,11 +751,10 @@ def _rebuild(cert: dict, resolve, registry):
         }
         for item in subject["infections"]
     ]
-    fresh = certify_family(
+    return certify_family(
         plain, base.subject["hash"], base, infections,
         registry=registry, pattern_name=subject["pattern"]["name"] or "",
     )
-    return fresh, plain
 
 
 def replay_certificate(cert: dict, resolve, registry: dict | None = None) -> bool:
@@ -1091,31 +763,26 @@ def replay_certificate(cert: dict, resolve, registry: dict | None = None) -> boo
     The certificate is rebuilt by the call the CLI makes for its kind:
     ``certify_doubly_slice`` on the diagram stored under
     ``inputs.diagram``, at the quotient read from its ``metabelian
-    quotient maps at (n,m)`` hypothesis ((2, 3) when it has none) and the
-    default stage-B budget; ``certify_satellite`` or ``certify_family`` on
+    quotient maps at (n,m)`` hypothesis ((2, 3) when it has none);
+    ``certify_satellite`` or ``certify_family`` on
     the pattern stored under ``inputs.pattern``, with the stored curve
     words and companions.  The rebuilt certificate's canonical JSON must
     equal ``json.dumps(cert, indent=2, sort_keys=True)`` byte for byte, so
     any edited, removed or added field rejects it.  Subject and companion
     names are labels taken as inputs: a certificate with a renamed label is
     still the one the CLI prints for that diagram under that name, and
-    replays.  Each stage-B witness is then re-verified by multiplication.
+    replays.  No verdict carries a witness of its own: the rebuild
+    recomputes every check behind it, stage B's rank included.
 
     ``resolve`` maps a diagram hash to a Diagram, or None when it knows
-    none.  Replay never raises: a malformed certificate, an unresolved
-    hash or a rebuild that raises ``DsliceError`` gives False.
+    none.  Replay never raises: a malformed certificate (a curve word
+    letter outside the pattern's generators, say), an unresolved hash or a
+    rebuild that raises ``DsliceError`` gives False.
     """
     try:
         if cert["version"] != CERT_VERSION:
             return False
-        fresh, plain = _rebuild(cert, resolve, registry)
-        if fresh.to_json() != json.dumps(cert, indent=2, sort_keys=True):
-            return False
-        return all(
-            verify_stage_b(plain, tag, v)
-            for tag, v in fresh.verdicts.items()
-            if v["status"] == HOLDS
-            and v["evidence"]["kind"] == "GeneralAttempt"
-        )
+        fresh = _rebuild(cert, resolve, registry)
+        return fresh.to_json() == json.dumps(cert, indent=2, sort_keys=True)
     except (LookupError, TypeError, AttributeError, ValueError, DsliceError):
         return False

@@ -67,8 +67,6 @@ def _render_verdict(tag: str, v: dict) -> str:
         detail = f"[{ev['rule']}]"
     elif kind == "TransportChain":
         detail = f"[transport chain, {len(ev.get('records', []))} record(s)]"
-    elif kind == "GeneralAttempt":
-        detail = f"[general attempt, {ev.get('log', {}).get('method')} matrix]"
     else:
         detail = f"({v.get('reason', 'not evaluated')})"
     return f"verdict {tag}: {v['status']}  {detail}"
@@ -210,12 +208,12 @@ def _family_from_document(doc: dict):
     )
 
 
-def cmd_certify(doc: dict, quotient, budget: int, fmt: str):
+def cmd_certify(doc: dict, quotient, fmt: str):
     if document_kind(doc) == "diagram":
         diagram, name = diagram_from_document(doc)
         cert = certify_doubly_slice(
             diagram, name=name, registry=default_registry(),
-            stageb_budget=budget, quotient=tuple(quotient),
+            quotient=tuple(quotient),
         )
     else:
         cert = _family_from_document(doc)
@@ -359,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quotient-bound", nargs=2, type=int, default=(2, 3),
                    metavar=("N", "M"))
     p.add_argument("--stageb-budget", type=int, default=300000,
-                   help="operation budget for the general search")
+                   help="accepted for compatibility; bounds nothing")
     _add_common(p)
 
     p = sub.add_parser(
@@ -407,15 +405,14 @@ def main(argv=None) -> int:
             worst = 0
             for path in args.paths:
                 doc = load_document(path)
+                # the budget bounds nothing, but stays in the cache key
                 payload = {
                     "doc": doc, "quotient": quotient,
                     "budget": args.stageb_budget, "format": args.format,
                 }
                 code = _run_cached(
                     args, "certify", payload,
-                    lambda doc=doc: cmd_certify(
-                        doc, quotient, args.stageb_budget, args.format
-                    ),
+                    lambda doc=doc: cmd_certify(doc, quotient, args.format),
                 )
                 worst = max(worst, code)
             return worst

@@ -502,19 +502,6 @@ class SurgeryPresentation:
     base_gen_count: int = 0
 
     @cached_property
-    def stage_b_group(self) -> GroupPresentation:
-        """The group the lifting search analyzes: relators minus the framing.
-
-        The framing relator's row is redundant for the module (the framing
-        curve is trivial in the module because multiplication by t fixes it
-        and the module has no (t-1)-torsion), and keeping it would make the
-        matrix too tall for any right inverse.  Built once per surgery
-        presentation; its Fox rows are one pass per relator and map.
-        """
-        relators = tuple(r for r in self.group.relators if r != self.longitude)
-        return GroupPresentation(self.group.names, relators)
-
-    @cached_property
     def weights(self) -> tuple:
         """Exponent of each generator under the map onto H_1 = Z."""
         return tuple(infinite_cyclic_weights(self.group, self.meridian))

@@ -125,3 +125,61 @@ def test_fox_owner_rule_sees_a_second_implementation():
         "m.py:5 defines push_fox",
     ]
     assert _fox_owners(source.splitlines()[0], "words.py") == []
+
+
+_RETIRED_STAGE_B = {
+    "_ring_right_inverse",
+    "verify_stage_b",
+    "_shadow_obstructed",
+    "unit_inverse",
+    "GeneralAttempt",
+}
+
+
+def _stage_b_search(source: str, filename: str) -> list:
+    """Pieces of the retired stage-B right-inverse search: a definition, an
+    import, or the evidence kind its witnesses carried."""
+    hits = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.ImportFrom):
+            hits += [
+                f"{filename}:{node.lineno} imports {alias.name}"
+                for alias in node.names if alias.name in _RETIRED_STAGE_B
+            ]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name in _RETIRED_STAGE_B:
+                hits.append(f"{filename}:{node.lineno} defines {node.name}")
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            if node.id in _RETIRED_STAGE_B:
+                hits.append(f"{filename}:{node.lineno} defines {node.id}")
+        elif isinstance(node, ast.Constant) and node.value in _RETIRED_STAGE_B:
+            hits.append(f"{filename}:{node.lineno} names {node.value}")
+    return hits
+
+
+def test_stage_b_search_stays_retired():
+    # a certified splitting caps every candidate matrix's rank below its
+    # row count, so a right-inverse search can never succeed; stage B is
+    # the rank certificate alone
+    root = Path(dslice.__file__).parent
+    found = [
+        hit
+        for path in sorted(root.rglob("*.py"))
+        for hit in _stage_b_search(path.read_text(), str(path.relative_to(root)))
+    ]
+    assert found == []
+
+
+def test_stage_b_rule_sees_the_search_come_back():
+    source = (
+        "from .bs12 import ring_mul, unit_inverse\n"
+        "def _ring_right_inverse(rows, ncols):\n    pass\n"
+        "verify_stage_b = None\n"
+        "kind = {'kind': 'GeneralAttempt'}\n"
+    )
+    assert sorted(_stage_b_search(source, "m.py")) == [
+        "m.py:1 imports unit_inverse",
+        "m.py:2 defines _ring_right_inverse",
+        "m.py:4 defines verify_stage_b",
+        "m.py:5 names GeneralAttempt",
+    ]
