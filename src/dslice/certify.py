@@ -313,13 +313,20 @@ def certify_doubly_slice(
     name: str = "",
     registry: dict | None = None,
     quotient=(2, 3),
+    plain: SurgeryPresentation | None = None,
 ) -> Certificate:
-    """Run the full pipeline on a knot diagram and assemble a certificate."""
+    """Run the full pipeline on a knot diagram and assemble a certificate.
+
+    ``plain``, when given, is the caller's zero-surgery presentation of
+    the knot ``diagram``; the pipeline then shares its cached weights,
+    Jacobian and splitting instead of building its own.
+    """
     registry = registry or {}
     h = diagram_hash(diagram)
     subject = {"kind": "knot", "name": name or None, "hash": h}
     inputs = {"diagram": h}
-    plain = zero_surgery(diagram, 0)
+    if plain is None:
+        plain = zero_surgery(diagram, 0)
     hyps = []
     report = plain.splitting
     hyps.append(f"module order: {report.order}")
@@ -404,7 +411,7 @@ def certify_satellite(
         companion_kind = "concrete" if companion is not None else "any"
     rec = _family_record(plain, {
         "curve": curve, "companion": companion, "kind": companion_kind,
-    }, 300000)
+    })
     if companion is not None:
         label = {"name": companion_name or None, "hash": diagram_hash(companion)}
     elif companion_kind == "doubled":
@@ -483,7 +490,7 @@ def _commutator_of_nullhomologous(word: Word, weights) -> bool:
     return False
 
 
-def _family_record(plain, item, budget):
+def _family_record(plain, item):
     """Transport record for one family infection slot.
 
     Concrete companions are measured; symbolic slots carry the closed
@@ -494,8 +501,8 @@ def _family_record(plain, item, budget):
     kind = item.get("kind", "concrete")
     companion = item.get("companion")
     if kind == "concrete" and companion is not None:
-        return transport_record(plain, curve, companion=companion, budget=budget)
-    rec = transport_record(plain, curve, companion=None, budget=budget)
+        return transport_record(plain, curve, companion=companion)
+    rec = transport_record(plain, curve, companion=None)
     if kind == "doubled":
         rec = replace(rec, companion_alexander_trivial=True)
     return rec
@@ -508,7 +515,6 @@ def certify_family(
     infections,
     registry: dict | None = None,
     pattern_name: str = "",
-    budget: int = 300000,
 ) -> Certificate:
     """Certificate for several infections of one certified pattern.
 
@@ -530,7 +536,7 @@ def certify_family(
     derived_curves = []
     for item in infections:
         curve = item["curve"]
-        rec = _family_record(plain, item, budget)
+        rec = _family_record(plain, item)
         recs.append(rec)
         companion = item.get("companion")
         subject_inf.append({
@@ -643,7 +649,6 @@ def family_946(
     k2=None,
     registry: dict | None = None,
     names=("", "", "", ""),
-    budget: int = 300000,
 ) -> Certificate:
     """Two-layer family certificate on the bundled doubly slice pattern.
 
@@ -657,7 +662,9 @@ def family_946(
 
     registry = registry if registry is not None else default_registry()
     diagram, plain, pattern_name = bundled_pattern("946")
-    base = certify_doubly_slice(diagram, name=pattern_name, registry=registry)
+    base = certify_doubly_slice(
+        diagram, name=pattern_name, registry=registry, plain=plain
+    )
     frule = registry.get("family", {}).get(
         base.subject["hash"], {"gamma": ("gamma1", "gamma2"),
                                "eta": ("eta1", "eta2")},
@@ -676,7 +683,7 @@ def family_946(
     ]
     return certify_family(
         plain, base.subject["hash"], base, slots,
-        registry=registry, pattern_name=pattern_name, budget=budget,
+        registry=registry, pattern_name=pattern_name,
     )
 
 
@@ -729,12 +736,12 @@ def _rebuild(cert: dict, resolve, registry):
             quotient=quotient,
         )
     d = _resolved(resolve, inputs["pattern"])
-    base = certify_doubly_slice(d, registry=registry)
     if kind == "satellite":
         curve = subject["curve"]
         plain = _restore_curves(zero_surgery(d, 0), {curve: {
             "word": inputs["curve_word"], "linking": inputs["curve_linking"],
         }})
+        base = certify_doubly_slice(d, registry=registry, plain=plain)
         label = subject["companion"]
         name = label["name"] if isinstance(label, dict) else None
         return certify_satellite(
@@ -742,6 +749,7 @@ def _rebuild(cert: dict, resolve, registry):
             companion_name=name or "", companion_kind=inputs["companion_kind"],
         )
     plain = _restore_curves(zero_surgery(d, 0), inputs["curves"])
+    base = certify_doubly_slice(d, registry=registry, plain=plain)
     infections = [
         {
             "curve": item["curve"],

@@ -183,7 +183,9 @@ def _family_from_document(doc: dict):
     validate_satellite_document(doc)
     diagram, plain, pname = marked_presentation(doc["pattern"])
     registry = default_registry()
-    base = certify_doubly_slice(diagram, name=pname, registry=registry)
+    base = certify_doubly_slice(
+        diagram, name=pname, registry=registry, plain=plain
+    )
     infections = []
     for item in doc["infections"]:
         curve = item["curve"]
@@ -226,7 +228,7 @@ def cmd_satellite(pattern_doc: dict, infection: str, companion_doc, fmt: str):
     if infection not in plain.curve_words:
         raise MalformedInput(f"pattern has no marked curve {infection!r}")
     base = certify_doubly_slice(
-        diagram, name=pname, registry=default_registry()
+        diagram, name=pname, registry=default_registry(), plain=plain
     )
     if companion_doc == "any":
         companion, cname, kind = None, "", "any"

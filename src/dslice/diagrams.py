@@ -489,6 +489,11 @@ class SurgeryPresentation:
     ``weights``, ``jacobian``, ``module``, ``splitting`` and ``summands``
     are computed on first use and kept on this frozen object, which every
     stage reads; ``dataclasses.replace`` gives an object with its own.
+    The module keeps its own untracked Groebner basis, ``module.basis``,
+    built on first use and never when the module's order refutes the
+    splitting; the splitting check and every second-derived membership
+    test of the object share it.  A certified ``splitting`` keeps the
+    tracked basis that ``summands`` reads its coordinates from.
     """
 
     group: GroupPresentation

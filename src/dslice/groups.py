@@ -35,7 +35,6 @@ from .errors import (
     TargetMismatch,
     VerificationFailed,
 )
-from .groebner import GroebnerBasis, module_contains
 from .laurent import ONE, ZERO, LaurentPoly
 from .modules import _Degree
 from .snf import abelian_invariants, nullspace_mod
@@ -159,15 +158,16 @@ class MetabelianHom:
         return evaluate_word(word, self.images, Bs12Group)
 
 
-def summand_homs(plain, budget=400000):
+def summand_homs(plain):
     """The two quotient maps induced by the certified splitting of
     ``plain``, a SurgeryPresentation (read them as ``plain.summands``).
 
     Each splitting summand is a copy of Z[1/2] on which the meridian
     acts by 2 or by 1/2, so collapsing the other summand yields a map
     onto (a subgroup of) BS(1,2).  Translation parts come from the
-    witness coordinates of each generator column, reduced by a tracked
-    Groebner basis; they are well defined exactly modulo the summand's
+    witness coordinates of each generator column, reduced by the tracked
+    Groebner basis over ``[v1, v2] + rows`` that the splitting report
+    keeps; they are well defined exactly modulo the summand's
     annihilator, which evaluation at t = 2 (resp. t = 1/2) kills.
     """
     report = plain.splitting
@@ -175,8 +175,7 @@ def summand_homs(plain, budget=400000):
         raise HypothesisNotMet("no certified splitting to project from")
     pres, meridian, weights = plain.group, plain.meridian, plain.weights
     module = plain.module
-    gens = [report.v1, report.v2] + list(module.rows)
-    gb = GroebnerBasis(gens, module.ncols, track=True, budget=budget)
+    gb = report.basis
     plus = []
     minus = []
     for i in range(pres.num_generators):
@@ -330,18 +329,34 @@ def finite_cover_homology(pres: GroupPresentation, images, target):
     return abelian_invariants(rows, ncols)
 
 
-def second_derived_certificate(plain, word: Word, budget=300000) -> bool:
+def second_derived_certificate(plain, word: Word) -> bool:
     """Exact membership test for the second derived subgroup of
     ``plain.group``, for a SurgeryPresentation ``plain``.
 
     A loop lies in the second derived subgroup iff it dies in the
     maximal metabelian quotient: its total winding must vanish and its
-    Fox vector must lie in the row span of ``plain.jacobian``.  Both
-    checks are exact, so the answer is a theorem in either direction.
+    Fox vector v must lie in the row span of ``plain.jacobian``.  That
+    span test runs on the Alexander module instead.  Fox's fundamental
+    formula (Fox, Free differential calculus I, Ann. Math. 57, 1953)
+    gives sum_j v_j (t^w_j - 1) = 0 for a word of winding zero, and the
+    same for every relator row r.  If v', v without the meridian entry,
+    equals sum_i c_i r_i' in the meridian-deleted rows, then
+    u = v - sum_i c_i r_i vanishes off the meridian, so u_m (t - 1) = 0
+    (the meridian has weight 1) and u_m = 0 because Lambda is a domain.
+    So v lies in the row span of ``plain.jacobian`` exactly when v' lies
+    in ``plain.module``, which ``plain.module.basis`` decides.  The
+    identity is checked exactly, and a Fox vector that breaks it raises
+    VerificationFailed.  Every check is exact, so the answer is a theorem
+    in either direction.
     """
-    weights = plain.weights
+    weights, meridian = plain.weights, plain.meridian
     if evaluate_word(word, weights, _Degree) != 0:
         return False
     n = plain.group.num_generators
     vec = tuple(LaurentPoly(e) for e in fox_row(word, n, weights, _Degree))
-    return module_contains(plain.jacobian, n, vec, budget=budget)
+    total = ZERO
+    for v, w in zip(vec, weights):
+        total = total + v * (LaurentPoly.monomial(1, w) - ONE)
+    if not total.is_zero():
+        raise VerificationFailed("Fox vector breaks the fundamental formula")
+    return plain.module.basis.contains(vec[:meridian] + vec[meridian + 1:])

@@ -10,37 +10,19 @@ Two Laurent polynomials are *associate* when they differ by a unit
 and positive trailing coefficient, so associates compare equal after
 canonicalisation.
 
-``det`` and ``maximal_minors`` evaluate a matrix once: each row is shifted
-to lowest degree 0 and t is replaced by ``2**B`` (Kronecker substitution),
-so every minor is an integer minor of one integer matrix.
-``2**(B-1)`` exceeds the product over the rows of max(1, l1-norm of the
-row's coefficients).  Expanding a minor over permutations, each term takes
-one entry per row, so that product bounds the l1-norm of every minor, on
-any columns.  Each coefficient then lies strictly between ``-2**(B-1)``
-and ``2**(B-1)``, and balanced base-``2**B`` digits, being unique, give
-the coefficients back exactly.  Only integer coefficients are accepted.
-
-A square integer matrix takes one forward Bareiss pass.  A wide k x n one
-takes one fraction-free Gauss-Jordan elimination (Bareiss-Montante), which
-yields all of its maximal minors.  After the steps for rows 0..i, with
-pivot set P, an entry of a row below i is the minor on rows 0..i and
-that row, columns P and the entry's column; an entry of a pivot row is the
-minor on rows 0..i and columns P with that row's pivot column replaced by
-the entry's column (Cramer's rule).  Each new entry is such a minor of one
-size larger, and Sylvester's identity writes it as a 2 x 2 determinant of
-the previous minors divided by the previous pivot, so the division is
-exact in Z.  At the end the pivot columns hold d times the identity,
-d the minor on P, and the matrix is adj(A_P) A = d A_P^-1 A.  Let the
-columns S replace r pivot columns by r others, each in the place of a
-pivot it drops.  Then the minor on S is, up to the sign of that order,
-d det(A_P^-1 A_S), where A_P^-1 A_S is the identity except on the r
-uncovered pivot rows.  Its determinant is that of its r x r block there,
-whose entries are those of the eliminated matrix divided by d.  So the
-minor is the determinant of the eliminated matrix's r x r block divided
-by d**(r-1) (Sylvester's identity; Bareiss, Math. Comp. 22, 1968), and the
-division is exact because the quotient is a minor of an integer matrix.
-Every division, here and in the square pass, is checked with ``divmod``;
-a remainder raises ``VerificationFailed``.
+``maximal_minors`` evaluates a matrix once: each row is shifted to lowest
+degree 0 and t is replaced by ``2**B`` (Kronecker substitution), so every
+minor is an integer minor of one integer matrix.  ``2**(B-1)`` exceeds the
+product over the rows of max(1, l1-norm of the row's coefficients).
+Expanding a minor over permutations, each term takes one entry per row,
+so that product bounds the l1-norm of every minor, on any columns.  Each
+coefficient then lies strictly between ``-2**(B-1)`` and ``2**(B-1)``,
+and balanced base-``2**B`` digits, being unique, give the coefficients
+back exactly.  Only integer coefficients are accepted.  Each minor takes
+one forward Bareiss pass on its square integer submatrix (Bareiss, Math.
+Comp. 22, 1968); every division there, and in the Gauss-Jordan
+elimination the generator weights use, is checked with ``divmod``, and a
+remainder raises ``VerificationFailed``.
 """
 
 from __future__ import annotations
@@ -53,7 +35,6 @@ from .errors import VerificationFailed
 __all__ = [
     "DyadicRational",
     "LaurentPoly",
-    "det",
     "maximal_minors",
     "poly_gcd",
     "ZERO",
@@ -426,54 +407,6 @@ def _gauss_jordan(rows: list):
     return pivots, prev
 
 
-def _parity(perm: list) -> int:
-    """Sign of a permutation of range(len(perm)), from its cycles."""
-    sign, seen = 1, [False] * len(perm)
-    for start in range(len(perm)):
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            if j != start:
-                sign = -sign
-    return sign
-
-
-def _sylvester_minor(rows: list, pivots: dict, d: int, cols) -> int:
-    """Minor on ``cols`` of the matrix that ``_gauss_jordan`` eliminated.
-
-    The columns of ``cols`` outside the pivot set stand in for the pivot
-    rows they leave uncovered; the minor is the determinant of that r x r
-    block of ``rows`` divided, exactly, by ``d**(r-1)``.
-    """
-    if len(pivots) < len(rows):
-        return 0  # rank below k
-    at = [None] * len(pivots)  # at[i]: position in cols of row i's column
-    added = []
-    for position, c in enumerate(cols):
-        i = pivots.get(c)
-        if i is None:
-            added.append((position, c))
-        elif at[i] is None:
-            at[i] = position
-        else:
-            return 0  # a repeated column
-    uncovered = [i for i, position in enumerate(at) if position is None]
-    for i, (position, _) in zip(uncovered, added):
-        at[i] = position
-    r = len(added)
-    if r == 0:
-        value = d
-    elif r == 1:
-        value = rows[uncovered[0]][added[0][1]]
-    else:
-        block = [[rows[i][c] for _, c in added] for i in uncovered]
-        value, rem = divmod(_int_det(block), d ** (r - 1))
-        if rem:
-            raise VerificationFailed("Sylvester division must be exact")
-    return _parity(at) * value
-
-
 def _decode(value: int, bits: int, low: int) -> LaurentPoly:
     """Balanced base-2**bits digits of value, as coefficients from low up."""
     half, mask = 1 << (bits - 1), (1 << bits) - 1
@@ -493,32 +426,15 @@ def _decode(value: int, bits: int, low: int) -> LaurentPoly:
 def maximal_minors(mat, subsets):
     """Yield the k x k minor of the k-row matrix ``mat`` on each column subset.
 
-    The matrix is evaluated once (see the module docstring).  A square
-    matrix takes one Bareiss determinant per subset; a wide one is
-    eliminated once, on the first subset, and every minor is read off
-    the result.  Minors are computed as the iteration asks for them.
-    Raises ``TypeError`` on a non-integer coefficient and ``ValueError``
-    on a subset of the wrong size.
+    The matrix is evaluated once (see the module docstring), and each
+    minor is one Bareiss determinant, computed as the iteration asks for
+    it.  Raises ``TypeError`` on a non-integer coefficient and
+    ``ValueError`` on a subset of the wrong size.
     """
     k = len(mat)
     ints, bits, low = _kronecker(mat)
-    wide = k and len(ints[0]) > k
-    eliminated = None
     for cols in subsets:
         if len(cols) != k:
             raise ValueError(f"a maximal minor of {k} rows needs {k} columns")
-        if not wide:
-            value = _int_det([[row[c] for c in cols] for row in ints])
-        else:
-            if eliminated is None:
-                eliminated = _gauss_jordan(ints)
-            value = _sylvester_minor(ints, *eliminated, cols)
+        value = _int_det([[row[c] for c in cols] for row in ints])
         yield _decode(value, bits, low)
-
-
-def det(mat) -> LaurentPoly:
-    """Determinant of a square Laurent matrix (1 for the empty matrix)."""
-    k = len(mat)
-    if any(len(row) != k for row in mat):
-        raise ValueError("det needs a square matrix")
-    return next(maximal_minors(mat, [range(k)]))

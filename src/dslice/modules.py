@@ -19,7 +19,8 @@ undetermined.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb, gcd
 
@@ -45,6 +46,10 @@ __all__ = [
 # order of Lambda/(t-2) + Lambda/(2t-1): the only module shape this
 # package certifies as split
 TARGET_ORDER = ((T - 2 * ONE) * (2 * T - ONE)).canonical()
+
+# work budget of every Groebner basis the splitting test builds, the
+# module's own basis included
+SPLIT_BUDGET = 400000
 
 
 def infinite_cyclic_weights(pres: GroupPresentation, meridian: int):
@@ -101,10 +106,19 @@ def fox_jacobian(pres: GroupPresentation, weights):
 
 @dataclass
 class LambdaModule:
-    """Cokernel of a matrix of Laurent polynomials."""
+    """Cokernel of a matrix of Laurent polynomials.
+
+    ``basis``, an untracked Groebner basis of the row span, is built on
+    first use under ``SPLIT_BUDGET`` and kept, so every membership
+    question about one module shares it.
+    """
 
     rows: tuple
     ncols: int
+
+    @cached_property
+    def basis(self) -> GroebnerBasis:
+        return GroebnerBasis(list(self.rows), self.ncols, budget=SPLIT_BUDGET)
 
     @staticmethod
     def make(rows, ncols):
@@ -202,7 +216,11 @@ class SplitReport:
 
     verdict: "split" (certified), "no_split" (order obstruction), or
     "undetermined" (order fits but no witnesses found in the search pool).
-    Witnesses are vectors in the module's original coordinates.
+    Witnesses are vectors in the module's original coordinates.  A
+    certified report keeps ``basis``, the tracked Groebner basis over
+    ``[v1, v2] + rows`` that showed the witnesses generate; the summand
+    maps read their coordinates from it.  It takes no part in ``repr`` or
+    comparison.
     """
 
     verdict: str
@@ -210,6 +228,7 @@ class SplitReport:
     v1: tuple | None = None
     v2: tuple | None = None
     note: str = ""
+    basis: GroebnerBasis | None = field(default=None, repr=False, compare=False)
 
     @property
     def certified(self) -> bool:
@@ -250,7 +269,7 @@ def _lift(vec, kept, ncols):
     return tuple(out)
 
 
-def detect_splitting(module: LambdaModule, budget=400000) -> SplitReport:
+def detect_splitting(module: LambdaModule, budget=SPLIT_BUDGET) -> SplitReport:
     """Decide whether the module is Lambda/(t-2) + Lambda/(2t-1).
 
     Positive and negative answers are exact; "undetermined" only means
@@ -281,8 +300,8 @@ def detect_splitting(module: LambdaModule, budget=400000) -> SplitReport:
             if all(stacked.contains(_unit_vector(k, i)) for i in range(k)):
                 w1 = _lift(v1, kept, module.ncols)
                 w2 = _lift(v2, kept, module.ncols)
-                _verify_split(module, w1, w2, budget)
-                return SplitReport("split", order, w1, w2)
+                basis = _verify_split(module, w1, w2, budget)
+                return SplitReport("split", order, w1, w2, basis=basis)
     return SplitReport(
         "undetermined",
         order,
@@ -291,13 +310,19 @@ def detect_splitting(module: LambdaModule, budget=400000) -> SplitReport:
 
 
 def _verify_split(module, v1, v2, budget):
-    """Re-check the certificate against the original, unsimplified matrix."""
+    """Re-check the certificate against the original, unsimplified matrix.
+
+    Returns the tracked basis over ``[v1, v2] + rows`` that shows the
+    witnesses generate.
+    """
     k = module.ncols
-    gb = GroebnerBasis(list(module.rows), k, budget=budget)
-    if not gb.contains(_scale_vec(T - 2 * ONE, v1)):
+    if not module.basis.contains(_scale_vec(T - 2 * ONE, v1)):
         raise VerificationFailed("witness 1 is not killed by t - 2")
-    if not gb.contains(_scale_vec(2 * T - ONE, v2)):
+    if not module.basis.contains(_scale_vec(2 * T - ONE, v2)):
         raise VerificationFailed("witness 2 is not killed by 2t - 1")
-    stacked = GroebnerBasis(list(module.rows) + [v1, v2], k, budget=budget)
+    stacked = GroebnerBasis(
+        [v1, v2] + list(module.rows), k, track=True, budget=budget
+    )
     if not all(stacked.contains(_unit_vector(k, i)) for i in range(k)):
         raise VerificationFailed("the witnesses do not generate the module")
+    return stacked

@@ -336,15 +336,12 @@ def transport_record(
     plain: SurgeryPresentation,
     curve: str,
     companion=None,
-    budget=300000,
 ) -> TransportRecord:
     """Assess whether infection along ``curve`` preserves certificates."""
     winding = plain.curve_linking[curve]
     sd = False
     if winding == 0:
-        sd = second_derived_certificate(
-            plain, plain.curve_words[curve], budget=budget
-        )
+        sd = second_derived_certificate(plain, plain.curve_words[curve])
     triv = None
     if companion is not None:
         lg = wirtinger(companion)

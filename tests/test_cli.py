@@ -532,3 +532,107 @@ def test_oracle_computes_the_fox_matrix_once(docs, capsys, monkeypatch):
     assert len(calls) == 10 + 10 * maps
     assert {n for n, _ in calls} == {9}
     assert sum(isinstance(t, FiniteMetabelian) for _, t in calls) == 10 * maps
+
+
+# ------------------------------------------------- shared work per request
+
+
+@pytest.fixture()
+def work(monkeypatch):
+    """Count ``fox_jacobian`` calls through every module binding, and record
+    ``(width, track)`` of every Groebner basis built."""
+    import sys
+
+    from dslice import modules
+    from dslice.groebner import GroebnerBasis
+
+    seen = {"fox_jacobian": 0, "bases": []}
+    inner = modules.fox_jacobian
+
+    def fox_jacobian(*args, **kwargs):
+        seen["fox_jacobian"] += 1
+        return inner(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dslice") and getattr(module, "fox_jacobian", None) is inner:
+            monkeypatch.setattr(module, "fox_jacobian", fox_jacobian)
+    init = GroebnerBasis.__init__
+
+    def recording(self, generators, width, track=False, budget=200000):
+        seen["bases"].append((width, track))
+        init(self, generators, width, track=track, budget=budget)
+
+    monkeypatch.setattr(GroebnerBasis, "__init__", recording)
+    return seen
+
+
+# the four bases of a certified 9_46 splitting: the simplified module
+# (width 2) for the witness search and the one witness pair tried, then
+# the Alexander module (width 8) and the witness-stacked tracked basis
+# that the summand maps read
+BASES_946 = [(2, False), (2, False), (8, False), (8, True)]
+
+
+def test_certify_946_builds_four_bases(docs, capsys, work):
+    code, _, _ = run(capsys, "certify", docs["946"], "--no-cache")
+    assert code == 0
+    assert work["bases"] == BASES_946
+    assert work["fox_jacobian"] == 1
+
+
+@pytest.mark.parametrize("curve,companion", [
+    ("eta1", "any"), ("gamma1", "946"),
+])
+def test_satellite_request_shares_the_pattern_presentation(
+    docs, capsys, work, curve, companion,
+):
+    # the base certificate and the transport record read one surgery
+    # presentation, and the second-derived test the module's basis: no
+    # basis spans all 9 generator columns
+    code, _, _ = run(
+        capsys, "satellite", "--pattern", docs["946"], "--infection", curve,
+        "--companion", docs.get(companion, companion), "--no-cache",
+    )
+    assert code == (0 if curve == "eta1" else 1)
+    assert work["bases"] == BASES_946
+    # a concrete companion's Alexander polynomial takes one more
+    assert work["fox_jacobian"] == (1 if companion == "any" else 2)
+
+
+def test_family_request_builds_the_module_basis_once(docs, capsys, work):
+    # r-rr ties 9_46 into gamma1 and gamma2: both curves are tested on the
+    # one Alexander-module basis the splitting check built
+    code, _, _ = run(capsys, "certify", docs["r-rr"], "--no-cache")
+    assert code == 1
+    assert work["bases"] == BASES_946
+    assert work["bases"].count((8, False)) == 1
+    assert work["fox_jacobian"] == 1 + 2
+
+
+def test_nonzero_pattern_mark_keeps_its_output(docs, capsys, tmp_path):
+    # a knot has no component 1, and a link has no canonical hash, so a
+    # document marking another pattern component is refused as before
+    knot = bundled_document("946")
+    knot = {**knot, "marks": {**knot["marks"], "pattern": 1}}
+    trefoil = [[a + 18, b + 18, c + 18, d + 18]
+               for a, b, c, d in bundled_document("trefoil")["pd"]]
+    link = {"pd": knot["pd"] + trefoil,
+            "marks": {"pattern": 1, "curves": {"c": [[19, 1], [21, -1]]}}}
+    for doc, curve, err in ((knot, "eta1", "no component 1"),
+                            (link, "c", "canonical codes are only defined")):
+        path = str(tmp_path / "pattern.json")
+        dump_document(doc, path)
+        code, out, got = run(
+            capsys, "satellite", "--pattern", path, "--infection", curve,
+            "--companion", "any", "--no-cache",
+        )
+        assert (code, out) == (2, "") and err in got
+        family = {"pattern": doc,
+                  "infections": [{"curve": curve, "companion": "any"}]}
+        dump_document(family, path)
+        code, out, got = run(capsys, "certify", path, "--no-cache")
+        assert (code, out) == (2, "") and err in got
+    # a knot certificate reads no marks
+    dump_document(knot, path)
+    assert run(capsys, "certify", path, "--no-cache")[:2] == run(
+        capsys, "certify", docs["946"], "--no-cache")[:2]

@@ -1,10 +1,14 @@
+import random
 from math import gcd
 
 import pytest
 
 from dslice.bs12 import BS12, Bs12Group, FiniteMetabelian, evaluate_word
-from dslice.diagrams import Diagram, wirtinger
-from dslice.errors import HypothesisNotMet
+from dslice.corpus import bundled_pattern
+from dslice.diagrams import Diagram, wirtinger, zero_surgery
+from dslice.errors import HypothesisNotMet, VerificationFailed
+from dslice import groups
+from dslice.groebner import module_contains
 from dslice.groups import (
     MetabelianHom,
     finite_cover_homology,
@@ -286,6 +290,94 @@ def test_second_derived_conjugation_invariance():
     w = commutator(u, v)
     for c in [Word.gen(0), Word.gen(1, -1) * Word.gen(0)]:
         assert second_derived_certificate(plain, c * w * c.inverse())
+
+
+def _full_jacobian_membership(plain, word):
+    """The reference test: winding zero and the Fox vector in the row span
+    of the full Jacobian, every column kept."""
+    weights = plain.weights
+    if sum(e * weights[g] for g, e in word.letters) != 0:
+        return False
+    n = plain.group.num_generators
+    vec = tuple(
+        LaurentPoly(e) for e in fox_row(word, n, weights, groups._Degree)
+    )
+    return module_contains(plain.jacobian, n, vec)
+
+
+def _random_word(rng, n, length):
+    return Word(tuple(
+        (rng.randrange(n), rng.choice((1, -1))) for _ in range(length)
+    ))
+
+
+def _weight_zero(rng, plain, length):
+    """A random nonempty word closed up by meridian powers to winding zero."""
+    while True:
+        w = _random_word(rng, plain.group.num_generators, length)
+        winding = sum(e * plain.weights[g] for g, e in w.letters)
+        if winding:
+            w = w * Word.gen(plain.meridian, -winding)
+        if w:
+            return w
+
+
+def _sample_words(rng, plain):
+    n = plain.group.num_generators
+    words = [_random_word(rng, n, rng.randint(1, 6)) for _ in range(6)]
+    words += [_weight_zero(rng, plain, rng.randint(1, 5)) for _ in range(6)]
+    words += [
+        commutator(_weight_zero(rng, plain, 3), _weight_zero(rng, plain, 3))
+        for _ in range(4)
+    ]
+    doubles = []
+    while len(doubles) < 3:
+        a, b, c, d = (_weight_zero(rng, plain, 2) for _ in range(4))
+        w = commutator(commutator(a, b), commutator(c, d))
+        if w:
+            doubles.append(w)
+    for w in doubles:
+        x = _random_word(rng, n, 2)
+        words += [w, x * w * x.inverse()]
+    return words
+
+
+@pytest.mark.parametrize("knot", ["trefoil", "figure-8", "9_46"])
+def test_alexander_module_test_matches_full_jacobian(knot):
+    if knot == "9_46":
+        _, plain, _ = bundled_pattern("946")
+        words = [plain.curve_words[c] for c in
+                 ("eta1", "eta2", "gamma1", "gamma2", "meridian")]
+        want = [True, True, False, False, False]
+        assert [_full_jacobian_membership(plain, w) for w in words] == want
+    else:
+        pd = TREFOIL if knot == "trefoil" else FIG8
+        plain, words = zero_surgery(Diagram(pd), 0), []
+    rng = random.Random(f"second derived:{knot}")
+    words += _sample_words(rng, plain)
+    got = [second_derived_certificate(plain, w) for w in words]
+    assert got == [_full_jacobian_membership(plain, w) for w in words]
+    # the double commutators and their conjugates are true cases
+    assert all(got[-6:])
+    assert not all(got)
+
+
+def test_forged_fox_vector_breaks_the_fundamental_formula(monkeypatch):
+    _, plain, _ = bundled_pattern("946")
+    word = plain.curve_words["eta1"]
+    assert second_derived_certificate(plain, word)
+    inner = groups.fox_row
+    other = next(i for i in range(plain.group.num_generators)
+                 if i != plain.meridian)
+
+    def forged(word, n, images, target):
+        row = list(inner(word, n, images, target))
+        row[other] = {**row[other], 0: row[other].get(0, 0) + 1}
+        return tuple(row)
+
+    monkeypatch.setattr(groups, "fox_row", forged)
+    with pytest.raises(VerificationFailed, match="fundamental formula"):
+        second_derived_certificate(plain, word)
 
 
 # --------------------------------------------------------------- fox_row

@@ -183,3 +183,47 @@ def test_stage_b_rule_sees_the_search_come_back():
         "m.py:4 defines verify_stage_b",
         "m.py:5 names GeneralAttempt",
     ]
+
+
+_BASIS_BUILDERS = {"groebner.py", "modules.py", "diagrams.py"}
+
+
+def _basis_builders(source: str, filename: str) -> list:
+    """Calls constructing a GroebnerBasis outside the modules that own the
+    bases: the engine, the module stage and the surgery presentation."""
+    if filename in _BASIS_BUILDERS:
+        return []
+    hits = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "GroebnerBasis":
+                hits.append(f"{filename}:{node.lineno} builds GroebnerBasis")
+    return hits
+
+
+def test_groebner_bases_have_three_builders():
+    # each module's basis is built once per request and shared; a stage
+    # that builds its own basis would repeat a completion
+    root = Path(dslice.__file__).parent
+    found = [
+        hit
+        for path in sorted(root.rglob("*.py"))
+        for hit in _basis_builders(path.read_text(), str(path.relative_to(root)))
+    ]
+    assert found == []
+
+
+def test_basis_rule_sees_a_construction_come_back():
+    source = (
+        "from .groebner import GroebnerBasis\n"
+        "from . import groebner\n"
+        "gb = GroebnerBasis(rows, 9, budget=300000)\n"
+        "def f(rows):\n    return groebner.GroebnerBasis(rows, 8).contains\n"
+    )
+    assert _basis_builders(source, "groups.py") == [
+        "groups.py:3 builds GroebnerBasis",
+        "groups.py:5 builds GroebnerBasis",
+    ]
+    assert _basis_builders(source, "modules.py") == []
