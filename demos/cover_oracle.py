@@ -29,8 +29,9 @@ def main():
         plain = zero_surgery(diagram, 0)
         target, homs = metabelian_quotient_homs(plain, n, m)
         print(f"{name}, quotient parameters ({n}, {m}): {len(homs)} map(s)")
-        # conjugate maps share their Smith forms once their matrices are
-        # checked, entry by entry, to be relabellings of each other
+        # maps with equal coset actions share their cover Smith form, and
+        # conjugate maps their twisted one once their matrices, built in
+        # the same order, are equal
         results = crowell_compares(plain.group, homs, target)
         for cover, twisted, agree in islice(results, 6):
             print(f"  cover {describe(*cover):18}"

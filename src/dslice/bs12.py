@@ -124,6 +124,18 @@ class FiniteMetabelian:
     def element_index(self):
         return {e: i for i, e in enumerate(self.elements())}
 
+    def left_multiples(self, k, offset=0):
+        """``offset`` plus the index of u*k, for every u in element order:
+        u = (a, b) sends k to (a + k0, b + 2^a k1), a rotated run of m."""
+        n, m = self.n, self.m
+        out = []
+        for a in range(n):
+            base = offset + (a + k[0]) % n * m
+            s = self._pow2[a] * k[1] % m
+            out += range(base + s, base + m)
+            out += range(base, base + s)
+        return out
+
     def from_bs12(self, g: BS12):
         return (g.k % self.n, self.from_dyadic(g.q))
 

@@ -45,13 +45,15 @@ __all__ = [
     "MetabelianHom",
     "summand_homs",
     "metabelian_quotient_homs",
+    "coset_action",
+    "schreier_rows",
     "cover_rows",
     "finite_cover_homology",
     "second_derived_certificate",
 ]
 
 # Largest group a cover computation enumerates: the image subgroup in
-# cover_rows, and the whole target for twisted.py's regular representation.
+# coset_action, and the whole target for twisted.py's regular representation.
 _REGULAR_CAP = 20000
 
 
@@ -253,21 +255,21 @@ def _finite_surjective(chi, weights, meridian, n, m) -> bool:
     return gcd(g, m) == 1
 
 
-def cover_rows(pres: GroupPresentation, images, target):
-    """Abelianised relators of the cover attached to ker(pi -> target).
+def coset_action(pres: GroupPresentation, images, target):
+    """The breadth-first Schreier transversal of the image subgroup.
 
-    Builds a Schreier transversal by breadth-first search over the image
-    subgroup and rewrites every relator at every coset into Schreier
-    generators.  Returns ``(rows, ncols, ncosets)``: sparse integer rows
-    over the ``ncols`` Schreier generators, and the order of the image.
-    Raises BudgetExceeded past ``_REGULAR_CAP`` cosets.
+    Returns ``(step, tree)``: ``step[p][i]`` is the coset of
+    ``elements[p] * images[i]``, cosets numbered in the order the search
+    first reaches them, and ``tree`` lists the edges ``(p, i)`` that
+    reached a new coset.  Raises BudgetExceeded past ``_REGULAR_CAP``
+    cosets.
     """
     ident = target.identity()
     index = {ident: 0}
     elements = [ident]
-    tree: dict[tuple[int, int], bool] = {}
-    # step[p][i]: the coset of elements[p] * images[i]; cosets leave the
-    # queue in index order, so step is filled in that order too
+    tree = []
+    # cosets leave the queue in index order, so step is filled in that
+    # order too
     step = []
     queue = deque([0])
     ng = pres.num_generators
@@ -282,11 +284,24 @@ def cover_rows(pres: GroupPresentation, images, target):
                     raise BudgetExceeded("image subgroup larger than the cap")
                 index[nxt] = len(elements)
                 elements.append(nxt)
-                tree[(p, i)] = True
+                tree.append((p, i))
                 queue.append(index[nxt])
             out.append(index[nxt])
-        step.append(out)
-    ncosets = len(elements)
+        step.append(tuple(out))
+    return tuple(step), tuple(tree)
+
+
+def schreier_rows(pres: GroupPresentation, action):
+    """Abelianised relators of the cover with coset action ``action``.
+
+    Rewrites every relator at every coset into the Schreier generators
+    of ``action = (step, tree)`` from ``coset_action``.  Returns
+    ``(rows, ncols, ncosets)``: sparse integer rows over the ``ncols``
+    Schreier generators, and the number of cosets.
+    """
+    step, tree = action
+    ncosets = len(step)
+    ng = pres.num_generators
     # back[i][q]: the coset p with step[p][i] = q, since right
     # multiplication by an image permutes the image subgroup
     back = [[0] * ncosets for _ in range(ng)]
@@ -294,6 +309,7 @@ def cover_rows(pres: GroupPresentation, images, target):
         for i, q in enumerate(out):
             back[i][q] = p
 
+    tree = set(tree)
     schreier: dict[tuple[int, int], int] = {}
     for p in range(ncosets):
         for i in range(ng):
@@ -321,6 +337,12 @@ def cover_rows(pres: GroupPresentation, images, target):
                         row[s] = row.get(s, 0) - 1
             rows.append({k: v for k, v in row.items() if v})
     return rows, nschreier, ncosets
+
+
+def cover_rows(pres: GroupPresentation, images, target):
+    """Abelianised relators of the cover attached to ker(pi -> target):
+    ``schreier_rows`` of the map's ``coset_action``."""
+    return schreier_rows(pres, coset_action(pres, images, target))
 
 
 def finite_cover_homology(pres: GroupPresentation, images, target):

@@ -13,18 +13,14 @@ This identity is used as a two-independent-paths consistency oracle:
 the left side never looks at covering spaces, the right side
 (Reidemeister-Schreier) never looks at Fox calculus.
 
-Conjugate maps h and h' = g h g^-1 have matrices that are relabellings
-of each other.  Conjugation by g is an automorphism of the target, so
-the coset search for h' visits g x g^-1 wherever the one for h visits
-x, in the same order: the cover rows come out identical.  In the group
-ring, h' sends each Fox entry's element k to g k g^-1, so the integer
-row (r, u) of h' is row (r, u g) of h with column (j, x) moved to
-(j, x g^-1).  ``crowell_compares`` therefore computes Smith forms only
-for the first map of each conjugacy orbit, and a later map reuses them
-only after its own matrix has been compared with the relabelled one,
-entry by entry.  Equal matrices have equal invariants, so no theorem
-about conjugate representations is trusted; a failed comparison just
-means that path gets its own Smith form.
+``crowell_compares`` reuses a Smith form only for an input equal to one
+already reduced.  The cover rows are a function of the presentation and
+the map's coset action, so maps with equal actions (conjugate maps
+among them) share the cover Smith form.  The map g h g^-1 sends each
+Fox entry's k to g k g^-1, so reading g^-1 k g for k builds its own
+integer matrix, rows and columns permuted into h's order; it reuses h's
+twisted Smith form only when that matrix equals h's.  No theorem about
+conjugate representations is trusted.
 
 Also here: the companion-collapse homomorphism that forgets the
 companions of an infection (sending each companion group to the cyclic
@@ -42,8 +38,9 @@ from .errors import BudgetExceeded, TargetMismatch
 from .groups import (
     _REGULAR_CAP,
     MetabelianHom,
-    cover_rows,
+    coset_action,
     metabelian_quotient_homs,
+    schreier_rows,
     second_derived_certificate,
 )
 from .laurent import ONE
@@ -76,33 +73,33 @@ def _check_regular_budget(target) -> None:
         raise BudgetExceeded("target group larger than the cap")
 
 
-def _regular_blocks(rows, target, ncols):
+def _regular_blocks(rows, target, ncols, g=None):
     """Integer relation rows spanning the left-translates of each row.
 
     A group-ring row r generates the left submodule spanned by u*r over
     all u in the group; the integer row for (r, u) has, at column
-    (j, u*k), the coefficient of k in entry j.  Raises BudgetExceeded,
-    before building anything, when the target has more than
-    ``_REGULAR_CAP`` elements.
+    (j, u*k), the coefficient of k in entry j.  For a fixed u these
+    columns are distinct, so each integer row is one dict.  With ``g``,
+    every k is read as g^-1*k*g: the same matrix with row (r, u) moved
+    to (r, u*g) and column (j, x) to (j, x*g), so with the same
+    invariants.  Raises BudgetExceeded, before building anything, when
+    the target has more than ``_REGULAR_CAP`` elements.
     """
     _check_regular_budget(target)
     order = target.order()
-    idx = target.element_index()
-    elements = target.elements()
-    times: dict = {}  # k -> index of u*k for each u, in element order
+    conj = {}
+    if g is not None:
+        gi = target.inv(g)
+        conj = {k: target.mul(target.mul(gi, k), g) for k in target.elements()}
     out = []
     for row in rows:
-        blocks = [dict() for _ in range(order)]
+        coeffs, cols = [], []
         for j, entry in enumerate(row):
-            base = j * order
             for k, c in entry.items():
-                cols = times.get(k)
-                if cols is None:
-                    cols = times[k] = [idx[target.mul(u, k)] for u in elements]
-                for block, ci in zip(blocks, cols):
-                    col = base + ci
-                    block[col] = block.get(col, 0) + c
-        out.extend(blocks)
+                coeffs.append(c)
+                cols.append(target.left_multiples(conj.get(k, k), j * order))
+        blocks = zip(*cols) if cols else [()] * order
+        out.extend(dict(zip(block, coeffs)) for block in blocks)
     return out, ncols * order
 
 
@@ -117,38 +114,6 @@ def twisted_invariants(pres, images, target):
     return abelian_invariants(*_twisted_matrix(pres, images, target))
 
 
-def _relabelling_holds(rows, rep_rows, row_of=None, col_of=None) -> bool:
-    """Is row i of ``rows`` row ``row_of[i]`` of ``rep_rows`` with each
-    column c moved to ``col_of[c]``?  Compares every entry; without maps
-    the relabelling is the identity."""
-    if row_of is None:
-        return rows == rep_rows
-    if not len(rows) == len(rep_rows) == len(row_of):
-        return False
-    for row, i in zip(rows, row_of):
-        src = rep_rows[i]
-        if len(row) != len(src):
-            return False
-        for c, v in src.items():
-            if row.get(col_of[c]) != v:
-                return False
-    return True
-
-
-def _conjugation_relabelling(target, g, nrows, ncols):
-    """Row and column maps taking the twisted matrix of h to that of
-    g*h*g^-1: row (r, u) from row (r, u*g), column (j, x) to (j, x*g^-1)."""
-    order = target.order()
-    idx = target.element_index()
-    elements = target.elements()
-    gi = target.inv(g)
-    times_g = [idx[target.mul(u, g)] for u in elements]
-    times_gi = [idx[target.mul(x, gi)] for x in elements]
-    row_of = [b + i for b in range(0, nrows, order) for i in times_g]
-    col_of = [b + i for b in range(0, ncols, order) for i in times_gi]
-    return row_of, col_of
-
-
 def crowell_compares(pres, homs, target):
     """Both paths' invariants for each map of ``homs``, and whether they agree.
 
@@ -159,50 +124,39 @@ def crowell_compares(pres, homs, target):
     of the one over the image, and the cover splits into d homeomorphic
     pieces; the comparison accounts for both.
 
-    Every map's two matrices are built.  The first map of each conjugacy
-    orbit gets its Smith forms; a later map g*h*g^-1 reuses them for a
-    path only when its matrix equals the representative's under that
-    path's relabelling by g, entry by entry, and gets its own otherwise.
+    Every map gets its own coset action and its own twisted matrix.  A
+    map whose action equals an earlier one's reuses that cover Smith
+    form; a later map g*h*g^-1 of an orbit reuses the twisted one of its
+    first map h only when its matrix, built in h's order, equals h's.
     """
     # the image is no larger than the target, so once the twisted path's
     # budget holds the cover path's holds too: check it before either runs
     _check_regular_budget(target)
     order = target.order()
-    elements = target.elements()
-    # conjugate images -> (representative's matrices and invariants, g)
-    orbits: dict = {}
+    ng = pres.num_generators
+    covers: dict = {}  # coset action -> (cosets, cover invariants)
+    orbits: dict = {}  # conjugate images -> (g, first map's matrix, invariants)
     for images in homs:
         images = tuple(images)
-        cover_mat = cover_rows(pres, images, target)
-        twisted_mat = _twisted_matrix(pres, images, target)
-        rows, ncols, ncosets = cover_mat
-        trows, tcols = twisted_mat
+        action = coset_action(pres, images, target)
+        if action not in covers:
+            rows, ncols, ncosets = schreier_rows(pres, action)
+            covers[action] = (ncosets, abelian_invariants(rows, ncols))
+        ncosets, cover = covers[action]
+        rows = twisted_rows(pres, images, target)
         found = orbits.get(images)
         if found is None:
-            cover = abelian_invariants(rows, ncols)
-            twisted = abelian_invariants(trows, tcols)
-            rep = (cover_mat, cover, twisted_mat, twisted)
-            for g in elements:
+            mat = _regular_blocks(rows, target, ng)
+            twisted = abelian_invariants(*mat)
+            for g in target.elements():
                 gi = target.inv(g)
                 conj = tuple(target.mul(target.mul(g, x), gi) for x in images)
-                orbits.setdefault(conj, (rep, g))
+                orbits.setdefault(conj, (g, mat, twisted))
         else:
-            (rep_cover, cover, rep_twisted, twisted), g = found
-            # conjugation by g is an automorphism, so the coset search and
-            # its numbering are unchanged: the relabelling is the identity
-            if not (
-                cover_mat[1:] == rep_cover[1:]
-                and _relabelling_holds(rows, rep_cover[0])
-            ):
-                cover = abelian_invariants(rows, ncols)
-            row_of, col_of = _conjugation_relabelling(
-                target, g, len(trows), tcols
-            )
-            if not (
-                tcols == rep_twisted[1]
-                and _relabelling_holds(trows, rep_twisted[0], row_of, col_of)
-            ):
-                twisted = abelian_invariants(trows, tcols)
+            g, rep_mat, twisted = found
+            mat = _regular_blocks(rows, target, ng, g)
+            if mat != rep_mat:
+                twisted = abelian_invariants(*mat)
         free, torsion = cover
         d = order // ncosets
         expected = (d * (free + ncosets - 1), sorted(torsion * d))

@@ -132,6 +132,18 @@ def test_finite_is_nonabelian_when_action_nontrivial():
     assert q.mul(x, y) != q.mul(y, x)
 
 
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 3), (3, 7), (4, 5), (4, 15)])
+def test_left_multiples_index_every_product(n, m):
+    q = FiniteMetabelian(n, m)
+    idx = q.element_index()
+    for k in q.elements():
+        want = [idx[q.mul(u, k)] for u in q.elements()]
+        assert q.left_multiples(k) == want
+        assert q.left_multiples(k, 5 * q.order()) == [
+            5 * q.order() + i for i in want
+        ]
+
+
 @given(elements, elements)
 def test_reduction_to_finite_is_a_hom(x, y):
     q = FiniteMetabelian(4, 5)

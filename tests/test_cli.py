@@ -316,10 +316,10 @@ def test_oracle_computes_smith_forms_once_per_orbit(docs, capsys, monkeypatch):
     import dslice.twisted as twisted
     from dslice.diagrams import zero_surgery
     from dslice.documents import diagram_from_document
-    from dslice.groups import metabelian_quotient_homs
+    from dslice.groups import coset_action, metabelian_quotient_homs
     from synthpres import brute_orbit_count
 
-    calls = {"cover_rows": 0, "_regular_blocks": 0, "abelian_invariants": 0}
+    calls = {"coset_action": 0, "_regular_blocks": 0, "abelian_invariants": 0}
 
     def counting(fname):
         inner = getattr(twisted, fname)
@@ -341,12 +341,14 @@ def test_oracle_computes_smith_forms_once_per_orbit(docs, capsys, monkeypatch):
     plain = zero_surgery(diagram, 0)
     target, homs = metabelian_quotient_homs(plain, 2, 3)
     orbits = brute_orbit_count(homs, target)
-    assert (nmaps, orbits) == (27, 5)
-    # every map's matrices are built; each orbit's Smith forms are computed
-    # once per path and reused only after the relabelling check
+    actions = len({coset_action(plain.group, h, target) for h in homs})
+    assert (nmaps, orbits, actions) == (27, 5, 5)
+    # every map's coset action and twisted matrix are built; a cover Smith
+    # form is computed once per distinct action and a twisted one once per
+    # orbit, each reused only after an exact equality check
     assert calls == {
-        "cover_rows": nmaps, "_regular_blocks": nmaps,
-        "abelian_invariants": 2 * orbits,
+        "coset_action": nmaps, "_regular_blocks": nmaps,
+        "abelian_invariants": actions + orbits,
     }
 
 

@@ -10,6 +10,7 @@ from dslice.diagrams import Diagram, SurgeryPresentation, infect, wirtinger, zer
 from dslice.errors import BudgetExceeded, TargetMismatch
 from dslice.documents import diagram_from_document, dump_document
 from dslice.groups import (
+    coset_action,
     finite_cover_homology,
     metabelian_quotient_homs,
     summand_homs,
@@ -146,7 +147,7 @@ def test_regular_blocks_cap_is_checked_before_building():
 
 
 def test_regular_cap_counts_target_elements(monkeypatch):
-    # the cap counts group elements, as cover_rows's does, not
+    # the cap counts group elements, as coset_action's does, not
     # order x generators: a target of order 6 with three generators (18
     # columns) is inside a cap of 6, and the refusal at 5 comes before
     # the cover path runs
@@ -160,7 +161,7 @@ def test_regular_cap_counts_target_elements(monkeypatch):
     def cover_must_not_run(*args):
         raise AssertionError("cover path ran past the twisted budget")
 
-    monkeypatch.setattr(twisted, "cover_rows", cover_must_not_run)
+    monkeypatch.setattr(twisted, "coset_action", cover_must_not_run)
     with pytest.raises(BudgetExceeded):
         crowell_compare(lg.group, homs[0], q)
 
@@ -198,40 +199,87 @@ def test_crowell_compares_equals_the_per_map_paths(name, n, m, monkeypatch):
             d * (cover[0] + s - 1), sorted(cover[1] * d)
         )
         expected.append((cover, tw, agree))
+    actions = {coset_action(pres, h, target) for h in homs}
+    built = _count_builders(monkeypatch)
     calls = _count_snf(monkeypatch)
     assert list(crowell_compares(pres, homs, target)) == expected
     assert all(agree for _, _, agree in expected)
-    # every relabelling check passed: one Smith form per path per orbit
-    assert len(calls) == 2 * brute_orbit_count(homs, target)
+    # every map builds both inputs; every equality check passed: one cover
+    # Smith form per distinct coset action, one twisted one per orbit
+    assert built == {"coset_action": len(homs), "_regular_blocks": len(homs)}
+    assert len(calls) == len(actions) + brute_orbit_count(homs, target)
+    if (name, n, m) == ("946", 3, 7):
+        assert (len(actions), brute_orbit_count(homs, target)) == (2, 3)
 
 
-def test_forged_relabelling_recomputes_every_smith_form(
-    monkeypatch, tmp_path, capsys
-):
+def _count_builders(monkeypatch):
+    built = {"coset_action": 0, "_regular_blocks": 0}
+
+    def counting(fname):
+        inner = getattr(twisted, fname)
+
+        def wrapper(*args):
+            built[fname] += 1
+            return inner(*args)
+        return wrapper
+
+    for fname in built:
+        monkeypatch.setattr(twisted, fname, counting(fname))
+    return built
+
+
+class _Unequal(tuple):
+    """A tuple equal only to itself, so no cache lookup can match it."""
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+
+def _oracle_946_3_7(monkeypatch, tmp_path, capsys):
     from test_cli import ORACLE_DIGESTS
 
     monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "cache"))
     path = tmp_path / "946.json"
     dump_document(bundled_document("946"), str(path))
-    genuine = twisted._relabelling_holds
-
-    def forged(rows, rep_rows, *maps):
-        # the representative's matrix with one coefficient flipped
-        rep_rows = [dict(r) for r in rep_rows]
-        row = next(r for r in rep_rows if r)
-        col = next(iter(row))
-        row[col] += 1
-        return genuine(rows, rep_rows, *maps)
-
-    monkeypatch.setattr(twisted, "_relabelling_holds", forged)
-    calls = _count_snf(monkeypatch)
     code = main(["oracle", "--knot", str(path), "--n", "3", "--m", "7",
                  "--no-cache"])
     text = capsys.readouterr().out
     assert text.count("\nmap ") == 49
-    assert len(calls) == 2 * 49
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert (code, digest) == ORACLE_DIGESTS[("946", 3, 7, "text")]
+
+
+def test_forged_twisted_comparison_recomputes_every_twisted_smith_form(
+    monkeypatch, tmp_path, capsys
+):
+    # each matrix compares unequal to every other, so no map of an orbit
+    # reuses its first map's twisted Smith form; the 2 coset actions still
+    # share theirs
+    genuine = twisted._regular_blocks
+
+    def forged(*args):
+        rows, ncols = genuine(*args)
+        return _Unequal((rows, ncols))
+
+    monkeypatch.setattr(twisted, "_regular_blocks", forged)
+    calls = _count_snf(monkeypatch)
+    _oracle_946_3_7(monkeypatch, tmp_path, capsys)
+    assert len(calls) == 49 + 2
+
+
+def test_forged_coset_actions_recompute_every_cover_smith_form(
+    monkeypatch, tmp_path, capsys
+):
+    # each action compares unequal to every other, so every map gets its
+    # own cover Smith form; the 3 orbits still share their twisted ones
+    genuine = twisted.coset_action
+    monkeypatch.setattr(
+        twisted, "coset_action", lambda *args: _Unequal(genuine(*args))
+    )
+    calls = _count_snf(monkeypatch)
+    _oracle_946_3_7(monkeypatch, tmp_path, capsys)
+    assert len(calls) == 49 + 3
 
 
 # ----------------------------------------------- summand specialization
