@@ -8,7 +8,7 @@ A diagram document is a JSON object::
       "signs": [1, -1, ...],             # optional, else inferred
       "components": [[1, 2, ...], ...],  # optional, cross-checked
       "marks": {                         # optional
-        "pattern": 0,                    # surgery component index
+        "pattern": 0,                    # surgery component; only 0
         "infection": 1,                  # drawn infection component
         "curves": {"name": [[edge, sign], ...], ...}
       }
@@ -182,8 +182,9 @@ def marked_presentation(doc: dict):
     doc = _resolve_diagram_ref(doc)
     diagram, name = diagram_from_document(doc)
     marks = doc.get("marks", {}) or {}
-    pattern = marks.get("pattern", 0)
-    plain = zero_surgery(diagram, pattern)
+    if marks.get("pattern", 0) != 0:
+        raise MalformedInput(f"marks.pattern must be 0, not {marks['pattern']!r}")
+    plain = zero_surgery(diagram, 0)
     curves = marks.get("curves", {})
     if curves:
         plain = attach_curve_words(

@@ -612,16 +612,17 @@ def test_family_request_builds_the_module_basis_once(docs, capsys, work):
 
 
 def test_nonzero_pattern_mark_keeps_its_output(docs, capsys, tmp_path):
-    # a knot has no component 1, and a link has no canonical hash, so a
-    # document marking another pattern component is refused as before
+    # a document marking another pattern component is refused, naming the
+    # field, before a knot's missing component or a link's missing
+    # canonical hash is reached
     knot = bundled_document("946")
     knot = {**knot, "marks": {**knot["marks"], "pattern": 1}}
     trefoil = [[a + 18, b + 18, c + 18, d + 18]
                for a, b, c, d in bundled_document("trefoil")["pd"]]
     link = {"pd": knot["pd"] + trefoil,
             "marks": {"pattern": 1, "curves": {"c": [[19, 1], [21, -1]]}}}
-    for doc, curve, err in ((knot, "eta1", "no component 1"),
-                            (link, "c", "canonical codes are only defined")):
+    err = "marks.pattern must be 0, not 1"
+    for doc, curve in ((knot, "eta1"), (link, "c")):
         path = str(tmp_path / "pattern.json")
         dump_document(doc, path)
         code, out, got = run(
