@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dslice
 from dslice.bs12 import FiniteMetabelian
 from dslice.cache import ENV_CACHE_DIR
 from dslice.cli import main
@@ -28,6 +33,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_package_runs_as_a_module():
+    src = str(Path(dslice.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-m", "dslice", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0 and done.stdout.startswith("usage: dslice")
 
 
 # ----------------------------------------------------------------- certify
