@@ -143,20 +143,15 @@ def crowell_compares(pres, homs, target):
             rows, ncols, ncosets = schreier_rows(pres, action)
             covers[action] = (ncosets, abelian_invariants(rows, ncols))
         ncosets, cover = covers[action]
-        rows = twisted_rows(pres, images, target)
-        found = orbits.get(images)
-        if found is None:
-            mat = _regular_blocks(rows, target, ng)
+        g, rep_mat, twisted = orbits.get(images, (None, None, None))
+        mat = _regular_blocks(twisted_rows(pres, images, target), target, ng, g)
+        if mat != rep_mat:
             twisted = abelian_invariants(*mat)
+        if rep_mat is None:
             for g in target.elements():
                 gi = target.inv(g)
                 conj = tuple(target.mul(target.mul(g, x), gi) for x in images)
                 orbits.setdefault(conj, (g, mat, twisted))
-        else:
-            g, rep_mat, twisted = found
-            mat = _regular_blocks(rows, target, ng, g)
-            if mat != rep_mat:
-                twisted = abelian_invariants(*mat)
         free, torsion = cover
         d = order // ncosets
         expected = (d * (free + ncosets - 1), sorted(torsion * d))
