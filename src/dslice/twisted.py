@@ -103,15 +103,10 @@ def _regular_blocks(rows, target, ncols, g=None):
     return out, ncols * order
 
 
-def _twisted_matrix(pres, images, target):
-    """``(rows, ncols)`` of the twisted Jacobian as an integer matrix."""
-    rows = twisted_rows(pres, images, target)
-    return _regular_blocks(rows, target, pres.num_generators)
-
-
 def twisted_invariants(pres, images, target):
     """Abelian invariants of the twisted Jacobian's integer cokernel."""
-    return abelian_invariants(*_twisted_matrix(pres, images, target))
+    rows = twisted_rows(pres, images, target)
+    return abelian_invariants(*_regular_blocks(rows, target, pres.num_generators))
 
 
 def crowell_compares(pres, homs, target):
