@@ -33,6 +33,7 @@ from .certify import (
 from .corpus import default_registry
 from .diagrams import diagram_hash, zero_surgery
 from .documents import (
+    check_pattern_mark,
     diagram_from_document,
     document_kind,
     load_document,
@@ -54,10 +55,6 @@ _VERDICT_NAMES = {
 
 # ---------------------------------------------------------------------------
 # rendering
-
-
-def _poly_str(p) -> str:
-    return str(p)
 
 
 def _render_verdict(tag: str, v: dict) -> str:
@@ -121,16 +118,16 @@ def _analyze_report(doc: dict, quotient) -> dict:
     # the cross-check below would refuse this target after the enumeration
     _check_regular_budget(FiniteMetabelian(*quotient))
     diagram, name = diagram_from_document(doc)
-    pattern = (doc.get("marks") or {}).get("pattern", 0)
-    plain = zero_surgery(diagram, pattern)
+    check_pattern_mark(doc)
+    plain = zero_surgery(diagram, 0)
     report = plain.splitting
     out = {
         "name": name or None,
         "hash": diagram_hash(diagram),
         # the order is the gcd of the maximal minors of the simplified
         # Alexander module, which is the Alexander polynomial
-        "alexander_polynomial": _poly_str(report.order),
-        "module_order": _poly_str(report.order),
+        "alexander_polynomial": str(report.order),
+        "module_order": str(report.order),
         "splitting": {
             "verdict": _VERDICT_NAMES[report.verdict],
             "note": report.note or None,
@@ -138,8 +135,8 @@ def _analyze_report(doc: dict, quotient) -> dict:
                 None
                 if report.v1 is None
                 else [
-                    [_poly_str(c) for c in report.v1],
-                    [_poly_str(c) for c in report.v2],
+                    [str(c) for c in report.v1],
+                    [str(c) for c in report.v2],
                 ]
             ),
         },
@@ -358,8 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="+", metavar="DOC")
     p.add_argument("--quotient-bound", nargs=2, type=int, default=(2, 3),
                    metavar=("N", "M"))
-    p.add_argument("--stageb-budget", type=int, default=300000,
-                   help="accepted for compatibility; bounds nothing")
     _add_common(p)
 
     p = sub.add_parser(
@@ -402,16 +397,11 @@ def main(argv=None) -> int:
             return worst
         if args.command == "certify":
             quotient = _quotient(args)
-            if args.stageb_budget < 0:
-                raise MalformedInput("stage budget must be nonnegative")
             worst = 0
             for path in args.paths:
                 doc = load_document(path)
-                # the budget bounds nothing, but stays in the cache key
-                payload = {
-                    "doc": doc, "quotient": quotient,
-                    "budget": args.stageb_budget, "format": args.format,
-                }
+                payload = {"doc": doc, "quotient": quotient,
+                           "format": args.format}
                 code = _run_cached(
                     args, "certify", payload,
                     lambda doc=doc: cmd_certify(doc, quotient, args.format),

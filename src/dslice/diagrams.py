@@ -593,6 +593,8 @@ def attach_curve_words(plain: SurgeryPresentation, edge_words: dict) -> SurgeryP
     return replace(plain, curve_words=words, curve_linking=linking)
 
 
+# No stage calls ``infect``; it stays because the benchmark traces it as
+# the ``diagrams.infect`` span.
 def infect(
     diagram: Diagram,
     pattern: int,

@@ -54,8 +54,8 @@ __all__ = [
     "validate_satellite_document",
     "document_kind",
     "diagram_from_document",
+    "check_pattern_mark",
     "marked_presentation",
-    "diagram_to_document",
 ]
 
 
@@ -177,28 +177,24 @@ def diagram_from_document(doc: dict):
     return diagram, doc.get("name", "")
 
 
+def check_pattern_mark(doc: dict) -> None:
+    """Refuse a ``marks.pattern`` other than 0: surgery is always done on
+    component 0."""
+    marks = doc.get("marks", {}) or {}
+    if marks.get("pattern", 0) != 0:
+        raise MalformedInput(f"marks.pattern must be 0, not {marks['pattern']!r}")
+
+
 def marked_presentation(doc: dict):
     """Diagram plus zero-surgery presentation with marked curves attached."""
     doc = _resolve_diagram_ref(doc)
     diagram, name = diagram_from_document(doc)
-    marks = doc.get("marks", {}) or {}
-    if marks.get("pattern", 0) != 0:
-        raise MalformedInput(f"marks.pattern must be 0, not {marks['pattern']!r}")
+    check_pattern_mark(doc)
     plain = zero_surgery(diagram, 0)
-    curves = marks.get("curves", {})
+    curves = (doc.get("marks", {}) or {}).get("curves", {})
     if curves:
         plain = attach_curve_words(
             plain,
             {k: [tuple(p) for p in v] for k, v in curves.items()},
         )
     return diagram, plain, name
-
-
-def diagram_to_document(diagram: Diagram, name: str = "") -> dict:
-    doc = {
-        "pd": [list(c) for c in diagram.crossings],
-        "signs": list(diagram.signs),
-    }
-    if name:
-        doc["name"] = name
-    return doc

@@ -11,7 +11,6 @@ __all__ = [
     "RelatorViolation",
     "NotSurjective",
     "IncompatibleParameters",
-    "NotTorsion",
     "HypothesisNotMet",
     "BudgetExceeded",
     "VerificationFailed",
@@ -56,10 +55,6 @@ class NotSurjective(DsliceError):
 
 class IncompatibleParameters(DsliceError):
     """Numeric parameters violate a precondition (e.g. 2**n != 1 mod m)."""
-
-
-class NotTorsion(DsliceError):
-    """A module expected to be torsion has a free part."""
 
 
 class HypothesisNotMet(DsliceError):

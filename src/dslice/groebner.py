@@ -46,7 +46,6 @@ __all__ = [
     "scalar_from_tu",
     "GroebnerBasis",
     "module_contains",
-    "reduce_vector",
 ]
 
 
@@ -316,8 +315,3 @@ class GroebnerBasis:
 
 def module_contains(rows, width, vec, budget=200000) -> bool:
     return GroebnerBasis(rows, width, budget=budget).contains(vec)
-
-
-def reduce_vector(rows, width, vec, budget=200000):
-    gb = GroebnerBasis(rows, width, track=True, budget=budget)
-    return gb.reduce(vec)

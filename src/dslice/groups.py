@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import gcd
 
 from .bs12 import (
     BS12,
@@ -47,7 +46,6 @@ __all__ = [
     "metabelian_quotient_homs",
     "coset_action",
     "schreier_rows",
-    "cover_rows",
     "finite_cover_homology",
     "second_derived_certificate",
 ]
@@ -55,6 +53,10 @@ __all__ = [
 # Largest group a cover computation enumerates: the image subgroup in
 # coset_action, and the whole target for twisted.py's regular representation.
 _REGULAR_CAP = 20000
+
+# Most translation vectors metabelian_quotient_homs enumerates: m^(kernel
+# dimension) may not exceed it.
+_KERNEL_CAP = 250000
 
 
 def _cyclic_reduce(w: Word) -> Word:
@@ -202,9 +204,7 @@ def summand_homs(plain):
     return h_plus, h_minus
 
 
-def metabelian_quotient_homs(
-    plain, n: int, m: int, surjective_only=False, cap=250000
-):
+def metabelian_quotient_homs(plain, n: int, m: int):
     """All homomorphisms from ``plain.group`` to Z/n x| Z/m lifting the
     mod-n abelianisation, for a SurgeryPresentation ``plain``.
 
@@ -214,11 +214,11 @@ def metabelian_quotient_homs(
     with a deterministic ordering.
     """
     target = FiniteMetabelian(n, m)
-    pres, meridian, weights = plain.group, plain.meridian, plain.weights
+    pres, weights = plain.group, plain.weights
     ng = pres.num_generators
     rows_mod = [[p.evaluate_mod(2, m) for p in row] for row in plain.jacobian]
     basis = nullspace_mod(rows_mod, m, ncols=ng)
-    if m ** len(basis) > cap:
+    if m ** len(basis) > _KERNEL_CAP:
         raise BudgetExceeded(
             f"translation kernel too large to enumerate ({m}^{len(basis)})"
         )
@@ -231,28 +231,10 @@ def metabelian_quotient_homs(
         }
     homs = []
     for chi in sorted(span):
-        if surjective_only and not _finite_surjective(chi, weights, meridian, n, m):
-            continue
         images = tuple((weights[i] % n, chi[i]) for i in range(ng))
         check_relators(pres, images, target)
         homs.append(images)
     return target, homs
-
-
-def _finite_surjective(chi, weights, meridian, n, m) -> bool:
-    """Does the hom with translation vector chi hit all of Z/n x| Z/m?
-
-    The meridian maps to (1, tau), a section of the Z/n part, so a
-    Schreier transversal by its powers identifies the image's
-    translation part with the ideal generated by
-    chi_i + tau*(1 - 2^k_i) mod m.
-    """
-    tau = chi[meridian]
-    g = 0
-    for i, x in enumerate(chi):
-        k = weights[i] % n
-        g = gcd(g, (x + tau * (1 - pow(2, k, m))) % m)
-    return gcd(g, m) == 1
 
 
 def coset_action(pres: GroupPresentation, images, target):
@@ -339,15 +321,10 @@ def schreier_rows(pres: GroupPresentation, action):
     return rows, nschreier, ncosets
 
 
-def cover_rows(pres: GroupPresentation, images, target):
-    """Abelianised relators of the cover attached to ker(pi -> target):
-    ``schreier_rows`` of the map's ``coset_action``."""
-    return schreier_rows(pres, coset_action(pres, images, target))
-
-
 def finite_cover_homology(pres: GroupPresentation, images, target):
-    """Integral homology ``(free_rank, torsion_divisors)`` of the cover."""
-    rows, ncols, _ = cover_rows(pres, images, target)
+    """Integral homology ``(free_rank, torsion_divisors)`` of the cover
+    attached to ker(pi -> target)."""
+    rows, ncols, _ = schreier_rows(pres, coset_action(pres, images, target))
     return abelian_invariants(rows, ncols)
 
 

@@ -96,14 +96,8 @@ class DyadicRational:
         """Multiply by 2**k (k may be negative)."""
         return DyadicRational(self.num, self.exp - k)
 
-    def is_integer(self) -> bool:
-        return self.exp == 0
-
     def __bool__(self):
         return self.num != 0
-
-    def as_pair(self):
-        return (self.num, self.exp)
 
     def __repr__(self):
         return f"DyadicRational(num={self.num}, exp={self.exp})"
@@ -228,12 +222,6 @@ class LaurentPoly:
 
     def is_associate(self, other: "LaurentPoly") -> bool:
         return self.canonical() == other.canonical()
-
-    def is_unit(self) -> bool:
-        """Units of the integral Laurent ring: plus or minus a power of t."""
-        if len(self.coeffs) != 1:
-            return False
-        return abs(next(iter(self.coeffs.values()))) == 1
 
     def is_symmetric(self) -> bool:
         """True when p(t) and p(1/t) are associates (Alexander symmetry)."""

@@ -12,8 +12,9 @@ is certified: the order of the module is compared against
 shown to generate.  Order counting then forces the induced surjection
 from the model module to be injective as well, because the model has no
 nonzero pseudo-null submodules.  A negative order comparison refutes
-the decomposition outright; a matching order without witnesses stays
-undetermined.
+the decomposition outright, and so does a dimension other than 2 after
+tensoring with F_3 at t = 2; a module passing both without witnesses
+stays undetermined.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import laurent
 from .errors import BudgetExceeded, HypothesisNotMet, VerificationFailed
 from .groebner import GroebnerBasis
 from .laurent import ONE, T, ZERO, LaurentPoly, maximal_minors, poly_gcd
-from .snf import abelian_invariants
+from .snf import abelian_invariants, rank_mod_p
 from .words import GroupPresentation, fox_rows
 
 __all__ = [
@@ -50,6 +51,9 @@ TARGET_ORDER = ((T - 2 * ONE) * (2 * T - ONE)).canonical()
 # work budget of every Groebner basis the splitting test builds, the
 # module's own basis included
 SPLIT_BUDGET = 400000
+
+# most maximal minors LambdaModule.order computes
+_MINOR_CAP = 100000
 
 
 def infinite_cyclic_weights(pres: GroupPresentation, meridian: int):
@@ -168,14 +172,14 @@ class LambdaModule:
             rows = [r for r in rows if any(not p.is_zero() for p in r)]
         return LambdaModule.make(rows, len(kept)), kept
 
-    def order(self, minor_cap=100000) -> LaurentPoly:
+    def order(self) -> LaurentPoly:
         """gcd of the maximal minors; zero when the cokernel has free rank."""
         k = self.ncols
         if k == 0:
             return ONE
         if len(self.rows) < k:
             return ZERO
-        if comb(len(self.rows), k) > minor_cap:
+        if comb(len(self.rows), k) > _MINOR_CAP:
             raise BudgetExceeded(
                 "too many maximal minors; simplify the presentation first"
             )
@@ -214,8 +218,9 @@ def alexander_polynomial(pres: GroupPresentation, meridian: int) -> LaurentPoly:
 class SplitReport:
     """Outcome of the splitting test.
 
-    verdict: "split" (certified), "no_split" (order obstruction), or
-    "undetermined" (order fits but no witnesses found in the search pool).
+    verdict: "split" (certified), "no_split" (the order, or the dimension
+    over F_3 at t = 2, obstructs), or "undetermined" (both fit but no
+    witnesses were found in the search pool).
     Witnesses are vectors in the module's original coordinates.  A
     certified report keeps ``basis``, the tracked Groebner basis over
     ``[v1, v2] + rows`` that showed the witnesses generate; the summand
@@ -269,11 +274,13 @@ def _lift(vec, kept, ncols):
     return tuple(out)
 
 
-def detect_splitting(module: LambdaModule, budget=SPLIT_BUDGET) -> SplitReport:
+def detect_splitting(module: LambdaModule) -> SplitReport:
     """Decide whether the module is Lambda/(t-2) + Lambda/(2t-1).
 
     Positive and negative answers are exact; "undetermined" only means
-    the bounded witness search came up empty.
+    the bounded witness search came up empty.  Two refutations come
+    before the search: an order other than (t-2)(2t-1), and a dimension
+    other than 2 of the module tensored with F_3 at t = 2.
     """
     simp, kept = module.simplified()
     order = simp.order()
@@ -286,21 +293,33 @@ def detect_splitting(module: LambdaModule, budget=SPLIT_BUDGET) -> SplitReport:
             note=f"module order is {order}, not {TARGET_ORDER}",
         )
     k = simp.ncols
+    # t - 2 and 2t - 1 both vanish at t = 2 mod 3, so tensoring the split
+    # module with Lambda/(3, t - 2) = F_3 gives F_3^2; simplified() keeps
+    # the cokernel, so the simplified rows there must have corank 2
+    d = k - rank_mod_p(
+        [[p.evaluate_mod(2, 3) for p in row] for row in simp.rows], 3
+    )
+    if d != 2:
+        return SplitReport(
+            "no_split",
+            order,
+            note=f"module has dimension {d} over F_3 at t = 2, not 2",
+        )
     t_minus_2 = T - 2 * ONE
     two_t_minus_1 = 2 * T - ONE
-    gb = GroebnerBasis(list(simp.rows), k, budget=budget)
+    gb = GroebnerBasis(list(simp.rows), k, budget=SPLIT_BUDGET)
     pool = _witness_pool(k)
     c1 = [v for v in pool if gb.contains(_scale_vec(t_minus_2, v))]
     c2 = [v for v in pool if gb.contains(_scale_vec(two_t_minus_1, v))]
     for v1 in c1:
         for v2 in c2:
             stacked = GroebnerBasis(
-                list(simp.rows) + [v1, v2], k, budget=budget
+                list(simp.rows) + [v1, v2], k, budget=SPLIT_BUDGET
             )
             if all(stacked.contains(_unit_vector(k, i)) for i in range(k)):
                 w1 = _lift(v1, kept, module.ncols)
                 w2 = _lift(v2, kept, module.ncols)
-                basis = _verify_split(module, w1, w2, budget)
+                basis = _verify_split(module, w1, w2)
                 return SplitReport("split", order, w1, w2, basis=basis)
     return SplitReport(
         "undetermined",
@@ -309,7 +328,7 @@ def detect_splitting(module: LambdaModule, budget=SPLIT_BUDGET) -> SplitReport:
     )
 
 
-def _verify_split(module, v1, v2, budget):
+def _verify_split(module, v1, v2):
     """Re-check the certificate against the original, unsimplified matrix.
 
     Returns the tracked basis over ``[v1, v2] + rows`` that shows the
@@ -321,7 +340,7 @@ def _verify_split(module, v1, v2, budget):
     if not module.basis.contains(_scale_vec(2 * T - ONE, v2)):
         raise VerificationFailed("witness 2 is not killed by 2t - 1")
     stacked = GroebnerBasis(
-        [v1, v2] + list(module.rows), k, track=True, budget=budget
+        [v1, v2] + list(module.rows), k, track=True, budget=SPLIT_BUDGET
     )
     if not all(stacked.contains(_unit_vector(k, i)) for i in range(k)):
         raise VerificationFailed("the witnesses do not generate the module")

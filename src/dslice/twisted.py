@@ -22,42 +22,35 @@ integer matrix, rows and columns permuted into h's order; it reuses h's
 twisted Smith form only when that matrix equals h's.  No theorem about
 conjugate representations is trusted.
 
-Also here: the companion-collapse homomorphism that forgets the
-companions of an infection (sending each companion group to the cyclic
-group on the infection curve's longitude), plus the transport records
-that let a certificate for a pattern be carried to its satellites.
+Also here: the transport records that let a certificate for a pattern
+be carried to its satellites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bs12 import Bs12Group, evaluate_word, shadow
-from .diagrams import SurgeryPresentation, infect, wirtinger, zero_surgery
-from .errors import BudgetExceeded, TargetMismatch
+from .bs12 import Bs12Group, shadow
+from .diagrams import SurgeryPresentation, wirtinger
+from .errors import BudgetExceeded
 from .groups import (
     _REGULAR_CAP,
     MetabelianHom,
     coset_action,
-    metabelian_quotient_homs,
     schreier_rows,
     second_derived_certificate,
 )
 from .laurent import ONE
 from .modules import alexander_polynomial
 from .snf import abelian_invariants
-from .words import Word, fox_rows
+from .words import fox_rows
 
 __all__ = [
     "twisted_rows",
     "twisted_invariants",
     "crowell_check",
-    "crowell_compare",
     "crowell_compares",
     "summand_specialization_check",
-    "companion_collapse",
-    "collapse_is_free_or_relator",
-    "validate_collapse_at",
     "TransportRecord",
     "transport_record",
 ]
@@ -154,14 +147,9 @@ def crowell_compares(pres, homs, target):
         yield cover, twisted, agree
 
 
-def crowell_compare(pres, images, target):
-    """``(cover, twisted, agree)`` for one map; see ``crowell_compares``."""
-    return next(crowell_compares(pres, [images], target))
-
-
 def crowell_check(pres, images, target) -> bool:
     """Do the Fox-calculus and covering-space paths agree?"""
-    return crowell_compare(pres, images, target)[2]
+    return next(crowell_compares(pres, [images], target))[2]
 
 
 def summand_specialization_check(plain, hom: MetabelianHom) -> bool:
@@ -180,69 +168,6 @@ def summand_specialization_check(plain, hom: MetabelianHom) -> bool:
 
 
 # ------------------------------------------------------------ transport
-
-
-def companion_collapse(diagram, pattern, companions, curves=None):
-    """Forget the companions of an infection.
-
-    Returns ``(infected, plain, images)`` where ``infected`` presents
-    the infected zero-surgery, ``plain`` the pattern's own zero-surgery,
-    and ``images`` the collapse homomorphism: base arcs map to the arc
-    of the plain diagram they lie on, arcs of infection curves die, and
-    every companion generator maps to the image of the curve's
-    longitude.
-    """
-    inf = infect(diagram, pattern, companions, curves=curves)
-    plain = zero_surgery(diagram, pattern, curves=curves)
-    rep_edge: dict[int, int] = {}
-    for e, g in inf.orig_edge_gen.items():
-        if g not in rep_edge or e < rep_edge[g]:
-            rep_edge[g] = e
-    images = []
-    for g in range(inf.base_gen_count):
-        e = rep_edge[g]
-        if diagram.edge_component[e] == pattern:
-            images.append(Word.gen(plain.orig_edge_gen[e]))
-        else:
-            images.append(Word.identity())
-    base_map = dict(enumerate(images))
-    for site in inf.sites:
-        lam_image = site.longitude_word.substitute(base_map)
-        images.extend([lam_image] * site.gen_count)
-    return inf, plain, tuple(images)
-
-
-def collapse_is_free_or_relator(inf, plain, images) -> bool:
-    """Presentation-level proof that the collapse is a homomorphism.
-
-    Every relator of the infected presentation must map to a word that
-    is freely trivial or literally one of the plain presentation's
-    relators; nothing about the plain group is assumed.
-    """
-    allowed = set(r.letters for r in plain.group.relators)
-    base_map = dict(enumerate(images))
-    for r in inf.group.relators:
-        w = r.substitute(base_map)
-        if w and w.letters not in allowed:
-            return False
-    if images[inf.meridian] != Word.gen(plain.meridian):
-        return False
-    return True
-
-
-def validate_collapse_at(inf, plain, images, n, m):
-    """Pull every metabelian quotient of the plain group back along the
-    collapse and check all infected relators die.  Returns the number of
-    quotient maps exercised."""
-    target, homs = metabelian_quotient_homs(plain, n, m)
-    for hom in homs:
-        composite = tuple(evaluate_word(w, hom, target) for w in images)
-        for r in inf.group.relators:
-            if evaluate_word(r, composite, target) != target.identity():
-                raise TargetMismatch(
-                    f"collapse fails a relator in the ({n},{m}) quotient"
-                )
-    return len(homs)
 
 
 @dataclass(frozen=True)

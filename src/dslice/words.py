@@ -106,14 +106,6 @@ class Word:
             out = out * (w if e == 1 else w.inverse())
         return out
 
-    def spell(self, names) -> str:
-        if not self.letters:
-            return "1"
-        parts = []
-        for g, e in self.letters:
-            parts.append(names[g] if e == 1 else names[g] + "^-1")
-        return "*".join(parts)
-
     def __repr__(self):
         return f"Word({list(self.letters)!r})"
 
@@ -244,8 +236,3 @@ class GroupPresentation:
             [r.exponent_sum(i) for i in range(len(self.names))]
             for r in self.relators
         ]
-
-    def spell(self) -> str:
-        gens = ", ".join(self.names)
-        rels = ", ".join(r.spell(self.names) for r in self.relators)
-        return f"< {gens} | {rels} >"

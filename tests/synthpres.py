@@ -93,6 +93,11 @@ def brute_subgroup(images, target):
     return seen
 
 
+def brute_surjective(homs, target):
+    """The maps among ``homs`` whose images generate all of ``target``."""
+    return [h for h in homs if len(brute_subgroup(h, target)) == target.order()]
+
+
 def brute_orbit_count(homs, target):
     """Number of conjugacy orbits among ``homs``, by closing each orbit."""
     seen = set()

@@ -77,7 +77,6 @@ def test_check_relators_raises():
     check_relators(pres, (BS12_A, BS12_C), Bs12Group)
     with pytest.raises(RelatorViolation):
         check_relators(pres, (BS12_C, BS12_A), Bs12Group)
-    assert not check_relators(pres, (BS12_C, BS12_A), Bs12Group, strict=False)
 
 
 def test_surjectivity_criterion():
@@ -144,21 +143,6 @@ def test_left_multiples_index_every_product(n, m):
         ]
 
 
-@given(elements, elements)
-def test_reduction_to_finite_is_a_hom(x, y):
-    q = FiniteMetabelian(4, 5)
-    assert q.from_bs12(x * y) == q.mul(q.from_bs12(x), q.from_bs12(y))
-    assert q.from_bs12(x.inverse()) == q.inv(q.from_bs12(x))
-
-
-def test_from_dyadic():
-    q = FiniteMetabelian(2, 3)
-    assert q.from_dyadic(dy(1, 1)) == 2      # 1/2 = 2 mod 3
-    q5 = FiniteMetabelian(4, 5)
-    assert q5.from_dyadic(dy(3, 2)) == 2     # 3/4 = 3*4^-1 = 3*4 = 12 = 2 mod 5
-    assert FiniteMetabelian(1, 1).from_dyadic(dy(7, 3)) == 0
-
-
 def test_group_ring_ops():
     e = Bs12Group.identity()
     a = BS12_A
@@ -166,8 +150,7 @@ def test_group_ring_ops():
     one_minus_a = {e: 1, a: -1}
     prod = ring_mul(one_plus_a, one_minus_a, Bs12Group)
     assert prod == {e: 1, a * a: -1}
-    q = FiniteMetabelian(2, 3)
-    pushed = ring_apply({a: 2, a * a: 5}, q.from_bs12)
+    pushed = ring_apply({a: 2, a * a: 5}, lambda g: (g.k % 2, 0))
     assert pushed == {(1, 0): 2, (0, 0): 5}
     collapsed = ring_apply({a: 1, BS12(1, dy(3)): -1}, lambda g: g.k)
     assert collapsed == {}

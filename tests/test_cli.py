@@ -631,7 +631,7 @@ def test_family_request_builds_the_module_basis_once(docs, capsys, work):
 def test_nonzero_pattern_mark_keeps_its_output(docs, capsys, tmp_path):
     # a document marking another pattern component is refused, naming the
     # field, before a knot's missing component or a link's missing
-    # canonical hash is reached
+    # canonical hash is reached; analyze refuses it too
     knot = bundled_document("946")
     knot = {**knot, "marks": {**knot["marks"], "pattern": 1}}
     trefoil = [[a + 18, b + 18, c + 18, d + 18]
@@ -642,6 +642,8 @@ def test_nonzero_pattern_mark_keeps_its_output(docs, capsys, tmp_path):
     for doc, curve in ((knot, "eta1"), (link, "c")):
         path = str(tmp_path / "pattern.json")
         dump_document(doc, path)
+        code, out, got = run(capsys, "analyze", path, "--no-cache")
+        assert (code, out) == (2, "") and err in got
         code, out, got = run(
             capsys, "satellite", "--pattern", path, "--infection", curve,
             "--companion", "any", "--no-cache",

@@ -15,7 +15,6 @@ from dslice.corpus import (
 from dslice.diagrams import Diagram, diagram_hash
 from dslice.documents import (
     diagram_from_document,
-    diagram_to_document,
     document_kind,
     dump_document,
     load_document,
@@ -139,12 +138,6 @@ def test_component_cross_check():
     bad = dict(TREFOIL_DOC, components=[[1, 2, 3], [4, 5, 6]])
     with pytest.raises(MalformedInput):
         diagram_from_document(bad)
-
-
-def test_to_document_round_trip():
-    d, _ = diagram_from_document(TREFOIL_DOC)
-    d2, _ = diagram_from_document(diagram_to_document(d, name="again"))
-    assert diagram_hash(d) == diagram_hash(d2)
 
 
 def test_marked_presentation_attaches_curves():

@@ -16,7 +16,7 @@ from dslice.corpus import bundled_document
 from dslice.diagrams import zero_surgery
 from dslice.documents import diagram_from_document
 from dslice.errors import BudgetExceeded
-from dslice.groebner import GroebnerBasis, reduce_vector
+from dslice.groebner import GroebnerBasis
 from dslice.laurent import ONE, T, ZERO, LaurentPoly
 from dslice.modules import alexander_module, fox_jacobian, infinite_cyclic_weights
 
@@ -88,7 +88,7 @@ def test_tracked_coordinates_reproduce_vector():
         vec = tuple(
             a * rows[0][i] + b * rows[1][i] for i in range(2)
         )
-        nf, coords = reduce_vector(list(rows), 2, vec)
+        nf, coords = GroebnerBasis(list(rows), 2, track=True).reduce(vec)
         assert not nf
         rebuilt = [ZERO, ZERO]
         for g, coeff in coords.items():

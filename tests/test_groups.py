@@ -28,7 +28,7 @@ from dslice.words import GroupPresentation, Word, fox_row
 from synthpres import (
     as_surgery,
     brute_metabelian_homs,
-    brute_subgroup,
+    brute_surjective,
     presentation_from_rows,
 )
 
@@ -71,9 +71,8 @@ def test_simplify_images_transport_homs():
     pres, meridian = trefoil_group()
     small, images = simplify_presentation(pres, keep={meridian})
     new_meridian = images[meridian].letters[0][0]
-    target, homs = metabelian_quotient_homs(
-        as_surgery(small, new_meridian), 2, 3, surjective_only=True
-    )
+    target, homs = metabelian_quotient_homs(as_surgery(small, new_meridian), 2, 3)
+    homs = brute_surjective(homs, target)
     assert homs
     for hom in homs:
         composite = tuple(
@@ -180,40 +179,6 @@ def test_quotient_homs_match_brute_force_synthetic():
     assert sorted(homs5) == sorted(brute_metabelian_homs(pres, weights, target5))
 
 
-def test_surjectivity_filter_is_exact():
-    # against brute subgroup closure, for every enumerated hom
-    for pres, meridian in [
-        (presentation_from_rows(ROWS_946), 0),
-        trefoil_group(),
-        (wirtinger(Diagram(FIG8)).group, wirtinger(Diagram(FIG8)).meridians[0]),
-    ]:
-        plain = as_surgery(pres, meridian)
-        for n, m in [(2, 3), (4, 5)]:
-            target, all_homs = metabelian_quotient_homs(plain, n, m)
-            _, surj = metabelian_quotient_homs(
-                plain, n, m, surjective_only=True
-            )
-            surj = set(surj)
-            for hom in all_homs:
-                hits_all = len(brute_subgroup(hom, target)) == target.order()
-                assert (hom in surj) == hits_all
-
-
-def test_surjective_counts():
-    plain = as_surgery(presentation_from_rows(ROWS_946))
-    _, surj = metabelian_quotient_homs(plain, 2, 3, surjective_only=True)
-    assert len(surj) == 24
-    _, surj5 = metabelian_quotient_homs(plain, 4, 5, surjective_only=True)
-    assert len(surj5) == 20
-    # figure-eight: determinant is -1 at t=2, so only conjugation-principal
-    # translation vectors survive and nothing surjects
-    lg = wirtinger(Diagram(FIG8))
-    _, fig_surj = metabelian_quotient_homs(
-        as_surgery(lg.group, lg.meridians[0]), 2, 3, surjective_only=True
-    )
-    assert fig_surj == []
-
-
 # --------------------------------------------------------- finite covers
 
 
@@ -244,9 +209,8 @@ def test_metabelian_cover_homology_is_class_invariant():
     # scaling the translation vector by a unit re-parametrises the same
     # kernel, so the cover homology cannot change
     pres = presentation_from_rows(ROWS_946)
-    target, surj = metabelian_quotient_homs(
-        as_surgery(pres), 2, 3, surjective_only=True
-    )
+    target, homs = metabelian_quotient_homs(as_surgery(pres), 2, 3)
+    surj = brute_surjective(homs, target)
     hom = surj[0]
     scaled = tuple((k, 2 * q % 3) for k, q in hom)
     assert scaled in set(surj)
@@ -272,7 +236,8 @@ def test_second_derived_trefoil():
     # in the second derived subgroup
     assert not second_derived_certificate(plain, u)
     # ... and some finite metabelian quotient must see that
-    target, surj = metabelian_quotient_homs(plain, 2, 3, surjective_only=True)
+    target, homs = metabelian_quotient_homs(plain, 2, 3)
+    surj = brute_surjective(homs, target)
     seen = [evaluate_word(u, hom, target) for hom in surj]
     assert any(v != target.identity() for v in seen)
     # a commutator of two commutator-subgroup elements dies metabelianly

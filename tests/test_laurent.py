@@ -84,7 +84,8 @@ def test_gcd_divides_both(a, b):
 def test_dyadic_normalisation():
     assert DyadicRational(6, 2) == DyadicRational(3, 1)
     assert DyadicRational(0, 5) == DyadicRational(0, 0)
-    assert DyadicRational(8, 1).as_pair() == (4, 0)
+    d = DyadicRational(8, 1)
+    assert (d.num, d.exp) == (4, 0)
 
 
 dyadics = st.tuples(

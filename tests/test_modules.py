@@ -7,9 +7,11 @@ from math import gcd, lcm
 import pytest
 import sympy
 
+from dslice.certify import NOT_APPLICABLE, certify_doubly_slice
 from dslice.diagrams import Diagram, infect, wirtinger, zero_surgery
 from dslice.errors import HypothesisNotMet, VerificationFailed
 from dslice.laurent import ONE, T, ZERO, LaurentPoly
+from dslice import modules
 from dslice.modules import (
     LambdaModule,
     TARGET_ORDER,
@@ -104,14 +106,14 @@ def test_verify_split_rejects_wrong_witnesses():
         [(T_MINUS_2, ZERO), (ZERO, TWO_T_MINUS_1)], 2
     )
     e1, e2 = (ONE, ZERO), (ZERO, ONE)
-    _verify_split(mod, e1, e2, 400000)
+    _verify_split(mod, e1, e2)
     with pytest.raises(VerificationFailed, match="t - 2"):
-        _verify_split(mod, e2, e2, 400000)
+        _verify_split(mod, e2, e2)
     with pytest.raises(VerificationFailed, match="2t - 1"):
-        _verify_split(mod, e1, e1, 400000)
+        _verify_split(mod, e1, e1)
     # 3 is no unit mod t - 2, so 3*e1 is killed but generates too little
     with pytest.raises(VerificationFailed, match="generate"):
-        _verify_split(mod, (3 * ONE, ZERO), e2, 400000)
+        _verify_split(mod, (3 * ONE, ZERO), e2)
 
 
 def test_detect_splitting_pretzel_seifert_form():
@@ -152,6 +154,28 @@ def test_detect_splitting_rejects_pseudo_null_padding():
 def test_detect_splitting_rejects_free_module():
     mod = LambdaModule.make([(T_MINUS_2, ZERO)], 2)
     assert detect_splitting(mod).verdict == "no_split"
+
+
+# 6_1, the stevedore knot: its order 2 - 5t + 2t^2 is the split module's,
+# but its module is cyclic, so over F_3 at t = 2 it has dimension 1 where
+# Lambda/(t-2) + Lambda/(2t-1) has 2
+STEVEDORE = [(1, 4, 2, 5), (7, 10, 8, 11), (3, 9, 4, 8), (9, 3, 10, 2),
+             (5, 12, 6, 1), (11, 6, 12, 7)]
+
+
+def test_detect_splitting_refutes_the_stevedore_over_f3(monkeypatch):
+    def pool_must_not_run(ncols):
+        raise AssertionError("witness search ran after an exact refutation")
+
+    monkeypatch.setattr(modules, "_witness_pool", pool_must_not_run)
+    g, mer = knot_group(STEVEDORE)
+    rep = detect_splitting(alexander_module(g, mer))
+    assert rep.order == TARGET_ORDER
+    assert rep.verdict == "no_split"
+    assert rep.note == "module has dimension 1 over F_3 at t = 2, not 2"
+    cert = certify_doubly_slice(Diagram(STEVEDORE))
+    assert cert.conclusion == NOT_APPLICABLE
+    assert "splitting verdict: no_split" in cert.hypotheses
 
 
 def test_zero_surgery_module_of_trefoil():

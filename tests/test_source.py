@@ -227,3 +227,73 @@ def test_basis_rule_sees_a_construction_come_back():
         "groups.py:5 builds GroebnerBasis",
     ]
     assert _basis_builders(source, "modules.py") == []
+
+
+# Reference implementations that no stage reads: tests check the
+# package's own paths against them.
+_REFERENCE_DEFS = {
+    # the free Fox derivative: test_acceptance.py::test_01_fox_fundamental_identity
+    # and the fox_derivative tests of test_words.py
+    "fox_derivative",
+    # group-ring product: test_words.py::test_fox_row_is_the_pushed_free_derivative,
+    # test_bs12.py::test_group_ring_ops and test_certify.py's relator_lift tests
+    "ring_mul",
+}
+
+
+def _unread_definitions(sources: dict) -> list:
+    """``(module, name, line)`` for each module-level def or class of
+    ``sources`` (module name -> text) that no other top-level statement
+    of any module reads, as a name or as an attribute."""
+    defs = []
+    readers: dict = {}  # name -> {(module, statement index)}
+    for module, source in sources.items():
+        for i, stmt in enumerate(ast.parse(source, module).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((module, i, stmt))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    readers.setdefault(node.id, set()).add((module, i))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    readers.setdefault(node.attr, set()).add((module, i))
+    return [
+        (module, stmt.name, stmt.lineno)
+        for module, i, stmt in defs
+        if not readers.get(stmt.name, set()) - {(module, i)}
+    ]
+
+
+def test_every_definition_is_read(monkeypatch):
+    # a definition that no code reads is dead, unless it is public API, a
+    # benchmark span, or a reference the tests compare against
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import layers
+
+    traced = {
+        (module.__name__.rpartition(".")[2], path.partition(".")[0])
+        for _, module, path, _, _ in layers.targets()
+    }
+    root = Path(dslice.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(root.glob("*.py"))}
+    found = [
+        f"{module}.py:{line} {name}"
+        for module, name, line in _unread_definitions(sources)
+        if name not in dslice.__all__
+        and name not in _REFERENCE_DEFS
+        and (module, name) not in traced
+    ]
+    assert found == []
+
+
+def test_unread_definition_rule_sees_a_dead_def():
+    sources = {
+        "a": (
+            "def used():\n    pass\n"
+            "def dead():\n    return dead()\n"
+            "class C:\n    pass\n"
+            "x = used\n"
+        ),
+        "b": "from .a import dead\nimport a\ny = a.C\n",
+    }
+    assert _unread_definitions(sources) == [("a", "dead", 3)]

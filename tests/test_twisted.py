@@ -21,16 +21,12 @@ from dslice.snf import abelian_invariants
 from dslice.twisted import (
     MetabelianHom,
     TransportRecord,
-    collapse_is_free_or_relator,
-    companion_collapse,
     _regular_blocks,
     crowell_check,
-    crowell_compare,
     crowell_compares,
     summand_specialization_check,
     transport_record,
     twisted_invariants,
-    validate_collapse_at,
 )
 from dslice.words import GroupPresentation, Word
 
@@ -38,6 +34,7 @@ from synthpres import (
     as_surgery,
     brute_orbit_count,
     brute_subgroup,
+    brute_surjective,
     presentation_from_rows,
 )
 
@@ -104,8 +101,9 @@ def test_crowell_check_cyclic_covers():
 def test_crowell_check_metabelian_covers():
     lg = wirtinger(Diagram(TREFOIL))
     target, homs = metabelian_quotient_homs(
-        as_surgery(lg.group, lg.meridians[0]), 2, 3, surjective_only=True
+        as_surgery(lg.group, lg.meridians[0]), 2, 3
     )
+    homs = brute_surjective(homs, target)
     assert homs
     assert crowell_check(lg.group, homs[0], target)
 
@@ -129,7 +127,7 @@ def test_crowell_compare_returns_both_paths():
     lg = wirtinger(Diagram(TREFOIL))
     q = FiniteMetabelian(2, 1)
     images = all_ones_images(lg.group, 2)
-    cover, twisted, agree = crowell_compare(lg.group, images, q)
+    cover, twisted, agree = next(crowell_compares(lg.group, [images], q))
     assert cover == (1, [3])
     assert twisted == twisted_invariants(lg.group, images, q) == (2, [3])
     assert agree is crowell_check(lg.group, images, q) is True
@@ -155,7 +153,7 @@ def test_regular_cap_counts_target_elements(monkeypatch):
     q, homs = metabelian_quotient_homs(as_surgery(lg.group), 2, 3)
     assert q.order() == 6 and lg.group.num_generators == 3 and homs
     monkeypatch.setattr(twisted, "_REGULAR_CAP", 6)
-    assert crowell_compare(lg.group, homs[0], q)[2]
+    assert next(crowell_compares(lg.group, [homs[0]], q))[2]
     monkeypatch.setattr(twisted, "_REGULAR_CAP", 5)
 
     def cover_must_not_run(*args):
@@ -163,7 +161,7 @@ def test_regular_cap_counts_target_elements(monkeypatch):
 
     monkeypatch.setattr(twisted, "coset_action", cover_must_not_run)
     with pytest.raises(BudgetExceeded):
-        crowell_compare(lg.group, homs[0], q)
+        next(crowell_compares(lg.group, [homs[0]], q))
 
 
 def _zero_surgery(name):
@@ -293,14 +291,12 @@ def test_summand_specialization():
     assert not summand_specialization_check(plain, doctored)
 
 
-# ------------------------------------------------------------- collapse
+# ------------------------------------------------------------ infection
 
 
 def test_collapse_noop_infection():
     d = Diagram(UNLINK_W, signs=UNLINK_W_SIGNS)
-    inf, plain, images = companion_collapse(d, 0, {1: Diagram(TREFOIL)})
-    assert collapse_is_free_or_relator(inf, plain, images)
-    assert validate_collapse_at(inf, plain, images, 2, 3) >= 1
+    inf = infect(d, 0, {1: Diagram(TREFOIL)})
     assert abelian_invariants(
         inf.group.abelianization_matrix(), inf.group.num_generators
     ) == (1, [])
@@ -312,21 +308,11 @@ def test_collapse_noop_infection():
 
 def test_collapse_meridian_infection():
     d = Diagram(TREFOIL_MERID, signs=TREFOIL_MERID_SIGNS)
-    inf, plain, images = companion_collapse(d, 0, {1: Diagram(FIG8)})
-    assert collapse_is_free_or_relator(inf, plain, images)
-    assert validate_collapse_at(inf, plain, images, 2, 3) >= 1
+    inf = infect(d, 0, {1: Diagram(FIG8)})
     images_mod = tuple(
         (w % 2, 0) for w in infinite_cyclic_weights(inf.group, inf.meridian)
     )
     assert crowell_check(inf.group, images_mod, FiniteMetabelian(2, 1))
-
-
-def test_collapse_detects_tampering():
-    d = Diagram(UNLINK_W, signs=UNLINK_W_SIGNS)
-    inf, plain, images = companion_collapse(d, 0, {1: Diagram(TREFOIL)})
-    bad = list(images)
-    bad[inf.meridian] = Word.gen(plain.meridian, -1)
-    assert not collapse_is_free_or_relator(inf, plain, tuple(bad))
 
 
 # ------------------------------------------------------------ transport
