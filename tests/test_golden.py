@@ -1,8 +1,8 @@
 """Golden CLI outputs: exit code and stdout SHA-256 of `--no-cache` runs.
 
 Every bundled document through ``certify``, the four knots through
-``analyze`` and the four corpus ``satellite`` requests, each in text and
-json.  The text digests are those the benchmark checks in
+``analyze``, the four corpus ``satellite`` requests and five ``oracle``
+quotients, each in text and json.  The text digests are those the benchmark checks in
 ``perfbench/expected.json``.  A refactor must leave every one of them
 unchanged; a change meant to alter output re-records them.
 """
@@ -29,6 +29,9 @@ def _argv(request):
         comp = _doc(companion) if companion in bundled_names() else companion
         return ["satellite", "--pattern", _doc("946"), "--infection", curve,
                 "--companion", comp]
+    if kind == "oracle":
+        knot, n, m = rest
+        return ["oracle", "--knot", _doc(knot), "--n", n, "--m", m]
     return [kind, _doc(rest[0])]
 
 
@@ -87,6 +90,36 @@ GOLDEN = {
             (1, "6879dab96c40e402b1097968fb6b8934c36dd1737c0f6522311459963e885767"),
         "json":
             (1, "aa78f449f62ea523e036da855f8fa5fdad08f77ddad742ab9becfdceae8ddfea"),
+    },
+    "oracle 946 2 3": {
+        "text":
+            (0, "c66d7cae596a11375c14f481f210c8a50c88ea735da0b93e052eed5f4b4407bb"),
+        "json":
+            (0, "4ba3abfdfe180946ca8b66b0998edcb3ffea4ee628f6e3aae842f80c28438346"),
+    },
+    "oracle 946 3 7": {
+        "text":
+            (0, "0dd5b64e7667f621f6718249899b5ff930fca9f5952847798d9230732cff0dac"),
+        "json":
+            (0, "d30c8acdb6f760ac8e7ff124a763bfdcc1a67cf36264dea2da52aa3285b1a8c8"),
+    },
+    "oracle 946 4 15": {
+        "text":
+            (0, "b119ed43c1a88ad9c9ee701c2d4eb98c254d109dd7a931c3ac82b57b95e1827e"),
+        "json":
+            (0, "9cc83182020d1b3c3416f1e9709fc1f252a38fbe2e8dd8d0431165629c3a0116"),
+    },
+    "oracle figure8 3 7": {
+        "text":
+            (0, "49b9f1aa47bcb6ff38b442139c2e768575a7847090a52cfbef9236bc4b010a39"),
+        "json":
+            (0, "f0c7f57d70df96aa2d6b3fbe1b0013f4126114aca93563bfb511c16eb6cc4e32"),
+    },
+    "oracle trefoil 4 15": {
+        "text":
+            (0, "5f98efa674084923866302cf132e50abd749821ba8f713467cd50000dce71438"),
+        "json":
+            (0, "84609110260893a708c49b3abadd14ef41b30144d2405af211f3a5778899ab00"),
     },
     "satellite eta1 any": {
         "text":
