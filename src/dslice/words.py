@@ -99,12 +99,21 @@ class Word:
         return Word(tuple((g + offset, e) for g, e in self.letters))
 
     def substitute(self, images: dict) -> "Word":
-        """Replace each generator by a word; missing indices map to self."""
-        out = Word.identity()
+        """Replace each generator by a word; missing indices map to self.
+
+        The images' letters are concatenated and reduced once: free
+        reduction is confluent, so this is the product of the images.
+        """
+        letters = []
         for g, e in self.letters:
-            w = images.get(g, Word.gen(g))
-            out = out * (w if e == 1 else w.inverse())
-        return out
+            w = images.get(g)
+            if w is None:
+                letters.append((g, e))
+            elif e == 1:
+                letters.extend(w.letters)
+            else:
+                letters.extend((h, -f) for h, f in reversed(w.letters))
+        return Word(tuple(letters))
 
     def __repr__(self):
         return f"Word({list(self.letters)!r})"

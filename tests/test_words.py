@@ -54,6 +54,22 @@ def test_mul_associative_via_reduction(a, b):
     assert (x * y).letters == Word(tuple(a) + tuple(b)).letters
 
 
+def _fold_substitute(word, images):
+    # the product of the images, one reducing multiplication per letter
+    out = Word.identity()
+    for g, e in word.letters:
+        v = images.get(g, Word.gen(g))
+        out = out * (v if e == 1 else v.inverse())
+    return out
+
+
+@given(letters, st.dictionaries(st.integers(0, 3), letters, max_size=4))
+def test_substitute_is_the_folded_product(a, images):
+    word = Word(tuple(a))
+    images = {g: Word(tuple(v)) for g, v in images.items()}
+    assert word.substitute(images) == _fold_substitute(word, images)
+
+
 def test_fox_derivative_generator():
     x = Word.gen(0)
     d = fox_derivative(x, 0)
