@@ -3,7 +3,9 @@
 Every map from a knot group onto a finite metabelian quotient gives two
 independent computations of the same homology: push the Fox Jacobian
 through the map and take integer invariants, or build the cover by
-coset enumeration and abelianise it.  They must agree, always.
+coset enumeration and abelianise it.  They must agree, always.  Both
+are invariants of the group and the map, so each map is restricted to
+the Tietze-simplified presentation and both run there.
 
 Run from the repository root:  python3 demos/cover_oracle.py
 """
@@ -13,7 +15,7 @@ from itertools import islice
 from dslice.corpus import bundled_document
 from dslice.diagrams import zero_surgery
 from dslice.documents import diagram_from_document
-from dslice.groups import metabelian_quotient_homs
+from dslice.groups import metabelian_quotient_homs, restrict_images
 from dslice.twisted import crowell_compares
 
 
@@ -32,7 +34,9 @@ def main():
         # maps with equal coset actions share their cover Smith form, and
         # conjugate maps their twisted one once their matrices, built in
         # the same order, are equal
-        results = crowell_compares(plain.group, homs, target)
+        simplified = plain.simplified
+        restricted = (restrict_images(simplified, h, target) for h in homs)
+        results = crowell_compares(simplified[0], restricted, target)
         for cover, twisted, agree in islice(results, 6):
             print(f"  cover {describe(*cover):18}"
                   f" twisted {describe(*twisted):22} agree {agree}")

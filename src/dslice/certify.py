@@ -36,7 +36,7 @@ from .errors import (
     RelatorViolation,
     VerificationFailed,
 )
-from .groups import metabelian_quotient_homs
+from .groups import metabelian_quotient_homs, restrict_images
 from .modules import TARGET_ORDER
 from .snf import rank_mod_p
 from .twisted import (
@@ -360,7 +360,11 @@ def certify_doubly_slice(
         target, homs = metabelian_quotient_homs(plain, qn, qm)
         hyps.append(f"metabelian quotient maps at ({qn},{qm}): {len(homs)}")
         if homs:
-            ok = crowell_check(plain.group, homs[0], target)
+            simplified = plain.simplified
+            ok = crowell_check(
+                simplified[0], restrict_images(simplified, homs[0], target),
+                target,
+            )
             hyps.append(f"cover homology cross-check at ({qn},{qm}): {ok}")
     except BudgetExceeded:
         hyps.append(f"metabelian quotient maps at ({qn},{qm}): skipped")

@@ -41,7 +41,7 @@ from .documents import (
     validate_satellite_document,
 )
 from .errors import DsliceError, MalformedInput
-from .groups import metabelian_quotient_homs
+from .groups import metabelian_quotient_homs, restrict_images
 from .twisted import _check_regular_budget, crowell_check, crowell_compares
 
 __all__ = ["main"]
@@ -143,13 +143,17 @@ def _analyze_report(doc: dict, quotient) -> dict:
     }
     n, m = quotient
     target, homs = metabelian_quotient_homs(plain, n, m)
+    agree = None
+    if homs:
+        simplified = plain.simplified
+        agree = crowell_check(
+            simplified[0], restrict_images(simplified, homs[0], target), target
+        )
     out["metabelian_quotient"] = {
         "n": n,
         "m": m,
         "maps": len(homs),
-        "crowell_agree": (
-            crowell_check(plain.group, homs[0], target) if homs else None
-        ),
+        "crowell_agree": agree,
     }
     return out
 
@@ -250,9 +254,13 @@ def cmd_oracle(doc: dict, n: int, m: int, fmt: str):
     # the zero map always exists and its check would refuse this target
     _check_regular_budget(FiniteMetabelian(n, m))
     target, homs = metabelian_quotient_homs(plain, n, m)
+    # both paths are invariants of the group and the map, so they run on
+    # the Tietze-simplified presentation with each map restricted to it
+    simplified = plain.simplified
+    restricted = (restrict_images(simplified, h, target) for h in homs)
     maps = []
     for (free, torsion), (tfree, ttors), agree in crowell_compares(
-        plain.group, homs, target
+        simplified[0], restricted, target
     ):
         maps.append({
             "cover": {"free": free, "torsion": list(torsion)},

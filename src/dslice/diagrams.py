@@ -34,7 +34,7 @@ from .errors import (
     MissingSigns,
     NotAKnot,
 )
-from .groups import summand_homs
+from .groups import simplify_presentation, summand_homs
 from .modules import (
     deleted_column_module,
     detect_splitting,
@@ -486,9 +486,10 @@ class SurgeryPresentation:
     generator of the arc they land on, which is what later stages use to
     line presentations over the same diagram up with each other.
 
-    ``weights``, ``jacobian``, ``module``, ``splitting`` and ``summands``
-    are computed on first use and kept on this frozen object, which every
-    stage reads; ``dataclasses.replace`` gives an object with its own.
+    ``weights``, ``jacobian``, ``module``, ``splitting``, ``summands``
+    and ``simplified`` are computed on first use and kept on this frozen
+    object, which every stage reads; ``dataclasses.replace`` gives an
+    object with its own.
     The module keeps its own untracked Groebner basis, ``module.basis``,
     built on first use and never when the module's order refutes the
     splitting; the splitting check and every second-derived membership
@@ -532,6 +533,12 @@ class SurgeryPresentation:
     def summands(self) -> tuple:
         """The two maps onto BS(1,2) a certified splitting induces."""
         return summand_homs(self)
+
+    @cached_property
+    def simplified(self) -> tuple:
+        """``group`` Tietze-simplified with the meridian kept, as
+        ``(small, words, kept)`` from ``simplify_presentation``."""
+        return simplify_presentation(self.group, keep={self.meridian})
 
 
 def zero_surgery(diagram: Diagram, pattern: int, curves=None) -> SurgeryPresentation:

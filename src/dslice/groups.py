@@ -17,7 +17,7 @@ Four independent services live here:
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .bs12 import (
@@ -41,6 +41,7 @@ from .words import GroupPresentation, Word, fox_row
 
 __all__ = [
     "simplify_presentation",
+    "restrict_images",
     "MetabelianHom",
     "summand_homs",
     "metabelian_quotient_homs",
@@ -58,6 +59,10 @@ _REGULAR_CAP = 20000
 # dimension) may not exceed it.
 _KERNEL_CAP = 250000
 
+# Tietze rewriting stops before the relators would hold more letters than
+# this many times the input's letters plus its generators plus 20.
+_LETTER_BUDGET = 50
+
 
 def _cyclic_reduce(w: Word) -> Word:
     ls = w.letters
@@ -66,41 +71,35 @@ def _cyclic_reduce(w: Word) -> Word:
     return Word(ls)
 
 
-def _occurrences(w: Word, g: int) -> int:
-    return sum(1 for gg, _ in w.letters if gg == g)
-
-
-def simplify_presentation(pres: GroupPresentation, keep=(), letter_budget=None):
+def simplify_presentation(pres: GroupPresentation, keep=()):
     """Eliminate generators that some relator pins down uniquely.
 
     Whenever a relator contains a generator exactly once, that relator
     solves for the generator and both can be removed.  Returns
-    ``(smaller_presentation, images)`` where ``images[i]`` expresses the
-    i-th original generator as a word in the surviving ones.  Indices in
+    ``(smaller_presentation, images, kept)``: ``kept`` is the sorted
+    tuple of surviving original indices, the j-th small generator being
+    original generator ``kept[j]``, and ``images[i]`` expresses the i-th
+    original generator as a word in the small generators.  Indices in
     ``keep`` are never eliminated.  Best effort: stops quietly when the
-    rewritten relators would outgrow the letter budget.
+    rewritten relators would outgrow ``_LETTER_BUDGET`` times the input.
     """
     keep = set(keep)
     n = pres.num_generators
     relators = [_cyclic_reduce(r) for r in pres.relators if r]
     subst = {i: Word.gen(i) for i in range(n)}
     alive = set(range(n))
-    if letter_budget is None:
-        letter_budget = 50 * (sum(len(r) for r in relators) + n + 20)
+    letter_budget = _LETTER_BUDGET * (sum(len(r) for r in relators) + n + 20)
 
     while True:
+        counts = [Counter(g for g, _ in r.letters) for r in relators]
+        total = sum(counts, Counter())
         best = None
         for ri, r in enumerate(relators):
-            counts: dict[int, int] = {}
-            for g, _ in r.letters:
-                counts[g] = counts.get(g, 0) + 1
-            for g, c in counts.items():
+            for g, c in counts[ri].items():
                 if c != 1 or g in keep:
                     continue
-                elsewhere = sum(
-                    _occurrences(s, g) for si, s in enumerate(relators) if si != ri
-                )
-                cost = (len(r) - 1, elsewhere, g, ri)
+                # (letters left in the solution, occurrences elsewhere, ...)
+                cost = (len(r) - 1, total[g] - 1, g, ri)
                 if best is None or cost < best:
                     best = cost
         if best is None:
@@ -133,15 +132,37 @@ def simplify_presentation(pres: GroupPresentation, keep=(), letter_budget=None):
         subst = {i: w.substitute({g: wg}) for i, w in subst.items()}
         alive.discard(g)
 
-    order = sorted(alive)
-    remap = {old: new for new, old in enumerate(order)}
-    to_new = {old: Word.gen(remap[old]) for old in order}
+    kept = tuple(sorted(alive))
+    to_new = {old: Word.gen(new) for new, old in enumerate(kept)}
     new_pres = GroupPresentation(
-        tuple(pres.names[i] for i in order),
+        tuple(pres.names[i] for i in kept),
         tuple(r.substitute(to_new) for r in relators),
     )
     images = tuple(subst[i].substitute(to_new) for i in range(n))
-    return new_pres, images
+    return new_pres, images, kept
+
+
+def restrict_images(simplified, images, target) -> tuple:
+    """A map on the original generators, read on ``simplified``.
+
+    ``simplified`` is ``(small, words, kept)`` from
+    ``simplify_presentation``.  Returns ``images`` at the kept
+    generators.  The result is checked to be a map of the small group
+    (every small relator dies) whose composite with the Tietze
+    isomorphism is the given map (each original generator's word gives
+    back its image), so invariants of the map read on either
+    presentation are equal.  Raises RelatorViolation or
+    VerificationFailed otherwise.
+    """
+    small, words, kept = simplified
+    small_images = tuple(images[i] for i in kept)
+    check_relators(small, small_images, target)
+    for i, w in enumerate(words):
+        if evaluate_word(w, small_images, target) != images[i]:
+            raise VerificationFailed(
+                f"generator {i}'s Tietze word misses its image"
+            )
+    return small_images
 
 
 @dataclass(frozen=True)

@@ -809,15 +809,18 @@ def test_certify_builds_one_stage_b_presentation(monkeypatch):
     mirror = _mirror_946()
     cert = certify_doubly_slice(mirror, registry=None)
     assert cert.conclusion == UNDECIDED
-    relators = zero_surgery(mirror, 0).group.relators
-    assert len(relators) == 10
+    plain = zero_surgery(mirror, 0)
+    relators = plain.group.relators
+    small = plain.simplified[0].relators
+    assert (len(relators), len(small)) == (10, 4)
     # One pass per relator and map.  The surgery presentation (10
-    # relators on 9 generators) is pushed into Lambda once (10), into
-    # BS(1,2) once per summand by the specialization check (2 x 10), and
-    # into Z/2 x| Z/3 for the one cross-checked quotient map (10).  Stage
-    # B reads the Lambda-Jacobian and pushes nothing.  10 + 20 + 10 = 40.
-    assert len(calls) == 40
+    # relators on 9 generators) is pushed into Lambda once (10) and into
+    # BS(1,2) once per summand by the specialization check (2 x 10).  Its
+    # Tietze simplification (4 relators on 3 generators) is pushed into
+    # Z/2 x| Z/3 for the one cross-checked quotient map (4).  Stage B
+    # reads the Lambda-Jacobian and pushes nothing.  10 + 20 + 4 = 34.
+    assert len(calls) == 34
     assert sorted(map(repr, (w for w, _, _ in calls))) == sorted(
-        map(repr, 4 * relators)
+        map(repr, 3 * relators + small)
     )
     assert [t for _, _, t in calls].count(Bs12Group) == 20

@@ -546,11 +546,13 @@ def test_oracle_computes_the_fox_matrix_once(docs, capsys, monkeypatch):
     maps = int(out.splitlines()[1].split(", ")[1].split()[0])
     assert maps > 0
     # the zero-surgery presentation of 9_46 has 10 relators on 9
-    # generators: one pass per relator for the Lambda-Jacobian, which the
-    # map enumeration reads, and one per relator for each map's twisted rows
-    assert len(calls) == 10 + 10 * maps
-    assert {n for n, _ in calls} == {9}
-    assert sum(isinstance(t, FiniteMetabelian) for _, t in calls) == 10 * maps
+    # generators and simplifies to 4 on 3: one pass per relator for the
+    # Lambda-Jacobian, which the map enumeration reads, and one per small
+    # relator for each map's twisted rows
+    assert len(calls) == 10 + 4 * maps
+    twisted = [n for n, t in calls if isinstance(t, FiniteMetabelian)]
+    assert twisted == [3] * (4 * maps)
+    assert {n for n, t in calls if not isinstance(t, FiniteMetabelian)} == {9}
 
 
 # ------------------------------------------------- shared work per request

@@ -3,16 +3,23 @@ from math import gcd
 
 import pytest
 
-from dslice.bs12 import BS12, Bs12Group, FiniteMetabelian, evaluate_word
+from dslice.bs12 import (
+    BS12,
+    Bs12Group,
+    FiniteMetabelian,
+    check_relators,
+    evaluate_word,
+)
 from dslice.corpus import bundled_pattern
 from dslice.diagrams import Diagram, wirtinger, zero_surgery
-from dslice.errors import HypothesisNotMet, VerificationFailed
+from dslice.errors import HypothesisNotMet, RelatorViolation, VerificationFailed
 from dslice import groups
 from dslice.groebner import module_contains
 from dslice.groups import (
     MetabelianHom,
     finite_cover_homology,
     metabelian_quotient_homs,
+    restrict_images,
     second_derived_certificate,
     simplify_presentation,
     summand_homs,
@@ -57,7 +64,7 @@ def trefoil_group():
 
 def test_simplify_trefoil_presentation():
     pres, meridian = trefoil_group()
-    small, images = simplify_presentation(pres, keep={meridian})
+    small, images, _ = simplify_presentation(pres, keep={meridian})
     assert small.num_generators < pres.num_generators
     # the kept meridian is still a plain generator
     (pair,) = images[meridian].letters
@@ -69,7 +76,7 @@ def test_simplify_trefoil_presentation():
 
 def test_simplify_images_transport_homs():
     pres, meridian = trefoil_group()
-    small, images = simplify_presentation(pres, keep={meridian})
+    small, images, _ = simplify_presentation(pres, keep={meridian})
     new_meridian = images[meridian].letters[0][0]
     target, homs = metabelian_quotient_homs(as_surgery(small, new_meridian), 2, 3)
     homs = brute_surjective(homs, target)
@@ -86,7 +93,7 @@ def test_simplify_images_transport_homs():
 
 def test_simplify_preserves_cover_homology():
     pres, meridian = trefoil_group()
-    small, images = simplify_presentation(pres, keep={meridian})
+    small, images, _ = simplify_presentation(pres, keep={meridian})
     new_meridian = images[meridian].letters[0][0]
     q = FiniteMetabelian(2, 1)
     big_images = tuple(
@@ -105,10 +112,73 @@ def test_simplify_kills_pinned_generator():
         ("x", "y"),
         (Word.gen(1) * Word.gen(0, -2),),
     )
-    small, images = simplify_presentation(pres)
+    small, images, kept = simplify_presentation(pres)
     assert small.num_generators == 1
     assert small.relators == ()
+    assert kept == (0,)
     assert images[1] == Word.gen(0) * Word.gen(0)
+
+
+# the "kink07-" Reidemeister-I kink of 9_46 from test_cli.py
+KINK07 = [
+    [13, 1, 14, 20], [1, 13, 2, 12], [11, 3, 12, 2], [5, 15, 6, 14],
+    [15, 5, 16, 4], [3, 17, 4, 16], [6, 19, 7, 20], [18, 9, 19, 10],
+    [10, 17, 11, 18], [7, 8, 8, 9],
+]
+
+
+def test_simplify_reports_kept_generators_of_a_kink():
+    plain = zero_surgery(Diagram(KINK07), 0)
+    small, images, kept = plain.simplified
+    assert (plain.group.num_generators, small.num_generators) == (10, 3)
+    assert kept == (0, 5, 7)
+    for j, i in enumerate(kept):
+        assert images[i] == Word.gen(j)
+    # an eliminated generator's image is also a single kept letter, so
+    # reading kept off the one-letter images would name generator 4
+    assert images[4] == images[5] == Word.gen(1)
+
+
+def _restriction_case():
+    _, plain, _ = bundled_pattern("946")
+    target, homs = metabelian_quotient_homs(plain, 3, 7)
+    return plain.simplified, target, homs
+
+
+def test_restrict_images_reads_the_kept_generators():
+    simplified, target, homs = _restriction_case()
+    kept = simplified[2]
+    assert len(kept) < len(homs[0])
+    for images in homs:
+        small_images = restrict_images(simplified, images, target)
+        assert small_images == tuple(images[i] for i in kept)
+
+
+def test_restrict_images_refuses_a_changed_eliminated_image():
+    simplified, target, homs = _restriction_case()
+    kept = simplified[2]
+    images = list(homs[1])
+    gone = next(i for i in range(len(images)) if i not in kept)
+    images[gone] = target.mul(images[gone], (0, 1))
+    with pytest.raises(VerificationFailed):
+        restrict_images(simplified, tuple(images), target)
+
+
+def test_restrict_images_refuses_a_broken_small_relator():
+    simplified, target, homs = _restriction_case()
+    small, _, kept = simplified
+    images = list(homs[1])
+    for x in target.elements():
+        images[kept[1]] = x
+        trial = tuple(images[i] for i in kept)
+        try:
+            check_relators(small, trial, target)
+        except RelatorViolation:
+            break
+    else:
+        pytest.fail("every image of the second kept generator passes")
+    with pytest.raises(RelatorViolation):
+        restrict_images(simplified, tuple(images), target)
 
 
 # ------------------------------------------------------- summand homs

@@ -229,6 +229,47 @@ def test_basis_rule_sees_a_construction_come_back():
     assert _basis_builders(source, "modules.py") == []
 
 
+def _simplifier_calls(source: str, filename: str) -> list:
+    """Calls of ``simplify_presentation`` outside diagrams.py, where
+    ``SurgeryPresentation.simplified`` owns the one simplification."""
+    if filename == "diagrams.py":
+        return []
+    hits = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "simplify_presentation":
+                hits.append(f"{filename}:{node.lineno} simplifies")
+    return hits
+
+
+def test_surgery_presentations_are_simplified_once():
+    # each stage reads the simplified group off its SurgeryPresentation;
+    # a stage that simplifies again repeats the Tietze pass
+    root = Path(dslice.__file__).parent
+    found = [
+        hit
+        for path in sorted(root.rglob("*.py"))
+        for hit in _simplifier_calls(path.read_text(), str(path.relative_to(root)))
+    ]
+    assert found == []
+
+
+def test_simplifier_rule_sees_a_second_caller():
+    source = (
+        "from .groups import simplify_presentation\n"
+        "from . import groups\n"
+        "small = simplify_presentation(pres, keep={0})\n"
+        "def f(pres):\n    return groups.simplify_presentation(pres)[0]\n"
+    )
+    assert _simplifier_calls(source, "cli.py") == [
+        "cli.py:3 simplifies",
+        "cli.py:5 simplifies",
+    ]
+    assert _simplifier_calls(source, "diagrams.py") == []
+
+
 # Reference implementations that no stage reads: tests check the
 # package's own paths against them.
 _REFERENCE_DEFS = {
