@@ -2,9 +2,13 @@
 
 Four independent services live here:
 
-* Tietze simplification with tracked generator images, so data attached
-  to the original generators (probe words, distinguished meridians) can
-  be rewritten into the smaller presentation.
+* Tietze simplification with tracked generator images and the indices
+  of the surviving generators, so data attached to the original
+  generators (maps, distinguished meridians) can be rewritten into the
+  smaller presentation.  ``restrict_images`` reads a map of the full
+  presentation on the small one and checks both that it is a map of the
+  small group and that it composes with the Tietze isomorphism to the
+  original map; the cover cross-checks run on that small presentation.
 * Construction of the two metabelian quotient maps onto BS(1,2) from a
   certified module splitting, one per summand, with exact dyadic
   translation parts extracted from tracked Groebner coordinates.
@@ -86,13 +90,12 @@ def simplify_presentation(pres: GroupPresentation, keep=()):
     keep = set(keep)
     n = pres.num_generators
     relators = [_cyclic_reduce(r) for r in pres.relators if r]
-    subst = {i: Word.gen(i) for i in range(n)}
-    alive = set(range(n))
+    solved = {}  # eliminated generator -> its word, in elimination order
     letter_budget = _LETTER_BUDGET * (sum(len(r) for r in relators) + n + 20)
 
     while True:
         counts = [Counter(g for g, _ in r.letters) for r in relators]
-        total = sum(counts, Counter())
+        total = Counter(g for r in relators for g, _ in r.letters)
         best = None
         for ri, r in enumerate(relators):
             for g, c in counts[ri].items():
@@ -114,8 +117,9 @@ def simplify_presentation(pres: GroupPresentation, keep=()):
             wg = prefix.inverse() * suffix.inverse()
         else:
             wg = suffix * prefix
+        # relators are kept cyclically reduced, so one without g stays
         replaced = [
-            _cyclic_reduce(s.substitute({g: wg}))
+            _cyclic_reduce(s.substitute({g: wg})) if counts[si][g] else s
             for si, s in enumerate(relators)
             if si != ri
         ]
@@ -125,20 +129,26 @@ def simplify_presentation(pres: GroupPresentation, keep=()):
         relators = []
         seen = set()
         for s in replaced:
-            if s.letters in seen or s.inverse().letters in seen:
+            inverse = tuple((h, -f) for h, f in reversed(s.letters))
+            if s.letters in seen or inverse in seen:
                 continue
             seen.add(s.letters)
             relators.append(s)
-        subst = {i: w.substitute({g: wg}) for i, w in subst.items()}
-        alive.discard(g)
+        solved[g] = wg
 
-    kept = tuple(sorted(alive))
+    # a solution holds only kept generators and ones eliminated after it,
+    # so resolving the latest first leaves every word in kept generators
+    for g in reversed(list(solved)):
+        solved[g] = solved[g].substitute(solved)
+    kept = tuple(i for i in range(n) if i not in solved)
     to_new = {old: Word.gen(new) for new, old in enumerate(kept)}
     new_pres = GroupPresentation(
         tuple(pres.names[i] for i in kept),
         tuple(r.substitute(to_new) for r in relators),
     )
-    images = tuple(subst[i].substitute(to_new) for i in range(n))
+    images = tuple(
+        solved.get(i, Word.gen(i)).substitute(to_new) for i in range(n)
+    )
     return new_pres, images, kept
 
 
