@@ -13,6 +13,17 @@ This identity is used as a two-independent-paths consistency oracle:
 the left side never looks at covering spaces, the right side
 (Reidemeister-Schreier) never looks at Fox calculus.
 
+Both sides are invariants of the group and the map: the twisted
+cokernel is the Crowell module of the map (R. H. Crowell, "Corresponding
+group and module sequences", Nagoya Math. J. 19, 1961) and the cover is
+determined by the map's kernel.  Callers therefore pass the
+Tietze-simplified zero-surgery presentation
+(``SurgeryPresentation.simplified``) with each map restricted by
+``groups.restrict_images``, which checks that the restriction is a map
+of the small group whose composite with the Tietze isomorphism is the
+enumerated map.  For 9_46 that is 3 generators and 4 relators instead
+of 9 and 10, and every matrix here shrinks with the generator count.
+
 ``crowell_compares`` reuses a Smith form only for an input equal to one
 already reduced.  The cover rows are a function of the presentation and
 the map's coset action, so maps with equal actions (conjugate maps

@@ -2,7 +2,8 @@
 
 Every bundled document through ``certify``, the four knots through
 ``analyze``, the four corpus ``satellite`` requests and five ``oracle``
-quotients, each in text and json.  The text digests are those the benchmark checks in
+quotients, each in text and json.  Where the benchmark runs the same
+request, the text digest is the one it checks in
 ``perfbench/expected.json``.  A refactor must leave every one of them
 unchanged; a change meant to alter output re-records them.
 """
