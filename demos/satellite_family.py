@@ -47,7 +47,7 @@ def main():
     show("family, all slots symbolic", family_946(registry=registry))
     print()
     show("family, concrete inner companions",
-         family_946(None, None, trefoil, trefoil, registry=registry,
+         family_946(k1=trefoil, k2=trefoil, registry=registry,
                     names=("", "", "trefoil", "trefoil")))
     print()
 

@@ -26,7 +26,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 
-from .bs12 import BS12, BS12_A, BS12_C, Bs12Group, FiniteMetabelian, ring_add
+from .bs12 import BS12, BS12_A, BS12_C, Bs12Group, ring_add
 from .diagrams import Diagram, SurgeryPresentation, diagram_hash, zero_surgery
 from .errors import (
     BudgetExceeded,
@@ -40,7 +40,6 @@ from .groups import metabelian_quotient_homs, restrict_images
 from .modules import TARGET_ORDER
 from .snf import rank_mod_p
 from .twisted import (
-    _check_regular_budget,
     crowell_check,
     summand_specialization_check,
     transport_record,
@@ -354,9 +353,6 @@ def certify_doubly_slice(
     )
     qn, qm = quotient
     try:
-        # a target past the regular-representation cap would refuse the
-        # cross-check below, so it is refused before enumerating the maps
-        _check_regular_budget(FiniteMetabelian(qn, qm))
         target, homs = metabelian_quotient_homs(plain, qn, qm)
         hyps.append(f"metabelian quotient maps at ({qn},{qm}): {len(homs)}")
         if homs:
@@ -647,8 +643,6 @@ def certify_family(
 
 
 def family_946(
-    t1=None,
-    t2=None,
     k1=None,
     k2=None,
     registry: dict | None = None,
@@ -656,11 +650,11 @@ def family_946(
 ) -> Certificate:
     """Two-layer family certificate on the bundled doubly slice pattern.
 
-    The first layer ties doubled companions built on ``t1`` and ``t2``
-    into the two winding-zero curves with nontrivial module class; the
-    second ties ``k1`` and ``k2`` into the two curves dying in the
-    second derived subgroup.  ``None`` slots stay symbolic and the
-    certificate quantifies over every knot in that slot.
+    The first layer ties symbolic doubled companions into the two
+    winding-zero curves with nontrivial module class; the second ties
+    ``k1`` and ``k2`` into the two curves dying in the second derived
+    subgroup.  A ``None`` slot stays symbolic and the certificate
+    quantifies over every knot in that slot.
     """
     from .corpus import bundled_pattern, default_registry
 
@@ -677,9 +671,9 @@ def family_946(
     eta = list(frule["eta"])
     slots = [
         {"curve": gamma[0], "companion": None, "name": names[0] or None,
-         "kind": "doubled", "base": t1},
+         "kind": "doubled"},
         {"curve": gamma[1], "companion": None, "name": names[1] or None,
-         "kind": "doubled", "base": t2},
+         "kind": "doubled"},
         {"curve": eta[0], "companion": k1, "name": names[2] or None,
          "kind": "concrete" if k1 is not None else "any"},
         {"curve": eta[1], "companion": k2, "name": names[3] or None,

@@ -42,7 +42,7 @@ from .documents import (
 )
 from .errors import DsliceError, MalformedInput
 from .groups import metabelian_quotient_homs, restrict_images
-from .twisted import _check_regular_budget, crowell_check, crowell_compares
+from .twisted import crowell_check, crowell_compares
 
 __all__ = ["main"]
 
@@ -115,8 +115,6 @@ def _render_certificate(cert: Certificate, fmt: str) -> str:
 def _analyze_report(doc: dict, quotient) -> dict:
     if document_kind(doc) != "diagram":
         raise MalformedInput("analyze expects a knot or link document")
-    # the cross-check below would refuse this target after the enumeration
-    _check_regular_budget(FiniteMetabelian(*quotient))
     diagram, name = diagram_from_document(doc)
     check_pattern_mark(doc)
     plain = zero_surgery(diagram, 0)
@@ -180,6 +178,17 @@ def cmd_analyze(doc: dict, quotient, fmt: str):
     return "\n".join(lines) + "\n", 0
 
 
+def _companion(companion, name=""):
+    """``(diagram, name, kind)`` of a companion: the token ``any``, the
+    token ``doubled`` (or its alias ``wh-symbolic``), or a document."""
+    if companion == "any":
+        return None, name, "any"
+    if companion in ("doubled", "wh-symbolic"):
+        return None, name, "doubled"
+    diagram, cname = diagram_from_document(companion)
+    return diagram, name or cname, "concrete"
+
+
 def _family_from_document(doc: dict):
     validate_satellite_document(doc)
     diagram, plain, pname = marked_presentation(doc["pattern"])
@@ -192,19 +201,12 @@ def _family_from_document(doc: dict):
         curve = item["curve"]
         if curve not in plain.curve_words:
             raise MalformedInput(f"pattern has no marked curve {curve!r}")
-        companion = item.get("companion")
-        if isinstance(companion, str):
-            kind = "doubled" if companion in ("doubled", "wh-symbolic") else "any"
-            infections.append({
-                "curve": curve, "companion": None,
-                "name": item.get("name", ""), "kind": kind,
-            })
-        else:
-            cd, cname = diagram_from_document(companion)
-            infections.append({
-                "curve": curve, "companion": cd,
-                "name": item.get("name", "") or cname, "kind": "concrete",
-            })
+        companion, name, kind = _companion(
+            item["companion"], item.get("name", "")
+        )
+        infections.append({
+            "curve": curve, "companion": companion, "name": name, "kind": kind,
+        })
     return certify_family(
         plain, base.subject["hash"], base, infections,
         registry=registry, pattern_name=pname,
@@ -231,13 +233,7 @@ def cmd_satellite(pattern_doc: dict, infection: str, companion_doc, fmt: str):
     base = certify_doubly_slice(
         diagram, name=pname, registry=default_registry(), plain=plain
     )
-    if companion_doc == "any":
-        companion, cname, kind = None, "", "any"
-    elif companion_doc in ("wh-symbolic", "doubled"):
-        companion, cname, kind = None, "", "doubled"
-    else:
-        companion, cname = diagram_from_document(companion_doc)
-        kind = "concrete"
+    companion, cname, kind = _companion(companion_doc)
     cert = certify_satellite(
         base, plain, infection, companion,
         companion_name=cname, companion_kind=kind,
@@ -251,8 +247,6 @@ def cmd_oracle(doc: dict, n: int, m: int, fmt: str):
         raise MalformedInput("oracle expects a knot document")
     diagram, name = diagram_from_document(doc)
     plain = zero_surgery(diagram, 0)
-    # the zero map always exists and its check would refuse this target
-    _check_regular_budget(FiniteMetabelian(n, m))
     target, homs = metabelian_quotient_homs(plain, n, m)
     # both paths are invariants of the group and the map, so they run on
     # the Tietze-simplified presentation with each map restricted to it

@@ -392,10 +392,8 @@ class LinkGroup:
 
     diagram: Diagram
     group: GroupPresentation
-    arc_edges: tuple
     meridians: tuple
     longitudes: tuple
-    component_of_gen: tuple
 
 
 def _underpass_word(diagram, comp, gen_of):
@@ -444,16 +442,11 @@ def wirtinger(diagram: Diagram) -> LinkGroup:
             step = -1 if w > 0 else 1
             lam = lam * Word(tuple([(meridians[i], step)] * abs(w)))
         longitudes.append(lam)
-    component_of_gen = tuple(
-        diagram.edge_component[arc[0]] for arc in arcs
-    )
     return LinkGroup(
         diagram=diagram,
         group=group,
-        arc_edges=arcs,
         meridians=meridians,
         longitudes=tuple(longitudes),
-        component_of_gen=component_of_gen,
     )
 
 
@@ -491,17 +484,18 @@ class SurgeryPresentation:
     object, which every stage reads; ``dataclasses.replace`` gives an
     object with its own.
     The module keeps its own untracked Groebner basis, ``module.basis``,
-    built on first use and never when the module's order refutes the
-    splitting; the splitting check and every second-derived membership
-    test of the object share it.  A certified ``splitting`` keeps the
-    tracked basis that ``summands`` reads its coordinates from.
+    built on first use and never when the module's order or its
+    dimension over F_3 at t = 2 refutes the splitting; the splitting
+    search, its judge and every second-derived membership test of the
+    object share it.  A certified ``splitting`` keeps the one other
+    basis, tracked over the witnesses and the module's rows, that
+    ``summands`` reads its coordinates from.
     """
 
     group: GroupPresentation
     meridian: int
     longitude: Word
     curve_words: dict
-    pattern_diagram: Diagram = None
     curve_linking: dict = field(default_factory=dict)
     orig_edge_gen: dict = field(default_factory=dict)
     sites: tuple = ()
@@ -570,7 +564,6 @@ def zero_surgery(diagram: Diagram, pattern: int, curves=None) -> SurgeryPresenta
         meridian=pres.meridians[0],
         longitude=lam,
         curve_words=words,
-        pattern_diagram=sub,
         curve_linking=linking,
         orig_edge_gen=gen_of,
         base_gen_count=pres.group.num_generators,
@@ -677,7 +670,6 @@ def infect(
         meridian=pres.meridians[comp_new[pattern]],
         longitude=lam_pattern,
         curve_words=words,
-        pattern_diagram=sub,
         curve_linking=linking,
         orig_edge_gen=gen_of,
         sites=tuple(site_records),

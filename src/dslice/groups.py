@@ -56,7 +56,8 @@ __all__ = [
 ]
 
 # Largest group a cover computation enumerates: the image subgroup in
-# coset_action, and the whole target for twisted.py's regular representation.
+# coset_action, and the whole target for twisted.py's regular representation
+# and for metabelian_quotient_homs, which refuses a larger target.
 _REGULAR_CAP = 20000
 
 # Most translation vectors metabelian_quotient_homs enumerates: m^(kernel
@@ -242,9 +243,13 @@ def metabelian_quotient_homs(plain, n: int, m: int):
     A candidate is determined by its vector of translation parts, and
     the relator conditions are exactly the kernel of ``plain.jacobian``
     evaluated at t = 2 over Z/m.  Returns ``(target, image_tuples)``
-    with a deterministic ordering.
+    with a deterministic ordering.  A target of more than
+    ``_REGULAR_CAP`` elements, which every cover cross-check of a map
+    would refuse, is refused before anything is enumerated.
     """
     target = FiniteMetabelian(n, m)
+    if target.order() > _REGULAR_CAP:
+        raise BudgetExceeded("target group larger than the cap")
     pres, weights = plain.group, plain.weights
     ng = pres.num_generators
     rows_mod = [[p.evaluate_mod(2, m) for p in row] for row in plain.jacobian]

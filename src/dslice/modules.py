@@ -251,7 +251,8 @@ def _vec_add(u, v):
 
 
 def _scale_vec(p, v):
-    return tuple(p * a for a in v)
+    # lifted pool vectors are mostly zero columns
+    return tuple(p * a if a else a for a in v)
 
 
 def _witness_pool(ncols):
@@ -279,8 +280,12 @@ def detect_splitting(module: LambdaModule) -> SplitReport:
 
     Positive and negative answers are exact; "undetermined" only means
     the bounded witness search came up empty.  Two refutations come
-    before the search: an order other than (t-2)(2t-1), and a dimension
-    other than 2 of the module tensored with F_3 at t = 2.
+    before the search, both read off the unit-pivot simplification: an
+    order other than (t-2)(2t-1), and a dimension other than 2 of the
+    module tensored with F_3 at t = 2.  The search itself runs on the
+    original rows: ``module.basis`` filters the pool, and
+    :func:`_verify_split` alone judges each pair, building the one
+    tracked basis a certified report keeps.
     """
     simp, kept = module.simplified()
     order = simp.order()
@@ -305,22 +310,18 @@ def detect_splitting(module: LambdaModule) -> SplitReport:
             order,
             note=f"module has dimension {d} over F_3 at t = 2, not 2",
         )
-    t_minus_2 = T - 2 * ONE
-    two_t_minus_1 = 2 * T - ONE
-    gb = GroebnerBasis(list(simp.rows), k, budget=SPLIT_BUDGET)
-    pool = _witness_pool(k)
-    c1 = [v for v in pool if gb.contains(_scale_vec(t_minus_2, v))]
-    c2 = [v for v in pool if gb.contains(_scale_vec(two_t_minus_1, v))]
+    # the pool is drawn over the simplified module's columns, which are
+    # original columns whose inclusion maps its cokernel isomorphically
+    # onto the module's: a lifted pair passes on the original rows
+    # exactly when it would have passed on the simplified ones
+    pool = [_lift(v, kept, module.ncols) for v in _witness_pool(k)]
+    c1 = [v for v in pool if module.basis.contains(_scale_vec(T - 2 * ONE, v))]
+    c2 = [v for v in pool if module.basis.contains(_scale_vec(2 * T - ONE, v))]
     for v1 in c1:
         for v2 in c2:
-            stacked = GroebnerBasis(
-                list(simp.rows) + [v1, v2], k, budget=SPLIT_BUDGET
-            )
-            if all(stacked.contains(_unit_vector(k, i)) for i in range(k)):
-                w1 = _lift(v1, kept, module.ncols)
-                w2 = _lift(v2, kept, module.ncols)
-                basis = _verify_split(module, w1, w2)
-                return SplitReport("split", order, w1, w2, basis=basis)
+            basis = _verify_split(module, v1, v2)
+            if basis is not None:
+                return SplitReport("split", order, v1, v2, basis=basis)
     return SplitReport(
         "undetermined",
         order,
@@ -329,19 +330,20 @@ def detect_splitting(module: LambdaModule) -> SplitReport:
 
 
 def _verify_split(module, v1, v2):
-    """Re-check the certificate against the original, unsimplified matrix.
+    """Judge a witness pair on the module's own rows.
 
-    Returns the tracked basis over ``[v1, v2] + rows`` that shows the
-    witnesses generate.
+    Returns the tracked basis over ``[v1, v2] + rows`` when t - 2 kills
+    ``v1``, 2t - 1 kills ``v2`` and the pair generates the module, and
+    None otherwise.
     """
     k = module.ncols
     if not module.basis.contains(_scale_vec(T - 2 * ONE, v1)):
-        raise VerificationFailed("witness 1 is not killed by t - 2")
+        return None
     if not module.basis.contains(_scale_vec(2 * T - ONE, v2)):
-        raise VerificationFailed("witness 2 is not killed by 2t - 1")
+        return None
     stacked = GroebnerBasis(
         [v1, v2] + list(module.rows), k, track=True, budget=SPLIT_BUDGET
     )
     if not all(stacked.contains(_unit_vector(k, i)) for i in range(k)):
-        raise VerificationFailed("the witnesses do not generate the module")
+        return None
     return stacked

@@ -319,10 +319,8 @@ def test_08_end_to_end_certificates(surgery, marked946, tmp_path, capsys):
 
     tre_diagram, _ = surgery["trefoil"]
     concrete = family_946(
-        None,
-        None,
-        tre_diagram,
-        tre_diagram,
+        k1=tre_diagram,
+        k2=tre_diagram,
         registry=registry,
         names=("", "", "trefoil", "trefoil"),
     ).as_dict()

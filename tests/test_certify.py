@@ -221,6 +221,44 @@ def test_stage_b_rank_bound_on_split_knots(workloads, seed):
         assert cert.verdicts == {"P1": want, "P2": want}, tag
 
 
+# The witness pair detect_splitting returns, as {column: coefficient}, for
+# the mirror of 9_46 and for a Reidemeister-I kink of either sign on each
+# of its 18 edges.  The pair is the first of the pool, in its order, to
+# pass, so a change to the pool or to the search order fails here.
+MIRROR_WITNESSES = ({3: 1, 6: -2}, {6: 1})
+KINK_WITNESSES = {
+    **dict.fromkeys(range(1, 5), ({7: 1}, {4: 1, 7: -2})),
+    5: ({1: 1, 4: -1}, {1: -2, 4: 1}),
+    6: ({7: 1}, {2: 1, 7: -1}),
+    **dict.fromkeys(range(7, 13), ({7: 1}, {3: 1, 7: -2})),
+    **dict.fromkeys((13, 14), ({6: 1}, {6: 1, 8: -1})),
+    **dict.fromkeys(range(15, 19), ({6: 1}, {3: 1, 6: -2})),
+}
+
+
+def test_splitting_witnesses_of_the_mirror_and_every_kink(workloads):
+    base = bundled_document("946")
+    d946 = bundled_diagram("946")
+    pds = {"mirror": (workloads.mirror_pd(base["pd"]), MIRROR_WITNESSES)}
+    for edge, pair in KINK_WITNESSES.items():
+        for positive in (False, True):
+            pd = workloads.kink_pd(base["pd"], d946.signs, edge, positive)
+            pds[f"kink{edge:02d}{'+' if positive else '-'}"] = (pd, pair)
+    assert len(pds) == 37
+    for tag, (pd, pair) in pds.items():
+        diagram, _ = diagram_from_document({"pd": pd})
+        report = zero_surgery(diagram, 0).splitting
+        assert report.verdict == "split", tag
+        got = tuple(
+            {i: p for i, p in enumerate(v) if not p.is_zero()}
+            for v in (report.v1, report.v2)
+        )
+        want = tuple(
+            {i: LaurentPoly({0: c}) for i, c in w.items()} for w in pair
+        )
+        assert got == want, tag
+
+
 def test_stage_b_rejects_a_forged_rank(monkeypatch):
     _, plain, _ = bundled_pattern("946")
     n = plain.group.num_generators

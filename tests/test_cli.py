@@ -126,17 +126,15 @@ def test_oversized_kernel_inside_the_target_cap_is_refused(docs, capsys):
 def test_target_cap_is_checked_before_enumerating_maps(
     docs, capsys, monkeypatch
 ):
-    import dslice.certify as certify
-    import dslice.cli as cli
-    import dslice.twisted as twisted
+    import dslice.groups as groups
 
     def refuse(*args, **kwargs):
-        raise AssertionError("metabelian_quotient_homs must not run")
+        raise AssertionError("the translation kernel must not be computed")
 
-    # the default (2,3) target has 6 elements, one past a cap of 5
-    monkeypatch.setattr(twisted, "_REGULAR_CAP", 5)
-    monkeypatch.setattr(certify, "metabelian_quotient_homs", refuse)
-    monkeypatch.setattr(cli, "metabelian_quotient_homs", refuse)
+    # the default (2,3) target has 6 elements, one past a cap of 5;
+    # metabelian_quotient_homs refuses it before its kernel mod m
+    monkeypatch.setattr(groups, "_REGULAR_CAP", 5)
+    monkeypatch.setattr(groups, "nullspace_mod", refuse)
     code, out, _ = run(capsys, "certify", docs["946"], "--no-cache")
     assert code == 0
     maps = [line for line in out.splitlines() if "quotient maps" in line]
@@ -147,7 +145,7 @@ def test_target_cap_is_checked_before_enumerating_maps(
 
 
 # Two diagrams of 9_46 whose hashes the registry does not know, so certify
-# runs the stage-B search: the mirror (each PD row [a,b,c,d] becomes
+# gives stage B's rank certificate: the mirror (each PD row [a,b,c,d] becomes
 # [a,d,c,b]) and a negative Reidemeister-I kink on edge 7.  The exit code
 # and the stdout SHA-256 of `certify --format json --no-cache` pin the
 # certificate bytes.
@@ -587,14 +585,14 @@ def work(monkeypatch):
     return seen
 
 
-# the four bases of a certified 9_46 splitting: the simplified module
-# (width 2) for the witness search and the one witness pair tried, then
-# the Alexander module (width 8) and the witness-stacked tracked basis
-# that the summand maps read
-BASES_946 = [(2, False), (2, False), (8, False), (8, True)]
+# the two bases of a certified 9_46 splitting, both over the Alexander
+# module's 8 columns: the module's own basis, which filters the witness
+# pool, and the tracked basis over the one witness pair tried and the
+# module's rows, which judges the pair and which the summand maps read
+BASES_946 = [(8, False), (8, True)]
 
 
-def test_certify_946_builds_four_bases(docs, capsys, work):
+def test_certify_946_builds_two_bases(docs, capsys, work):
     code, _, _ = run(capsys, "certify", docs["946"], "--no-cache")
     assert code == 0
     assert work["bases"] == BASES_946

@@ -9,7 +9,7 @@ import sympy
 
 from dslice.certify import NOT_APPLICABLE, certify_doubly_slice
 from dslice.diagrams import Diagram, infect, wirtinger, zero_surgery
-from dslice.errors import HypothesisNotMet, VerificationFailed
+from dslice.errors import HypothesisNotMet
 from dslice.laurent import ONE, T, ZERO, LaurentPoly
 from dslice import modules
 from dslice.modules import (
@@ -101,19 +101,40 @@ def test_detect_splitting_direct_sum():
     assert rep.order == TARGET_ORDER
 
 
-def test_verify_split_rejects_wrong_witnesses():
+def test_verify_split_rejects_wrong_witnesses(monkeypatch):
     mod = LambdaModule.make(
         [(T_MINUS_2, ZERO), (ZERO, TWO_T_MINUS_1)], 2
     )
     e1, e2 = (ONE, ZERO), (ZERO, ONE)
-    _verify_split(mod, e1, e2)
-    with pytest.raises(VerificationFailed, match="t - 2"):
-        _verify_split(mod, e2, e2)
-    with pytest.raises(VerificationFailed, match="2t - 1"):
-        _verify_split(mod, e1, e1)
-    # 3 is no unit mod t - 2, so 3*e1 is killed but generates too little
-    with pytest.raises(VerificationFailed, match="generate"):
-        _verify_split(mod, (3 * ONE, ZERO), e2)
+    mod.basis  # the module's own basis, shared by every judgement below
+    built = []
+    inner = modules.GroebnerBasis
+
+    def recording(generators, width, **kwargs):
+        built.append(list(generators))
+        return inner(generators, width, **kwargs)
+
+    monkeypatch.setattr(modules, "GroebnerBasis", recording)
+    basis = _verify_split(mod, e1, e2)
+    # the judge's tracked basis over [v1, v2] + rows writes each unit
+    # vector in the witnesses and the rows
+    assert built == [[e1, e2, *mod.rows]]
+    gens = built[0]
+    for e in (e1, e2):
+        nf, coords = basis.reduce(e)
+        assert not nf
+        total = [ZERO, ZERO]
+        for g, c in coords.items():
+            total = [a + c * b for a, b in zip(total, gens[g])]
+        assert tuple(total) == e
+    # t - 2 does not kill e2, nor 2t - 1 e1: refused before any basis
+    assert _verify_split(mod, e2, e2) is None
+    assert _verify_split(mod, e1, e1) is None
+    assert len(built) == 1
+    # 3 is no unit mod t - 2, so 3*e1 is killed but generates too little:
+    # refused by the tracked basis
+    assert _verify_split(mod, (3 * ONE, ZERO), e2) is None
+    assert len(built) == 2
 
 
 def test_detect_splitting_pretzel_seifert_form():

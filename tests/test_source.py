@@ -338,3 +338,54 @@ def test_unread_definition_rule_sees_a_dead_def():
         "b": "from .a import dead\nimport a\ny = a.C\n",
     }
     assert _unread_definitions(sources) == [("a", "dead", 3)]
+
+
+_CAP_OWNERS = {"groups.py", "twisted.py"}
+_CAP_NAMES = {"_REGULAR_CAP", "_check_regular_budget"}
+
+
+def _cap_readers(source: str, filename: str) -> list:
+    """Imports or reads of the regular-representation cap outside the two
+    modules that enforce it."""
+    if filename in _CAP_OWNERS:
+        return []
+    hits = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.ImportFrom):
+            hits += [
+                f"{filename}:{node.lineno} imports {alias.name}"
+                for alias in node.names if alias.name in _CAP_NAMES
+            ]
+        elif isinstance(node, ast.Name) and node.id in _CAP_NAMES:
+            hits.append(f"{filename}:{node.lineno} reads {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in _CAP_NAMES:
+            hits.append(f"{filename}:{node.lineno} reads {node.attr}")
+    return hits
+
+
+def test_regular_cap_is_read_where_it_is_enforced():
+    # metabelian_quotient_homs refuses an oversized target and the cover
+    # paths re-check their own; a caller checking up front would be a
+    # second place to keep in step
+    root = Path(dslice.__file__).parent
+    found = [
+        hit
+        for path in sorted(root.rglob("*.py"))
+        for hit in _cap_readers(path.read_text(), str(path.relative_to(root)))
+    ]
+    assert found == []
+
+
+def test_cap_rule_sees_a_caller_check_come_back():
+    source = (
+        "from .twisted import _check_regular_budget\n"
+        "from . import groups\n"
+        "_check_regular_budget(target)\n"
+        "if order > groups._REGULAR_CAP:\n    pass\n"
+    )
+    assert _cap_readers(source, "cli.py") == [
+        "cli.py:1 imports _check_regular_budget",
+        "cli.py:3 reads _check_regular_budget",
+        "cli.py:4 reads _REGULAR_CAP",
+    ]
+    assert _cap_readers(source, "twisted.py") == []
