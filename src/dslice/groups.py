@@ -56,8 +56,8 @@ __all__ = [
 ]
 
 # Largest group a cover computation enumerates: the image subgroup in
-# coset_action, and the whole target for twisted.py's regular representation
-# and for metabelian_quotient_homs, which refuses a larger target.
+# coset_action, and the whole target (_check_regular_budget) for twisted.py's
+# regular representation and for metabelian_quotient_homs.
 _REGULAR_CAP = 20000
 
 # Most translation vectors metabelian_quotient_homs enumerates: m^(kernel
@@ -236,6 +236,11 @@ def summand_homs(plain):
     return h_plus, h_minus
 
 
+def _check_regular_budget(target) -> None:
+    if target.order() > _REGULAR_CAP:
+        raise BudgetExceeded("target group larger than the cap")
+
+
 def metabelian_quotient_homs(plain, n: int, m: int):
     """All homomorphisms from ``plain.group`` to Z/n x| Z/m lifting the
     mod-n abelianisation, for a SurgeryPresentation ``plain``.
@@ -248,8 +253,7 @@ def metabelian_quotient_homs(plain, n: int, m: int):
     would refuse, is refused before anything is enumerated.
     """
     target = FiniteMetabelian(n, m)
-    if target.order() > _REGULAR_CAP:
-        raise BudgetExceeded("target group larger than the cap")
+    _check_regular_budget(target)
     pres, weights = plain.group, plain.weights
     ng = pres.num_generators
     rows_mod = [[p.evaluate_mod(2, m) for p in row] for row in plain.jacobian]

@@ -28,10 +28,10 @@ of 9 and 10, and every matrix here shrinks with the generator count.
 already reduced.  The cover rows are a function of the presentation and
 the map's coset action, so maps with equal actions (conjugate maps
 among them) share the cover Smith form.  The map g h g^-1 sends each
-Fox entry's k to g k g^-1, so reading g^-1 k g for k builds its own
-integer matrix, rows and columns permuted into h's order; it reuses h's
-twisted Smith form only when that matrix equals h's.  No theorem about
-conjugate representations is trusted.
+Fox entry's k to g k g^-1, so its group-ring rows with every k read as
+g^-1 k g are compared with h's rows; the integer matrix is a function of
+the rows, so h's twisted Smith form is reused only when they are equal.
+No theorem about conjugate representations is trusted.
 
 Also here: the transport records that let a certificate for a pattern
 be carried to its satellites.
@@ -43,10 +43,9 @@ from dataclasses import dataclass
 
 from .bs12 import Bs12Group, shadow
 from .diagrams import SurgeryPresentation, wirtinger
-from .errors import BudgetExceeded
 from .groups import (
-    _REGULAR_CAP,
     MetabelianHom,
+    _check_regular_budget,
     coset_action,
     schreier_rows,
     second_derived_certificate,
@@ -72,36 +71,26 @@ def twisted_rows(pres, images, target):
     return fox_rows(pres, images, target)
 
 
-def _check_regular_budget(target) -> None:
-    if target.order() > _REGULAR_CAP:
-        raise BudgetExceeded("target group larger than the cap")
-
-
-def _regular_blocks(rows, target, ncols, g=None):
+def _regular_blocks(rows, target, ncols):
     """Integer relation rows spanning the left-translates of each row.
 
     A group-ring row r generates the left submodule spanned by u*r over
     all u in the group; the integer row for (r, u) has, at column
     (j, u*k), the coefficient of k in entry j.  For a fixed u these
-    columns are distinct, so each integer row is one dict.  With ``g``,
-    every k is read as g^-1*k*g: the same matrix with row (r, u) moved
-    to (r, u*g) and column (j, x) to (j, x*g), so with the same
-    invariants.  Raises BudgetExceeded, before building anything, when
-    the target has more than ``_REGULAR_CAP`` elements.
+    columns are distinct, so each integer row is one dict, and the
+    matrix is a function of the rows.  Raises BudgetExceeded, before
+    building anything, when the target has more than
+    ``groups._REGULAR_CAP`` elements.
     """
     _check_regular_budget(target)
     order = target.order()
-    conj = {}
-    if g is not None:
-        gi = target.inv(g)
-        conj = {k: target.mul(target.mul(gi, k), g) for k in target.elements()}
     out = []
     for row in rows:
         coeffs, cols = [], []
         for j, entry in enumerate(row):
             for k, c in entry.items():
                 coeffs.append(c)
-                cols.append(target.left_multiples(conj.get(k, k), j * order))
+                cols.append(target.left_multiples(k, j * order))
         blocks = zip(*cols) if cols else [()] * order
         out.extend(dict(zip(block, coeffs)) for block in blocks)
     return out, ncols * order
@@ -123,10 +112,11 @@ def crowell_compares(pres, homs, target):
     of the one over the image, and the cover splits into d homeomorphic
     pieces; the comparison accounts for both.
 
-    Every map gets its own coset action and its own twisted matrix.  A
+    Every map gets its own coset action and its own group-ring rows.  A
     map whose action equals an earlier one's reuses that cover Smith
     form; a later map g*h*g^-1 of an orbit reuses the twisted one of its
-    first map h only when its matrix, built in h's order, equals h's.
+    first map h only when its rows, every k read as g^-1*k*g, equal h's.
+    Otherwise its integer matrix is built and reduced.
     """
     # the image is no larger than the target, so once the twisted path's
     # budget holds the cover path's holds too: check it before either runs
@@ -134,7 +124,8 @@ def crowell_compares(pres, homs, target):
     order = target.order()
     ng = pres.num_generators
     covers: dict = {}  # coset action -> (cosets, cover invariants)
-    orbits: dict = {}  # conjugate images -> (g, first map's matrix, invariants)
+    orbits: dict = {}  # conjugate images -> (g, first map's rows, invariants)
+    mul = target.mul
     for images in homs:
         images = tuple(images)
         action = coset_action(pres, images, target)
@@ -142,15 +133,20 @@ def crowell_compares(pres, homs, target):
             rows, ncols, ncosets = schreier_rows(pres, action)
             covers[action] = (ncosets, abelian_invariants(rows, ncols))
         ncosets, cover = covers[action]
-        g, rep_mat, twisted = orbits.get(images, (None, None, None))
-        mat = _regular_blocks(twisted_rows(pres, images, target), target, ng, g)
-        if mat != rep_mat:
-            twisted = abelian_invariants(*mat)
-        if rep_mat is None:
+        g, rep_rows, twisted = orbits.get(images, (None, None, None))
+        rows = twisted_rows(pres, images, target)
+        if g is not None:
+            gi = target.inv(g)
+            # tuples of dicts, as fox_rows returns, or no rows compare equal
+            rows = [tuple({mul(mul(gi, k), g): c for k, c in e.items()}
+                          for e in row) for row in rows]
+        if rows != rep_rows:
+            twisted = abelian_invariants(*_regular_blocks(rows, target, ng))
+        if rep_rows is None:
             for g in target.elements():
                 gi = target.inv(g)
-                conj = tuple(target.mul(target.mul(g, x), gi) for x in images)
-                orbits.setdefault(conj, (g, mat, twisted))
+                conj = tuple(mul(mul(g, x), gi) for x in images)
+                orbits.setdefault(conj, (g, rows, twisted))
         free, torsion = cover
         d = order // ncosets
         expected = (d * (free + ncosets - 1), sorted(torsion * d))

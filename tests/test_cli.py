@@ -334,7 +334,10 @@ def test_oracle_computes_smith_forms_once_per_orbit(docs, capsys, monkeypatch):
     from dslice.groups import coset_action, metabelian_quotient_homs
     from synthpres import brute_orbit_count
 
-    calls = {"coset_action": 0, "_regular_blocks": 0, "abelian_invariants": 0}
+    calls = {
+        "coset_action": 0, "twisted_rows": 0, "_regular_blocks": 0,
+        "abelian_invariants": 0,
+    }
 
     def counting(fname):
         inner = getattr(twisted, fname)
@@ -358,11 +361,12 @@ def test_oracle_computes_smith_forms_once_per_orbit(docs, capsys, monkeypatch):
     orbits = brute_orbit_count(homs, target)
     actions = len({coset_action(plain.group, h, target) for h in homs})
     assert (nmaps, orbits, actions) == (27, 5, 5)
-    # every map's coset action and twisted matrix are built; a cover Smith
-    # form is computed once per distinct action and a twisted one once per
-    # orbit, each reused only after an exact equality check
+    # every map's coset action and group-ring rows are built; a cover
+    # Smith form is computed once per distinct action, and a twisted matrix
+    # and Smith form once per orbit, each reused only after an exact
+    # equality check
     assert calls == {
-        "coset_action": nmaps, "_regular_blocks": nmaps,
+        "coset_action": nmaps, "twisted_rows": nmaps, "_regular_blocks": orbits,
         "abelian_invariants": actions + orbits,
     }
 

@@ -13,10 +13,11 @@ from dslice.groups import (
     coset_action,
     finite_cover_homology,
     metabelian_quotient_homs,
+    restrict_images,
     summand_homs,
 )
 from dslice.modules import infinite_cyclic_weights
-from dslice import twisted
+from dslice import groups, twisted
 from dslice.snf import abelian_invariants
 from dslice.twisted import (
     MetabelianHom,
@@ -152,9 +153,9 @@ def test_regular_cap_counts_target_elements(monkeypatch):
     lg = wirtinger(Diagram(TREFOIL))
     q, homs = metabelian_quotient_homs(as_surgery(lg.group), 2, 3)
     assert q.order() == 6 and lg.group.num_generators == 3 and homs
-    monkeypatch.setattr(twisted, "_REGULAR_CAP", 6)
+    monkeypatch.setattr(groups, "_REGULAR_CAP", 6)
     assert next(crowell_compares(lg.group, [homs[0]], q))[2]
-    monkeypatch.setattr(twisted, "_REGULAR_CAP", 5)
+    monkeypatch.setattr(groups, "_REGULAR_CAP", 5)
 
     def cover_must_not_run(*args):
         raise AssertionError("cover path ran past the twisted budget")
@@ -162,6 +163,22 @@ def test_regular_cap_counts_target_elements(monkeypatch):
     monkeypatch.setattr(twisted, "coset_action", cover_must_not_run)
     with pytest.raises(BudgetExceeded):
         next(crowell_compares(lg.group, [homs[0]], q))
+
+
+def test_one_cap_binding_moves_every_twisted_check(monkeypatch):
+    # twisted.py reads the cap through groups, so patching groups alone
+    # moves both of its checks, as it moves metabelian_quotient_homs
+    lg = wirtinger(Diagram(TREFOIL))
+    q, homs = metabelian_quotient_homs(as_surgery(lg.group), 2, 3)
+    rows = twisted.twisted_rows(lg.group, homs[0], q)
+    assert _regular_blocks(rows, q, 3)
+    monkeypatch.setattr(groups, "_REGULAR_CAP", 5)
+    with pytest.raises(BudgetExceeded):
+        _regular_blocks(rows, q, 3)
+    with pytest.raises(BudgetExceeded):
+        next(crowell_compares(lg.group, [homs[0]], q))
+    with pytest.raises(BudgetExceeded):
+        metabelian_quotient_homs(as_surgery(lg.group), 2, 3)
 
 
 def _zero_surgery(name):
@@ -203,16 +220,59 @@ def test_crowell_compares_equals_the_per_map_paths(name, n, m, monkeypatch):
     calls = _count_snf(monkeypatch)
     assert list(crowell_compares(pres, homs, target)) == expected
     assert all(agree for _, _, agree in expected)
-    # every map builds both inputs; every equality check passed: one cover
-    # Smith form per distinct coset action, one twisted one per orbit
-    assert built == {"coset_action": len(homs), "_regular_blocks": len(homs)}
+    # every map builds its action and its rows; every equality check
+    # passed: one cover Smith form per distinct coset action, and one
+    # twisted matrix and Smith form per orbit
+    assert built == {
+        "coset_action": len(homs), "twisted_rows": len(homs),
+        "_regular_blocks": orbits,
+    }
     assert len(calls) == actions + orbits
     if (name, n, m) == ("946", 3, 7):
         assert (actions, orbits) == (2, 3)
 
 
+def _rekeyed(rows, target, g):
+    gi = target.inv(g)
+    return [
+        tuple({target.mul(target.mul(gi, k), g): c for k, c in e.items()}
+              for e in row)
+        for row in rows
+    ]
+
+
+@pytest.mark.parametrize("name,n,m", [("946", 2, 3), ("trefoil", 3, 7)])
+def test_rekeyed_rows_are_equal_exactly_when_matrices_are(name, n, m):
+    # crowell_compares reuses a twisted Smith form when a map's rekeyed rows
+    # equal its orbit's first rows; the matrices compared before were the
+    # regular blocks of those rows.  Over every map and every rekeying
+    # element, the two tests must agree, both ways.
+    plain = _zero_surgery(name)
+    small = plain.simplified
+    target, homs = metabelian_quotient_homs(plain, n, m)
+    ng = small[0].num_generators
+    first = {}  # conjugate images -> the orbit's first rows and matrix
+    outcomes = set()
+    for h in homs:
+        images = restrict_images(small, h, target)
+        rows = twisted.twisted_rows(small[0], images, target)
+        if images not in first:
+            mat = _regular_blocks(rows, target, ng)
+            for g in target.elements():
+                gi = target.inv(g)
+                conj = tuple(target.mul(target.mul(g, x), gi) for x in images)
+                first.setdefault(conj, (rows, mat))
+        rep_rows, rep_mat = first[images]
+        for g in target.elements():
+            moved = _rekeyed(rows, target, g)
+            same_rows = moved == rep_rows
+            assert same_rows == (_regular_blocks(moved, target, ng) == rep_mat)
+            outcomes.add(same_rows)
+    assert outcomes == {True, False}
+
+
 def _count_builders(monkeypatch):
-    built = {"coset_action": 0, "_regular_blocks": 0}
+    built = {"coset_action": 0, "twisted_rows": 0, "_regular_blocks": 0}
 
     def counting(fname):
         inner = getattr(twisted, fname)
@@ -252,12 +312,12 @@ def _oracle_946_3_7(monkeypatch, tmp_path, capsys):
 def test_forged_twisted_comparison_recomputes_every_twisted_smith_form(
     monkeypatch, tmp_path, capsys
 ):
-    # each matrix compares unequal to every other, so no map of an orbit
-    # reuses its first map's twisted Smith form; the 2 coset actions still
-    # share theirs
-    genuine = twisted._regular_blocks
+    # each orbit's first rows compare unequal to every other rows, so no
+    # later map of an orbit reuses its first map's twisted Smith form; the
+    # 2 coset actions still share theirs
+    genuine = twisted.twisted_rows
     monkeypatch.setattr(
-        twisted, "_regular_blocks", lambda *args: _Unequal(genuine(*args))
+        twisted, "twisted_rows", lambda *args: _Unequal(genuine(*args))
     )
     calls = _count_snf(monkeypatch)
     _oracle_946_3_7(monkeypatch, tmp_path, capsys)
