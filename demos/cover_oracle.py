@@ -32,8 +32,8 @@ def main():
         target, homs = metabelian_quotient_homs(plain, n, m)
         print(f"{name}, quotient parameters ({n}, {m}): {len(homs)} map(s)")
         # maps with equal coset actions share their cover Smith form, and
-        # conjugate maps their twisted one once their matrices, built in
-        # the same order, are equal
+        # conjugate maps their twisted one once their group-ring rows,
+        # rekeyed by the conjugating element, are equal
         simplified = plain.simplified
         restricted = (restrict_images(simplified, h, target) for h in homs)
         results = crowell_compares(simplified[0], restricted, target)
