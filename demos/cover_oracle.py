@@ -31,9 +31,10 @@ def main():
         plain = zero_surgery(diagram, 0)
         target, homs = metabelian_quotient_homs(plain, n, m)
         print(f"{name}, quotient parameters ({n}, {m}): {len(homs)} map(s)")
-        # maps with equal coset actions share their cover Smith form, and
-        # conjugate maps their twisted one once their group-ring rows,
-        # rekeyed by the conjugating element, are equal
+        # maps with equal coset actions share their cover Smith form; each
+        # twisted matrix is reduced over the map's image subgroup, and maps
+        # related by conjugation and a unit scaling (k, q) -> (k, u*q) share
+        # it once their group-ring rows, rekeyed by that relation, are equal
         simplified = plain.simplified
         restricted = (restrict_images(simplified, h, target) for h in homs)
         results = crowell_compares(simplified[0], restricted, target)

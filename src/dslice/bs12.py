@@ -120,20 +120,9 @@ class FiniteMetabelian:
     def elements(self):
         return [(k, q) for k in range(self.n) for q in range(self.m)]
 
-    def element_index(self):
-        return {e: i for i, e in enumerate(self.elements())}
-
-    def left_multiples(self, k, offset=0):
-        """``offset`` plus the index of u*k, for every u in element order:
-        u = (a, b) sends k to (a + k0, b + 2^a k1), a rotated run of m."""
-        n, m = self.n, self.m
-        out = []
-        for a in range(n):
-            base = offset + (a + k[0]) % n * m
-            s = self._pow2[a] * k[1] % m
-            out += range(base + s, base + m)
-            out += range(base, base + s)
-        return out
+    def scale(self, x, u):
+        """The automorphism (k, q) -> (k, u*q) for a unit u of Z/m."""
+        return (x[0], u * x[1] % self.m)
 
     def __repr__(self):
         return f"FiniteMetabelian(n={self.n}, m={self.m})"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+from copy import deepcopy
 from dataclasses import dataclass, replace
 
 from .bs12 import BS12, BS12_A, BS12_C, Bs12Group, ring_add
@@ -236,15 +237,19 @@ def ext_condition(
         raise ValueError("summand tag must be P1 or P2")
     if not plain.splitting.certified:
         raise NoSplitting("module splitting has not been certified")
-    registry = registry or {}
-    curated = registry.get("ext", {}).get(subject_hash or "", {}).get(which)
-    if curated is not None:
-        return _verdict(curated.get("status", HOLDS), {
-            "kind": "ClosedFormFamily",
-            "rule": curated["rule"],
-            "citations": [curated["rule"]],
-        })
-    return stage_b_certificate(plain)
+    return _stage_a(registry, subject_hash, which) or stage_b_certificate(plain)
+
+
+def _stage_a(registry, subject_hash, which) -> dict | None:
+    """The curated registry verdict for summand ``which``, if any."""
+    curated = (registry or {}).get("ext", {}).get(subject_hash or "", {}).get(which)
+    if curated is None:
+        return None
+    return _verdict(curated.get("status", HOLDS), {
+        "kind": "ClosedFormFamily",
+        "rule": curated["rule"],
+        "citations": [curated["rule"]],
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +325,6 @@ def certify_doubly_slice(
     the knot ``diagram``; the pipeline then shares its cached weights,
     Jacobian and splitting instead of building its own.
     """
-    registry = registry or {}
     h = diagram_hash(diagram)
     subject = {"kind": "knot", "name": name or None, "hash": h}
     inputs = {"diagram": h}
@@ -364,10 +368,11 @@ def certify_doubly_slice(
             hyps.append(f"cover homology cross-check at ({qn},{qm}): {ok}")
     except BudgetExceeded:
         hyps.append(f"metabelian quotient maps at ({qn},{qm}): skipped")
-    verdicts = {
-        tag: ext_condition(plain, tag, subject_hash=h, registry=registry)
-        for tag in ("P1", "P2")
-    }
+    # stage B does not depend on the summand: run it once, copy it for each
+    verdicts = {tag: _stage_a(registry, h, tag) for tag in ("P1", "P2")}
+    if None in verdicts.values():
+        stage_b = stage_b_certificate(plain)
+        verdicts = {t: v or deepcopy(stage_b) for t, v in verdicts.items()}
     conclusion = _conclusion_from(verdicts)
     if conclusion == INCONCLUSIVE:
         hyps.append(

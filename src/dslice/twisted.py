@@ -24,14 +24,14 @@ of the small group whose composite with the Tietze isomorphism is the
 enumerated map.  For 9_46 that is 3 generators and 4 relators instead
 of 9 and 10, and every matrix here shrinks with the generator count.
 
-``crowell_compares`` reuses a Smith form only for an input equal to one
-already reduced.  The cover rows are a function of the presentation and
-the map's coset action, so maps with equal actions (conjugate maps
-among them) share the cover Smith form.  The map g h g^-1 sends each
-Fox entry's k to g k g^-1, so its group-ring rows with every k read as
-g^-1 k g are compared with h's rows; the integer matrix is a function of
-the rows, so h's twisted Smith form is reused only when they are equal.
-No theorem about conjugate representations is trusted.
+``crowell_compares`` reduces each twisted matrix over the image H of its
+map, which holds every Fox key: the whole-target matrix is d = [G : H]
+copies of that one.  A Smith form is reused only for an input equal to
+one already reduced.  Maps with equal coset actions share the cover
+Smith form.  The map s(g h g^-1), for g in the target and s a unit
+scaling (k, q) -> (k, u q), sends each Fox entry's k to s(g k g^-1), so
+its rows with every k read as g^-1 s^-1(k) g are compared with h's, and
+h's twisted Smith form is reused only when they are equal.
 
 Also here: the transport records that let a certificate for a pattern
 be carried to its satellites.
@@ -39,10 +39,12 @@ be carried to its satellites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from math import gcd
 
 from .bs12 import Bs12Group, shadow
 from .diagrams import SurgeryPresentation, wirtinger
+from .errors import VerificationFailed
 from .groups import (
     MetabelianHom,
     _check_regular_budget,
@@ -71,35 +73,39 @@ def twisted_rows(pres, images, target):
     return fox_rows(pres, images, target)
 
 
-def _regular_blocks(rows, target, ncols):
+def _regular_blocks(rows, target, ncols, elements):
     """Integer relation rows spanning the left-translates of each row.
 
-    A group-ring row r generates the left submodule spanned by u*r over
-    all u in the group; the integer row for (r, u) has, at column
-    (j, u*k), the coefficient of k in entry j.  For a fixed u these
-    columns are distinct, so each integer row is one dict, and the
-    matrix is a function of the rows.  Raises BudgetExceeded, before
-    building anything, when the target has more than
-    ``groups._REGULAR_CAP`` elements.
+    ``elements`` lists a subgroup H holding every key of ``rows``; a key
+    outside it raises VerificationFailed.  The integer row for (r, u),
+    u in H, has at column (j, index of u*k) the coefficient of k in entry
+    j, so the matrix is a function of the rows and ``elements``.  Raises
+    BudgetExceeded, before building anything, when the target has more
+    than ``groups._REGULAR_CAP`` elements.
     """
     _check_regular_budget(target)
-    order = target.order()
+    size = len(elements)
+    index = {e: i for i, e in enumerate(elements)}
     out = []
     for row in rows:
         coeffs, cols = [], []
         for j, entry in enumerate(row):
             for k, c in entry.items():
+                if k not in index:
+                    raise VerificationFailed(f"Fox key {k!r} outside the subgroup")
                 coeffs.append(c)
-                cols.append(target.left_multiples(k, j * order))
-        blocks = zip(*cols) if cols else [()] * order
+                cols.append([j * size + index[target.mul(u, k)] for u in elements])
+        blocks = zip(*cols) if cols else [()] * size
         out.extend(dict(zip(block, coeffs)) for block in blocks)
-    return out, ncols * order
+    return out, ncols * size
 
 
 def twisted_invariants(pres, images, target):
     """Abelian invariants of the twisted Jacobian's integer cokernel."""
+    _check_regular_budget(target)  # before the target is enumerated
     rows = twisted_rows(pres, images, target)
-    return abelian_invariants(*_regular_blocks(rows, target, pres.num_generators))
+    ng, elements = pres.num_generators, target.elements()
+    return abelian_invariants(*_regular_blocks(rows, target, ng, elements))
 
 
 def crowell_compares(pres, homs, target):
@@ -108,24 +114,25 @@ def crowell_compares(pres, homs, target):
     Yields ``(cover, twisted, agree)`` per map, in order: ``cover`` is the
     covering-space homology and ``twisted`` the invariants of the twisted
     Jacobian's cokernel, each as ``(free_rank, torsion)``.  When the
-    images generate a subgroup of index d, the twisted module is d copies
-    of the one over the image, and the cover splits into d homeomorphic
-    pieces; the comparison accounts for both.
+    images generate a subgroup H of index d, the twisted matrix is d
+    copies of the one over H, which is reduced and compared with the cover.
 
     Every map gets its own coset action and its own group-ring rows.  A
     map whose action equals an earlier one's reuses that cover Smith
-    form; a later map g*h*g^-1 of an orbit reuses the twisted one of its
-    first map h only when its rows, every k read as g^-1*k*g, equal h's.
-    Otherwise its integer matrix is built and reduced.
+    form; a map s(g*h*g^-1), for a unit scaling s, reuses the twisted one
+    of its orbit's first map h only when its rows, every k read as
+    g^-1*s^-1(k)*g, equal h's.  Otherwise its own rows are reduced over
+    its own image.
     """
     # the image is no larger than the target, so once the twisted path's
     # budget holds the cover path's holds too: check it before either runs
     _check_regular_budget(target)
-    order = target.order()
-    ng = pres.num_generators
+    order, ng = target.order(), pres.num_generators
     covers: dict = {}  # coset action -> (cosets, cover invariants)
-    orbits: dict = {}  # conjugate images -> (g, first map's rows, invariants)
-    mul = target.mul
+    orbits: dict = {}  # conjugate images -> (g, first rows, invariants over H)
+    mul, scale = target.mul, target.scale
+    # unit scalings (k, q) -> (k, u*q) are automorphisms, looked up on a miss
+    units = [u for u in range(1, target.m) if gcd(u, target.m) == 1] or [1]
     for images in homs:
         images = tuple(images)
         action = coset_action(pres, images, target)
@@ -133,25 +140,30 @@ def crowell_compares(pres, homs, target):
             rows, ncols, ncosets = schreier_rows(pres, action)
             covers[action] = (ncosets, abelian_invariants(rows, ncols))
         ncosets, cover = covers[action]
-        g, rep_rows, twisted = orbits.get(images, (None, None, None))
-        rows = twisted_rows(pres, images, target)
+        own = twisted_rows(pres, images, target)
+        for u in units:
+            hit = orbits.get(tuple(scale(x, u) for x in images))
+            if hit is not None:
+                break
+        g, rep_rows, twisted = hit or (None, None, None)
         if g is not None:
             gi = target.inv(g)
             # tuples of dicts, as fox_rows returns, or no rows compare equal
-            rows = [tuple({mul(mul(gi, k), g): c for k, c in e.items()}
-                          for e in row) for row in rows]
-        if rows != rep_rows:
-            twisted = abelian_invariants(*_regular_blocks(rows, target, ng))
+            rows = [tuple({mul(mul(gi, scale(k, u)), g): c for k, c in e.items()}
+                          for e in row) for row in own]
+        if g is None or rows != rep_rows:
+            elements = [target.identity()]
+            for p, i in action[1]:
+                elements.append(mul(elements[p], images[i]))
+            twisted = abelian_invariants(*_regular_blocks(own, target, ng, elements))
         if rep_rows is None:
             for g in target.elements():
-                gi = target.inv(g)
-                conj = tuple(mul(mul(g, x), gi) for x in images)
-                orbits.setdefault(conj, (g, rows, twisted))
-        free, torsion = cover
+                conj = tuple(mul(mul(g, x), target.inv(g)) for x in images)
+                orbits.setdefault(conj, (g, own, twisted))
+        (free, torsion), (tfree, ttorsion) = cover, twisted
         d = order // ncosets
-        expected = (d * (free + ncosets - 1), sorted(torsion * d))
-        agree = (twisted[0], sorted(twisted[1])) == expected
-        yield cover, twisted, agree
+        agree = (tfree, ttorsion) == (free + ncosets - 1, torsion)
+        yield cover, (d * tfree, sorted(ttorsion * d)), agree
 
 
 def crowell_check(pres, images, target) -> bool:
@@ -199,13 +211,7 @@ class TransportRecord:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "curve": self.curve,
-            "winding": self.winding,
-            "second_derived": self.second_derived,
-            "companion_alexander_trivial": self.companion_alexander_trivial,
-            "valid": self.valid,
-        }
+        return {**asdict(self), "valid": self.valid}
 
 
 def transport_record(

@@ -20,6 +20,7 @@ groups, kept independent of the library's own linear algebra.
 """
 
 from itertools import product as iproduct
+from math import gcd
 
 from dslice.bs12 import evaluate_word
 from dslice.diagrams import SurgeryPresentation
@@ -109,4 +110,23 @@ def brute_orbit_count(homs, target):
         for g in target.elements():
             gi = target.inv(g)
             seen.add(tuple(target.mul(target.mul(g, x), gi) for x in h))
+    return count
+
+
+def brute_scaled_orbit_count(homs, target):
+    """Number of orbits among ``homs`` under conjugation and the unit
+    scalings (k, q) -> (k, u*q) of the target, by closing each orbit."""
+    m = target.m
+    units = [u for u in range(1, m) if gcd(u, m) == 1] or [1]
+    seen = set()
+    count = 0
+    for h in homs:
+        if h in seen:
+            continue
+        count += 1
+        for g in target.elements():
+            gi = target.inv(g)
+            conj = [target.mul(target.mul(g, x), gi) for x in h]
+            for u in units:
+                seen.add(tuple((k, u * q % m) for k, q in conj))
     return count

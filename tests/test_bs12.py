@@ -1,3 +1,5 @@
+from math import gcd
+
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
@@ -131,16 +133,23 @@ def test_finite_is_nonabelian_when_action_nontrivial():
     assert q.mul(x, y) != q.mul(y, x)
 
 
-@pytest.mark.parametrize("n,m", [(2, 1), (2, 3), (3, 7), (4, 5), (4, 15)])
-def test_left_multiples_index_every_product(n, m):
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 7), (4, 5), (4, 15)])
+def test_unit_scaling_is_a_bijective_homomorphism(n, m):
+    # (k, q) -> (k, u*q) for every unit u of Z/m, including u = 1
     q = FiniteMetabelian(n, m)
-    idx = q.element_index()
-    for k in q.elements():
-        want = [idx[q.mul(u, k)] for u in q.elements()]
-        assert q.left_multiples(k) == want
-        assert q.left_multiples(k, 5 * q.order()) == [
-            5 * q.order() + i for i in want
-        ]
+    els = q.elements()
+    units = [u for u in range(1, m) if gcd(u, m) == 1]
+    assert 1 in units and len(units) > 1
+    for u in units:
+        image = [q.scale(x, u) for x in els]
+        assert sorted(image) == els
+        s = dict(zip(els, image))
+        for x in els:
+            for y in els:
+                assert s[q.mul(x, y)] == q.mul(s[x], s[y])
+    # a non-unit collapses two elements, so only units are automorphisms
+    if m % 3 == 0:
+        assert len({q.scale(x, 3) for x in els}) < len(els)
 
 
 def test_group_ring_ops():

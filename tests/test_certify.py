@@ -221,6 +221,36 @@ def test_stage_b_rank_bound_on_split_knots(workloads, seed):
         assert cert.verdicts == {"P1": want, "P2": want}, tag
 
 
+def test_certify_runs_stage_b_once_for_both_summands(monkeypatch):
+    # stage B does not depend on the summand: one call serves every
+    # summand without a registry row, each with its own equal copy
+    d = bundled_diagram("946")
+    h = diagram_hash(d)
+    calls = []
+    inner = certify.stage_b_certificate
+
+    def counting(plain):
+        calls.append(plain)
+        return inner(plain)
+
+    monkeypatch.setattr(certify, "stage_b_certificate", counting)
+    row = default_registry()["ext"][h]
+    for registry, want_calls in (
+        (None, 1), ({"ext": {h: {"P1": row["P1"]}}}, 1), (default_registry(), 0)
+    ):
+        calls.clear()
+        plain = zero_surgery(d, 0)
+        cert = certify_doubly_slice(d, registry=registry, plain=plain)
+        assert len(calls) == want_calls
+        for tag in ("P1", "P2"):
+            assert cert.verdicts[tag] == ext_condition(
+                plain, tag, subject_hash=h, registry=registry
+            )
+    cert = certify_doubly_slice(d, registry=None)
+    p1, p2 = cert.verdicts["P1"], cert.verdicts["P2"]
+    assert p1 == p2 and p1 is not p2 and p1["evidence"] is not p2["evidence"]
+
+
 # The witness pair detect_splitting returns, as {column: coefficient}, for
 # the mirror of 9_46 and for a Reidemeister-I kink of either sign on each
 # of its 18 edges.  The pair is the first of the pool, in its order, to

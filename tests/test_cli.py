@@ -332,7 +332,7 @@ def test_oracle_computes_smith_forms_once_per_orbit(docs, capsys, monkeypatch):
     from dslice.diagrams import zero_surgery
     from dslice.documents import diagram_from_document
     from dslice.groups import coset_action, metabelian_quotient_homs
-    from synthpres import brute_orbit_count
+    from synthpres import brute_scaled_orbit_count
 
     calls = {
         "coset_action": 0, "twisted_rows": 0, "_regular_blocks": 0,
@@ -358,13 +358,13 @@ def test_oracle_computes_smith_forms_once_per_orbit(docs, capsys, monkeypatch):
     diagram, _ = diagram_from_document(bundled_document("946"))
     plain = zero_surgery(diagram, 0)
     target, homs = metabelian_quotient_homs(plain, 2, 3)
-    orbits = brute_orbit_count(homs, target)
+    orbits = brute_scaled_orbit_count(homs, target)
     actions = len({coset_action(plain.group, h, target) for h in homs})
     assert (nmaps, orbits, actions) == (27, 5, 5)
     # every map's coset action and group-ring rows are built; a cover
     # Smith form is computed once per distinct action, and a twisted matrix
-    # and Smith form once per orbit, each reused only after an exact
-    # equality check
+    # and Smith form once per orbit under conjugation and unit scaling,
+    # each reused only after an exact equality check
     assert calls == {
         "coset_action": nmaps, "twisted_rows": nmaps, "_regular_blocks": orbits,
         "abelian_invariants": actions + orbits,

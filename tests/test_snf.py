@@ -85,7 +85,7 @@ def test_sparse_invariants_pinned_regular_block():
     assert images in homs
     rows, ncols = _regular_blocks(
         twisted_rows(plain.group, images, target), target,
-        plain.group.num_generators,
+        plain.group.num_generators, target.elements(),
     )
     assert (len(rows), ncols) == (240, 180)
     assert sum(len(r) for r in rows) == 1080

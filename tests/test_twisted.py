@@ -1,4 +1,5 @@
 import hashlib
+from math import gcd
 
 import pytest
 
@@ -7,7 +8,7 @@ from dslice.cache import ENV_CACHE_DIR
 from dslice.cli import main
 from dslice.corpus import bundled_document
 from dslice.diagrams import Diagram, SurgeryPresentation, infect, wirtinger, zero_surgery
-from dslice.errors import BudgetExceeded, TargetMismatch
+from dslice.errors import BudgetExceeded, TargetMismatch, VerificationFailed
 from dslice.documents import diagram_from_document, dump_document
 from dslice.groups import (
     coset_action,
@@ -34,6 +35,7 @@ from dslice.words import GroupPresentation, Word
 from synthpres import (
     as_surgery,
     brute_orbit_count,
+    brute_scaled_orbit_count,
     brute_subgroup,
     brute_surjective,
     presentation_from_rows,
@@ -139,7 +141,7 @@ def test_regular_blocks_cap_is_checked_before_building():
     # to enumerate, so only the up-front check can make this return quickly
     big = FiniteMetabelian(20, 2**20 - 1)
     with pytest.raises(BudgetExceeded):
-        _regular_blocks([({(0, 0): 1},)], big, 1)
+        _regular_blocks([({(0, 0): 1},)], big, 1, [(0, 0)])
     lg = wirtinger(Diagram(TREFOIL))
     with pytest.raises(BudgetExceeded):
         twisted_invariants(lg.group, tuple((1, 0) for _ in lg.group.names), big)
@@ -171,10 +173,10 @@ def test_one_cap_binding_moves_every_twisted_check(monkeypatch):
     lg = wirtinger(Diagram(TREFOIL))
     q, homs = metabelian_quotient_homs(as_surgery(lg.group), 2, 3)
     rows = twisted.twisted_rows(lg.group, homs[0], q)
-    assert _regular_blocks(rows, q, 3)
+    assert _regular_blocks(rows, q, 3, q.elements())
     monkeypatch.setattr(groups, "_REGULAR_CAP", 5)
     with pytest.raises(BudgetExceeded):
-        _regular_blocks(rows, q, 3)
+        _regular_blocks(rows, q, 3, q.elements())
     with pytest.raises(BudgetExceeded):
         next(crowell_compares(lg.group, [homs[0]], q))
     with pytest.raises(BudgetExceeded):
@@ -215,60 +217,131 @@ def test_crowell_compares_equals_the_per_map_paths(name, n, m, monkeypatch):
         )
         expected.append((cover, tw, agree))
     actions = len({coset_action(pres, h, target) for h in homs})
-    orbits = brute_orbit_count(homs, target)
+    orbits = brute_scaled_orbit_count(homs, target)
     built = _count_builders(monkeypatch)
     calls = _count_snf(monkeypatch)
     assert list(crowell_compares(pres, homs, target)) == expected
     assert all(agree for _, _, agree in expected)
     # every map builds its action and its rows; every equality check
     # passed: one cover Smith form per distinct coset action, and one
-    # twisted matrix and Smith form per orbit
+    # twisted matrix and Smith form per orbit under conjugation and unit
+    # scaling
     assert built == {
         "coset_action": len(homs), "twisted_rows": len(homs),
         "_regular_blocks": orbits,
     }
     assert len(calls) == actions + orbits
     if (name, n, m) == ("946", 3, 7):
-        assert (actions, orbits) == (2, 3)
+        assert (actions, orbits, brute_orbit_count(homs, target)) == (2, 2, 3)
 
 
-def _rekeyed(rows, target, g):
+def _rekeyed(rows, target, g, u=1):
     gi = target.inv(g)
     return [
-        tuple({target.mul(target.mul(gi, k), g): c for k, c in e.items()}
+        tuple({target.mul(target.mul(gi, target.scale(k, u)), g): c
+               for k, c in e.items()}
               for e in row)
         for row in rows
     ]
+
+
+def _units(m):
+    return [u for u in range(1, m) if gcd(u, m) == 1]
 
 
 @pytest.mark.parametrize("name,n,m", [("946", 2, 3), ("trefoil", 3, 7)])
 def test_rekeyed_rows_are_equal_exactly_when_matrices_are(name, n, m):
     # crowell_compares reuses a twisted Smith form when a map's rekeyed rows
     # equal its orbit's first rows; the matrices compared before were the
-    # regular blocks of those rows.  Over every map and every rekeying
-    # element, the two tests must agree, both ways.
+    # regular blocks of those rows.  Over every map, every unit scaling and
+    # every conjugating element, the two tests must agree, both ways.
     plain = _zero_surgery(name)
     small = plain.simplified
     target, homs = metabelian_quotient_homs(plain, n, m)
     ng = small[0].num_generators
-    first = {}  # conjugate images -> the orbit's first rows and matrix
+    whole = target.elements()
+    first = {}  # scaled conjugate images -> the orbit's first rows and matrix
     outcomes = set()
     for h in homs:
         images = restrict_images(small, h, target)
         rows = twisted.twisted_rows(small[0], images, target)
         if images not in first:
-            mat = _regular_blocks(rows, target, ng)
-            for g in target.elements():
+            mat = _regular_blocks(rows, target, ng, whole)
+            for g in whole:
                 gi = target.inv(g)
-                conj = tuple(target.mul(target.mul(g, x), gi) for x in images)
-                first.setdefault(conj, (rows, mat))
+                conj = [target.mul(target.mul(g, x), gi) for x in images]
+                for u in _units(m):
+                    scaled = tuple(target.scale(x, u) for x in conj)
+                    first.setdefault(scaled, (rows, mat))
         rep_rows, rep_mat = first[images]
-        for g in target.elements():
-            moved = _rekeyed(rows, target, g)
-            same_rows = moved == rep_rows
-            assert same_rows == (_regular_blocks(moved, target, ng) == rep_mat)
-            outcomes.add(same_rows)
-    assert outcomes == {True, False}
+        for u in _units(m):
+            for g in whole:
+                moved = _rekeyed(rows, target, g, u)
+                same_rows = moved == rep_rows
+                same_mat = _regular_blocks(moved, target, ng, whole) == rep_mat
+                assert same_rows == same_mat
+                outcomes.add((u == 1, same_rows))
+    # conjugation alone and with a unit scaling each pass and fail somewhere
+    assert outcomes == {
+        (True, True), (True, False), (False, True), (False, False)
+    }
+
+
+def _image_elements(images, target):
+    return sorted(brute_subgroup(images, target))
+
+
+@pytest.mark.parametrize("name,n,m", [
+    ("946", 2, 3), ("946", 3, 7), ("trefoil", 4, 15), ("figure8", 3, 7),
+])
+def test_whole_target_invariants_are_copies_of_the_image_subgroups(name, n, m):
+    # the whole-target matrix is, up to a permutation of rows and columns,
+    # one copy of the image subgroup's matrix per coset, so its invariants
+    # are each of the subgroup's repeated d times
+    plain = _zero_surgery(name)
+    small = plain.simplified
+    target, homs = metabelian_quotient_homs(plain, n, m)
+    ng = small[0].num_generators
+    indices = set()
+    for h in homs:
+        images = restrict_images(small, h, target)
+        sub = _image_elements(images, target)
+        d = target.order() // len(sub)
+        rows = twisted.twisted_rows(small[0], images, target)
+        free, torsion = abelian_invariants(*_regular_blocks(rows, target, ng, sub))
+        assert twisted_invariants(small[0], images, target) == (
+            d * free, sorted(torsion * d)
+        )
+        indices.add(d)
+    if name == "trefoil":
+        assert {5, 15} <= indices
+
+
+def test_fox_key_outside_the_image_subgroup_is_refused(monkeypatch):
+    plain = _zero_surgery("trefoil")
+    small = plain.simplified
+    target, homs = metabelian_quotient_homs(plain, 4, 15)
+    images = next(
+        im for im in (restrict_images(small, h, target) for h in homs)
+        if len(brute_subgroup(im, target)) < target.order()
+    )
+    sub = _image_elements(images, target)
+    outside = next(x for x in target.elements() if x not in sub)
+
+    def forge(rows):
+        return [(row[0] | {outside: 1},) + row[1:] for row in rows]
+
+    rows = twisted.twisted_rows(small[0], images, target)
+    ng = small[0].num_generators
+    assert _regular_blocks(rows, target, ng, sub)
+    with pytest.raises(VerificationFailed):
+        _regular_blocks(forge(rows), target, ng, sub)
+    genuine = twisted.twisted_rows
+    monkeypatch.setattr(
+        twisted, "twisted_rows", lambda *args: forge(genuine(*args))
+    )
+    with pytest.raises(VerificationFailed):
+        next(crowell_compares(small[0], [images], target))
 
 
 def _count_builders(monkeypatch):
@@ -313,8 +386,9 @@ def test_forged_twisted_comparison_recomputes_every_twisted_smith_form(
     monkeypatch, tmp_path, capsys
 ):
     # each orbit's first rows compare unequal to every other rows, so no
-    # later map of an orbit reuses its first map's twisted Smith form; the
-    # 2 coset actions still share theirs
+    # later map of an orbit, conjugate or unit-scaled, reuses its first
+    # map's twisted Smith form; each reduces its own rows over its own
+    # image subgroup, and the 2 coset actions still share theirs
     genuine = twisted.twisted_rows
     monkeypatch.setattr(
         twisted, "twisted_rows", lambda *args: _Unequal(genuine(*args))
@@ -328,14 +402,15 @@ def test_forged_coset_actions_recompute_every_cover_smith_form(
     monkeypatch, tmp_path, capsys
 ):
     # each action compares unequal to every other, so every map gets its
-    # own cover Smith form; the 3 orbits still share their twisted ones
+    # own cover Smith form; the 2 orbits under conjugation and unit scaling
+    # still share their twisted ones
     genuine = twisted.coset_action
     monkeypatch.setattr(
         twisted, "coset_action", lambda *args: _Unequal(genuine(*args))
     )
     calls = _count_snf(monkeypatch)
     _oracle_946_3_7(monkeypatch, tmp_path, capsys)
-    assert len(calls) == 49 + 3
+    assert len(calls) == 49 + 2
 
 
 # ----------------------------------------------- summand specialization
