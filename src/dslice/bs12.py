@@ -18,7 +18,7 @@ from math import gcd
 
 from .errors import IncompatibleParameters, NotSurjective, RelatorViolation
 from .groebner import _xgcd
-from .laurent import DyadicRational, LaurentPoly
+from .laurent import DyadicRational
 from .words import Word
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "bs12_surjective",
     "ring_add",
     "ring_mul",
-    "ring_apply",
-    "shadow",
 ]
 
 
@@ -217,21 +215,3 @@ def ring_mul(x: dict, y: dict, target) -> dict:
             else:
                 out.pop(k, None)
     return out
-
-
-def ring_apply(x: dict, fn) -> dict:
-    """Push a group-ring element through a group map."""
-    out: dict = {}
-    for g, c in x.items():
-        k = fn(g)
-        v = out.get(k, 0) + c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
-
-
-def shadow(x: dict) -> LaurentPoly:
-    """Image in Lambda = Z[t, t^-1] under (k, q) -> t^k: the dyadic part dies."""
-    return LaurentPoly(ring_apply(x, lambda g: g.k))

@@ -488,8 +488,8 @@ class SurgeryPresentation:
     dimension over F_3 at t = 2 refutes the splitting; the splitting
     search, its judge and every second-derived membership test of the
     object share it.  A certified ``splitting`` keeps the one other
-    basis, tracked over the witnesses and the module's rows, that
-    ``summands`` reads its coordinates from.
+    basis, ``module.basis`` extended by the two witnesses and tracked on
+    them alone, that ``summands`` reads its coordinates from.
     """
 
     group: GroupPresentation

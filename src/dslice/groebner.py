@@ -16,6 +16,13 @@ input generators, so reductions to zero yield explicit coefficient
 witnesses.  Callers re-verify witnesses by multiplication; nothing
 downstream trusts the bookkeeping blindly.
 
+A complete basis can be extended by further generators without a new
+completion: the extension copies the base's elements, which carry no
+coordinates, and forms only the pairs that involve a new element.  The
+old pairs keep their standard representations in the larger basis, so
+the result is a strong basis of the base module plus the new
+generators, and its coordinates are taken modulo the base module.
+
 Monomials are (i, j) exponent pairs for t^i u^j; module terms add a
 position.  The order is graded (total degree, then t-degree), with ties
 broken towards the lower position.
@@ -153,9 +160,12 @@ class GroebnerBasis:
     ``generators``: list of Laurent vectors.  When ``track`` is set the
     basis remembers how each element is built from the generators and
     :meth:`reduce` reports coefficients for successful memberships.
+
+    ``base``, a complete basis of the same width, makes this its
+    extension by ``generators``, as the module docstring describes.
     """
 
-    def __init__(self, generators, width, track=False, budget=200000):
+    def __init__(self, generators, width, track=False, budget=200000, base=None):
         self.width = width
         self.track = track
         self.budget = budget
@@ -172,9 +182,19 @@ class GroebnerBasis:
             if elem:
                 coords = {idx: {(0, 0): 1}} if track else None
                 gens.append((elem, coords))
-        for pos in range(width):
-            rel = {(1, 1, pos): 1, (0, 0, pos): -1}
-            gens.append((rel, {} if track else None))
+        if base is None:
+            for pos in range(width):
+                rel = {(1, 1, pos): 1, (0, 0, pos): -1}
+                gens.append((rel, {} if track else None))
+        elif base.width != width:
+            raise ValueError("base width mismatch")
+        else:
+            # in basis order, so each position's list stays in basis order;
+            # every pair among these was formed when the base completed
+            for elem, _, m, lc in base.basis:
+                entry = (elem, None, m, lc)
+                self.basis.append(entry)
+                self._by_pos[m[2]].append(entry)
         self._complete(gens)
 
     def _tick(self):
@@ -296,7 +316,8 @@ class GroebnerBasis:
         Returns ``(normal_form_elem, coords)``; membership holds exactly
         when the normal form is empty.  ``coords`` (tracking only) maps
         generator index -> Laurent coefficient; when the normal form is
-        empty, ``vec = sum coeff_g * generator_g`` holds exactly.
+        empty, ``vec = sum coeff_g * generator_g`` holds exactly, or, on
+        an extension, modulo the base module.
         """
         elem = vector_to_tu(vec)
         coords = {} if self.track else None
@@ -309,7 +330,7 @@ class GroebnerBasis:
         return red, lifted
 
     def contains(self, vec) -> bool:
-        red, _ = self.reduce(vec)
+        red, _ = self._reduce_full(vector_to_tu(vec), None)
         return not red
 
 

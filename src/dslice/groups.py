@@ -201,10 +201,11 @@ def summand_homs(plain):
     Each splitting summand is a copy of Z[1/2] on which the meridian
     acts by 2 or by 1/2, so collapsing the other summand yields a map
     onto (a subgroup of) BS(1,2).  Translation parts come from the
-    witness coordinates of each generator column, reduced by the tracked
-    Groebner basis over ``[v1, v2] + rows`` that the splitting report
-    keeps; they are well defined exactly modulo the summand's
-    annihilator, which evaluation at t = 2 (resp. t = 1/2) kills.
+    witness coordinates of each generator column, reduced by the basis
+    the splitting report keeps: the module's basis extended by
+    ``[v1, v2]``, which writes the column as p v1 + q v2 modulo the rows.
+    p and q are well defined exactly modulo the summands' annihilators,
+    which evaluation at t = 2 (resp. t = 1/2) kills.
     """
     report = plain.splitting
     if not report.certified:

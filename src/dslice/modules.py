@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb, gcd
 
@@ -114,7 +114,8 @@ class LambdaModule:
 
     ``basis``, an untracked Groebner basis of the row span, is built on
     first use under ``SPLIT_BUDGET`` and kept, so every membership
-    question about one module shares it.
+    question about one module shares it, and the splitting judge extends
+    it instead of completing the rows again.
     """
 
     rows: tuple
@@ -222,10 +223,10 @@ class SplitReport:
     over F_3 at t = 2, obstructs), or "undetermined" (both fit but no
     witnesses were found in the search pool).
     Witnesses are vectors in the module's original coordinates.  A
-    certified report keeps ``basis``, the tracked Groebner basis over
-    ``[v1, v2] + rows`` that showed the witnesses generate; the summand
-    maps read their coordinates from it.  It takes no part in ``repr`` or
-    comparison.
+    certified report keeps ``basis``, the module's basis extended by
+    ``[v1, v2]`` and tracked on them, that showed the witnesses generate;
+    the summand maps read their coordinates from it.  It takes no part in
+    ``repr`` or comparison.
     """
 
     verdict: str
@@ -283,9 +284,11 @@ def detect_splitting(module: LambdaModule) -> SplitReport:
     before the search, both read off the unit-pivot simplification: an
     order other than (t-2)(2t-1), and a dimension other than 2 of the
     module tensored with F_3 at t = 2.  The search itself runs on the
-    original rows: ``module.basis`` filters the pool, and
-    :func:`_verify_split` alone judges each pair, building the one
-    tracked basis a certified report keeps.
+    original rows and visits pairs (v1, v2) in pool order, v1 outermost.
+    ``module.basis`` tests a pool vector for t - 2 or 2t - 1 only when
+    the search first reaches it, and :func:`_verify_split` alone judges
+    each pair, extending ``module.basis`` into the one tracked basis a
+    certified report keeps.
     """
     simp, kept = module.simplified()
     order = simp.order()
@@ -315,10 +318,13 @@ def detect_splitting(module: LambdaModule) -> SplitReport:
     # onto the module's: a lifted pair passes on the original rows
     # exactly when it would have passed on the simplified ones
     pool = [_lift(v, kept, module.ncols) for v in _witness_pool(k)]
-    c1 = [v for v in pool if module.basis.contains(_scale_vec(T - 2 * ONE, v))]
-    c2 = [v for v in pool if module.basis.contains(_scale_vec(2 * T - ONE, v))]
-    for v1 in c1:
-        for v2 in c2:
+    contains = module.basis.contains
+    # each pool vector is tested against each factor at most once
+    kills_v2 = cache(lambda v: contains(_scale_vec(2 * T - ONE, v)))
+    for v1 in pool:
+        if not contains(_scale_vec(T - 2 * ONE, v1)):
+            continue
+        for v2 in filter(kills_v2, pool):
             basis = _verify_split(module, v1, v2)
             if basis is not None:
                 return SplitReport("split", order, v1, v2, basis=basis)
@@ -332,9 +338,11 @@ def detect_splitting(module: LambdaModule) -> SplitReport:
 def _verify_split(module, v1, v2):
     """Judge a witness pair on the module's own rows.
 
-    Returns the tracked basis over ``[v1, v2] + rows`` when t - 2 kills
-    ``v1``, 2t - 1 kills ``v2`` and the pair generates the module, and
-    None otherwise.
+    Returns ``module.basis`` extended by ``[v1, v2]``, tracked on the two
+    witnesses alone, when t - 2 kills ``v1``, 2t - 1 kills ``v2`` and
+    the pair generates the module, and None otherwise.  The extension
+    spans the rows and the witnesses, so it writes each unit vector as
+    p v1 + q v2 modulo the rows.
     """
     k = module.ncols
     if not module.basis.contains(_scale_vec(T - 2 * ONE, v1)):
@@ -342,7 +350,7 @@ def _verify_split(module, v1, v2):
     if not module.basis.contains(_scale_vec(2 * T - ONE, v2)):
         return None
     stacked = GroebnerBasis(
-        [v1, v2] + list(module.rows), k, track=True, budget=SPLIT_BUDGET
+        [v1, v2], k, track=True, budget=SPLIT_BUDGET, base=module.basis
     )
     if not all(stacked.contains(_unit_vector(k, i)) for i in range(k)):
         return None

@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from math import gcd
 
-from .bs12 import Bs12Group, shadow
 from .diagrams import SurgeryPresentation, wirtinger
 from .errors import VerificationFailed
 from .groups import (
@@ -52,8 +51,8 @@ from .groups import (
     schreier_rows,
     second_derived_certificate,
 )
-from .laurent import ONE
-from .modules import alexander_polynomial
+from .laurent import ONE, LaurentPoly
+from .modules import _Degree, alexander_polynomial
 from .snf import abelian_invariants
 from .words import fox_rows
 
@@ -142,15 +141,16 @@ def crowell_compares(pres, homs, target):
         ncosets, cover = covers[action]
         own = twisted_rows(pres, images, target)
         for u in units:
-            hit = orbits.get(tuple(scale(x, u) for x in images))
+            # u = 1 is the identity: plain conjugates skip the rescaling
+            hit = orbits.get(images if u == 1 else tuple(scale(x, u) for x in images))
             if hit is not None:
                 break
         g, rep_rows, twisted = hit or (None, None, None)
         if g is not None:
             gi = target.inv(g)
             # tuples of dicts, as fox_rows returns, or no rows compare equal
-            rows = [tuple({mul(mul(gi, scale(k, u)), g): c for k, c in e.items()}
-                          for e in row) for row in own]
+            rows = [tuple({mul(mul(gi, k if u == 1 else scale(k, u)), g): c
+                           for k, c in e.items()} for e in row) for row in own]
         if g is None or rows != rep_rows:
             elements = [target.identity()]
             for p, i in action[1]:
@@ -175,15 +175,17 @@ def summand_specialization_check(plain, hom: MetabelianHom) -> bool:
     """Collapsing translations must recover the untwisted Jacobian.
 
     Composing a summand homomorphism with (k, q) -> t^k is the
-    abelianisation, up to the recorded meridian exponent; the pushed
-    Jacobian therefore has to match ``plain.jacobian`` entry by entry,
-    with t inverted when the meridian maps to a^-1.
+    abelianisation, up to the recorded meridian exponent; the Jacobian
+    pushed through the composite therefore has to match ``plain.jacobian``
+    entry by entry, with t inverted when the meridian maps to a^-1.  The
+    Fox rows go straight to Lambda through the images' exponents k: the
+    composite is a ring map, so this is the BS(1,2) Jacobian collapsed.
     """
     want = plain.jacobian
     if hom.merid_exponent == -1:
         want = tuple(tuple(p.mirror() for p in row) for row in want)
-    pushed = twisted_rows(plain.group, hom.images, Bs12Group)
-    return tuple(tuple(shadow(e) for e in row) for row in pushed) == want
+    pushed = fox_rows(plain.group, [x.k for x in hom.images], _Degree)
+    return tuple(tuple(LaurentPoly(e) for e in row) for row in pushed) == want
 
 
 # ------------------------------------------------------------ transport

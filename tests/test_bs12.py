@@ -13,7 +13,6 @@ from dslice.bs12 import (
     bs12_surjective,
     check_relators,
     evaluate_word,
-    ring_apply,
     ring_mul,
 )
 from dslice.errors import IncompatibleParameters, RelatorViolation
@@ -159,7 +158,3 @@ def test_group_ring_ops():
     one_minus_a = {e: 1, a: -1}
     prod = ring_mul(one_plus_a, one_minus_a, Bs12Group)
     assert prod == {e: 1, a * a: -1}
-    pushed = ring_apply({a: 2, a * a: 5}, lambda g: (g.k % 2, 0))
-    assert pushed == {(1, 0): 2, (0, 0): 5}
-    collapsed = ring_apply({a: 1, BS12(1, dy(3)): -1}, lambda g: g.k)
-    assert collapsed == {}

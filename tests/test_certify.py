@@ -1,5 +1,6 @@
 """Certificate assembly, the staged lifting verdicts, and replay."""
 
+import hashlib
 import itertools
 import json
 import sys
@@ -11,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from dslice import certify
 from dslice.bs12 import BS12_A, BS12_C, Bs12Group, ring_mul
-from dslice.bs12 import shadow as _shadow
 from dslice.certify import (
     CERT_VERSION,
     CERTIFIED,
@@ -54,8 +54,10 @@ from dslice.errors import (
     VerificationFailed,
 )
 from dslice.laurent import LaurentPoly, maximal_minors
+from dslice.modules import _Degree
 from dslice.snf import rank_mod_p
-from dslice.words import GroupPresentation, Word, fox_row
+from dslice.twisted import summand_specialization_check
+from dslice.words import GroupPresentation, Word, fox_row, fox_rows
 
 ID = Bs12Group.identity()
 
@@ -146,9 +148,42 @@ def _naive_det(mat):
     return total
 
 
+def _shadow(x):
+    """Image of a Z[BS(1,2)] element in Lambda under (k, q) -> t^k."""
+    out = {}
+    for g, c in x.items():
+        out[g.k] = out.get(g.k, 0) + c
+    return LaurentPoly(out)
+
+
 def test_shadow_forgets_the_dyadic_part():
     x = {BS12_A: 2, BS12_A * BS12_C: 1, BS12_C: -3, ID: 1}
     assert _shadow(x) == LaurentPoly({1: 3, 0: -2})
+
+
+def _shadowed_check(plain, hom):
+    # the specialisation check as it was stated: Fox rows in Z[BS(1,2)],
+    # each entry shadowed, against the Jacobian or its mirror
+    want = plain.jacobian
+    if hom.merid_exponent == -1:
+        want = tuple(tuple(p.mirror() for p in row) for row in want)
+    rows = fox_rows(plain.group, hom.images, Bs12Group)
+    return tuple(tuple(_shadow(e) for e in row) for row in rows) == want
+
+
+def test_specialization_through_t_k_matches_the_shadowed_rows():
+    for diagram in (bundled_diagram("946"), _mirror_946()):
+        plain = zero_surgery(diagram, 0)
+        for hom in plain.summands:
+            assert summand_specialization_check(plain, hom)
+            assert _shadowed_check(plain, hom)
+            # the wrong meridian exponent, and images whose exponents are
+            # not the weights, fail both ways
+            flipped = replace(hom, merid_exponent=-hom.merid_exponent)
+            shifted = replace(hom, images=(BS12_A * hom.images[0],) + hom.images[1:])
+            for bad in (flipped, shifted):
+                assert not summand_specialization_check(plain, bad)
+                assert not _shadowed_check(plain, bad)
 
 
 def test_shadow_det_matches_naive_expansion():
@@ -287,6 +322,35 @@ def test_splitting_witnesses_of_the_mirror_and_every_kink(workloads):
             {i: LaurentPoly({0: c}) for i, c in w.items()} for w in pair
         )
         assert got == want, tag
+
+
+# SHA-256 of the BS(1,2) images, meridian exponents, factors and
+# surjectivity flags of both summand maps of 9_46, its mirror and its 36
+# Reidemeister-I kinks, in that order.  The translation parts are read
+# off the judge's witness coordinates, which are defined only modulo the
+# summands' annihilators; the images evaluate them at t = 2 and t = 1/2
+# and must not move when the judge's basis is built differently.
+SUMMAND_IMAGES_DIGEST = (
+    "b3fa22c66c67ba6a703e34d6288f1b111c2cabaf3a26bd46d53c03386a0c5820"
+)
+
+
+def test_summand_images_of_9_46_its_mirror_and_every_kink(workloads):
+    base = bundled_document("946")
+    d946 = bundled_diagram("946")
+    mirror, _ = diagram_from_document({"pd": workloads.mirror_pd(base["pd"])})
+    diagrams = [d946, mirror]
+    for edge in range(1, len(d946.edges) + 1):
+        for positive in (True, False):
+            pd = workloads.kink_pd(base["pd"], d946.signs, edge, positive)
+            diagrams.append(diagram_from_document({"pd": pd})[0])
+    assert len(diagrams) == 38
+    h = hashlib.sha256()
+    for diagram in diagrams:
+        for hom in zero_surgery(diagram, 0).summands:
+            h.update(repr((hom.images, hom.merid_exponent, hom.factor,
+                           hom.surjective)).encode())
+    assert h.hexdigest() == SUMMAND_IMAGES_DIGEST
 
 
 def test_stage_b_rejects_a_forged_rank(monkeypatch):
@@ -882,13 +946,16 @@ def test_certify_builds_one_stage_b_presentation(monkeypatch):
     small = plain.simplified[0].relators
     assert (len(relators), len(small)) == (10, 4)
     # One pass per relator and map.  The surgery presentation (10
-    # relators on 9 generators) is pushed into Lambda once (10) and into
-    # BS(1,2) once per summand by the specialization check (2 x 10).  Its
-    # Tietze simplification (4 relators on 3 generators) is pushed into
-    # Z/2 x| Z/3 for the one cross-checked quotient map (4).  Stage B
-    # reads the Lambda-Jacobian and pushes nothing.  10 + 20 + 4 = 34.
+    # relators on 9 generators) is pushed into Lambda once for the
+    # Jacobian (10) and once per summand by the specialization check,
+    # through (k, q) -> t^k (2 x 10).  Its Tietze simplification (4
+    # relators on 3 generators) is pushed into Z/2 x| Z/3 for the one
+    # cross-checked quotient map (4).  Stage B reads the Lambda-Jacobian
+    # and pushes nothing, and no pass lands in Z[BS(1,2)].
+    # 10 + 20 + 4 = 34.
     assert len(calls) == 34
     assert sorted(map(repr, (w for w, _, _ in calls))) == sorted(
         map(repr, 3 * relators + small)
     )
-    assert [t for _, _, t in calls].count(Bs12Group) == 20
+    targets = [t for _, _, t in calls]
+    assert (targets.count(_Degree), targets.count(Bs12Group)) == (30, 0)

@@ -563,7 +563,8 @@ def test_oracle_computes_the_fox_matrix_once(docs, capsys, monkeypatch):
 @pytest.fixture()
 def work(monkeypatch):
     """Count ``fox_jacobian`` calls through every module binding, and record
-    ``(width, track)`` of every Groebner basis built."""
+    ``(width, track, extends)`` of every Groebner basis built, ``extends``
+    saying whether it extends a complete base."""
     import sys
 
     from dslice import modules
@@ -581,19 +582,20 @@ def work(monkeypatch):
             monkeypatch.setattr(module, "fox_jacobian", fox_jacobian)
     init = GroebnerBasis.__init__
 
-    def recording(self, generators, width, track=False, budget=200000):
-        seen["bases"].append((width, track))
-        init(self, generators, width, track=track, budget=budget)
+    def recording(self, generators, width, track=False, budget=200000, base=None):
+        seen["bases"].append((width, track, base is not None))
+        init(self, generators, width, track=track, budget=budget, base=base)
 
     monkeypatch.setattr(GroebnerBasis, "__init__", recording)
     return seen
 
 
 # the two bases of a certified 9_46 splitting, both over the Alexander
-# module's 8 columns: the module's own basis, which filters the witness
-# pool, and the tracked basis over the one witness pair tried and the
-# module's rows, which judges the pair and which the summand maps read
-BASES_946 = [(8, False), (8, True)]
+# module's 8 columns: the module's own basis, the one completion over its
+# rows, which filters the witness pool; and its extension by the one
+# witness pair tried, tracked on the pair, which judges it and which the
+# summand maps read
+BASES_946 = [(8, False, False), (8, True, True)]
 
 
 def test_certify_946_builds_two_bases(docs, capsys, work):
@@ -628,7 +630,7 @@ def test_family_request_builds_the_module_basis_once(docs, capsys, work):
     code, _, _ = run(capsys, "certify", docs["r-rr"], "--no-cache")
     assert code == 1
     assert work["bases"] == BASES_946
-    assert work["bases"].count((8, False)) == 1
+    assert work["bases"].count((8, False, False)) == 1
     assert work["fox_jacobian"] == 1 + 2
 
 

@@ -18,7 +18,12 @@ from dslice.documents import diagram_from_document
 from dslice.errors import BudgetExceeded
 from dslice.groebner import GroebnerBasis
 from dslice.laurent import ONE, T, ZERO, LaurentPoly
-from dslice.modules import alexander_module, fox_jacobian, infinite_cyclic_weights
+from dslice.modules import (
+    _witness_pool,
+    alexander_module,
+    fox_jacobian,
+    infinite_cyclic_weights,
+)
 
 
 def rand_poly(rng, span=4, hi=5):
@@ -226,3 +231,63 @@ def test_random_submodules_track_without_steering(width):
                         rows, width,
                     ) == vec
             assert not tracked.reduce(member)[0]
+
+
+def _unit(width, i):
+    return tuple(ONE if j == i else ZERO for j in range(width))
+
+
+def _check_extension(rows, width, v1, v2, probes=()):
+    """Extend the basis of ``rows`` by ``[v1, v2]`` and compare it with a
+    fresh completion over ``[v1, v2] + rows``: membership agrees on every
+    unit vector, pool vector and probe, and a vector in the extension
+    minus its witness coordinates lies in the base module."""
+    base = GroebnerBasis(rows, width)
+    before = list(base.basis)
+    ext = GroebnerBasis([v1, v2], width, track=True, base=base)
+    fresh = GroebnerBasis([v1, v2] + list(rows), width)
+    assert base.basis == before
+    units = [_unit(width, i) for i in range(width)]
+    for vec in units + _witness_pool(width) + list(probes):
+        nf, coords = ext.reduce(vec)
+        assert (not nf) == ext.contains(vec) == fresh.contains(vec)
+        if not nf:
+            assert set(coords) <= {0, 1}
+            rest = _combine(
+                [-coords.get(0, ZERO), -coords.get(1, ZERO), ONE], [v1, v2, vec],
+                width,
+            )
+            assert base.contains(rest)
+    return ext
+
+
+def test_extension_by_the_946_witnesses_matches_a_fresh_basis(plain946):
+    module = plain946.module
+    v1 = _unit(8, 6)
+    v2 = _combine([ONE, -2 * ONE], [_unit(8, 3), _unit(8, 6)], 8)
+    ext = _check_extension(list(module.rows), module.ncols, v1, v2)
+    # the pair generates the module
+    assert all(ext.contains(_unit(8, i)) for i in range(8))
+
+
+@pytest.mark.parametrize("width", (2, 3, 4))
+def test_random_extensions_match_a_fresh_basis(width):
+    # the seeded random submodules above, each extended by two pool
+    # vectors, as a witness pair would be; members of the extended module
+    # are probed as well
+    rng = random.Random(60 + width)
+    probe = random.Random(width)
+    pool = _witness_pool(width)
+    for _ in range(12):
+        rows = [
+            tuple(rand_poly(rng, 1, 3) for _ in range(width))
+            for _ in range(rng.randint(1, width))
+        ]
+        v1, v2 = (_combine([rand_poly(probe, 1, 1)], [probe.choice(pool)], width)
+                  for _ in range(2))
+        gens = [v1, v2] + rows
+        probes = [
+            _combine([rand_poly(probe, 1, 2) for _ in gens], gens, width)
+            for _ in range(4)
+        ]
+        _check_extension(rows, width, v1, v2, probes)

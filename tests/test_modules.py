@@ -8,6 +8,7 @@ import pytest
 import sympy
 
 from dslice.certify import NOT_APPLICABLE, certify_doubly_slice
+from dslice.corpus import bundled_diagram
 from dslice.diagrams import Diagram, infect, wirtinger, zero_surgery
 from dslice.errors import HypothesisNotMet
 from dslice.laurent import ONE, T, ZERO, LaurentPoly
@@ -111,28 +112,28 @@ def test_verify_split_rejects_wrong_witnesses(monkeypatch):
     inner = modules.GroebnerBasis
 
     def recording(generators, width, **kwargs):
-        built.append(list(generators))
+        built.append((list(generators), kwargs.get("base")))
         return inner(generators, width, **kwargs)
 
     monkeypatch.setattr(modules, "GroebnerBasis", recording)
     basis = _verify_split(mod, e1, e2)
-    # the judge's tracked basis over [v1, v2] + rows writes each unit
-    # vector in the witnesses and the rows
-    assert built == [[e1, e2, *mod.rows]]
-    gens = built[0]
+    # the judge extends the module's basis by [v1, v2], tracked on them,
+    # and writes each unit vector as p v1 + q v2 modulo the rows
+    assert built == [([e1, e2], mod.basis)]
     for e in (e1, e2):
         nf, coords = basis.reduce(e)
         assert not nf
-        total = [ZERO, ZERO]
+        assert set(coords) <= {0, 1}
+        rest = list(e)
         for g, c in coords.items():
-            total = [a + c * b for a, b in zip(total, gens[g])]
-        assert tuple(total) == e
+            rest = [a - c * b for a, b in zip(rest, (e1, e2)[g])]
+        assert mod.basis.contains(tuple(rest))
     # t - 2 does not kill e2, nor 2t - 1 e1: refused before any basis
     assert _verify_split(mod, e2, e2) is None
     assert _verify_split(mod, e1, e1) is None
     assert len(built) == 1
     # 3 is no unit mod t - 2, so 3*e1 is killed but generates too little:
-    # refused by the tracked basis
+    # refused by the extended basis
     assert _verify_split(mod, (3 * ONE, ZERO), e2) is None
     assert len(built) == 2
 
@@ -175,6 +176,39 @@ def test_detect_splitting_rejects_pseudo_null_padding():
 def test_detect_splitting_rejects_free_module():
     mod = LambdaModule.make([(T_MINUS_2, ZERO)], 2)
     assert detect_splitting(mod).verdict == "no_split"
+
+
+def test_lazy_search_on_946_tests_only_the_vectors_it_reaches(monkeypatch):
+    # the simplified 9_46 module keeps columns 3 and 6, so the pool holds
+    # e3, e6 and the 12 vectors e_i + s e_j.  Pairs are visited in pool
+    # order with v1 outermost: t - 2 is tested on e3 and then e6, which
+    # passes; 2t - 1 on e3, e6, e3 + e6, e3 - e6, e3 + 2e6 and then
+    # e3 - 2e6, which passes; the judge re-tests the pair.  The other 20
+    # of the 28 pool tests an eager search makes are never made.
+    module = zero_surgery(bundled_diagram("946"), 0).module
+    basis = module.basis
+    tested = []
+    inner = type(basis).contains
+
+    def recording(self, vec):
+        if self is basis:
+            tested.append(vec)
+        return inner(self, vec)
+
+    monkeypatch.setattr(type(basis), "contains", recording)
+    rep = detect_splitting(module)
+    e3, e6 = (tuple(ONE if j == i else ZERO for j in range(8)) for i in (3, 6))
+
+    def comb(a, b):
+        return tuple(a * x + b * y for x, y in zip(e3, e6))
+
+    v1, v2 = comb(ZERO, ONE), comb(ONE, -2 * ONE)
+    assert (rep.verdict, rep.v1, rep.v2) == ("split", v1, v2)
+    scaled = [(T_MINUS_2, comb(ONE, ZERO)), (T_MINUS_2, v1)] + [
+        (TWO_T_MINUS_1, comb(a * ONE, b * ONE))
+        for a, b in ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2))
+    ] + [(T_MINUS_2, v1), (TWO_T_MINUS_1, v2)]
+    assert tested == [tuple(f * p for p in v) for f, v in scaled]
 
 
 # 6_1, the stevedore knot: its order 2 - 5t + 2t^2 is the split module's,

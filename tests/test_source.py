@@ -229,6 +229,50 @@ def test_basis_rule_sees_a_construction_come_back():
     assert _basis_builders(source, "modules.py") == []
 
 
+def _tracked_completions(source: str, filename: str) -> list:
+    """Calls constructing a tracked GroebnerBasis that extends no base: a
+    completion over a module's raw rows that the module's basis has
+    already done."""
+    hits = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            keywords = {k.arg: k.value for k in node.keywords}
+            track = keywords.get("track")
+            if name != "GroebnerBasis" or track is None or "base" in keywords:
+                continue
+            if not (isinstance(track, ast.Constant) and not track.value):
+                hits.append(f"{filename}:{node.lineno} completes a tracked basis")
+    return hits
+
+
+def test_tracked_bases_extend_the_module_basis():
+    # the judge's tracked basis extends the module's complete basis by the
+    # witnesses; completing one afresh over the rows repeats that work
+    root = Path(dslice.__file__).parent
+    found = [
+        hit
+        for path in sorted(root.rglob("*.py"))
+        for hit in _tracked_completions(path.read_text(), str(path.relative_to(root)))
+    ]
+    assert found == []
+
+
+def test_tracked_basis_rule_sees_a_fresh_completion_come_back():
+    source = (
+        "stacked = GroebnerBasis(\n"
+        "    [v1, v2] + list(module.rows), k, track=True, budget=SPLIT_BUDGET\n"
+        ")\n"
+        "ext = GroebnerBasis([v1, v2], k, track=True, base=module.basis)\n"
+        "own = GroebnerBasis(list(self.rows), self.ncols, budget=SPLIT_BUDGET)\n"
+        "off = GroebnerBasis(rows, k, track=False)\n"
+    )
+    assert _tracked_completions(source, "modules.py") == [
+        "modules.py:1 completes a tracked basis",
+    ]
+
+
 def _simplifier_calls(source: str, filename: str) -> list:
     """Calls of ``simplify_presentation`` outside diagrams.py, where
     ``SurgeryPresentation.simplified`` owns the one simplification."""
