@@ -3,22 +3,28 @@
 Elements are normal forms (k, q) in Z x Z[1/2] with multiplication
 (k1, q1)(k2, q2) = (k1 + k2, q1 + 2^k1 q2): the semidirect product where
 the Z factor acts on dyadic rationals by multiplication by two.  The
-letter a is (1, 0), the letter c is (0, 1).
+translation q is an int or a ``fractions.Fraction``, and 2^k1 acts by
+``laurent.times_power_of_two``, so no float ever arises.  The letter a is
+(1, 0), the letter c is (0, 1).  ``bs12_surjective`` decides whether
+images generate BS(1,2), and ``check_relators`` checks images against
+any target.
 
 Finite quotients replace Z by Z/n and Z[1/2] by Z/m for odd m with
 2^n = 1 mod m, which makes the action well defined.  These quotients
-drive the homology cross-checks.
+drive the homology cross-checks.  Group-ring sums and products over any
+of these targets are ``words.ring_add`` and ``words.ring_mul``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
 from .errors import IncompatibleParameters, NotSurjective, RelatorViolation
 from .groebner import _xgcd
-from .laurent import DyadicRational
+from .laurent import times_power_of_two
 from .words import Word
 
 __all__ = [
@@ -30,25 +36,23 @@ __all__ = [
     "evaluate_word",
     "check_relators",
     "bs12_surjective",
-    "ring_add",
-    "ring_mul",
 ]
 
 
 @dataclass(frozen=True)
 class BS12:
     k: int
-    q: DyadicRational
+    q: int | Fraction
 
     def __mul__(self, other: "BS12") -> "BS12":
-        return BS12(self.k + other.k, self.q + other.q.times_power_of_two(self.k))
+        return BS12(self.k + other.k, self.q + times_power_of_two(other.q, self.k))
 
     def inverse(self) -> "BS12":
-        return BS12(-self.k, (-self.q).times_power_of_two(-self.k))
+        return BS12(-self.k, times_power_of_two(-self.q, -self.k))
 
     def __pow__(self, e: int) -> "BS12":
         base = self if e >= 0 else self.inverse()
-        out = BS12(0, DyadicRational(0))
+        out = BS12(0, 0)
         for _ in range(abs(e)):
             out = out * base
         return out
@@ -60,8 +64,8 @@ class BS12:
         return f"BS12(k={self.k}, q={self.q})"
 
 
-BS12_A = BS12(1, DyadicRational(0))
-BS12_C = BS12(0, DyadicRational(1))
+BS12_A = BS12(1, 0)
+BS12_C = BS12(0, 1)
 
 
 class Bs12Group:
@@ -69,7 +73,7 @@ class Bs12Group:
 
     @staticmethod
     def identity():
-        return BS12(0, DyadicRational(0))
+        return BS12(0, 0)
 
     @staticmethod
     def mul(x, y):
@@ -152,7 +156,7 @@ def _odd_part(v: int) -> int:
 
 def _unit_section(images) -> BS12:
     """Some product of the images whose a-exponent is exactly one."""
-    cur = BS12(0, DyadicRational(0))
+    cur = BS12(0, 0)
     for g in images:
         if g.k == 0:
             continue
@@ -186,32 +190,6 @@ def bs12_surjective(images) -> bool:
     tau = _unit_section(images).q
     qg = 0
     for g in images:
-        delta = g.q + tau - tau.times_power_of_two(g.k)
-        qg = gcd(qg, _odd_part(delta.num))
+        delta = g.q + tau - times_power_of_two(tau, g.k)
+        qg = gcd(qg, _odd_part(delta.numerator))
     return qg == 1
-
-
-def ring_add(x: dict, y: dict, sign: int = 1) -> dict:
-    """``x + sign * y``; group-ring elements are {element: nonzero int}."""
-    out = dict(x)
-    for g, c in y.items():
-        v = out.get(g, 0) + sign * c
-        if v:
-            out[g] = v
-        else:
-            out.pop(g, None)
-    return out
-
-
-def ring_mul(x: dict, y: dict, target) -> dict:
-    """Product in the integral group ring of ``target``."""
-    out: dict = {}
-    for g, cg in x.items():
-        for h, ch in y.items():
-            k = target.mul(g, h)
-            v = out.get(k, 0) + cg * ch
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-    return out

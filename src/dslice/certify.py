@@ -27,7 +27,7 @@ import re
 from copy import deepcopy
 from dataclasses import dataclass, replace
 
-from .bs12 import BS12, BS12_A, BS12_C, Bs12Group, ring_add
+from .bs12 import BS12, BS12_A, BS12_C, Bs12Group
 from .diagrams import Diagram, SurgeryPresentation, diagram_hash, zero_surgery
 from .errors import (
     BudgetExceeded,
@@ -39,13 +39,13 @@ from .errors import (
 )
 from .groups import metabelian_quotient_homs, restrict_images
 from .modules import TARGET_ORDER
-from .snf import rank_mod_p
+from .snf import nullspace_mod
 from .twisted import (
     crowell_check,
     summand_specialization_check,
     transport_record,
 )
-from .words import Word
+from .words import Word, ring_add
 
 __all__ = [
     "HOLDS",
@@ -202,9 +202,9 @@ def stage_b_certificate(plain: SurgeryPresentation) -> dict:
             f"{m} non-framing relators on {n} generators contradict the"
             " zero-surgery presentation"
         )
-    rank = rank_mod_p(
-        [[p.evaluate_mod(2, 3) for p in row] for row in plain.jacobian], 3
-    )
+    rank = n - len(nullspace_mod(
+        [[p.evaluate_mod(2, 3) for p in row] for row in plain.jacobian], 3, n
+    ))
     if rank != n - 3:
         raise VerificationFailed(
             f"Jacobian rank {rank} at t = 2 over F_3 contradicts the"
@@ -451,12 +451,6 @@ def certify_satellite(
     if not rec.valid:
         which = "winding" if rec.winding != 0 else "membership/order"
         hyps.append(f"failed check: transport record ({which})")
-        return Certificate(
-            subject, hyps, _not_evaluated(), NOT_APPLICABLE, [], inputs
-        )
-    if companion_kind == "any" and not rec.second_derived:
-        hyps.append("failed check: universal transport needs the curve in"
-                    " the second derived subgroup")
         return Certificate(
             subject, hyps, _not_evaluated(), NOT_APPLICABLE, [], inputs
         )

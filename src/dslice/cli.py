@@ -384,7 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
+        if args.command in ("analyze", "certify"):
+            run = {"analyze": cmd_analyze, "certify": cmd_certify}[args.command]
             quotient = _quotient(args)
             worst = 0
             for path in args.paths:
@@ -392,21 +393,8 @@ def main(argv=None) -> int:
                 payload = {"doc": doc, "quotient": quotient,
                            "format": args.format}
                 code = _run_cached(
-                    args, "analyze", payload,
-                    lambda doc=doc: cmd_analyze(doc, quotient, args.format),
-                )
-                worst = max(worst, code)
-            return worst
-        if args.command == "certify":
-            quotient = _quotient(args)
-            worst = 0
-            for path in args.paths:
-                doc = load_document(path)
-                payload = {"doc": doc, "quotient": quotient,
-                           "format": args.format}
-                code = _run_cached(
-                    args, "certify", payload,
-                    lambda doc=doc: cmd_certify(doc, quotient, args.format),
+                    args, args.command, payload,
+                    lambda doc=doc: run(doc, quotient, args.format),
                 )
                 worst = max(worst, code)
             return worst

@@ -7,7 +7,6 @@ __all__ = [
     "MissingSigns",
     "NotAKnot",
     "MissingMark",
-    "TargetMismatch",
     "RelatorViolation",
     "NotSurjective",
     "IncompatibleParameters",
@@ -39,10 +38,6 @@ class NotAKnot(DsliceError):
 
 class MissingMark(DsliceError):
     """A required component mark (pattern / infection curve) is absent."""
-
-
-class TargetMismatch(DsliceError):
-    """A homomorphism or ring evaluation was used with the wrong target."""
 
 
 class RelatorViolation(DsliceError):

@@ -47,6 +47,7 @@ from math import gcd
 
 from .errors import BudgetExceeded
 from .laurent import LaurentPoly
+from .words import ring_add
 
 __all__ = [
     "vector_to_tu",
@@ -121,29 +122,12 @@ def _scale_shift(elem, c, i, j):
     return {_mono_mul(m, i, j): c * v for m, v in elem.items()}
 
 
-def _add(e1, e2):
-    out = dict(e1)
-    for m, v in e2.items():
-        w = out.get(m, 0) + v
-        if w:
-            out[m] = w
-        else:
-            out.pop(m, None)
-    return out
-
-
 def _coords_add(c1, c2):
-    out = {g: dict(d) for g, d in c1.items()}
+    out = dict(c1)
     for g, d in c2.items():
-        cur = out.setdefault(g, {})
-        for m, v in d.items():
-            w = cur.get(m, 0) + v
-            if w:
-                cur[m] = w
-            else:
-                cur.pop(m, None)
-        if not cur:
-            out.pop(g, None)
+        out[g] = ring_add(out.get(g, {}), d)
+        if not out[g]:
+            del out[g]
     return out
 
 
@@ -280,7 +264,7 @@ class GroebnerBasis:
             g = gcd(a1, a2)
             s1 = a2 // g
             s2 = a1 // g
-            s_elem = _add(
+            s_elem = ring_add(
                 _scale_shift(e1, s1, lcm[0] - m1[0], lcm[1] - m1[1]),
                 _scale_shift(e2, -s2, lcm[0] - m2[0], lcm[1] - m2[1]),
             )
@@ -294,7 +278,7 @@ class GroebnerBasis:
             # G-combination: realise gcd of leading coefficients
             if a1 % a2 and a2 % a1:
                 g, x1, x2 = _xgcd(a1, a2)
-                g_elem = _add(
+                g_elem = ring_add(
                     _scale_shift(e1, x1, lcm[0] - m1[0], lcm[1] - m1[1]),
                     _scale_shift(e2, x2, lcm[0] - m2[0], lcm[1] - m2[1]),
                 )

@@ -11,7 +11,7 @@ Four independent services live here:
   original map; the cover cross-checks run on that small presentation.
 * Construction of the two metabelian quotient maps onto BS(1,2) from a
   certified module splitting, one per summand, with exact dyadic
-  translation parts extracted from tracked Groebner coordinates.
+  translation parts read from the splitting judge's coordinates.
 * Enumeration of homomorphisms onto the finite metabelian groups
   Z/n x| Z/m, done by linear algebra mod m on the Fox Jacobian
   evaluated at t = 2.
@@ -35,7 +35,6 @@ from .bs12 import (
 from .errors import (
     BudgetExceeded,
     HypothesisNotMet,
-    TargetMismatch,
     VerificationFailed,
 )
 from .laurent import ONE, ZERO, LaurentPoly
@@ -201,33 +200,22 @@ def summand_homs(plain):
     Each splitting summand is a copy of Z[1/2] on which the meridian
     acts by 2 or by 1/2, so collapsing the other summand yields a map
     onto (a subgroup of) BS(1,2).  Translation parts come from the
-    witness coordinates of each generator column, reduced by the basis
-    the splitting report keeps: the module's basis extended by
-    ``[v1, v2]``, which writes the column as p v1 + q v2 modulo the rows.
-    p and q are well defined exactly modulo the summands' annihilators,
-    which evaluation at t = 2 (resp. t = 1/2) kills.
+    judge's coordinates, which the splitting report keeps: each generator
+    column is p v1 + q v2 modulo the rows.  p and q are well defined
+    exactly modulo the summands' annihilators, which evaluation at t = 2
+    (resp. t = 1/2) kills.
     """
     report = plain.splitting
     if not report.certified:
         raise HypothesisNotMet("no certified splitting to project from")
     pres, meridian, weights = plain.group, plain.meridian, plain.weights
-    module = plain.module
-    gb = report.basis
     plus = []
     minus = []
     for i in range(pres.num_generators):
         if i == meridian:
             p = q = ZERO
         else:
-            col = i if i < meridian else i - 1
-            vec = tuple(ONE if j == col else ZERO for j in range(module.ncols))
-            nf, coords = gb.reduce(vec)
-            if nf:
-                raise TargetMismatch(
-                    "splitting witnesses fail to generate; report is inconsistent"
-                )
-            p = coords.get(0, ZERO)
-            q = coords.get(1, ZERO)
+            p, q = report.coords[i if i < meridian else i - 1]
         plus.append(BS12(weights[i], p.evaluate_dyadic(1)))
         minus.append(BS12(-weights[i], q.evaluate_dyadic(-1)))
     h_plus = MetabelianHom(tuple(plus), 1, "t-2", bs12_surjective(plus))

@@ -1,9 +1,10 @@
-"""Exact Laurent polynomials over Z and Z[1/2], and dyadic rationals.
+"""Exact Laurent polynomials over Z, and powers of two over Z[1/2].
 
-``LaurentPoly`` stores a sparse map ``degree -> coefficient``.  Coefficients
-are Python ints for the ring Z[t, t^-1] and may be dyadic
-:class:`DyadicRational` values for Z[1/2][t, t^-1].  All arithmetic is
-exact; nothing here ever touches floats.
+``LaurentPoly`` stores a sparse map ``degree -> coefficient`` with Python
+int coefficients: the ring Z[t, t^-1].  ``evaluate_dyadic`` evaluates at
+t = 2**k in Z[1/2], where ``times_power_of_two`` multiplies by 2**k with
+int shifts and ``fractions.Fraction``.  All arithmetic is exact; nothing
+here ever touches floats.
 
 Two Laurent polynomials are *associate* when they differ by a unit
 ``+-t^k``.  ``canonical()`` picks the representative with lowest degree 0
@@ -18,104 +19,35 @@ Expanding a minor over permutations, each term takes one entry per row,
 so that product bounds the l1-norm of every minor, on any columns.  Each
 coefficient then lies strictly between ``-2**(B-1)`` and ``2**(B-1)``,
 and balanced base-``2**B`` digits, being unique, give the coefficients
-back exactly.  Only integer coefficients are accepted.  Each minor takes
-one forward Bareiss pass on its square integer submatrix (Bareiss, Math.
-Comp. 22, 1968); every division there, and in the Gauss-Jordan
-elimination the generator weights use, is checked with ``divmod``, and a
-remainder raises ``VerificationFailed``.
+back exactly.  Only integer coefficients are accepted.  The package has
+one fraction-free elimination, ``_gauss_jordan`` (Bareiss, Math. Comp.
+22, 1968): each minor takes one pass on its square integer submatrix, and
+the generator weights take one on the abelianisation matrix.  Every
+division in it is checked with ``divmod``, and a remainder raises
+``VerificationFailed``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
 from .errors import VerificationFailed
 
 __all__ = [
-    "DyadicRational",
     "LaurentPoly",
     "maximal_minors",
     "poly_gcd",
+    "times_power_of_two",
     "ZERO",
     "ONE",
     "T",
 ]
 
 
-@dataclass(frozen=True)
-class DyadicRational:
-    """A rational of the form num / 2**exp with num odd or zero.
-
-    >>> DyadicRational(6, 2)          # 6/4 normalises to 3/2
-    DyadicRational(num=3, exp=1)
-    """
-
-    num: int
-    exp: int = 0
-
-    def __post_init__(self):
-        num, exp = self.num, self.exp
-        if num == 0:
-            exp = 0
-        else:
-            while num % 2 == 0:
-                num //= 2
-                exp -= 1
-            if exp < 0:
-                num <<= -exp
-                exp = 0
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
-
-    def __add__(self, other):
-        other = _as_dyadic(other)
-        e = max(self.exp, other.exp)
-        return DyadicRational(
-            (self.num << (e - self.exp)) + (other.num << (e - other.exp)), e
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DyadicRational(-self.num, self.exp)
-
-    def __sub__(self, other):
-        return self + (-_as_dyadic(other))
-
-    def __rsub__(self, other):
-        return _as_dyadic(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_dyadic(other)
-        return DyadicRational(self.num * other.num, self.exp + other.exp)
-
-    __rmul__ = __mul__
-
-    def times_power_of_two(self, k: int) -> "DyadicRational":
-        """Multiply by 2**k (k may be negative)."""
-        return DyadicRational(self.num, self.exp - k)
-
-    def __bool__(self):
-        return self.num != 0
-
-    def __repr__(self):
-        return f"DyadicRational(num={self.num}, exp={self.exp})"
-
-    def __str__(self):
-        return str(self.num) if self.exp == 0 else f"{self.num}/2^{self.exp}"
-
-
-def _as_dyadic(x):
-    if isinstance(x, DyadicRational):
-        return x
-    if isinstance(x, int):
-        return DyadicRational(x, 0)
-    raise TypeError(f"cannot coerce {x!r} to a dyadic rational")
-
-
-def _czero(c) -> bool:
-    return not c
+def times_power_of_two(q, k: int):
+    """``q * 2**k`` exactly, an int or a ``Fraction``; never a float."""
+    return q * (1 << k) if k >= 0 else Fraction(q, 1 << -k)
 
 
 class LaurentPoly:
@@ -124,7 +56,7 @@ class LaurentPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict | None = None):
-        self.coeffs = {d: c for d, c in (coeffs or {}).items() if not _czero(c)}
+        self.coeffs = {d: c for d, c in (coeffs or {}).items() if c}
 
     @staticmethod
     def constant(c) -> "LaurentPoly":
@@ -190,12 +122,9 @@ class LaurentPoly:
             raise ValueError("negative degrees: use evaluate_dyadic")
         return sum(c * x ** d for d, c in self.coeffs.items())
 
-    def evaluate_dyadic(self, k: int) -> DyadicRational:
+    def evaluate_dyadic(self, k: int):
         """Evaluate exactly at t = 2**k (k = +-1 are the cases that matter)."""
-        total = DyadicRational(0)
-        for d, c in self.coeffs.items():
-            total = total + _as_dyadic(c).times_power_of_two(k * d)
-        return total
+        return sum(times_power_of_two(c, k * d) for d, c in self.coeffs.items())
 
     def evaluate_mod(self, x: int, m: int) -> int:
         """Evaluate at ``x`` modulo ``m``; negative degrees use x^-1 mod m."""
@@ -330,35 +259,6 @@ def _kronecker(mat):
     return ints, bits, sum(lows)
 
 
-def _int_det(rows: list) -> int:
-    """Fraction-free (Bareiss) determinant of a square integer matrix.
-
-    Works in place on ``rows``.  Every division is checked: a remainder
-    raises ``VerificationFailed``.
-    """
-    n = len(rows)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not rows[k][k]:
-            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        prow = rows[k]
-        pivot = prow[k]
-        for i in range(k + 1, n):
-            row = rows[i]
-            a = row[k]
-            for j in range(k + 1, n):
-                q, r = divmod(row[j] * pivot - a * prow[j], prev)
-                if r:
-                    raise VerificationFailed("Bareiss division must be exact")
-                row[j] = q
-        prev = pivot
-    return sign * rows[-1][-1] if rows else 1
-
-
 def _gauss_jordan(rows: list):
     """Fraction-free Gauss-Jordan (Bareiss-Montante) elimination, in place.
 
@@ -370,10 +270,11 @@ def _gauss_jordan(rows: list):
     determinant on the pivot rows and columns, taken in row order.  Only
     the other columns are updated: on the pivot rows the pivot columns
     would hold ``d`` times the identity, and nothing reads them.  Every
-    division is checked: a remainder raises ``VerificationFailed``.
+    division is checked: a remainder raises ``VerificationFailed``.  No
+    rows give ``({}, 1)``, the empty determinant.
     """
     pivots: dict = {}
-    free = list(range(len(rows[0])))
+    free = list(range(len(rows[0]) if rows else 0))
     prev = 1
     for i, prow in enumerate(rows):
         p = next((c for c in free if prow[c]), None)
@@ -415,14 +316,21 @@ def maximal_minors(mat, subsets):
     """Yield the k x k minor of the k-row matrix ``mat`` on each column subset.
 
     The matrix is evaluated once (see the module docstring), and each
-    minor is one Bareiss determinant, computed as the iteration asks for
-    it.  Raises ``TypeError`` on a non-integer coefficient and
-    ``ValueError`` on a subset of the wrong size.
+    minor is one ``_gauss_jordan`` pass, made as the iteration asks for
+    it: 0 when some row finds no pivot, and otherwise ``d`` signed by the
+    parity of the pivot columns in row order.  Raises ``TypeError`` on a
+    non-integer coefficient and ``ValueError`` on a subset of the wrong
+    size.
     """
     k = len(mat)
     ints, bits, low = _kronecker(mat)
     for cols in subsets:
         if len(cols) != k:
             raise ValueError(f"a maximal minor of {k} rows needs {k} columns")
-        value = _int_det([[row[c] for c in cols] for row in ints])
-        yield _decode(value, bits, low)
+        pivots, d = _gauss_jordan([[row[c] for c in cols] for row in ints])
+        order = list(pivots)
+        if len(order) < k:
+            d = 0
+        elif sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2:
+            d = -d
+        yield _decode(d, bits, low)

@@ -29,7 +29,7 @@ from . import laurent
 from .errors import BudgetExceeded, HypothesisNotMet, VerificationFailed
 from .groebner import GroebnerBasis
 from .laurent import ONE, T, ZERO, LaurentPoly, maximal_minors, poly_gcd
-from .snf import abelian_invariants, rank_mod_p
+from .snf import abelian_invariants, nullspace_mod
 from .words import GroupPresentation, fox_rows
 
 __all__ = [
@@ -223,10 +223,9 @@ class SplitReport:
     over F_3 at t = 2, obstructs), or "undetermined" (both fit but no
     witnesses were found in the search pool).
     Witnesses are vectors in the module's original coordinates.  A
-    certified report keeps ``basis``, the module's basis extended by
-    ``[v1, v2]`` and tracked on them, that showed the witnesses generate;
-    the summand maps read their coordinates from it.  It takes no part in
-    ``repr`` or comparison.
+    certified report keeps ``coords``, one pair (p, q) per column with
+    e_i = p v1 + q v2 modulo the rows: the judge's coordinates, which the
+    summand maps read.  They take no part in ``repr`` or comparison.
     """
 
     verdict: str
@@ -234,7 +233,7 @@ class SplitReport:
     v1: tuple | None = None
     v2: tuple | None = None
     note: str = ""
-    basis: GroebnerBasis | None = field(default=None, repr=False, compare=False)
+    coords: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def certified(self) -> bool:
@@ -287,8 +286,8 @@ def detect_splitting(module: LambdaModule) -> SplitReport:
     original rows and visits pairs (v1, v2) in pool order, v1 outermost.
     ``module.basis`` tests a pool vector for t - 2 or 2t - 1 only when
     the search first reaches it, and :func:`_verify_split` alone judges
-    each pair, extending ``module.basis`` into the one tracked basis a
-    certified report keeps.
+    each pair, extending ``module.basis`` by it and keeping the
+    coordinates a certified report carries.
     """
     simp, kept = module.simplified()
     order = simp.order()
@@ -304,9 +303,9 @@ def detect_splitting(module: LambdaModule) -> SplitReport:
     # t - 2 and 2t - 1 both vanish at t = 2 mod 3, so tensoring the split
     # module with Lambda/(3, t - 2) = F_3 gives F_3^2; simplified() keeps
     # the cokernel, so the simplified rows there must have corank 2
-    d = k - rank_mod_p(
-        [[p.evaluate_mod(2, 3) for p in row] for row in simp.rows], 3
-    )
+    d = len(nullspace_mod(
+        [[p.evaluate_mod(2, 3) for p in row] for row in simp.rows], 3, k
+    ))
     if d != 2:
         return SplitReport(
             "no_split",
@@ -325,9 +324,9 @@ def detect_splitting(module: LambdaModule) -> SplitReport:
         if not contains(_scale_vec(T - 2 * ONE, v1)):
             continue
         for v2 in filter(kills_v2, pool):
-            basis = _verify_split(module, v1, v2)
-            if basis is not None:
-                return SplitReport("split", order, v1, v2, basis=basis)
+            coords = _verify_split(module, v1, v2)
+            if coords is not None:
+                return SplitReport("split", order, v1, v2, coords=coords)
     return SplitReport(
         "undetermined",
         order,
@@ -338,11 +337,11 @@ def detect_splitting(module: LambdaModule) -> SplitReport:
 def _verify_split(module, v1, v2):
     """Judge a witness pair on the module's own rows.
 
-    Returns ``module.basis`` extended by ``[v1, v2]``, tracked on the two
-    witnesses alone, when t - 2 kills ``v1``, 2t - 1 kills ``v2`` and
-    the pair generates the module, and None otherwise.  The extension
-    spans the rows and the witnesses, so it writes each unit vector as
-    p v1 + q v2 modulo the rows.
+    When t - 2 kills ``v1``, 2t - 1 kills ``v2`` and the pair generates
+    the module, returns one pair (p, q) per column with
+    e_i = p v1 + q v2 modulo the rows, and None otherwise.  Each unit
+    vector is reduced once, with coordinates, on ``module.basis``
+    extended by ``[v1, v2]`` and tracked on the two witnesses alone.
     """
     k = module.ncols
     if not module.basis.contains(_scale_vec(T - 2 * ONE, v1)):
@@ -352,6 +351,10 @@ def _verify_split(module, v1, v2):
     stacked = GroebnerBasis(
         [v1, v2], k, track=True, budget=SPLIT_BUDGET, base=module.basis
     )
-    if not all(stacked.contains(_unit_vector(k, i)) for i in range(k)):
-        return None
-    return stacked
+    coords = []
+    for i in range(k):
+        nf, c = stacked.reduce(_unit_vector(k, i))
+        if nf:
+            return None
+        coords.append((c.get(0, ZERO), c.get(1, ZERO)))
+    return tuple(coords)

@@ -1,5 +1,7 @@
-"""Sparse integer Smith normal form, plus mod-m nullspaces and ranks mod a
-prime.
+"""Sparse integer Smith normal form, plus nullspaces mod m.
+
+``nullspace_mod`` is the one dense elimination over Z/m; a rank mod a
+prime p is the column count less the number of generators it returns.
 
 The sparse routine is tuned for the matrices this package actually meets:
 abelianised Reidemeister-Schreier relators and regular-representation
@@ -25,7 +27,6 @@ __all__ = [
     "sparse_invariants",
     "abelian_invariants",
     "nullspace_mod",
-    "rank_mod_p",
     "normalize_divisor_chain",
 ]
 
@@ -258,29 +259,3 @@ def nullspace_mod(a, m: int, ncols: int | None = None):
         if g > 1:
             gens.append(tuple(t[i][j] * (m // g) % m for i in range(nc)))
     return gens
-
-
-def rank_mod_p(a, p: int) -> int:
-    """Rank of the integer matrix ``a`` (a list of rows) mod the prime ``p``.
-
-    Plain row echelon form over the field F_p, with no transforms kept:
-    a pivot row is scaled to leading entry 1 and cleared from the rows
-    below it.  ``p`` must be prime, since every pivot is inverted.
-    """
-    rows = [[x % p for x in row] for row in a]
-    rank = 0
-    for j in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][j], -1, p)
-        top = [x * inv % p for x in rows[rank]]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][j]
-            if f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank

@@ -1,4 +1,4 @@
-"""Freely reduced words, group presentations and Fox calculus.
+"""Freely reduced words, group presentations, Fox calculus and group rings.
 
 Words are tuples of ``(generator_index, exponent)`` letters with exponent
 ``+1`` or ``-1``; concatenation reduces eagerly, so two words are equal in
@@ -18,11 +18,16 @@ images of the generators in a *target*, any bundle with ``identity()``,
 integral group ring, ``{element: nonzero int}``.  The Alexander
 Jacobian (target Z = <t> by the weights), the twisted Jacobians
 (BS(1,2) and its finite quotients) and ``fox_derivative`` itself (the
-free group on ``Word``) are all this one pass.  The fundamental identity
+free group on ``Word``, entries ``{Word: int}``) are all this one pass.
+The fundamental identity
 
     sum_i (dw/dx_i) * (x_i - 1) = w - 1
 
 holds for every word ``w`` and is used as a property test downstream.
+
+``ring_add`` and ``ring_mul`` are the package's one sparse sum and one
+sparse product of such group-ring elements, over any target.  This
+module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -31,12 +36,13 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "Word",
-    "FoxPolynomial",
     "fox_derivative",
     "fox_row",
     "fox_rows",
     "FreeGroup",
     "GroupPresentation",
+    "ring_add",
+    "ring_mul",
 ]
 
 
@@ -119,62 +125,6 @@ class Word:
         return f"Word({list(self.letters)!r})"
 
 
-@dataclass(frozen=True)
-class FoxPolynomial:
-    """Finite integer combination of free-group words."""
-
-    terms: tuple = ()  # tuple of (Word, int), canonically sorted
-
-    @staticmethod
-    def from_dict(d: dict) -> "FoxPolynomial":
-        items = tuple(
-            sorted(((w, c) for w, c in d.items() if c != 0),
-                   key=lambda t: t[0].letters)
-        )
-        return FoxPolynomial(items)
-
-    @staticmethod
-    def zero() -> "FoxPolynomial":
-        return FoxPolynomial(())
-
-    @staticmethod
-    def of(w: Word, c: int = 1) -> "FoxPolynomial":
-        return FoxPolynomial.from_dict({w: c})
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-    def __add__(self, other: "FoxPolynomial") -> "FoxPolynomial":
-        d = self.as_dict()
-        for w, c in other.terms:
-            d[w] = d.get(w, 0) + c
-        return FoxPolynomial.from_dict(d)
-
-    def __neg__(self) -> "FoxPolynomial":
-        return FoxPolynomial(tuple((w, -c) for w, c in self.terms))
-
-    def __sub__(self, other: "FoxPolynomial") -> "FoxPolynomial":
-        return self + (-other)
-
-    def left_mul(self, w: Word, c: int = 1) -> "FoxPolynomial":
-        d = {}
-        for v, k in self.terms:
-            u = w * v
-            d[u] = d.get(u, 0) + c * k
-        return FoxPolynomial.from_dict(d)
-
-    def word_mul(self, other: "FoxPolynomial") -> "FoxPolynomial":
-        d = {}
-        for u, a in self.terms:
-            for v, b in other.terms:
-                w = u * v
-                d[w] = d.get(w, 0) + a * b
-        return FoxPolynomial.from_dict(d)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
 def fox_row(word: Word, n: int, images, target) -> tuple:
     """Free derivatives of ``word`` by x_0..x_{n-1}, pushed into Z[target].
 
@@ -211,11 +161,38 @@ class FreeGroup:
     inv = staticmethod(Word.inverse)
 
 
-def fox_derivative(w: Word, i: int) -> FoxPolynomial:
-    """Free derivative of ``w`` with respect to generator ``i``."""
+def fox_derivative(w: Word, i: int) -> dict:
+    """Free derivative of ``w`` with respect to generator ``i``, as an
+    element ``{Word: nonzero int}`` of the free group's ring."""
     n = max(w.max_generator(), i) + 1
     images = [Word.gen(g) for g in range(n)]
-    return FoxPolynomial.from_dict(fox_row(w, n, images, FreeGroup)[i])
+    return fox_row(w, n, images, FreeGroup)[i]
+
+
+def ring_add(x: dict, y: dict, sign: int = 1) -> dict:
+    """``x + sign * y``; group-ring elements are {element: nonzero int}."""
+    out = dict(x)
+    for g, c in y.items():
+        v = out.get(g, 0) + sign * c
+        if v:
+            out[g] = v
+        else:
+            out.pop(g, None)
+    return out
+
+
+def ring_mul(x: dict, y: dict, target) -> dict:
+    """Product in the integral group ring of ``target``."""
+    out: dict = {}
+    for g, cg in x.items():
+        for h, ch in y.items():
+            k = target.mul(g, h)
+            v = out.get(k, 0) + cg * ch
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+    return out
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ and each test enforces its own wall-clock budget.
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
-from dslice.bs12 import BS12, BS12_A, BS12_C, DyadicRational
+from dslice.bs12 import BS12, BS12_A, BS12_C
 from dslice.certify import (
     certify_doubly_slice,
     certify_satellite,
@@ -35,7 +36,7 @@ from dslice.groups import (
 from dslice.laurent import ONE, T, ZERO, LaurentPoly
 from dslice.modules import alexander_module, alexander_polynomial, detect_splitting
 from dslice.twisted import crowell_check, twisted_invariants
-from dslice.words import FoxPolynomial, Word, fox_derivative
+from dslice.words import FreeGroup, Word, fox_derivative, ring_add, ring_mul
 
 from synthpres import as_surgery
 
@@ -66,8 +67,8 @@ def test_01_fox_fundamental_identity():
     start = time.monotonic()
     rng = random.Random(0xF0C5)
     rank = 5
-    one = FoxPolynomial.of(Word.identity())
-    steps = [FoxPolynomial.of(Word.gen(i)) - one for i in range(rank)]
+    one = {Word.identity(): 1}
+    steps = [ring_add({Word.gen(i): 1}, one, -1) for i in range(rank)]
     for _ in range(1000):
         w = Word(
             tuple(
@@ -75,10 +76,10 @@ def test_01_fox_fundamental_identity():
                 for _ in range(rng.randrange(41))
             )
         )
-        total = FoxPolynomial.zero()
+        total = {}
         for i in range(rank):
-            total = total + fox_derivative(w, i).word_mul(steps[i])
-        assert total == FoxPolynomial.of(w) - one
+            total = ring_add(total, ring_mul(fox_derivative(w, i), steps[i], FreeGroup))
+        assert total == ring_add({w: 1}, one, -1)
     assert time.monotonic() - start < 5.0
 
 
@@ -135,14 +136,14 @@ def test_03_splitting_detection(surgery):
 
 def test_04_bs12_group_algebra():
     start = time.monotonic()
-    identity = BS12(0, DyadicRational(0))
+    identity = BS12(0, 0)
     assert BS12_A * BS12_C * BS12_A.inverse() == BS12_C * BS12_C
     rng = random.Random(0xB512)
 
     def element():
         return BS12(
             rng.randrange(-6, 7),
-            DyadicRational(rng.randrange(-4096, 4097), rng.randrange(13)),
+            Fraction(rng.randrange(-4096, 4097), 1 << rng.randrange(13)),
         )
 
     for _ in range(10000):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 from hypothesis import given
@@ -13,23 +14,31 @@ from dslice.bs12 import (
     bs12_surjective,
     check_relators,
     evaluate_word,
-    ring_mul,
 )
 from dslice.errors import IncompatibleParameters, RelatorViolation
-from dslice.laurent import DyadicRational
-from dslice.words import GroupPresentation, Word
+from dslice.words import GroupPresentation, Word, ring_mul
 
 
 def dy(num, exp=0):
-    return DyadicRational(num, exp)
+    return Fraction(num, 1 << exp)
 
 
-elements = st.builds(
+dyadics = st.builds(dy, st.integers(min_value=-9, max_value=9),
+                    st.integers(min_value=0, max_value=3))
+elements = st.builds(BS12, st.integers(min_value=-4, max_value=4), dyadics)
+# translation parts as plain ints or as Fractions
+exact_elements = st.builds(
     BS12,
     st.integers(min_value=-4, max_value=4),
-    st.builds(dy, st.integers(min_value=-9, max_value=9),
-              st.integers(min_value=0, max_value=3)),
+    st.one_of(st.integers(min_value=-9, max_value=9), dyadics),
 )
+
+
+@given(exact_elements, exact_elements, st.integers(min_value=-5, max_value=5))
+def test_translations_stay_exact(x, y, e):
+    # 2**k with k < 0 would be a float; the action must stay in Z[1/2]
+    for z in (x * y, x.inverse(), y.inverse(), x ** e, y ** e, (x * y) ** e):
+        assert type(z.q) in (int, Fraction), z
 
 
 @given(elements, elements, elements)

@@ -9,7 +9,6 @@ from dslice.snf import (
     abelian_invariants,
     normalize_divisor_chain,
     nullspace_mod,
-    rank_mod_p,
     sparse_invariants,
 )
 
@@ -181,16 +180,3 @@ def test_nullspace_mod_eliminates_over_z_mod_m():
             assert span_mod(gens, m, nc) == brute_nullspace(a, m, nc)
             checked += 1
     assert checked > 100
-
-
-def test_rank_mod_p_matches_nullspace_mod():
-    rng = random.Random(23)
-    for _ in range(200):
-        nr, nc = rng.randint(0, 6), rng.randint(1, 7)
-        p = rng.choice([2, 3, 5, 7, 11, 13])
-        a = random_matrix(rng, nr, nc, -4, 4)
-        assert rank_mod_p(a, p) == nc - len(nullspace_mod(a, p, nc))
-        assert rank_mod_p([[p * x for x in row] for row in a], p) == 0
-    assert rank_mod_p([], 5) == 0
-    assert rank_mod_p([[]], 5) == 0
-    assert rank_mod_p([[0, 0], [0, 0]], 3) == 0

@@ -81,7 +81,7 @@ def test_benchmark_spans_resolve(monkeypatch):
     assert unresolved == []
 
 
-_FOX_NAMES = {"fox_derivative", "FoxPolynomial"}
+_FOX_NAMES = {"fox_derivative"}
 _RETIRED_FOX = {"fox_matrix", "push_fox", "_eval_fox"}
 
 
@@ -182,6 +182,60 @@ def test_stage_b_rule_sees_the_search_come_back():
         "m.py:2 defines _ring_right_inverse",
         "m.py:4 defines verify_stage_b",
         "m.py:5 names GeneralAttempt",
+    ]
+
+
+# second implementations of an exact primitive, each merged into the one
+# that stays: Z[1/2] is fractions.Fraction, a free Fox derivative is the
+# {Word: int} entry of words.fox_row, a rank mod p is a nullspace_mod
+# count, and every determinant is a laurent._gauss_jordan pass
+_RETIRED_DUPLICATES = {"DyadicRational", "FoxPolynomial", "rank_mod_p", "_int_det"}
+
+
+def _duplicate_primitives(source: str, filename: str) -> list:
+    """A definition or an import of a retired duplicate primitive."""
+    hits = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.ImportFrom):
+            hits += [
+                f"{filename}:{node.lineno} imports {alias.name}"
+                for alias in node.names if alias.name in _RETIRED_DUPLICATES
+            ]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name in _RETIRED_DUPLICATES:
+                hits.append(f"{filename}:{node.lineno} defines {node.name}")
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            if node.id in _RETIRED_DUPLICATES:
+                hits.append(f"{filename}:{node.lineno} defines {node.id}")
+    return hits
+
+
+def test_exact_primitives_have_one_implementation():
+    # two implementations of one exact primitive can drift apart, and
+    # each is a second thing to trust
+    root = Path(dslice.__file__).parent
+    found = [
+        hit
+        for path in sorted(root.rglob("*.py"))
+        for hit in _duplicate_primitives(path.read_text(), str(path.relative_to(root)))
+    ]
+    assert found == []
+
+
+def test_duplicate_rule_sees_each_retired_primitive_come_back():
+    source = (
+        "from .laurent import DyadicRational\n"
+        "from .snf import nullspace_mod, rank_mod_p as rank\n"
+        "class FoxPolynomial:\n    pass\n"
+        "def _int_det(rows):\n    pass\n"
+        "rank_mod_p = None\n"
+    )
+    assert sorted(_duplicate_primitives(source, "m.py")) == [
+        "m.py:1 imports DyadicRational",
+        "m.py:2 imports rank_mod_p",
+        "m.py:3 defines FoxPolynomial",
+        "m.py:5 defines _int_det",
+        "m.py:7 defines rank_mod_p",
     ]
 
 
@@ -320,7 +374,8 @@ _REFERENCE_DEFS = {
     # the free Fox derivative: test_acceptance.py::test_01_fox_fundamental_identity
     # and the fox_derivative tests of test_words.py
     "fox_derivative",
-    # group-ring product: test_words.py::test_fox_row_is_the_pushed_free_derivative,
+    # words.py's group-ring product: test_words.py's Fox derivative tests,
+    # test_acceptance.py::test_01_fox_fundamental_identity,
     # test_bs12.py::test_group_ring_ops and test_certify.py's relator_lift tests
     "ring_mul",
 }

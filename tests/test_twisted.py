@@ -8,7 +8,7 @@ from dslice.cache import ENV_CACHE_DIR
 from dslice.cli import main
 from dslice.corpus import bundled_document
 from dslice.diagrams import Diagram, SurgeryPresentation, infect, wirtinger, zero_surgery
-from dslice.errors import BudgetExceeded, TargetMismatch, VerificationFailed
+from dslice.errors import BudgetExceeded, VerificationFailed
 from dslice.documents import diagram_from_document, dump_document
 from dslice.groups import (
     coset_action,

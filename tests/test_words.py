@@ -1,27 +1,21 @@
 """Free words and Fox calculus: axioms, a worked example, random identity."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dslice.bs12 import (
-    BS12,
-    Bs12Group,
-    FiniteMetabelian,
-    evaluate_word,
-    ring_add,
-    ring_mul,
-)
-from dslice.laurent import DyadicRational
+from dslice.bs12 import BS12, Bs12Group, FiniteMetabelian, evaluate_word
 from dslice.modules import _Degree
 from dslice.words import (
-    FoxPolynomial,
     FreeGroup,
     GroupPresentation,
     Word,
     fox_derivative,
     fox_row,
+    ring_add,
+    ring_mul,
 )
 
 
@@ -72,35 +66,31 @@ def test_substitute_is_the_folded_product(a, images):
 
 def test_fox_derivative_generator():
     x = Word.gen(0)
-    d = fox_derivative(x, 0)
-    assert d.as_dict() == {Word.identity(): 1}
-    dinv = fox_derivative(x.inverse(), 0)
-    assert dinv.as_dict() == {x.inverse(): -1}
+    assert fox_derivative(x, 0) == {Word.identity(): 1}
+    assert fox_derivative(x.inverse(), 0) == {x.inverse(): -1}
 
 
 def test_fox_derivative_worked_example():
     # d(x y x^-1)/dx = 1 - x y x^-1
     x, y = Word.gen(0), Word.gen(1)
     u = x * y * x.inverse()
-    d = fox_derivative(u, 0)
-    assert d.as_dict() == {Word.identity(): 1, u: -1}
+    assert fox_derivative(u, 0) == {Word.identity(): 1, u: -1}
     # product rule against a manual split
     v = y * x
     lhs = fox_derivative(u * v, 0)
-    rhs = fox_derivative(u, 0) + fox_derivative(v, 0).left_mul(u)
+    rhs = ring_add(
+        fox_derivative(u, 0), ring_mul({u: 1}, fox_derivative(v, 0), FreeGroup)
+    )
     assert lhs == rhs
 
 
 def _check_fundamental_identity(word: Word, ngens: int):
-    total = FoxPolynomial.zero()
+    one = {Word.identity(): 1}
+    total = {}
     for i in range(ngens):
-        di = fox_derivative(word, i)
-        xi = FoxPolynomial.from_dict({Word.gen(i): 1, Word.identity(): -1})
-        total = total + di.word_mul(xi)
-    expected = FoxPolynomial.from_dict({word: 1}) + FoxPolynomial.from_dict(
-        {Word.identity(): -1}
-    )
-    assert total == expected
+        xi = ring_add({Word.gen(i): 1}, one, -1)
+        total = ring_add(total, ring_mul(fox_derivative(word, i), xi, FreeGroup))
+    assert total == ring_add({word: 1}, one, -1)
 
 
 def test_fundamental_identity_random_words():
@@ -139,7 +129,7 @@ TARGETS = {
     "bs12": (Bs12Group, _images(st.builds(
         BS12,
         st.integers(-3, 3),
-        st.builds(DyadicRational, st.integers(-9, 9), st.integers(0, 3)),
+        st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 4, 8])),
     ))),
     "finite": (FiniteMetabelian(3, 7), _images(
         st.tuples(st.integers(0, 2), st.integers(0, 6)))),
