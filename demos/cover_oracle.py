@@ -31,12 +31,14 @@ def main():
         plain = zero_surgery(diagram, 0)
         target, homs = metabelian_quotient_homs(plain, n, m)
         print(f"{name}, quotient parameters ({n}, {m}): {len(homs)} map(s)")
-        # maps with equal coset actions share their cover Smith form; each
-        # twisted matrix is reduced over the map's image subgroup, and maps
-        # related by conjugation and a unit scaling (k, q) -> (k, u*q) share
-        # it once their group-ring rows, rekeyed by that relation, are equal
+        # each map is read on the kept generators of the simplified
+        # presentation, whose Tietze isomorphism was checked once; maps with
+        # equal coset actions share their cover Smith form; each twisted
+        # matrix is reduced over the map's image subgroup, and maps related
+        # by conjugation and a unit scaling (k, q) -> (k, u*q) share it once
+        # their group-ring rows, rekeyed by that relation, are equal
         simplified = plain.simplified
-        restricted = (restrict_images(simplified, h, target) for h in homs)
+        restricted = (restrict_images(simplified, h) for h in homs)
         results = crowell_compares(simplified[0], restricted, target)
         for cover, twisted, agree in islice(results, 6):
             print(f"  cover {describe(*cover):18}"

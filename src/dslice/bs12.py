@@ -51,10 +51,16 @@ class BS12:
         return BS12(-self.k, times_power_of_two(-self.q, -self.k))
 
     def __pow__(self, e: int) -> "BS12":
+        # repeated squaring: about 2 log2|e| products, exact by associativity
         base = self if e >= 0 else self.inverse()
+        e = abs(e)
         out = BS12(0, 0)
-        for _ in range(abs(e)):
-            out = out * base
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     def is_identity(self) -> bool:
@@ -87,7 +93,9 @@ class Bs12Group:
 class FiniteMetabelian:
     """Z/n semidirect Z/m with the 2-action; needs 2^n = 1 mod m, m odd.
 
-    Elements are plain tuples (k, q) with 0 <= k < n, 0 <= q < m.
+    Elements are plain tuples (k, q) with 0 <= k < n, 0 <= q < m.  The
+    group law, ``mul`` and ``inv``, is bound once per target as closures
+    over n, m and the 2^k table, built on first use.
     """
 
     def __init__(self, n: int, m: int):
@@ -102,19 +110,34 @@ class FiniteMetabelian:
 
     @cached_property
     def _pow2(self):
-        # 2^k mod m for 0 <= k < n, the action of k; built on first use, so
-        # a target that a size cap refuses never builds it
+        # 2^k mod m for 0 <= k < n, the action of k; built on first use, as
+        # the group law is, so a target that a size cap refuses never builds it
         return [pow(2, k, self.m) for k in range(self.n)]
+
+    @cached_property
+    def mul(self):
+        n, m, pow2 = self.n, self.m, self._pow2
+
+        def mul(x, y):
+            a, b = x
+            c, d = y
+            return ((a + c) % n, (b + pow2[a] * d) % m)
+
+        return mul
+
+    @cached_property
+    def inv(self):
+        n, m, pow2 = self.n, self.m, self._pow2
+
+        def inv(x):
+            a, b = x
+            k = -a % n
+            return (k, -pow2[k] * b % m)
+
+        return inv
 
     def identity(self):
         return (0, 0)
-
-    def mul(self, x, y):
-        return ((x[0] + y[0]) % self.n, (x[1] + self._pow2[x[0]] * y[1]) % self.m)
-
-    def inv(self, x):
-        k = -x[0] % self.n
-        return (k, -self._pow2[k] * x[1] % self.m)
 
     def order(self) -> int:
         return self.n * self.m
@@ -131,10 +154,10 @@ class FiniteMetabelian:
 
 
 def evaluate_word(word: Word, images, target):
+    mul, inv = target.mul, target.inv
     out = target.identity()
     for g, e in word.letters:
-        x = images[g] if e == 1 else target.inv(images[g])
-        out = target.mul(out, x)
+        out = mul(out, images[g] if e == 1 else inv(images[g]))
     return out
 
 

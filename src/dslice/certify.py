@@ -362,8 +362,7 @@ def certify_doubly_slice(
         if homs:
             simplified = plain.simplified
             ok = crowell_check(
-                simplified[0], restrict_images(simplified, homs[0], target),
-                target,
+                simplified[0], restrict_images(simplified, homs[0]), target
             )
             hyps.append(f"cover homology cross-check at ({qn},{qm}): {ok}")
     except BudgetExceeded:

@@ -145,7 +145,7 @@ def _analyze_report(doc: dict, quotient) -> dict:
     if homs:
         simplified = plain.simplified
         agree = crowell_check(
-            simplified[0], restrict_images(simplified, homs[0], target), target
+            simplified[0], restrict_images(simplified, homs[0]), target
         )
     out["metabelian_quotient"] = {
         "n": n,
@@ -251,7 +251,7 @@ def cmd_oracle(doc: dict, n: int, m: int, fmt: str):
     # both paths are invariants of the group and the map, so they run on
     # the Tietze-simplified presentation with each map restricted to it
     simplified = plain.simplified
-    restricted = (restrict_images(simplified, h, target) for h in homs)
+    restricted = (restrict_images(simplified, h) for h in homs)
     maps = []
     for (free, torsion), (tfree, ttors), agree in crowell_compares(
         simplified[0], restricted, target

@@ -34,7 +34,7 @@ from .errors import (
     MissingSigns,
     NotAKnot,
 )
-from .groups import simplify_presentation, summand_homs
+from .groups import check_tietze, simplify_presentation, summand_homs
 from .modules import (
     deleted_column_module,
     detect_splitting,
@@ -531,8 +531,13 @@ class SurgeryPresentation:
     @cached_property
     def simplified(self) -> tuple:
         """``group`` Tietze-simplified with the meridian kept, as
-        ``(small, words, kept)`` from ``simplify_presentation``."""
-        return simplify_presentation(self.group, keep={self.meridian})
+        ``(small, words, kept)`` from ``simplify_presentation``, with the
+        isomorphism checked once here by ``check_tietze``."""
+        small, words, kept, record = simplify_presentation(
+            self.group, keep={self.meridian}
+        )
+        check_tietze(self.group, (small, words, kept), record)
+        return small, words, kept
 
 
 def zero_surgery(diagram: Diagram, pattern: int, curves=None) -> SurgeryPresentation:

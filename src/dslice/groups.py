@@ -2,13 +2,15 @@
 
 Four independent services live here:
 
-* Tietze simplification with tracked generator images and the indices
-  of the surviving generators, so data attached to the original
-  generators (maps, distinguished meridians) can be rewritten into the
-  smaller presentation.  ``restrict_images`` reads a map of the full
-  presentation on the small one and checks both that it is a map of the
-  small group and that it composes with the Tietze isomorphism to the
-  original map; the cover cross-checks run on that small presentation.
+* Tietze simplification with tracked generator images, the indices of
+  the surviving generators and a record of each elimination, so data
+  attached to the original generators (maps, distinguished meridians)
+  can be rewritten into the smaller presentation.  ``check_tietze``
+  replays the record with free reduction alone and checks that the
+  Tietze words give an isomorphism, once per presentation.  Then
+  ``restrict_images`` reads a map of the full presentation on the small
+  one with no evaluation at all; the cover cross-checks run on that
+  small presentation.
 * Construction of the two metabelian quotient maps onto BS(1,2) from a
   certified module splitting, one per summand, with exact dyadic
   translation parts read from the splitting judge's coordinates.
@@ -44,6 +46,7 @@ from .words import GroupPresentation, Word, fox_row
 
 __all__ = [
     "simplify_presentation",
+    "check_tietze",
     "restrict_images",
     "MetabelianHom",
     "summand_homs",
@@ -72,7 +75,7 @@ def _cyclic_reduce(w: Word) -> Word:
     ls = w.letters
     while len(ls) >= 2 and ls[0][0] == ls[-1][0] and ls[0][1] == -ls[-1][1]:
         ls = ls[1:-1]
-    return Word(ls)
+    return w if ls is w.letters else Word(ls)
 
 
 def simplify_presentation(pres: GroupPresentation, keep=()):
@@ -80,17 +83,25 @@ def simplify_presentation(pres: GroupPresentation, keep=()):
 
     Whenever a relator contains a generator exactly once, that relator
     solves for the generator and both can be removed.  Returns
-    ``(smaller_presentation, images, kept)``: ``kept`` is the sorted
-    tuple of surviving original indices, the j-th small generator being
-    original generator ``kept[j]``, and ``images[i]`` expresses the i-th
-    original generator as a word in the small generators.  Indices in
-    ``keep`` are never eliminated.  Best effort: stops quietly when the
-    rewritten relators would outgrow ``_LETTER_BUDGET`` times the input.
+    ``(smaller_presentation, images, kept, record)``: ``kept`` is the
+    sorted tuple of surviving original indices, the j-th small generator
+    being original generator ``kept[j]``, and ``images[i]`` expresses the
+    i-th original generator as a word in the small generators.
+    ``record`` lists the eliminations in order as ``(g, ri, word)``:
+    generator ``g`` was solved from original relator ``pres.relators[ri]``
+    as ``word``, in the original generators not eliminated before it.
+    ``check_tietze`` replays it.  Indices in ``keep`` are never
+    eliminated.  Best effort: stops quietly when the rewritten relators
+    would outgrow ``_LETTER_BUDGET`` times the input.
     """
     keep = set(keep)
     n = pres.num_generators
-    relators = [_cyclic_reduce(r) for r in pres.relators if r]
-    solved = {}  # eliminated generator -> its word, in elimination order
+    relators, origins = [], []  # origins[i]: the original index of relators[i]
+    for ri, r in enumerate(pres.relators):
+        if r:
+            relators.append(_cyclic_reduce(r))
+            origins.append(ri)
+    record = []
     letter_budget = _LETTER_BUDGET * (sum(len(r) for r in relators) + n + 20)
 
     while True:
@@ -119,27 +130,28 @@ def simplify_presentation(pres: GroupPresentation, keep=()):
             wg = suffix * prefix
         # relators are kept cyclically reduced, so one without g stays
         replaced = [
-            _cyclic_reduce(s.substitute({g: wg})) if counts[si][g] else s
-            for si, s in enumerate(relators)
+            (_cyclic_reduce(s.substitute({g: wg})) if counts[si][g] else s, o)
+            for si, (s, o) in enumerate(zip(relators, origins))
             if si != ri
         ]
-        replaced = [s for s in replaced if s]
-        if sum(len(s) for s in replaced) > letter_budget:
+        replaced = [(s, o) for s, o in replaced if s]
+        if sum(len(s) for s, _ in replaced) > letter_budget:
             break
-        relators = []
+        record.append((g, origins[ri], wg))
+        relators, origins = [], []
         seen = set()
-        for s in replaced:
-            inverse = tuple((h, -f) for h, f in reversed(s.letters))
-            if s.letters in seen or inverse in seen:
+        for s, o in replaced:
+            if s.letters in seen or _inverse_letters(s.letters) in seen:
                 continue
             seen.add(s.letters)
             relators.append(s)
-        solved[g] = wg
+            origins.append(o)
 
     # a solution holds only kept generators and ones eliminated after it,
     # so resolving the latest first leaves every word in kept generators
-    for g in reversed(list(solved)):
-        solved[g] = solved[g].substitute(solved)
+    solved = {}
+    for g, _, wg in reversed(record):
+        solved[g] = wg.substitute(solved)
     kept = tuple(i for i in range(n) if i not in solved)
     to_new = {old: Word.gen(new) for new, old in enumerate(kept)}
     new_pres = GroupPresentation(
@@ -149,30 +161,119 @@ def simplify_presentation(pres: GroupPresentation, keep=()):
     images = tuple(
         solved.get(i, Word.gen(i)).substitute(to_new) for i in range(n)
     )
-    return new_pres, images, kept
+    return new_pres, images, kept, tuple(record)
 
 
-def restrict_images(simplified, images, target) -> tuple:
+def _inverse_letters(ls: tuple) -> tuple:
+    return tuple((h, -f) for h, f in reversed(ls))
+
+
+def _is_rotation(w: tuple, s: tuple) -> bool:
+    """Is the letter tuple ``w`` a rotation of ``s``?"""
+    if len(w) != len(s):
+        return False
+    ss = s + s
+    return any(
+        x == w[0] and ss[k:k + len(w)] == w for k, x in enumerate(s)
+    )
+
+
+def check_tietze(pres: GroupPresentation, simplified, record) -> None:
+    """Check that ``simplified`` presents the group of ``pres``, by free
+    reduction alone; raise VerificationFailed otherwise.
+
+    ``simplified`` is ``(small, words, kept)`` and ``record`` the
+    elimination record, both from ``simplify_presentation``.  Let phi send
+    original generator i to ``words[i]`` and psi send small generator j
+    to original generator ``kept[j]``.  Four checks:
+
+    * kept: ``words[kept[j]]`` is small generator j, so phi psi is the
+      identity, and the eliminated generators of ``record`` are the
+      others, each once;
+    * backward: each eliminating relator, cyclically reduced, with the
+      earlier solutions substituted in order and cyclically reduced
+      again, holds its generator x_g exactly once and dies when x_g is
+      replaced by the recorded word, so x_g equals that word in the full
+      group; the word, with the Tietze words substituted, is x_g's own
+      Tietze word;
+    * forward: each full relator with the Tietze words substituted,
+      cyclically reduced, is empty or a rotation of a small relator or
+      of its inverse (an eliminating relator's image is empty by the
+      backward check, so only the others are substituted);
+    * coverage: every small relator occurs in the forward image.
+
+    Then phi maps full relators into the normal closure of the small
+    ones.  Backward, read from the last elimination to the first, shows
+    x_g = psi(phi(x_g)) in the full group for every generator, since each
+    recorded word holds only kept generators and ones eliminated later.
+    So psi sends each small relator, a cyclic conjugate of some phi(r)
+    or its inverse, to a conjugate of r or its inverse, and phi and psi
+    are mutually inverse isomorphisms.
+    """
+    small, words, kept = simplified
+    n = pres.num_generators
+    gone = [g for g, _, _ in record]
+    if len(words) != n or sorted(gone + list(kept)) != list(range(n)):
+        raise VerificationFailed("record and kept generators do not partition")
+    if any(not 0 <= ri < len(pres.relators) for _, ri, _ in record):
+        raise VerificationFailed("record names a relator the input lacks")
+    for j, i in enumerate(kept):
+        if words[i] != Word.gen(j):
+            raise VerificationFailed(f"kept generator {i} is not small generator {j}")
+    phi = dict(enumerate(words))
+    earlier = []
+    for g, ri, wg in record:
+        r = _cyclic_reduce(pres.relators[ri])
+        for h, wh in earlier:
+            if (h, 1) in r.letters or (h, -1) in r.letters:
+                r = r.substitute({h: wh})
+        ls = _cyclic_reduce(r).letters
+        at = [k for k, (h, _) in enumerate(ls) if h == g]
+        if len(at) != 1:
+            raise VerificationFailed(f"relator {ri} holds generator {g} {len(at)} times")
+        # read from x_g^e, the relator is x_g^e u, which dies under
+        # x_g -> wg exactly when wg^e = u^-1
+        k = at[0]
+        u = ls[k + 1:] + ls[:k]
+        if wg.letters != (_inverse_letters(u) if ls[k][1] == 1 else u):
+            raise VerificationFailed(f"relator {ri} does not solve for generator {g}")
+        if wg.substitute(phi) != words[g]:
+            raise VerificationFailed(f"generator {g}'s Tietze word misses its solution")
+        earlier.append((g, wg))
+    # phi(x_h) = phi(wh) for every eliminated h, so an eliminating relator,
+    # conjugate to x_g^e u once the earlier solutions are substituted, maps
+    # to a conjugate of phi(wg^e u) = 1 and reaches no small relator
+    eliminating = {ri for _, ri, _ in record}
+    classes = [(s.letters, _inverse_letters(s.letters)) for s in small.relators]
+    hit = set()
+    for ri, r in enumerate(pres.relators):
+        if ri in eliminating:
+            continue
+        image = _cyclic_reduce(r.substitute(phi)).letters
+        if not image:
+            continue
+        j = next((j for j, (s, si) in enumerate(classes)
+                  if _is_rotation(image, s) or _is_rotation(image, si)), None)
+        if j is None:
+            raise VerificationFailed(f"relator {ri} maps to no small relator")
+        hit.add(j)
+    if len(hit) != len(small.relators):
+        raise VerificationFailed("a small relator is the image of no relator")
+
+
+def restrict_images(simplified, images) -> tuple:
     """A map on the original generators, read on ``simplified``.
 
     ``simplified`` is ``(small, words, kept)`` from
-    ``simplify_presentation``.  Returns ``images`` at the kept
-    generators.  The result is checked to be a map of the small group
-    (every small relator dies) whose composite with the Tietze
-    isomorphism is the given map (each original generator's word gives
-    back its image), so invariants of the map read on either
-    presentation are equal.  Raises RelatorViolation or
-    VerificationFailed otherwise.
+    ``SurgeryPresentation.simplified``, whose Tietze isomorphism
+    ``check_tietze`` has checked, and ``images`` must be a map that
+    ``metabelian_quotient_homs`` checked on every full relator.  Returns
+    ``images`` at the kept generators.  That is the map composed with the
+    inverse isomorphism, so it is a map of the small group whose
+    composite with the Tietze isomorphism is ``images``, and invariants
+    of the map read on either presentation are equal.
     """
-    small, words, kept = simplified
-    small_images = tuple(images[i] for i in kept)
-    check_relators(small, small_images, target)
-    for i, w in enumerate(words):
-        if evaluate_word(w, small_images, target) != images[i]:
-            raise VerificationFailed(
-                f"generator {i}'s Tietze word misses its image"
-            )
-    return small_images
+    return tuple(images[i] for i in simplified[2])
 
 
 @dataclass(frozen=True)

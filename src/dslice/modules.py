@@ -159,13 +159,16 @@ class LambdaModule:
             unit_inv = LaurentPoly.monomial(
                 next(iter(prow[ci].coeffs.values())), -deg
             )
+            # a zero entry of the pivot row leaves its column as it is
+            support = [j for j, p in enumerate(prow) if not p.is_zero()]
             for si, srow in enumerate(rows):
                 if si == ri or srow[ci].is_zero():
                     continue
                 f = srow[ci] * unit_inv
-                rows[si] = [
-                    srow[j] - f * prow[j] for j in range(len(srow))
-                ]
+                new = list(srow)
+                for j in support:
+                    new[j] = srow[j] - f * prow[j]
+                rows[si] = new
             rows.pop(ri)
             for row in rows:
                 row.pop(ci)

@@ -54,13 +54,16 @@ def test_inverse_and_identity(x):
     assert x * e == x and e * x == x
 
 
-@given(elements, st.integers(min_value=-5, max_value=5))
-def test_powers(x, n):
-    out = Bs12Group.identity()
-    step = x if n >= 0 else x.inverse()
-    for _ in range(abs(n)):
-        out = out * step
-    assert x ** n == out
+@given(exact_elements)
+def test_powers(x):
+    # repeated squaring against repeated products, int and Fraction
+    # translations, every exponent in -20..20
+    for n in range(-20, 21):
+        out = Bs12Group.identity()
+        step = x if n >= 0 else x.inverse()
+        for _ in range(abs(n)):
+            out = out * step
+        assert x ** n == out
 
 
 def test_defining_relation():
@@ -133,6 +136,21 @@ def test_finite_group_axioms_exhaustive():
         for y in els:
             for z in els:
                 assert q.mul(q.mul(x, y), z) == q.mul(x, q.mul(y, z))
+
+
+def test_group_law_is_bound_on_first_use():
+    from dslice.errors import BudgetExceeded
+    from dslice.groups import _check_regular_budget
+
+    # a target the cap refuses builds neither the 2^k table nor the law
+    huge = FiniteMetabelian(20, 1048575)
+    with pytest.raises(BudgetExceeded):
+        _check_regular_budget(huge)
+    assert set(vars(huge)) == {"n", "m"}
+    q = FiniteMetabelian(4, 15)
+    assert q.mul((3, 7), (2, 11)) == ((3 + 2) % 4, (7 + 8 * 11) % 15)
+    assert q.inv((3, 7)) == (1, -2 * 7 % 15)
+    assert set(vars(q)) == {"n", "m", "_pow2", "mul", "inv"}
 
 
 def test_finite_is_nonabelian_when_action_nontrivial():

@@ -955,16 +955,16 @@ def test_certify_builds_one_stage_b_presentation(monkeypatch):
     small = plain.simplified[0].relators
     assert (len(relators), len(small)) == (10, 4)
     # One pass per relator and map.  The surgery presentation (10
-    # relators on 9 generators) is pushed into Lambda once for the
-    # Jacobian (10) and once per summand by the specialization check,
-    # through (k, q) -> t^k (2 x 10).  Its Tietze simplification (4
-    # relators on 3 generators) is pushed into Z/2 x| Z/3 for the one
-    # cross-checked quotient map (4).  Stage B reads the Lambda-Jacobian
-    # and pushes nothing, and no pass lands in Z[BS(1,2)].
-    # 10 + 20 + 4 = 34.
-    assert len(calls) == 34
+    # relators on 9 generators) is pushed into Lambda once, for the
+    # Jacobian (10); the specialization check compares the summand maps'
+    # exponents with the weights and pushes nothing.  Its Tietze
+    # simplification (4 relators on 3 generators) is pushed into
+    # Z/2 x| Z/3 for the one cross-checked quotient map (4).  Stage B
+    # reads the Lambda-Jacobian and pushes nothing, and no pass lands in
+    # Z[BS(1,2)].  10 + 4 = 14.
+    assert len(calls) == 14
     assert sorted(map(repr, (w for w, _, _ in calls))) == sorted(
-        map(repr, 3 * relators + small)
+        map(repr, relators + small)
     )
     targets = [t for _, _, t in calls]
-    assert (targets.count(_Degree), targets.count(Bs12Group)) == (30, 0)
+    assert (targets.count(_Degree), targets.count(Bs12Group)) == (10, 0)

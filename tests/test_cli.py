@@ -557,6 +557,45 @@ def test_oracle_computes_the_fox_matrix_once(docs, capsys, monkeypatch):
     assert {n for n, t in calls if not isinstance(t, FiniteMetabelian)} == {9}
 
 
+def test_oracle_evaluates_each_map_once_on_the_full_relators(docs, capsys, monkeypatch):
+    import importlib
+
+    from dslice.diagrams import zero_surgery
+    from dslice.documents import diagram_from_document
+
+    import dslice.bs12 as bs12
+
+    inner = bs12.evaluate_word
+    calls = []
+
+    def counting(word, images, target):
+        calls.append((word, target))
+        return inner(word, images, target)
+
+    # count evaluations through every module-level binding of evaluate_word
+    for name in ("bs12", "groups", "twisted", "cli", "certify"):
+        module = importlib.import_module(f"dslice.{name}")
+        if getattr(module, "evaluate_word", None) is inner:
+            monkeypatch.setattr(module, "evaluate_word", counting)
+    code, out, _ = run(
+        capsys, "oracle", "--knot", docs["946"], "--n", "3", "--m", "7",
+        "--no-cache",
+    )
+    assert code == 0
+    maps = int(out.splitlines()[1].split(", ")[1].split()[0])
+    assert maps > 0
+    plain = zero_surgery(diagram_from_document(bundled_document("946"))[0], 0)
+    relators = plain.group.relators
+    # metabelian_quotient_homs checks each map on the 10 full relators;
+    # the Tietze isomorphism is checked once per presentation, so no
+    # small relator and no Tietze word is evaluated per map
+    assert len(calls) == len(relators) * maps
+    assert all(isinstance(t, FiniteMetabelian) for _, t in calls)
+    assert sorted(map(repr, (w for w, _ in calls))) == sorted(
+        map(repr, relators * maps)
+    )
+
+
 # ------------------------------------------------- shared work per request
 
 

@@ -64,7 +64,7 @@ def trefoil_group():
 
 def test_simplify_trefoil_presentation():
     pres, meridian = trefoil_group()
-    small, images, _ = simplify_presentation(pres, keep={meridian})
+    small, images, _, _ = simplify_presentation(pres, keep={meridian})
     assert small.num_generators < pres.num_generators
     # the kept meridian is still a plain generator
     (pair,) = images[meridian].letters
@@ -76,7 +76,7 @@ def test_simplify_trefoil_presentation():
 
 def test_simplify_images_transport_homs():
     pres, meridian = trefoil_group()
-    small, images, _ = simplify_presentation(pres, keep={meridian})
+    small, images, _, _ = simplify_presentation(pres, keep={meridian})
     new_meridian = images[meridian].letters[0][0]
     target, homs = metabelian_quotient_homs(as_surgery(small, new_meridian), 2, 3)
     homs = brute_surjective(homs, target)
@@ -93,7 +93,7 @@ def test_simplify_images_transport_homs():
 
 def test_simplify_preserves_cover_homology():
     pres, meridian = trefoil_group()
-    small, images, _ = simplify_presentation(pres, keep={meridian})
+    small, images, _, _ = simplify_presentation(pres, keep={meridian})
     new_meridian = images[meridian].letters[0][0]
     q = FiniteMetabelian(2, 1)
     big_images = tuple(
@@ -112,11 +112,13 @@ def test_simplify_kills_pinned_generator():
         ("x", "y"),
         (Word.gen(1) * Word.gen(0, -2),),
     )
-    small, images, kept = simplify_presentation(pres)
+    small, images, kept, record = simplify_presentation(pres)
     assert small.num_generators == 1
     assert small.relators == ()
     assert kept == (0,)
     assert images[1] == Word.gen(0) * Word.gen(0)
+    assert record == ((1, 0, Word.gen(0) * Word.gen(0)),)
+    groups.check_tietze(pres, (small, images, kept), record)
 
 
 # the "kink07-" Reidemeister-I kink of 9_46 from test_cli.py
@@ -146,39 +148,88 @@ def _restriction_case():
 
 
 def test_restrict_images_reads_the_kept_generators():
+    # the two per-map checks restrict_images made before the isomorphism
+    # was checked still hold on every map, with no check per map
     simplified, target, homs = _restriction_case()
-    kept = simplified[2]
+    small, words, kept = simplified
     assert len(kept) < len(homs[0])
     for images in homs:
-        small_images = restrict_images(simplified, images, target)
+        small_images = restrict_images(simplified, images)
         assert small_images == tuple(images[i] for i in kept)
+        check_relators(small, small_images, target)
+        assert tuple(
+            evaluate_word(w, small_images, target) for w in words
+        ) == tuple(images)
 
 
-def test_restrict_images_refuses_a_changed_eliminated_image():
-    simplified, target, homs = _restriction_case()
-    kept = simplified[2]
-    images = list(homs[1])
-    gone = next(i for i in range(len(images)) if i not in kept)
-    images[gone] = target.mul(images[gone], (0, 1))
-    with pytest.raises(VerificationFailed):
-        restrict_images(simplified, tuple(images), target)
+def _tietze_case(diagram):
+    plain = zero_surgery(diagram, 0)
+    pres = plain.group
+    small, words, kept, record = simplify_presentation(pres, keep={plain.meridian})
+    return pres, (small, words, kept), record
 
 
-def test_restrict_images_refuses_a_broken_small_relator():
-    simplified, target, homs = _restriction_case()
-    small, _, kept = simplified
-    images = list(homs[1])
-    for x in target.elements():
-        images[kept[1]] = x
-        trial = tuple(images[i] for i in kept)
-        try:
-            check_relators(small, trial, target)
-        except RelatorViolation:
-            break
-    else:
-        pytest.fail("every image of the second kept generator passes")
-    with pytest.raises(RelatorViolation):
-        restrict_images(simplified, tuple(images), target)
+def _tietze_cases():
+    return [_tietze_case(Diagram(pd)) for pd in (KINK07, TREFOIL, FIG8)] + [
+        _tietze_case(bundled_pattern("946")[0])
+    ]
+
+
+def test_check_tietze_accepts_the_simplifier_output():
+    for pres, simplified, record in _tietze_cases():
+        assert len(record) == pres.num_generators - len(simplified[2])
+        groups.check_tietze(pres, simplified, record)
+
+
+def test_check_tietze_forward_refuses_a_changed_or_dropped_small_relator():
+    for pres, (small, words, kept), record in _tietze_cases():
+        if not small.relators:
+            continue
+        changed = (small.relators[0] * Word.gen(0),) + small.relators[1:]
+        for relators in (changed, small.relators[1:]):
+            forged = GroupPresentation(small.names, relators)
+            with pytest.raises(VerificationFailed, match="maps to no small"):
+                groups.check_tietze(pres, (forged, words, kept), record)
+
+
+def test_check_tietze_coverage_refuses_an_extra_small_relator():
+    pres, (small, words, kept), record = _tietze_case(bundled_pattern("946")[0])
+    extra = commutator(Word.gen(1), Word.gen(2))
+    forged = GroupPresentation(small.names, small.relators + (extra,))
+    with pytest.raises(VerificationFailed, match="image of no relator"):
+        groups.check_tietze(pres, (forged, words, kept), record)
+
+
+def test_check_tietze_backward_refuses_a_forged_record():
+    pres, simplified, record = _tietze_case(bundled_pattern("946")[0])
+    small, words, kept = simplified
+    (g, ri, wg), rest = record[0], record[1:]
+    # a wrong solution, and a relator that does not hold the generator
+    ri2 = record[1][1]
+    for forged, match in (
+        (((g, ri, wg * Word.gen(kept[0])),) + rest, "does not solve"),
+        (((g, ri2, wg),) + rest, "holds generator"),
+    ):
+        with pytest.raises(VerificationFailed, match=match):
+            groups.check_tietze(pres, simplified, forged)
+    # an eliminated generator's Tietze word that is not its solution
+    changed = list(words)
+    changed[g] = changed[g] * Word.gen(0)
+    with pytest.raises(VerificationFailed, match="misses its solution"):
+        groups.check_tietze(pres, (small, tuple(changed), kept), record)
+
+
+def test_check_tietze_refuses_a_changed_kept_word_or_a_lost_elimination():
+    pres, simplified, record = _tietze_case(bundled_pattern("946")[0])
+    small, words, kept = simplified
+    changed = list(words)
+    changed[kept[1]] = Word.gen(0)
+    with pytest.raises(VerificationFailed, match="kept generator"):
+        groups.check_tietze(pres, (small, tuple(changed), kept), record)
+    with pytest.raises(VerificationFailed, match="partition"):
+        groups.check_tietze(pres, simplified, record[1:])
+    with pytest.raises(VerificationFailed, match="lacks"):
+        groups.check_tietze(pres, simplified, ((record[0][0], 99, record[0][2]),) + record[1:])
 
 
 # ------------------------------------------------------- summand homs

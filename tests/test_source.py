@@ -327,24 +327,37 @@ def test_tracked_basis_rule_sees_a_fresh_completion_come_back():
     ]
 
 
+_TIETZE_NAMES = {"simplify_presentation": "simplifies", "check_tietze": "checks"}
+
+
 def _simplifier_calls(source: str, filename: str) -> list:
-    """Calls of ``simplify_presentation`` outside diagrams.py, where
-    ``SurgeryPresentation.simplified`` owns the one simplification."""
-    if filename == "diagrams.py":
-        return []
+    """Calls of ``simplify_presentation`` or ``check_tietze`` anywhere but
+    in diagrams.py's ``SurgeryPresentation.simplified``, which owns the
+    one simplification and the one check of its isomorphism."""
     hits = []
-    for node in ast.walk(ast.parse(source, filename)):
+
+    def visit(node, owner):
         if isinstance(node, ast.Call):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name == "simplify_presentation":
-                hits.append(f"{filename}:{node.lineno} simplifies")
+            allowed = (filename, owner) == (
+                "diagrams.py", ("SurgeryPresentation", "simplified")
+            )
+            if name in _TIETZE_NAMES and not allowed:
+                hits.append(f"{filename}:{node.lineno} {_TIETZE_NAMES[name]}")
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = owner + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source, filename), ())
     return hits
 
 
 def test_surgery_presentations_are_simplified_once():
     # each stage reads the simplified group off its SurgeryPresentation;
-    # a stage that simplifies again repeats the Tietze pass
+    # a stage that simplifies again repeats the Tietze pass, and one that
+    # checks again repeats the isomorphism check
     root = Path(dslice.__file__).parent
     found = [
         hit
@@ -356,16 +369,29 @@ def test_surgery_presentations_are_simplified_once():
 
 def test_simplifier_rule_sees_a_second_caller():
     source = (
-        "from .groups import simplify_presentation\n"
+        "from .groups import check_tietze, simplify_presentation\n"
         "from . import groups\n"
         "small = simplify_presentation(pres, keep={0})\n"
         "def f(pres):\n    return groups.simplify_presentation(pres)[0]\n"
+        "class SurgeryPresentation:\n"
+        "    def simplified(self):\n"
+        "        small, words, kept, record = simplify_presentation(self.group)\n"
+        "        check_tietze(self.group, (small, words, kept), record)\n"
+        "    def again(self):\n"
+        "        groups.check_tietze(self.group, self.simplified, ())\n"
     )
     assert _simplifier_calls(source, "cli.py") == [
         "cli.py:3 simplifies",
         "cli.py:5 simplifies",
+        "cli.py:8 simplifies",
+        "cli.py:9 checks",
+        "cli.py:11 checks",
     ]
-    assert _simplifier_calls(source, "diagrams.py") == []
+    assert _simplifier_calls(source, "diagrams.py") == [
+        "diagrams.py:3 simplifies",
+        "diagrams.py:5 simplifies",
+        "diagrams.py:11 checks",
+    ]
 
 
 # Reference implementations that no stage reads: tests check the

@@ -263,7 +263,7 @@ def test_rekeyed_rows_are_equal_exactly_when_matrices_are(name, n, m):
     first = {}  # scaled conjugate images -> the orbit's first rows and matrix
     outcomes = set()
     for h in homs:
-        images = restrict_images(small, h, target)
+        images = restrict_images(small, h)
         rows = twisted.twisted_rows(small[0], images, target)
         if images not in first:
             mat = _regular_blocks(rows, target, ng, whole)
@@ -304,7 +304,7 @@ def test_whole_target_invariants_are_copies_of_the_image_subgroups(name, n, m):
     ng = small[0].num_generators
     indices = set()
     for h in homs:
-        images = restrict_images(small, h, target)
+        images = restrict_images(small, h)
         sub = _image_elements(images, target)
         d = target.order() // len(sub)
         rows = twisted.twisted_rows(small[0], images, target)
@@ -322,7 +322,7 @@ def test_fox_key_outside_the_image_subgroup_is_refused(monkeypatch):
     small = plain.simplified
     target, homs = metabelian_quotient_homs(plain, 4, 15)
     images = next(
-        im for im in (restrict_images(small, h, target) for h in homs)
+        im for im in (restrict_images(small, h) for h in homs)
         if len(brute_subgroup(im, target)) < target.order()
     )
     sub = _image_elements(images, target)
