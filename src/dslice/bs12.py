@@ -11,8 +11,12 @@ any target.
 
 Finite quotients replace Z by Z/n and Z[1/2] by Z/m for odd m with
 2^n = 1 mod m, which makes the action well defined.  These quotients
-drive the homology cross-checks.  Group-ring sums and products over any
-of these targets are ``words.ring_add`` and ``words.ring_mul``.
+drive the homology cross-checks.  ``check_metabelian_relators`` checks a
+whole list of maps to one such quotient in one pass over each relator:
+maps that share their a-exponents share every letter's a-coordinate and
+multiplier, so only the translations are computed map by map.
+Group-ring sums and products over any of these targets are
+``words.ring_add`` and ``words.ring_mul``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,12 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .errors import IncompatibleParameters, NotSurjective, RelatorViolation
+from .errors import (
+    IncompatibleParameters,
+    NotSurjective,
+    RelatorViolation,
+    VerificationFailed,
+)
 from .groebner import _xgcd
 from .laurent import times_power_of_two
 from .words import Word
@@ -35,6 +44,7 @@ __all__ = [
     "FiniteMetabelian",
     "evaluate_word",
     "check_relators",
+    "check_metabelian_relators",
     "bs12_surjective",
 ]
 
@@ -168,6 +178,44 @@ def check_relators(pres, images, target) -> None:
         v = evaluate_word(r, images, target)
         if v != target.identity():
             raise RelatorViolation(f"relator {r!r} maps to {v!r}")
+
+
+def check_metabelian_relators(pres, homs, target) -> None:
+    """Check every map in ``homs`` on every relator of ``pres`` at once.
+
+    ``homs`` lists maps to the FiniteMetabelian ``target``, each a tuple
+    of (k, q) generator images, all with the same a-exponents k; maps
+    whose a-exponents differ raise VerificationFailed.  Each relator is
+    read letter by letter, once.  The a-coordinate a before a letter and
+    the letter's multiplier are common to all maps: with image (k, q),
+    the letter x_g moves a to a + k and adds 2^a q to the translation,
+    and x_g^-1 moves a to a - k and adds -2^(a - k) q, exactly as
+    ``evaluate_word`` multiplies by the image or its inverse.  Each map's
+    translation is then the sum of the multipliers times that map's q,
+    taken mod m.  Raises RelatorViolation, naming the relator, when the
+    value of some map is not the identity.
+    """
+    if not homs:
+        return
+    n, m, pow2 = target.n, target.m, target._pow2
+    exps = tuple(x[0] for x in homs[0])
+    if any(tuple(x[0] for x in images) != exps for images in homs):
+        raise VerificationFailed("the maps' a-exponents differ")
+    translations = [tuple(x[1] for x in images) for images in homs]
+    for r in pres.relators:
+        a = 0
+        steps = []  # (generator, multiplier) per letter
+        for g, e in r.letters:
+            if e == 1:
+                steps.append((g, pow2[a]))
+                a = (a + exps[g]) % n
+            else:
+                a = (a - exps[g]) % n
+                steps.append((g, -pow2[a]))
+        for h, qs in enumerate(translations):
+            v = (a, sum(c * qs[g] for g, c in steps) % m)
+            if v != (0, 0):
+                raise RelatorViolation(f"relator {r!r} maps to {v!r} under map {h}")
 
 
 def _odd_part(v: int) -> int:

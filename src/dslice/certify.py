@@ -39,7 +39,6 @@ from .errors import (
 )
 from .groups import metabelian_quotient_homs, restrict_images
 from .modules import TARGET_ORDER
-from .snf import nullspace_mod
 from .twisted import (
     crowell_check,
     summand_specialization_check,
@@ -190,10 +189,12 @@ def stage_b_certificate(plain: SurgeryPresentation) -> dict:
 
     Checks the two facts the argument above rests on: ``plain`` has at
     least as many non-framing relators as generators, and its Jacobian at
-    t = 2 has rank n - 3 over F_3.  Either failing contradicts the
-    certified splitting and raises VerificationFailed; otherwise no
-    candidate matrix has a right inverse, and the verdict is
-    ``undetermined``.
+    t = 2 has rank n - 3 over F_3.  The rank is n minus the size of
+    ``plain.kernel_mod(3)``, which the default (2,3) quotient maps have
+    already computed on the same presentation.  Either failing
+    contradicts the certified splitting and raises VerificationFailed;
+    otherwise no candidate matrix has a right inverse, and the verdict
+    is ``undetermined``.
     """
     n = plain.group.num_generators
     m = sum(1 for r in plain.group.relators if r != plain.longitude)
@@ -202,9 +203,7 @@ def stage_b_certificate(plain: SurgeryPresentation) -> dict:
             f"{m} non-framing relators on {n} generators contradict the"
             " zero-surgery presentation"
         )
-    rank = n - len(nullspace_mod(
-        [[p.evaluate_mod(2, 3) for p in row] for row in plain.jacobian], 3, n
-    ))
+    rank = n - len(plain.kernel_mod(3))
     if rank != n - 3:
         raise VerificationFailed(
             f"Jacobian rank {rank} at t = 2 over F_3 contradicts the"

@@ -41,6 +41,7 @@ from .modules import (
     fox_jacobian,
     infinite_cyclic_weights,
 )
+from .snf import nullspace_mod
 from .words import GroupPresentation, Word
 
 __all__ = [
@@ -482,7 +483,8 @@ class SurgeryPresentation:
     ``weights``, ``jacobian``, ``module``, ``splitting``, ``summands``
     and ``simplified`` are computed on first use and kept on this frozen
     object, which every stage reads; ``dataclasses.replace`` gives an
-    object with its own.
+    object with its own.  So is ``kernel_mod(m)``, one per modulus m,
+    which the quotient-map enumeration and stage B's rank both read.
     The module keeps its own untracked Groebner basis, ``module.basis``,
     built on first use and never when the module's order or its
     dimension over F_3 at t = 2 refutes the splitting; the splitting
@@ -538,6 +540,20 @@ class SurgeryPresentation:
         )
         check_tietze(self.group, (small, words, kept), record)
         return small, words, kept
+
+    @cached_property
+    def _kernels(self) -> dict:
+        return {}
+
+    def kernel_mod(self, m: int) -> tuple:
+        """Generators of the kernel of ``jacobian`` at t = 2 over Z/m, from
+        ``snf.nullspace_mod``, computed on first use for each m."""
+        if m not in self._kernels:
+            rows = [[p.evaluate_mod(2, m) for p in row] for row in self.jacobian]
+            self._kernels[m] = tuple(
+                nullspace_mod(rows, m, ncols=self.group.num_generators)
+            )
+        return self._kernels[m]
 
 
 def zero_surgery(diagram: Diagram, pattern: int, curves=None) -> SurgeryPresentation:

@@ -23,9 +23,11 @@ old pairs keep their standard representations in the larger basis, so
 the result is a strong basis of the base module plus the new
 generators, and its coordinates are taken modulo the base module.
 
-Monomials are (i, j) exponent pairs for t^i u^j; module terms add a
-position.  The order is graded (total degree, then t-degree), with ties
-broken towards the lower position.
+A module term t^i u^j e_pos is stored under the key (i + j, i, -pos).
+The order is graded (total degree, then t-degree), with ties broken
+towards the lower position, which is exactly the tuple order of the
+keys, so a leading term is a plain ``max``.  Coordinates are scalars,
+kept as {(i, j): c} for t^i u^j.
 
 Each basis element is stored with its leading monomial and leading
 coefficient, computed once when it joins the basis, and is indexed by
@@ -87,11 +89,11 @@ def _balanced_div(a, b):
 
 
 def vector_to_tu(vec):
-    """Laurent vector -> {(i, j, pos): int} with u = t^-1."""
+    """Laurent vector -> {(i + j, i, -pos): int} for t^i u^j e_pos, u = t^-1."""
     out = {}
     for pos, p in enumerate(vec):
         for d, c in p.coeffs.items():
-            key = (d, 0, pos) if d >= 0 else (0, -d, pos)
+            key = (d, d, -pos) if d >= 0 else (-d, 0, -pos)
             out[key] = out.get(key, 0) + c
     return {k: v for k, v in out.items() if v}
 
@@ -104,22 +106,9 @@ def scalar_from_tu(mono_dict) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
-def _mono_key(m):
-    i, j, pos = m
-    return (i + j, i, -pos)
-
-
-def _mono_mul(m, i, j):
-    return (m[0] + i, m[1] + j, m[2])
-
-
-def _lead(elem):
-    return max(elem, key=_mono_key)
-
-
 def _scale_shift(elem, c, i, j):
     """c * t^i * u^j * elem."""
-    return {_mono_mul(m, i, j): c * v for m, v in elem.items()}
+    return {(d + i + j, a + i, p): c * v for (d, a, p), v in elem.items()}
 
 
 def _coords_add(c1, c2):
@@ -168,7 +157,7 @@ class GroebnerBasis:
                 gens.append((elem, coords))
         if base is None:
             for pos in range(width):
-                rel = {(1, 1, pos): 1, (0, 0, pos): -1}
+                rel = {(2, 1, -pos): 1, (0, 0, -pos): -1}
                 gens.append((rel, {} if track else None))
         elif base.width != width:
             raise ValueError("base width mismatch")
@@ -178,7 +167,7 @@ class GroebnerBasis:
             for elem, _, m, lc in base.basis:
                 entry = (elem, None, m, lc)
                 self.basis.append(entry)
-                self._by_pos[m[2]].append(entry)
+                self._by_pos[-m[2]].append(entry)
         self._complete(gens)
 
     def _tick(self):
@@ -190,12 +179,12 @@ class GroebnerBasis:
         """Add a reduced element, queueing its pairs with every earlier one."""
         if max(map(abs, elem.values())).bit_length() > _COEFF_BITS:
             raise BudgetExceeded("groebner coefficients exceeded their size bound")
-        m = _lead(elem)
+        m = max(elem)
         entry = (elem, coords, m, elem[m])
         n = len(self.basis)
         self._pairs.extend((k, n) for k in range(n))
         self.basis.append(entry)
-        self._by_pos[m[2]].append(entry)
+        self._by_pos[-m[2]].append(entry)
 
     def _reduce_full(self, elem, coords):
         """Normal form; returns (reduced elem, coords)."""
@@ -204,9 +193,10 @@ class GroebnerBasis:
         by_pos = self._by_pos
         while work:
             self._tick()
-            m = _lead(work)
+            m = max(work)
             c = work[m]
-            mi, mj, pos = m
+            md, mi, npos = m
+            mj = md - mi
             # prefer a reducer whose leading coefficient divides exactly;
             # in a strong basis every member's lead admits one, so exact
             # steps alone decide membership and partial steps only help.
@@ -215,9 +205,9 @@ class GroebnerBasis:
             exact = None
             partial = None
             plc = 0
-            for entry in by_pos[pos]:
+            for entry in by_pos[-npos]:
                 bm = entry[2]
-                if bm[0] > mi or bm[1] > mj:
+                if bm[1] > mi or bm[0] - bm[1] > mj:
                     continue
                 lc = entry[3]
                 if c % lc == 0:
@@ -232,16 +222,16 @@ class GroebnerBasis:
                 del work[m]
                 continue
             (belem, bcoords, bm, _), q = hit
-            i, j = mi - bm[0], mj - bm[1]
+            d, i = md - bm[0], mi - bm[1]
             for (a, b, p), v in belem.items():
-                key = (a + i, b + j, p)
+                key = (a + d, b + i, p)
                 w = work.get(key, 0) - q * v
                 if w:
                     work[key] = w
                 else:
                     del work[key]
             if coords is not None and bcoords is not None:
-                coords = _coords_add(coords, _coords_scale(bcoords, -q, i, j))
+                coords = _coords_add(coords, _coords_scale(bcoords, -q, i, d - i))
         return result, coords
 
     def _complete(self, gens):
@@ -258,35 +248,36 @@ class GroebnerBasis:
             e2, c2, m2, a2 = basis[k2]
             if m1[2] != m2[2]:
                 continue
-            lcm = (max(m1[0], m2[0]), max(m1[1], m2[1]), m1[2])
+            # t^i u^j shifts taking each leading term to their lcm
+            li, lj = max(m1[1], m2[1]), max(m1[0] - m1[1], m2[0] - m2[1])
+            i1, j1 = li - m1[1], lj - m1[0] + m1[1]
+            i2, j2 = li - m2[1], lj - m2[0] + m2[1]
             new_items = []
             # S-combination: cancel leading terms
             g = gcd(a1, a2)
             s1 = a2 // g
             s2 = a1 // g
             s_elem = ring_add(
-                _scale_shift(e1, s1, lcm[0] - m1[0], lcm[1] - m1[1]),
-                _scale_shift(e2, -s2, lcm[0] - m2[0], lcm[1] - m2[1]),
+                _scale_shift(e1, s1, i1, j1), _scale_shift(e2, -s2, i2, j2)
             )
             s_coords = None
             if self.track:
                 s_coords = _coords_add(
-                    _coords_scale(c1 or {}, s1, lcm[0] - m1[0], lcm[1] - m1[1]),
-                    _coords_scale(c2 or {}, -s2, lcm[0] - m2[0], lcm[1] - m2[1]),
+                    _coords_scale(c1 or {}, s1, i1, j1),
+                    _coords_scale(c2 or {}, -s2, i2, j2),
                 )
             new_items.append((s_elem, s_coords))
             # G-combination: realise gcd of leading coefficients
             if a1 % a2 and a2 % a1:
                 g, x1, x2 = _xgcd(a1, a2)
                 g_elem = ring_add(
-                    _scale_shift(e1, x1, lcm[0] - m1[0], lcm[1] - m1[1]),
-                    _scale_shift(e2, x2, lcm[0] - m2[0], lcm[1] - m2[1]),
+                    _scale_shift(e1, x1, i1, j1), _scale_shift(e2, x2, i2, j2)
                 )
                 g_coords = None
                 if self.track:
                     g_coords = _coords_add(
-                        _coords_scale(c1 or {}, x1, lcm[0] - m1[0], lcm[1] - m1[1]),
-                        _coords_scale(c2 or {}, x2, lcm[0] - m2[0], lcm[1] - m2[1]),
+                        _coords_scale(c1 or {}, x1, i1, j1),
+                        _coords_scale(c2 or {}, x2, i2, j2),
                     )
                 new_items.append((g_elem, g_coords))
             for elem, coords in new_items:

@@ -15,8 +15,9 @@ Four independent services live here:
   certified module splitting, one per summand, with exact dyadic
   translation parts read from the splitting judge's coordinates.
 * Enumeration of homomorphisms onto the finite metabelian groups
-  Z/n x| Z/m, done by linear algebra mod m on the Fox Jacobian
-  evaluated at t = 2.
+  Z/n x| Z/m, read off the kernel of the Fox Jacobian at t = 2 over Z/m
+  that the surgery presentation keeps, one per m, and checked on every
+  relator in one pass by ``bs12.check_metabelian_relators``.
 * Reidemeister-Schreier rewriting for the homology of finite covers,
   and a membership certificate for the second derived subgroup.
 """
@@ -31,6 +32,7 @@ from .bs12 import (
     Bs12Group,
     FiniteMetabelian,
     bs12_surjective,
+    check_metabelian_relators,
     check_relators,
     evaluate_word,
 )
@@ -41,7 +43,7 @@ from .errors import (
 )
 from .laurent import ONE, ZERO, LaurentPoly
 from .modules import _Degree
-from .snf import abelian_invariants, nullspace_mod
+from .snf import abelian_invariants
 from .words import GroupPresentation, Word, fox_row
 
 __all__ = [
@@ -337,17 +339,19 @@ def metabelian_quotient_homs(plain, n: int, m: int):
 
     A candidate is determined by its vector of translation parts, and
     the relator conditions are exactly the kernel of ``plain.jacobian``
-    evaluated at t = 2 over Z/m.  Returns ``(target, image_tuples)``
-    with a deterministic ordering.  A target of more than
+    evaluated at t = 2 over Z/m, which ``plain.kernel_mod(m)`` computes
+    once per presentation.  Every map is still checked on every full
+    relator, all in one pass by ``check_metabelian_relators``, so the
+    maps never rest on that kernel alone.  Returns ``(target,
+    image_tuples)`` with a deterministic ordering.  A target of more than
     ``_REGULAR_CAP`` elements, which every cover cross-check of a map
-    would refuse, is refused before anything is enumerated.
+    would refuse, is refused before the kernel is requested.
     """
     target = FiniteMetabelian(n, m)
     _check_regular_budget(target)
     pres, weights = plain.group, plain.weights
     ng = pres.num_generators
-    rows_mod = [[p.evaluate_mod(2, m) for p in row] for row in plain.jacobian]
-    basis = nullspace_mod(rows_mod, m, ncols=ng)
+    basis = plain.kernel_mod(m)
     if m ** len(basis) > _KERNEL_CAP:
         raise BudgetExceeded(
             f"translation kernel too large to enumerate ({m}^{len(basis)})"
@@ -359,11 +363,9 @@ def metabelian_quotient_homs(plain, n: int, m: int):
             for x in span
             for k in range(m)
         }
-    homs = []
-    for chi in sorted(span):
-        images = tuple((weights[i] % n, chi[i]) for i in range(ng))
-        check_relators(pres, images, target)
-        homs.append(images)
+    exps = [w % n for w in weights]
+    homs = [tuple(zip(exps, chi)) for chi in sorted(span)]
+    check_metabelian_relators(pres, homs, target)
     return target, homs
 
 

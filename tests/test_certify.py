@@ -12,7 +12,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from dslice import certify
+from dslice import certify, diagrams
 from dslice.bs12 import BS12_A, BS12_C, Bs12Group
 from dslice.certify import (
     CERT_VERSION,
@@ -364,8 +364,11 @@ def test_summand_images_of_9_46_its_mirror_and_every_kink(workloads):
 def test_stage_b_rejects_a_forged_rank(monkeypatch):
     _, plain, _ = bundled_pattern("946")
     n = plain.group.num_generators
-    # two kernel vectors on n columns: rank n - 2 instead of n - 3
-    monkeypatch.setattr(certify, "nullspace_mod", lambda rows, m, ncols: [(), ()])
+    # two kernel vectors on n columns: rank n - 2 instead of n - 3; the
+    # presentation's kernel accessor computes the rank's kernel
+    monkeypatch.setattr(
+        diagrams, "nullspace_mod", lambda rows, m, ncols: [(0,) * ncols] * 2
+    )
     with pytest.raises(VerificationFailed, match="rank"):
         stage_b_certificate(plain)
     with pytest.raises(VerificationFailed):

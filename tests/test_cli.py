@@ -126,15 +126,17 @@ def test_oversized_kernel_inside_the_target_cap_is_refused(docs, capsys):
 def test_target_cap_is_checked_before_enumerating_maps(
     docs, capsys, monkeypatch
 ):
+    import dslice.diagrams as diagrams
     import dslice.groups as groups
 
     def refuse(*args, **kwargs):
         raise AssertionError("the translation kernel must not be computed")
 
     # the default (2,3) target has 6 elements, one past a cap of 5;
-    # metabelian_quotient_homs refuses it before its kernel mod m
+    # metabelian_quotient_homs refuses it before it asks the presentation
+    # for its kernel mod m
     monkeypatch.setattr(groups, "_REGULAR_CAP", 5)
-    monkeypatch.setattr(groups, "nullspace_mod", refuse)
+    monkeypatch.setattr(diagrams, "nullspace_mod", refuse)
     code, out, _ = run(capsys, "certify", docs["946"], "--no-cache")
     assert code == 0
     maps = [line for line in out.splitlines() if "quotient maps" in line]
@@ -182,6 +184,37 @@ def test_certify_unregistered_946_bytes_are_pinned(capsys, tmp_path, tag):
         assert verdict["reason"] == (
             "commutative shadow obstructs every candidate matrix"
         )
+
+
+def test_certify_unregistered_kink_eliminates_the_jacobian_once(
+    capsys, tmp_path, monkeypatch
+):
+    import importlib
+
+    import dslice.snf as snf
+
+    inner = snf.nullspace_mod
+    calls = []
+
+    def counting(rows, m, ncols=None):
+        calls.append((len(rows), ncols, m))
+        return inner(rows, m, ncols)
+
+    for name in ("snf", "diagrams", "groups", "modules", "certify"):
+        module = importlib.import_module(f"dslice.{name}")
+        if getattr(module, "nullspace_mod", None) is inner:
+            monkeypatch.setattr(module, "nullspace_mod", counting)
+    pd, _ = UNREGISTERED_946["kink07-"]
+    path = tmp_path / "kink07-.json"
+    path.write_text(json.dumps(
+        {"format": "dslice-diagram/1", "name": "kink07-", "pd": pd}
+    ))
+    code, out, _ = run(capsys, "certify", str(path), "--no-cache")
+    assert code == 1 and "commutative shadow" in out
+    # the (2,3) quotient maps and stage B's rank read one kernel mod 3 of
+    # the 11 x 10 Jacobian; the splitting test counts the F_3 dimension
+    # of the 4 x 2 simplified module
+    assert sorted(calls) == [(4, 2, 3), (11, 10, 3)]
 
 
 # ----------------------------------------------------------------- analyze
@@ -374,12 +407,13 @@ def test_oracle_computes_smith_forms_once_per_orbit(docs, capsys, monkeypatch):
 def test_oracle_refuses_oversized_target_before_enumerating(
     docs, capsys, monkeypatch
 ):
-    import dslice.groups as groups
+    import dslice.diagrams as diagrams
 
     def refuse(*args, **kwargs):
         raise AssertionError("nullspace_mod must not run")
 
-    monkeypatch.setattr(groups, "nullspace_mod", refuse)
+    # the presentation's kernel accessor is the binding that computes it
+    monkeypatch.setattr(diagrams, "nullspace_mod", refuse)
     code, out, err = run(
         capsys, "oracle", "--knot", docs["946"], "--n", "20",
         "--m", "1048575", "--no-cache",
@@ -565,35 +599,40 @@ def test_oracle_evaluates_each_map_once_on_the_full_relators(docs, capsys, monke
 
     import dslice.bs12 as bs12
 
-    inner = bs12.evaluate_word
-    calls = []
+    inner_eval = bs12.evaluate_word
+    inner_check = bs12.check_metabelian_relators
+    evaluated, checked = [], []
 
-    def counting(word, images, target):
-        calls.append((word, target))
-        return inner(word, images, target)
+    def counting_eval(word, images, target):
+        evaluated.append(target)
+        return inner_eval(word, images, target)
 
-    # count evaluations through every module-level binding of evaluate_word
+    def counting_check(pres, homs, target):
+        checked.append((pres.relators, len(homs), target))
+        return inner_check(pres, homs, target)
+
+    # count through every module-level binding of either function
     for name in ("bs12", "groups", "twisted", "cli", "certify"):
         module = importlib.import_module(f"dslice.{name}")
-        if getattr(module, "evaluate_word", None) is inner:
-            monkeypatch.setattr(module, "evaluate_word", counting)
+        if getattr(module, "evaluate_word", None) is inner_eval:
+            monkeypatch.setattr(module, "evaluate_word", counting_eval)
+        if getattr(module, "check_metabelian_relators", None) is inner_check:
+            monkeypatch.setattr(module, "check_metabelian_relators", counting_check)
     code, out, _ = run(
         capsys, "oracle", "--knot", docs["946"], "--n", "3", "--m", "7",
         "--no-cache",
     )
     assert code == 0
     maps = int(out.splitlines()[1].split(", ")[1].split()[0])
-    assert maps > 0
+    assert maps == 49
     plain = zero_surgery(diagram_from_document(bundled_document("946"))[0], 0)
     relators = plain.group.relators
-    # metabelian_quotient_homs checks each map on the 10 full relators;
-    # the Tietze isomorphism is checked once per presentation, so no
-    # small relator and no Tietze word is evaluated per map
-    assert len(calls) == len(relators) * maps
-    assert all(isinstance(t, FiniteMetabelian) for _, t in calls)
-    assert sorted(map(repr, (w for w, _ in calls))) == sorted(
-        map(repr, relators * maps)
-    )
+    assert len(relators) == 10
+    # metabelian_quotient_homs checks all 49 maps on the 10 full relators
+    # in one call; the Tietze isomorphism is checked once per
+    # presentation, so no word is evaluated per map on the target
+    assert [(r, k, (t.n, t.m)) for r, k, t in checked] == [(relators, 49, (3, 7))]
+    assert not any(isinstance(t, FiniteMetabelian) for t in evaluated)
 
 
 # ------------------------------------------------- shared work per request

@@ -125,13 +125,15 @@ def test_module_membership_946_style():
 
 
 def _basis_digest(gb):
-    # SHA-256 of the ordered (element, coords) list, each dict sorted
+    # SHA-256 of the ordered (element, coords) list, each dict sorted, with
+    # each term key (i + j, i, -pos) read back as (i, j, pos)
     h = hashlib.sha256()
     for elem, coords, *_ in gb.basis:
         tracked = None if coords is None else sorted(
             (g, sorted(d.items())) for g, d in coords.items()
         )
-        h.update(repr((sorted(elem.items()), tracked)).encode())
+        terms = sorted(((i, d - i, -p), c) for (d, i, p), c in elem.items())
+        h.update(repr((terms, tracked)).encode())
     return h.hexdigest()
 
 

@@ -7,6 +7,7 @@ from dslice.bs12 import (
     BS12,
     Bs12Group,
     FiniteMetabelian,
+    check_metabelian_relators,
     check_relators,
     evaluate_word,
 )
@@ -298,6 +299,108 @@ def test_quotient_homs_match_brute_force_synthetic():
     target5, homs5 = metabelian_quotient_homs(as_surgery(pres), 4, 5)
     assert len(homs5) == 25
     assert sorted(homs5) == sorted(brute_metabelian_homs(pres, weights, target5))
+
+
+def _first_violation(pres, homs, target):
+    """The first relator some map breaks, by per-map evaluation."""
+    return next(
+        r for r in pres.relators
+        if any(evaluate_word(r, h, target) != target.identity() for h in homs)
+    )
+
+
+def _corrupted(rng, homs, m):
+    """A copy of ``homs`` with some maps' translations redrawn."""
+    out = []
+    for h in homs:
+        if rng.random() < 0.2:
+            h = tuple((k, rng.randrange(m)) if rng.random() < 0.5 else (k, q)
+                      for k, q in h)
+        out.append(h)
+    return out
+
+
+def _synthetic_rows(seed):
+    # entries c0 + c1 t with the identity matrix at t = 1, so H1 is Z
+    rng = random.Random(seed)
+    out = []
+    for i in range(2):
+        row = []
+        for j in range(2):
+            c1 = rng.randint(-2, 2)
+            row.append({0: int(i == j) - c1, 1: c1})
+        out.append(row)
+    return out
+
+
+_ONE_PASS_CASES = {
+    "946-3-7": ("946", 3, 7),
+    "946-2-3": ("946", 2, 3),
+    "trefoil-4-15": ("trefoil", 4, 15),
+    "figure8-4-5": ("figure8", 4, 5),
+    "synthetic-2-3": (1, 2, 3),
+    "synthetic-4-5": (2, 4, 5),
+    "synthetic-3-7": (3, 3, 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_PASS_CASES))
+def test_one_pass_check_agrees_with_per_map_checks(case):
+    # random lists of maps, some translations corrupted: the one-pass
+    # check raises exactly when some map breaks a relator, and names the
+    # first relator any map breaks
+    source, n, m = _ONE_PASS_CASES[case]
+    if isinstance(source, str):
+        plain = bundled_pattern(source)[1]
+    else:
+        plain = as_surgery(presentation_from_rows(_synthetic_rows(source)))
+    pres = plain.group
+    target, homs = metabelian_quotient_homs(plain, n, m)
+    assert homs
+    rng = random.Random(case)
+    raised = 0
+    for _ in range(40):
+        sample = _corrupted(rng, rng.sample(homs, rng.randint(1, len(homs))), m)
+        broken = 0
+        for h in sample:
+            try:
+                check_relators(pres, h, target)
+            except RelatorViolation:
+                broken += 1
+        if not broken:
+            check_metabelian_relators(pres, sample, target)
+            continue
+        raised += 1
+        with pytest.raises(RelatorViolation) as err:
+            check_metabelian_relators(pres, sample, target)
+        bad = _first_violation(pres, sample, target)
+        assert str(err.value).startswith(f"relator {bad!r} maps to")
+    assert 0 < raised < 40
+
+
+@pytest.mark.parametrize("where", ("first", "middle", "last"))
+def test_one_pass_check_catches_a_forged_map(where):
+    plain = bundled_pattern("946")[1]
+    target, homs = metabelian_quotient_homs(plain, 3, 7)
+    # every translation but one shifted: a map of the right a-exponents
+    # that some relator refuses
+    forged = tuple((k, (q + (i > 0)) % 7) for i, (k, q) in enumerate(homs[5]))
+    with pytest.raises(RelatorViolation):
+        check_relators(plain.group, forged, target)
+    at = {"first": 0, "middle": len(homs) // 2, "last": len(homs)}[where]
+    sample = homs[:at] + [forged] + homs[at:]
+    with pytest.raises(RelatorViolation, match=f"under map {at}$"):
+        check_metabelian_relators(plain.group, sample, target)
+
+
+def test_one_pass_check_refuses_differing_a_exponents():
+    plain = bundled_pattern("946")[1]
+    target, homs = metabelian_quotient_homs(plain, 3, 7)
+    shifted = ((homs[-1][0][0] + 1, homs[-1][0][1]),) + homs[-1][1:]
+    with pytest.raises(VerificationFailed, match="a-exponents"):
+        check_metabelian_relators(plain.group, homs[:-1] + [shifted], target)
+    with pytest.raises(VerificationFailed, match="a-exponents"):
+        check_metabelian_relators(plain.group, homs + [homs[0][:-1]], target)
 
 
 # --------------------------------------------------------- finite covers

@@ -394,6 +394,64 @@ def test_simplifier_rule_sees_a_second_caller():
     ]
 
 
+# the two elimination passes over Z/m: the surgery presentation's kernel
+# of its Jacobian at t = 2, one per modulus, which the quotient maps and
+# stage B's rank share, and the F_3 dimension of the 2-column simplified
+# module that refutes a splitting
+_NULLSPACE_CALLERS = [
+    "diagrams.py SurgeryPresentation.kernel_mod",
+    "modules.py detect_splitting",
+]
+
+
+def _nullspace_callers(source: str, filename: str) -> list:
+    """``file owner`` for each call of ``nullspace_mod``, the owner being
+    the dotted classes and functions around the call."""
+    hits = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "nullspace_mod":
+                hits.append(f"{filename} {'.'.join(owner)}")
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = owner + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source, filename), ())
+    return hits
+
+
+def test_nullspace_mod_has_two_callers():
+    # a stage that eliminates the Jacobian mod m itself repeats the
+    # kernel its presentation keeps
+    root = Path(dslice.__file__).parent
+    found = [
+        hit
+        for path in sorted(root.rglob("*.py"))
+        for hit in _nullspace_callers(path.read_text(), str(path.relative_to(root)))
+    ]
+    assert found == _NULLSPACE_CALLERS
+
+
+def test_nullspace_rule_sees_a_third_caller():
+    source = (
+        "from .snf import nullspace_mod\n"
+        "from . import snf\n"
+        "class SurgeryPresentation:\n"
+        "    def kernel_mod(self, m):\n"
+        "        return nullspace_mod(rows, m, ncols=n)\n"
+        "def stage_b_certificate(plain):\n"
+        "    return len(snf.nullspace_mod(rows, 3, n))\n"
+    )
+    assert _nullspace_callers(source, "diagrams.py") == [
+        "diagrams.py SurgeryPresentation.kernel_mod",
+        "diagrams.py stage_b_certificate",
+    ]
+
+
 # Reference implementations that no stage reads: tests check the
 # package's own paths against them.
 _REFERENCE_DEFS = {
