@@ -29,6 +29,13 @@ from dataclasses import dataclass, replace
 
 from .bs12 import BS12, BS12_A, BS12_C, Bs12Group
 from .diagrams import Diagram, SurgeryPresentation, diagram_hash, zero_surgery
+from .documents import (
+    COMPANION_TOKENS,
+    diagram_from_document,
+    document_kind,
+    marked_presentation,
+    validate_satellite_document,
+)
 from .errors import (
     BudgetExceeded,
     DsliceError,
@@ -63,6 +70,8 @@ __all__ = [
     "certify_doubly_slice",
     "certify_satellite",
     "certify_family",
+    "certify_request",
+    "satellite_request",
     "family_946",
     "replay_certificate",
 ]
@@ -639,6 +648,76 @@ def certify_family(
     return Certificate(subject, hyps, verdicts, CERTIFIED, citations, inputs)
 
 
+# ---------------------------------------------------------------------------
+# requests: one builder per request kind, shared by the CLI and replay
+
+
+def _companion(companion, name=""):
+    """``(diagram, name, kind)`` of a companion token or document."""
+    if isinstance(companion, str):
+        if companion not in COMPANION_TOKENS:
+            raise MalformedInput(f"unknown companion token {companion!r}")
+        return None, name, COMPANION_TOKENS[companion]
+    diagram, cname = diagram_from_document(companion)
+    return diagram, name or cname, "concrete"
+
+
+def certify_request(
+    doc: dict, registry: dict | None = None, quotient=(2, 3)
+) -> Certificate:
+    """The certificate of a ``certify`` request.
+
+    ``doc`` is a diagram document, certified at ``quotient``, or a
+    satellite document, whose curve words come from its pattern's marks.
+    """
+    if document_kind(doc) == "diagram":
+        diagram, name = diagram_from_document(doc)
+        return certify_doubly_slice(
+            diagram, name=name, registry=registry, quotient=tuple(quotient)
+        )
+    validate_satellite_document(doc)
+    diagram, plain, pname = marked_presentation(doc["pattern"])
+    base = certify_doubly_slice(
+        diagram, name=pname, registry=registry, plain=plain
+    )
+    infections = []
+    for item in doc["infections"]:
+        curve = item["curve"]
+        if curve not in plain.curve_words:
+            raise MalformedInput(f"pattern has no marked curve {curve!r}")
+        companion, name, kind = _companion(item["companion"], item.get("name", ""))
+        infections.append(
+            {"curve": curve, "companion": companion, "name": name, "kind": kind}
+        )
+    return certify_family(
+        plain, base.subject["hash"], base, infections,
+        registry=registry, pattern_name=pname,
+    )
+
+
+def satellite_request(
+    pattern_doc: dict, curve: str, companion, registry: dict | None = None
+) -> Certificate:
+    """The certificate of a ``satellite`` request: the pattern document's
+    marked ``curve`` infected by ``companion``, a token or a document."""
+    diagram, plain, pname = marked_presentation(pattern_doc)
+    if curve not in plain.curve_words:
+        raise MalformedInput(f"pattern has no marked curve {curve!r}")
+    base = certify_doubly_slice(
+        diagram, name=pname, registry=registry, plain=plain
+    )
+    companion, cname, kind = _companion(companion)
+    return certify_satellite(
+        base, plain, curve, companion,
+        companion_name=cname, companion_kind=kind,
+    )
+
+
+def _diagram_document(diagram: Diagram) -> dict:
+    """A document, without marks or name, of a bare Diagram."""
+    return {"pd": [list(c) for c in diagram.crossings], "signs": list(diagram.signs)}
+
+
 def family_946(
     k1=None,
     k2=None,
@@ -649,36 +728,28 @@ def family_946(
 
     The first layer ties symbolic doubled companions into the two
     winding-zero curves with nontrivial module class; the second ties
-    ``k1`` and ``k2`` into the two curves dying in the second derived
-    subgroup.  A ``None`` slot stays symbolic and the certificate
-    quantifies over every knot in that slot.
+    the Diagrams ``k1`` and ``k2`` into the two curves dying in the
+    second derived subgroup.  A ``None`` slot stays symbolic and the
+    certificate quantifies over every knot in that slot.
     """
-    from .corpus import bundled_pattern, default_registry
+    from .corpus import bundled_diagram, bundled_document, default_registry
 
     registry = registry if registry is not None else default_registry()
-    diagram, plain, pattern_name = bundled_pattern("946")
-    base = certify_doubly_slice(
-        diagram, name=pattern_name, registry=registry, plain=plain
-    )
     frule = registry.get("family", {}).get(
-        base.subject["hash"], {"gamma": ("gamma1", "gamma2"),
-                               "eta": ("eta1", "eta2")},
+        diagram_hash(bundled_diagram("946")),
+        {"gamma": ("gamma1", "gamma2"), "eta": ("eta1", "eta2")},
     )
-    gamma = list(frule["gamma"])
-    eta = list(frule["eta"])
-    slots = [
-        {"curve": gamma[0], "companion": None, "name": names[0] or None,
-         "kind": "doubled"},
-        {"curve": gamma[1], "companion": None, "name": names[1] or None,
-         "kind": "doubled"},
-        {"curve": eta[0], "companion": k1, "name": names[2] or None,
-         "kind": "concrete" if k1 is not None else "any"},
-        {"curve": eta[1], "companion": k2, "name": names[3] or None,
-         "kind": "concrete" if k2 is not None else "any"},
+    curves = [*frule["gamma"], *frule["eta"]]
+    companions = ["doubled", "doubled"] + [
+        "any" if k is None else _diagram_document(k) for k in (k1, k2)
     ]
-    return certify_family(
-        plain, base.subject["hash"], base, slots,
-        registry=registry, pattern_name=pattern_name,
+    infections = [
+        {"curve": curve, "companion": companion, "name": name}
+        for curve, companion, name in zip(curves, companions, names, strict=True)
+    ]
+    return certify_request(
+        {"pattern": bundled_document("946"), "infections": infections},
+        registry,
     )
 
 
@@ -686,101 +757,72 @@ def family_946(
 # replay
 
 
-def _restore_curves(plain: SurgeryPresentation, curves: dict):
-    n = plain.group.num_generators
-    words = dict(plain.curve_words)
-    linking = dict(plain.curve_linking)
-    for name, data in curves.items():
-        letters = tuple((g, s) for g, s in data["word"])
-        # Word would take a negative index, read as a generator from the end
-        if not all(0 <= g < n and s in (1, -1) for g, s in letters):
-            raise MalformedInput(f"curve {name!r} has a letter outside the"
-                                 f" {n} generators")
-        words[name] = Word(letters)
-        linking[name] = data["linking"]
-    return replace(plain, curve_words=words, curve_linking=linking)
-
-
 # the only place a knot certificate records the quotient it was made at
 _QUOTIENT_LINE = re.compile(r"metabelian quotient maps at \((\d+),(\d+)\): .*")
 
 
-def _resolved(resolve, h):
-    """The diagram stored under hash ``h``; ``None`` stands for no diagram."""
-    if h is None:
-        return None
-    d = resolve(h)
-    if d is None:
+def _document(resolve, h, label):
+    """The diagram document stored under hash ``h``, named ``label``."""
+    source = resolve(h)
+    if source is None:
         raise MalformedInput(f"no diagram resolves the hash {h}")
-    return d
+    if isinstance(source, Diagram):
+        source = _diagram_document(source)
+    return dict(source, name=label or "")
 
 
 def _rebuild(cert: dict, resolve, registry):
-    """The certificate the CLI builds from ``cert``'s stored inputs."""
+    """The certificate the CLI builds for the request ``cert`` records."""
     subject, inputs = cert["subject"], cert["inputs"]
     kind = subject["kind"]
-    if kind not in ("knot", "satellite", "family"):
-        raise MalformedInput(f"unknown certificate kind {kind!r}")
     if kind == "knot":
-        d = _resolved(resolve, inputs["diagram"])
         hits = map(_QUOTIENT_LINE.fullmatch, cert["hypotheses"])
         hit = next(filter(None, hits), None)
         quotient = (int(hit[1]), int(hit[2])) if hit else (2, 3)
-        return certify_doubly_slice(
-            d, name=subject["name"] or "", registry=registry,
-            quotient=quotient,
-        )
-    d = _resolved(resolve, inputs["pattern"])
+        doc = _document(resolve, inputs["diagram"], subject["name"])
+        return certify_request(doc, registry, quotient)
     if kind == "satellite":
-        curve = subject["curve"]
-        plain = _restore_curves(zero_surgery(d, 0), {curve: {
-            "word": inputs["curve_word"], "linking": inputs["curve_linking"],
-        }})
-        base = certify_doubly_slice(d, registry=registry, plain=plain)
-        label = subject["companion"]
-        name = label["name"] if isinstance(label, dict) else None
-        return certify_satellite(
-            base, plain, curve, _resolved(resolve, inputs["companion"]),
-            companion_name=name or "", companion_kind=inputs["companion_kind"],
-        )
-    plain = _restore_curves(zero_surgery(d, 0), inputs["curves"])
-    base = certify_doubly_slice(d, registry=registry, plain=plain)
-    infections = [
-        {
+        h = inputs["companion"]
+        companion = (inputs["companion_kind"] if h is None
+                     else _document(resolve, h, subject["companion"]["name"]))
+        pattern = _document(resolve, inputs["pattern"], None)
+        return satellite_request(pattern, subject["curve"], companion, registry)
+    if kind == "family":
+        infections = [{
             "curve": item["curve"],
-            "companion": _resolved(resolve, item["hash"]),
+            "companion": item["kind"] if item["hash"] is None
+            else _document(resolve, item["hash"], item["name"]),
             "name": item["name"] or "",
-            "kind": item["kind"],
-        }
-        for item in subject["infections"]
-    ]
-    return certify_family(
-        plain, base.subject["hash"], base, infections,
-        registry=registry, pattern_name=subject["pattern"]["name"] or "",
-    )
+        } for item in subject["infections"]]
+        pattern = _document(resolve, inputs["pattern"], subject["pattern"]["name"])
+        return certify_request({"pattern": pattern, "infections": infections}, registry)
+    raise MalformedInput(f"unknown certificate kind {kind!r}")
 
 
 def replay_certificate(cert: dict, resolve, registry: dict | None = None) -> bool:
-    """Whether ``cert`` is exactly the certificate its stored inputs give.
+    """Whether ``cert`` is exactly the certificate its request gives.
 
-    The certificate is rebuilt by the call the CLI makes for its kind:
-    ``certify_doubly_slice`` on the diagram stored under
-    ``inputs.diagram``, at the quotient read from its ``metabelian
-    quotient maps at (n,m)`` hypothesis ((2, 3) when it has none);
-    ``certify_satellite`` or ``certify_family`` on
-    the pattern stored under ``inputs.pattern``, with the stored curve
-    words and companions.  The rebuilt certificate's canonical JSON must
-    equal ``json.dumps(cert, indent=2, sort_keys=True)`` byte for byte, so
-    any edited, removed or added field rejects it.  Subject and companion
-    names are labels taken as inputs: a certificate with a renamed label is
-    still the one the CLI prints for that diagram under that name, and
-    replays.  No verdict carries a witness of its own: the rebuild
-    recomputes every check behind it, stage B's rank included.
+    The request is rebuilt from the certificate and passed to the CLI's
+    builder: ``certify_request`` on the diagram stored under
+    ``inputs.diagram``, at the quotient of its ``metabelian quotient maps
+    at (n,m)`` hypothesis ((2, 3) without one), or ``satellite_request``
+    or ``certify_request`` on the pattern stored under ``inputs.pattern``,
+    the curves ``subject`` names, and each companion stored under its hash
+    or named by its kind.  Curve words come from the pattern document's
+    marks; stored words count only through the comparison.  The rebuilt
+    certificate's canonical JSON must equal ``json.dumps(cert, indent=2,
+    sort_keys=True)`` byte for byte, so any edited, removed or added field
+    rejects it.  Names are labels taken as inputs: a renamed certificate
+    is the one the CLI prints under that name, and replays.
 
-    ``resolve`` maps a diagram hash to a Diagram, or None when it knows
-    none.  Replay never raises: a malformed certificate (a curve word
-    letter outside the pattern's generators, say), an unresolved hash or a
-    rebuild that raises ``DsliceError`` gives False.
+    ``resolve`` maps a hash to the diagram document stored under it, or
+    None; ``corpus.resolve_hash`` returns the bundled document.  A bare
+    Diagram serves a knot or a companion; as a pattern it has no marks
+    and replays False.  Curve words are numbered in the generators of
+    the document they were made from, so a certificate made on a
+    relabelled copy of a pattern replays against that copy, not against
+    the bundled document.  Replay never raises: a malformed certificate,
+    an unresolved hash or a rebuild raising ``DsliceError`` gives False.
     """
     try:
         if cert["version"] != CERT_VERSION:

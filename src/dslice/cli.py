@@ -23,22 +23,15 @@ import sys
 
 from .bs12 import FiniteMetabelian
 from .cache import ENV_CACHE_DIR, cache_key, load_entry, store_entry
-from .certify import (
-    CERTIFIED,
-    Certificate,
-    certify_doubly_slice,
-    certify_family,
-    certify_satellite,
-)
+from .certify import CERTIFIED, Certificate, certify_request, satellite_request
 from .corpus import default_registry
 from .diagrams import diagram_hash, zero_surgery
 from .documents import (
+    COMPANION_TOKENS,
     check_pattern_mark,
     diagram_from_document,
     document_kind,
     load_document,
-    marked_presentation,
-    validate_satellite_document,
 )
 from .errors import DsliceError, MalformedInput
 from .groups import metabelian_quotient_homs, restrict_images
@@ -93,9 +86,11 @@ def _subject_line(subject: dict) -> str:
     return "\n".join(lines)
 
 
-def _render_certificate(cert: Certificate, fmt: str) -> str:
+def _render_certificate(cert: Certificate, fmt: str):
+    """The report text and the exit code of a certificate."""
+    code = 0 if cert.conclusion == CERTIFIED else 1
     if fmt == "json":
-        return cert.to_json() + "\n"
+        return cert.to_json() + "\n", code
     lines = [f"certificate: {cert.version}", _subject_line(cert.subject)]
     lines.append(f"conclusion: {cert.conclusion}")
     for tag in sorted(cert.verdicts):
@@ -105,7 +100,7 @@ def _render_certificate(cert: Certificate, fmt: str) -> str:
         lines.append(f"  - {h}")
     if cert.citations:
         lines.append("citations: " + "; ".join(cert.citations))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", code
 
 
 # ---------------------------------------------------------------------------
@@ -178,68 +173,14 @@ def cmd_analyze(doc: dict, quotient, fmt: str):
     return "\n".join(lines) + "\n", 0
 
 
-def _companion(companion, name=""):
-    """``(diagram, name, kind)`` of a companion: the token ``any``, the
-    token ``doubled`` (or its alias ``wh-symbolic``), or a document."""
-    if companion == "any":
-        return None, name, "any"
-    if companion in ("doubled", "wh-symbolic"):
-        return None, name, "doubled"
-    diagram, cname = diagram_from_document(companion)
-    return diagram, name or cname, "concrete"
-
-
-def _family_from_document(doc: dict):
-    validate_satellite_document(doc)
-    diagram, plain, pname = marked_presentation(doc["pattern"])
-    registry = default_registry()
-    base = certify_doubly_slice(
-        diagram, name=pname, registry=registry, plain=plain
-    )
-    infections = []
-    for item in doc["infections"]:
-        curve = item["curve"]
-        if curve not in plain.curve_words:
-            raise MalformedInput(f"pattern has no marked curve {curve!r}")
-        companion, name, kind = _companion(
-            item["companion"], item.get("name", "")
-        )
-        infections.append({
-            "curve": curve, "companion": companion, "name": name, "kind": kind,
-        })
-    return certify_family(
-        plain, base.subject["hash"], base, infections,
-        registry=registry, pattern_name=pname,
-    )
-
-
 def cmd_certify(doc: dict, quotient, fmt: str):
-    if document_kind(doc) == "diagram":
-        diagram, name = diagram_from_document(doc)
-        cert = certify_doubly_slice(
-            diagram, name=name, registry=default_registry(),
-            quotient=tuple(quotient),
-        )
-    else:
-        cert = _family_from_document(doc)
-    code = 0 if cert.conclusion == CERTIFIED else 1
-    return _render_certificate(cert, fmt), code
+    cert = certify_request(doc, default_registry(), quotient)
+    return _render_certificate(cert, fmt)
 
 
 def cmd_satellite(pattern_doc: dict, infection: str, companion_doc, fmt: str):
-    diagram, plain, pname = marked_presentation(pattern_doc)
-    if infection not in plain.curve_words:
-        raise MalformedInput(f"pattern has no marked curve {infection!r}")
-    base = certify_doubly_slice(
-        diagram, name=pname, registry=default_registry(), plain=plain
-    )
-    companion, cname, kind = _companion(companion_doc)
-    cert = certify_satellite(
-        base, plain, infection, companion,
-        companion_name=cname, companion_kind=kind,
-    )
-    code = 0 if cert.conclusion == CERTIFIED else 1
-    return _render_certificate(cert, fmt), code
+    cert = satellite_request(pattern_doc, infection, companion_doc, default_registry())
+    return _render_certificate(cert, fmt)
 
 
 def cmd_oracle(doc: dict, n: int, m: int, fmt: str):
@@ -400,7 +341,7 @@ def main(argv=None) -> int:
             return worst
         if args.command == "satellite":
             pattern_doc = load_document(args.pattern)
-            if args.companion in ("any", "wh-symbolic", "doubled"):
+            if args.companion in COMPANION_TOKENS:
                 companion_doc = args.companion
             else:
                 companion_doc = load_document(args.companion)

@@ -99,9 +99,9 @@ def default_registry() -> dict:
 
 
 def resolve_hash(h: str):
-    """Find a bundled diagram with the given canonical hash."""
+    """The bundled diagram document with the given canonical hash."""
     for name in bundled_names():
         diagram = bundled_diagram(name)
         if diagram is not None and diagram_hash(diagram) == h:
-            return diagram
+            return bundled_document(name)
     return None

@@ -48,6 +48,7 @@ from .diagrams import Diagram, attach_curve_words, zero_surgery
 from .errors import MalformedInput
 
 __all__ = [
+    "COMPANION_TOKENS",
     "load_document",
     "dump_document",
     "validate_diagram_document",
@@ -57,6 +58,12 @@ __all__ = [
     "check_pattern_mark",
     "marked_presentation",
 ]
+
+
+# Each companion token and the companion kind it names.  ``wh-symbolic``
+# is an alias the satellite command's --companion flag accepts; a
+# satellite document spells the kind itself.
+COMPANION_TOKENS = {"any": "any", "doubled": "doubled", "wh-symbolic": "doubled"}
 
 
 def load_document(path: str) -> dict:
@@ -136,7 +143,7 @@ def validate_satellite_document(doc: dict) -> None:
             raise MalformedInput("each infection needs a 'curve' name")
         companion = item.get("companion")
         if isinstance(companion, str):
-            if companion not in ("any", "doubled"):
+            if COMPANION_TOKENS.get(companion) != companion:
                 raise MalformedInput(
                     "companion tokens are 'any' or 'doubled'"
                 )

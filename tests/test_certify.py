@@ -37,9 +37,10 @@ from dslice.certify import (
     family_946,
     relator_lift,
     replay_certificate,
+    satellite_request,
     stage_b_certificate,
 )
-from dslice.cli import cmd_certify
+from dslice.cli import cmd_certify, cmd_satellite
 from dslice.corpus import (
     bundled_diagram,
     bundled_document,
@@ -51,6 +52,7 @@ from dslice.diagrams import Diagram, diagram_hash, zero_surgery
 from dslice.documents import diagram_from_document
 from dslice.errors import (
     BudgetExceeded,
+    MalformedInput,
     NoSplitting,
     RelatorViolation,
     VerificationFailed,
@@ -586,6 +588,11 @@ def RULE_TRIVIAL_CITED(cert):
     return RULE_TRIVIAL in cert.citations
 
 
+def test_satellite_request_refuses_an_unknown_companion_token():
+    with pytest.raises(MalformedInput, match="unknown companion token 'some'"):
+        satellite_request(bundled_document("946"), "eta1", "some")
+
+
 def test_satellite_any_companion_needs_derived_curve(base_and_plain):
     base, plain = base_and_plain
     cert = certify_satellite(base, plain, "gamma1")
@@ -806,6 +813,12 @@ def _conjugate_by_negative_letter(cert):
 
 TREFOIL_HASH = diagram_hash(bundled_diagram("trefoil"))
 FIGURE8_HASH = diagram_hash(bundled_diagram("figure8"))
+PATTERN_HASH = diagram_hash(bundled_diagram("946"))
+# the 9_46 pattern's marked curve words, as certificates store them
+WORDS_946 = {
+    curve: [list(letter) for letter in word.letters]
+    for curve, word in bundled_pattern("946")[1].curve_words.items()
+}
 
 TAMPERS = {
     "knot": {
@@ -831,6 +844,9 @@ TAMPERS = {
         "inputs": _set("inputs", "companion", FIGURE8_HASH),
         "added key": _set("note", "checked by hand"),
         "negative curve letter": _conjugate_by_negative_letter,
+        "eta2's curve word": _set("inputs", "curve_word", WORDS_946["eta2"]),
+        "gamma1's curve word": _set("inputs", "curve_word", WORDS_946["gamma1"]),
+        "empty curve word": _set("inputs", "curve_word", []),
     },
     "family": {
         "subject hash": _set("subject", "pattern", "hash", TREFOIL_HASH),
@@ -842,6 +858,8 @@ TAMPERS = {
             "verdicts", "P2", "evidence", "records", 2, "winding", 1),
         "inputs": _set("inputs", "companions", 2, None),
         "added key": _set("note", "checked by hand"),
+        "eta2's word on eta1": _set(
+            "inputs", "curves", "eta1", "word", WORDS_946["eta2"]),
     },
     "family r-rr": {
         "forged hypothesis": _forge_hypothesis,
@@ -887,6 +905,55 @@ def test_replay_accepts_renamed_labels(stored, kind, edit):
     cert = copy.deepcopy(stored[kind])
     edit(cert)
     assert replay_certificate(cert, resolve_hash, registry=default_registry())
+
+
+def _bare_946(h):
+    """``resolve_hash``, except that 9_46 resolves to a bare Diagram."""
+    return bundled_diagram("946") if h == PATTERN_HASH else resolve_hash(h)
+
+
+@pytest.mark.parametrize("kind", ["satellite", "family", "family r-rr"])
+def test_replay_rejects_a_pattern_without_marks(stored, kind):
+    # curve words come from the pattern document's marks, and a bare
+    # Diagram has none
+    assert not replay_certificate(stored[kind], _bare_946, registry=default_registry())
+
+
+def test_replay_accepts_bare_diagrams_for_knots_and_companions(stored):
+    reg = default_registry()
+    assert replay_certificate(stored["knot"], _bare_946, registry=reg)
+
+    def bare_trefoil(h):
+        return bundled_diagram("trefoil") if h == TREFOIL_HASH else resolve_hash(h)
+
+    assert replay_certificate(stored["satellite"], bare_trefoil, registry=reg)
+    assert replay_certificate(stored["family"], bare_trefoil, registry=reg)
+
+
+def test_replay_reads_curve_words_in_the_resolved_documents_generators():
+    # shifting every edge label by 5 keeps the canonical hash but numbers
+    # the arc generators, and so the curve words, differently
+    doc = bundled_document("946")
+    n = 2 * len(doc["pd"])
+
+    def shift(e):
+        return (e + 4) % n + 1
+
+    curves = doc["marks"]["curves"]
+    copy = {
+        "name": doc["name"],
+        "pd": [[shift(e) for e in row] for row in doc["pd"]],
+        "marks": {"curves": {
+            c: [[shift(e), s] for e, s in w] for c, w in curves.items()
+        }},
+    }
+    reg = default_registry()
+    text, _ = cmd_satellite(copy, "eta1", "any", "json")
+    cert = json.loads(text)
+    assert cert["subject"]["pattern"] == PATTERN_HASH
+    assert cert["inputs"]["curve_word"] != WORDS_946["eta1"]
+    assert replay_certificate(cert, lambda h: copy, registry=reg)
+    assert not replay_certificate(cert, resolve_hash, registry=reg)
 
 
 def test_replay_accepts_a_certificate_at_another_quotient():

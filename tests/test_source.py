@@ -572,3 +572,61 @@ def test_cap_rule_sees_a_caller_check_come_back():
         "cli.py:4 reads _REGULAR_CAP",
     ]
     assert _cap_readers(source, "twisted.py") == []
+
+
+# the CLI and replay build every certificate through certify.py's request
+# builders, which derive curve words from the pattern document's marks;
+# replay once restored the stored curve words instead
+_BUILDER_INTERNALS = {
+    "certify_doubly_slice", "certify_satellite", "certify_family",
+    "marked_presentation",
+}
+
+
+def _second_builders(source: str, filename: str) -> list:
+    """Calls in cli.py of what the request builders call, and any
+    definition of the retired ``_restore_curves``."""
+    hits = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Call) and filename == "cli.py":
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in _BUILDER_INTERNALS:
+                hits.append(f"{filename}:{node.lineno} calls {name}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == "_restore_curves":
+                hits.append(f"{filename}:{node.lineno} defines _restore_curves")
+    return hits
+
+
+def test_certificates_have_one_builder_per_request():
+    # a second assembly path beside the builders can drift from them, and
+    # replay would check a certificate against the wrong path
+    root = Path(dslice.__file__).parent
+    found = [
+        hit
+        for path in sorted(root.rglob("*.py"))
+        for hit in _second_builders(path.read_text(), str(path.relative_to(root)))
+    ]
+    assert found == []
+
+
+def test_builder_rule_sees_a_second_path_come_back():
+    source = (
+        "from .certify import certify_doubly_slice\n"
+        "from . import certify, documents\n"
+        "base = certify_doubly_slice(diagram, registry=registry)\n"
+        "def family(doc):\n"
+        "    d, plain, name = documents.marked_presentation(doc)\n"
+        "    return certify.certify_family(plain, h, base, [])\n"
+        "def _restore_curves(plain, curves):\n    pass\n"
+    )
+    assert sorted(_second_builders(source, "cli.py")) == [
+        "cli.py:3 calls certify_doubly_slice",
+        "cli.py:5 calls marked_presentation",
+        "cli.py:6 calls certify_family",
+        "cli.py:7 defines _restore_curves",
+    ]
+    assert _second_builders(source, "certify.py") == [
+        "certify.py:7 defines _restore_curves",
+    ]
