@@ -34,9 +34,10 @@ def main():
         # each map is read on the kept generators of the simplified
         # presentation, whose Tietze isomorphism was checked once; maps with
         # equal coset actions share their cover Smith form; each twisted
-        # matrix is reduced over the map's image subgroup, and maps related
-        # by conjugation and a unit scaling (k, q) -> (k, u*q) share it once
-        # their group-ring rows, rekeyed by that relation, are equal
+        # matrix is reduced over the map's image subgroup; a map whose
+        # images are an earlier map's moved by conjugation and a unit
+        # scaling (k, q) -> (k, u*q) has that map's action and rows up to
+        # the automorphism, so it reuses that map's result and builds nothing
         simplified = plain.simplified
         restricted = (restrict_images(simplified, h) for h in homs)
         results = crowell_compares(simplified[0], restricted, target)

@@ -98,10 +98,18 @@ def default_registry() -> dict:
     }
 
 
-def resolve_hash(h: str):
-    """The bundled diagram document with the given canonical hash."""
+@functools.lru_cache(maxsize=None)
+def _bundled_hashes() -> dict:
+    """Canonical hash -> name of the first bundled diagram with that hash."""
+    out: dict = {}
     for name in bundled_names():
         diagram = bundled_diagram(name)
-        if diagram is not None and diagram_hash(diagram) == h:
-            return bundled_document(name)
-    return None
+        if diagram is not None:
+            out.setdefault(diagram_hash(diagram), name)
+    return out
+
+
+def resolve_hash(h: str):
+    """The bundled diagram document with the given canonical hash."""
+    name = _bundled_hashes().get(h)
+    return None if name is None else bundled_document(name)

@@ -28,12 +28,12 @@ count.
 
 ``crowell_compares`` reduces each twisted matrix over the image H of its
 map, which holds every Fox key: the whole-target matrix is d = [G : H]
-copies of that one.  A Smith form is reused only for an input equal to
-one already reduced.  Maps with equal coset actions share the cover
-Smith form.  The map s(g h g^-1), for g in the target and s a unit
-scaling (k, q) -> (k, u q), sends each Fox entry's k to s(g k g^-1), so
-its rows with every k read as g^-1 s^-1(k) g are compared with h's, and
-h's twisted Smith form is reused only when they are equal.
+copies of that one.  Maps with equal coset actions share the cover
+Smith form.  A map alpha(h), for alpha an automorphism of the target
+made of conjugations and unit scalings (k, q) -> (k, u q), has the
+same coset action as h and h's group-ring rows with every key moved by
+alpha, so it has h's invariants on both paths: it reuses h's finished
+result, found by an exact lookup of its images, and builds nothing.
 
 Also here: the transport records that let a certificate for a pattern
 be carried to its satellites.
@@ -118,54 +118,61 @@ def crowell_compares(pres, homs, target):
     images generate a subgroup H of index d, the twisted matrix is d
     copies of the one over H, which is reduced and compared with the cover.
 
-    Every map gets its own coset action and its own group-ring rows.  A
-    map whose action equals an earlier one's reuses that cover Smith
-    form; a map s(g*h*g^-1), for a unit scaling s, reuses the twisted one
-    of its orbit's first map h only when its rows, every k read as
-    g^-1*s^-1(k)*g, equal h's.  Otherwise its own rows are reduced over
-    its own image.
+    A map is a representative unless its images are alpha(h) for an
+    earlier representative h, where alpha is x -> s(g*x*g^-1), g in the
+    target and s a unit scaling (k, q) -> (k, u*q) with gcd(u, m) = 1.
+    Every conjugate of each representative's images is kept, so a map is
+    found by looking up s(images) for each unit u.  A representative
+    gets its own coset action and group-ring rows, reduced over its own
+    image, and a cover Smith form shared by maps with equal actions; any
+    other map yields its representative's result and builds nothing.
+
+    Lemma: for an automorphism alpha, alpha(h) and h have equal results.
+    ``coset_action`` searches breadth first from the identity, and
+    alpha(e * h(x_i)) = alpha(e) * alpha(h)(x_i) with alpha injective, so
+    the search for alpha(h) reaches alpha of h's elements in the same
+    order, and ``step`` and ``tree`` are equal to h's.  ``fox_rows``
+    evaluates the same words, so alpha(h)'s rows are h's with every key
+    k read as alpha(k).  ``_regular_blocks`` numbers alpha(h)'s image
+    elements as alpha of h's, and alpha(u) * alpha(k) = alpha(u * k), so
+    it builds the same integer matrix.  Equal matrices and equal actions
+    give equal invariants on both paths, and d depends on the action.
     """
     # the image is no larger than the target, so once the twisted path's
     # budget holds the cover path's holds too: check it before either runs
     _check_regular_budget(target)
     order, ng = target.order(), pres.num_generators
     covers: dict = {}  # coset action -> (cosets, cover invariants)
-    orbits: dict = {}  # conjugate images -> (g, first rows, invariants over H)
-    mul, scale = target.mul, target.scale
-    # unit scalings (k, q) -> (k, u*q) are automorphisms, looked up on a miss
+    orbits: dict = {}  # conjugate images of a representative -> its result
+    mul, inv, scale = target.mul, target.inv, target.scale
+    # the unit scalings (k, q) -> (k, u*q), tried on each map's images
     units = [u for u in range(1, target.m) if gcd(u, target.m) == 1] or [1]
     for images in homs:
         images = tuple(images)
-        action = coset_action(pres, images, target)
-        if action not in covers:
-            rows, ncols, ncosets = schreier_rows(pres, action)
-            covers[action] = (ncosets, abelian_invariants(rows, ncols))
-        ncosets, cover = covers[action]
-        own = twisted_rows(pres, images, target)
         for u in units:
             # u = 1 is the identity: plain conjugates skip the rescaling
-            hit = orbits.get(images if u == 1 else tuple(scale(x, u) for x in images))
-            if hit is not None:
+            result = orbits.get(images if u == 1 else tuple(scale(x, u) for x in images))
+            if result is not None:
                 break
-        g, rep_rows, twisted = hit or (None, None, None)
-        if g is not None:
-            gi = target.inv(g)
-            # tuples of dicts, as fox_rows returns, or no rows compare equal
-            rows = [tuple({mul(mul(gi, k if u == 1 else scale(k, u)), g): c
-                           for k, c in e.items()} for e in row) for row in own]
-        if g is None or rows != rep_rows:
+        else:
+            action = coset_action(pres, images, target)
+            if action not in covers:
+                rows, ncols, ncosets = schreier_rows(pres, action)
+                covers[action] = (ncosets, abelian_invariants(rows, ncols))
+            ncosets, cover = covers[action]
             elements = [target.identity()]
             for p, i in action[1]:
                 elements.append(mul(elements[p], images[i]))
-            twisted = abelian_invariants(*_regular_blocks(own, target, ng, elements))
-        if rep_rows is None:
+            rows = twisted_rows(pres, images, target)
+            twisted = abelian_invariants(*_regular_blocks(rows, target, ng, elements))
+            (free, torsion), (tfree, ttorsion) = cover, twisted
+            d = order // ncosets
+            agree = (tfree, ttorsion) == (free + ncosets - 1, torsion)
+            result = cover, (d * tfree, sorted(ttorsion * d)), agree
             for g in target.elements():
-                conj = tuple(mul(mul(g, x), target.inv(g)) for x in images)
-                orbits.setdefault(conj, (g, own, twisted))
-        (free, torsion), (tfree, ttorsion) = cover, twisted
-        d = order // ncosets
-        agree = (tfree, ttorsion) == (free + ncosets - 1, torsion)
-        yield cover, (d * tfree, sorted(ttorsion * d)), agree
+                gi = inv(g)
+                orbits.setdefault(tuple(mul(mul(g, x), gi) for x in images), result)
+        yield result
 
 
 def crowell_check(pres, images, target) -> bool:

@@ -394,12 +394,12 @@ def test_oracle_computes_smith_forms_once_per_orbit(docs, capsys, monkeypatch):
     orbits = brute_scaled_orbit_count(homs, target)
     actions = len({coset_action(plain.group, h, target) for h in homs})
     assert (nmaps, orbits, actions) == (27, 5, 5)
-    # every map's coset action and group-ring rows are built; a cover
-    # Smith form is computed once per distinct action, and a twisted matrix
-    # and Smith form once per orbit under conjugation and unit scaling,
-    # each reused only after an exact equality check
+    # a coset action, group-ring rows and a twisted matrix and Smith form
+    # are built once per orbit under conjugation and unit scaling, and a
+    # cover Smith form once per distinct action; every other map reuses
+    # its orbit representative's result
     assert calls == {
-        "coset_action": nmaps, "twisted_rows": nmaps, "_regular_blocks": orbits,
+        "coset_action": orbits, "twisted_rows": orbits, "_regular_blocks": orbits,
         "abelian_invariants": actions + orbits,
     }
 
@@ -561,7 +561,16 @@ def test_oracle_computes_the_fox_matrix_once(docs, capsys, monkeypatch):
     import importlib
 
     import dslice.words as words
+    from dslice.diagrams import zero_surgery
+    from dslice.documents import diagram_from_document
+    from dslice.groups import metabelian_quotient_homs
+    from synthpres import brute_scaled_orbit_count
 
+    # the orbits are counted before fox_row is patched, whose passes the
+    # map enumeration here would add to the count
+    diagram, _ = diagram_from_document(bundled_document("946"))
+    target, homs = metabelian_quotient_homs(zero_surgery(diagram, 0), 3, 7)
+    orbits = brute_scaled_orbit_count(homs, target)
     inner = words.fox_row
     calls = []
 
@@ -580,14 +589,14 @@ def test_oracle_computes_the_fox_matrix_once(docs, capsys, monkeypatch):
     )
     assert code == 0
     maps = int(out.splitlines()[1].split(", ")[1].split()[0])
-    assert maps > 0
+    assert (maps, orbits) == (49, 2)
     # the zero-surgery presentation of 9_46 has 10 relators on 9
     # generators and simplifies to 4 on 3: one pass per relator for the
     # Lambda-Jacobian, which the map enumeration reads, and one per small
-    # relator for each map's twisted rows
-    assert len(calls) == 10 + 4 * maps
+    # relator for each orbit representative's twisted rows
+    assert len(calls) == 10 + 4 * orbits
     twisted = [n for n, t in calls if isinstance(t, FiniteMetabelian)]
-    assert twisted == [3] * (4 * maps)
+    assert twisted == [3] * (4 * orbits)
     assert {n for n, t in calls if not isinstance(t, FiniteMetabelian)} == {9}
 
 

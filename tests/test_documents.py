@@ -192,6 +192,32 @@ def test_resolve_hash_round_trip():
     assert resolve_hash("0" * 16) is None
 
 
+def test_resolve_hash_hashes_each_bundled_diagram_once(monkeypatch):
+    import dslice.corpus as corpus
+
+    inner = corpus.diagram_hash
+    hashed = []
+
+    def counting(diagram):
+        hashed.append(diagram)
+        return inner(diagram)
+
+    corpus._bundled_hashes.cache_clear()
+    monkeypatch.setattr(corpus, "diagram_hash", counting)
+    try:
+        names = [n for n in bundled_names() if bundled_diagram(n) is not None]
+        assert len(names) >= 4
+        for _ in range(2):
+            for name in names:
+                h = inner(bundled_diagram(name))
+                assert resolve_hash(h) is bundled_document(name)
+            assert resolve_hash("0" * 64) is None
+        # the hash -> name map is built on the first call and kept
+        assert len(hashed) == len(names)
+    finally:
+        corpus._bundled_hashes.cache_clear()
+
+
 def test_bundled_satellite_references_resolve():
     doc = bundled_document("r-rr")
     pattern, _ = diagram_from_document(doc["pattern"])

@@ -1,15 +1,13 @@
-import hashlib
+import random
 from math import gcd
 
 import pytest
 
 from dslice.bs12 import FiniteMetabelian
-from dslice.cache import ENV_CACHE_DIR
-from dslice.cli import main
 from dslice.corpus import bundled_document
 from dslice.diagrams import Diagram, SurgeryPresentation, infect, wirtinger, zero_surgery
 from dslice.errors import BudgetExceeded, VerificationFailed
-from dslice.documents import diagram_from_document, dump_document
+from dslice.documents import diagram_from_document
 from dslice.groups import (
     coset_action,
     finite_cover_homology,
@@ -200,10 +198,16 @@ def _count_snf(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", ["trefoil", "figure8", "946"])
+@pytest.mark.parametrize("name", ["trefoil", "figure8", "946", "rows946"])
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 7)])
 def test_crowell_compares_equals_the_per_map_paths(name, n, m, monkeypatch):
-    plain = _zero_surgery(name)
+    # rows946 has generators of weights 1, 0 and 0, where conjugating
+    # every image by g differs from multiplying it by g; in a knot
+    # diagram's presentation every generator has weight 1
+    if name == "rows946":
+        plain = as_surgery(presentation_from_rows(ROWS_946))
+    else:
+        plain = _zero_surgery(name)
     pres = plain.group
     target, homs = metabelian_quotient_homs(plain, n, m)
     expected = []
@@ -222,12 +226,11 @@ def test_crowell_compares_equals_the_per_map_paths(name, n, m, monkeypatch):
     calls = _count_snf(monkeypatch)
     assert list(crowell_compares(pres, homs, target)) == expected
     assert all(agree for _, _, agree in expected)
-    # every map builds its action and its rows; every equality check
-    # passed: one cover Smith form per distinct coset action, and one
-    # twisted matrix and Smith form per orbit under conjugation and unit
-    # scaling
+    # only each orbit's representative, under conjugation and unit
+    # scaling, builds its action, its rows and its twisted matrix; one
+    # cover Smith form per distinct coset action, one twisted per orbit
     assert built == {
-        "coset_action": len(homs), "twisted_rows": len(homs),
+        "coset_action": orbits, "twisted_rows": orbits,
         "_regular_blocks": orbits,
     }
     assert len(calls) == actions + orbits
@@ -251,10 +254,10 @@ def _units(m):
 
 @pytest.mark.parametrize("name,n,m", [("946", 2, 3), ("trefoil", 3, 7)])
 def test_rekeyed_rows_are_equal_exactly_when_matrices_are(name, n, m):
-    # crowell_compares reuses a twisted Smith form when a map's rekeyed rows
-    # equal its orbit's first rows; the matrices compared before were the
-    # regular blocks of those rows.  Over every map, every unit scaling and
-    # every conjugating element, the two tests must agree, both ways.
+    # a map's group-ring rows, rekeyed by a conjugation and a unit scaling,
+    # equal its orbit's first rows exactly when the regular blocks of the
+    # two are equal.  Over every map, every unit scaling and every
+    # conjugating element, the two tests must agree, both ways.
     plain = _zero_surgery(name)
     small = plain.simplified
     target, homs = metabelian_quotient_homs(plain, n, m)
@@ -360,57 +363,60 @@ def _count_builders(monkeypatch):
     return built
 
 
-class _Unequal(tuple):
-    """A tuple equal only to itself, so no cache lookup can match it."""
-
-    __eq__ = object.__eq__
-    __ne__ = object.__ne__
-    __hash__ = object.__hash__
+def _automorphism(target, g, u):
+    """x -> s_u(g*x*g^-1), with s_u the scaling (k, q) -> (k, u*q)."""
+    gi = target.inv(g)
+    return lambda x: target.scale(target.mul(target.mul(g, x), gi), u)
 
 
-def _oracle_946_3_7(monkeypatch, tmp_path, capsys):
-    from test_cli import ORACLE_DIGESTS
-
-    monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "cache"))
-    path = tmp_path / "946.json"
-    dump_document(bundled_document("946"), str(path))
-    code = main(["oracle", "--knot", str(path), "--n", "3", "--m", "7",
-                 "--no-cache"])
-    text = capsys.readouterr().out
-    assert text.count("\nmap ") == 49
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert (code, digest) == ORACLE_DIGESTS[("946", 3, 7, "text")]
+def _tree_elements(action, images, target):
+    elements = [target.identity()]
+    for p, i in action[1]:
+        elements.append(target.mul(elements[p], images[i]))
+    return elements
 
 
-def test_forged_twisted_comparison_recomputes_every_twisted_smith_form(
-    monkeypatch, tmp_path, capsys
-):
-    # each orbit's first rows compare unequal to every other rows, so no
-    # later map of an orbit, conjugate or unit-scaled, reuses its first
-    # map's twisted Smith form; each reduces its own rows over its own
-    # image subgroup, and the 2 coset actions still share theirs
-    genuine = twisted.twisted_rows
-    monkeypatch.setattr(
-        twisted, "twisted_rows", lambda *args: _Unequal(genuine(*args))
-    )
-    calls = _count_snf(monkeypatch)
-    _oracle_946_3_7(monkeypatch, tmp_path, capsys)
-    assert len(calls) == 49 + 2
-
-
-def test_forged_coset_actions_recompute_every_cover_smith_form(
-    monkeypatch, tmp_path, capsys
-):
-    # each action compares unequal to every other, so every map gets its
-    # own cover Smith form; the 2 orbits under conjugation and unit scaling
-    # still share their twisted ones
-    genuine = twisted.coset_action
-    monkeypatch.setattr(
-        twisted, "coset_action", lambda *args: _Unequal(genuine(*args))
-    )
-    calls = _count_snf(monkeypatch)
-    _oracle_946_3_7(monkeypatch, tmp_path, capsys)
-    assert len(calls) == 49 + 2
+@pytest.mark.parametrize("name,n,m", [
+    ("946", 3, 7), ("trefoil", 4, 15), ("figure8", 4, 5),
+])
+def test_automorphic_maps_build_the_same_action_and_matrix(name, n, m):
+    # the lemma behind crowell_compares' reuse: for an automorphism alpha
+    # of the target, alpha(h) has h's coset action, h's group-ring rows
+    # with every key moved by alpha, and so h's regular-block matrix over
+    # its image elements; checked for random conjugations, unit scalings
+    # and composites of the two
+    plain = _zero_surgery(name)
+    small = plain.simplified
+    target, homs = metabelian_quotient_homs(plain, n, m)
+    pres, ng = small[0], small[0].num_generators
+    rng = random.Random(f"{name}-{n}-{m}")
+    whole = target.elements()
+    identity = target.identity()
+    kinds = set()
+    for h in homs:
+        images = restrict_images(small, h)
+        action = coset_action(pres, images, target)
+        rows = twisted.twisted_rows(pres, images, target)
+        mat = _regular_blocks(rows, target, ng, _tree_elements(action, images, target))
+        for g, u in [
+            (rng.choice(whole), 1),
+            (identity, rng.choice(_units(m))),
+            (rng.choice(whole), rng.choice(_units(m))),
+        ]:
+            alpha = _automorphism(target, g, u)
+            moved = tuple(alpha(x) for x in images)
+            kinds.add((moved == images, g == identity, u == 1))
+            moved_action = coset_action(pres, moved, target)
+            assert moved_action == action
+            moved_rows = twisted.twisted_rows(pres, moved, target)
+            assert moved_rows == [
+                tuple({alpha(k): c for k, c in e.items()} for e in row)
+                for row in rows
+            ]
+            elements = _tree_elements(moved_action, moved, target)
+            assert _regular_blocks(moved_rows, target, ng, elements) == mat
+    # every kind of automorphism moved some map
+    assert {(False, True, False), (False, False, True), (False, False, False)} <= kinds
 
 
 # ----------------------------------------------- summand specialization
