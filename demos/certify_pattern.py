@@ -21,7 +21,9 @@ def main():
     delta = alexander_polynomial(plain.group, plain.meridian)
     print(f"alexander polynomial: {delta}")
 
-    # the surgery presentation computes its module and splitting once
+    # the surgery presentation computes its module and splitting once, on
+    # its Tietze-simplified presentation: the witnesses are coordinates
+    # over the small generators other than the meridian
     report = plain.splitting
     print(f"module splits: {report.verdict}")
     print(f"  witness 1: ({', '.join(str(p) for p in report.v1)})")

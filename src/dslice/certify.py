@@ -181,8 +181,9 @@ def _verdict(status, evidence=None, reason=""):
 # and over a field that needs full row rank (over Lambda the same test is
 # McCoy's theorem on maximal minors; W. C. Brown, Matrices over
 # Commutative Rings, 1993).  Under that map the pushed Fox
-# matrix becomes ``plain.jacobian`` at t = 2, which the specialization
-# check confirms summand by summand.  Both t - 2 and 2t - 1 vanish at 2
+# matrix becomes the full Jacobian of ``plain.group`` under
+# ``plain.weights`` at t = 2, which the specialization check confirms
+# summand by summand.  Both t - 2 and 2t - 1 vanish at 2
 # mod 3, so a certified splitting gives M (x) F_3 = F_3^2, and the
 # meridian-deleted Jacobian, which presents M, has rank n - 3 there.
 # Fox's fundamental formula, sum_j dr/dx_j (t^w_j - 1) = 0, with the
@@ -190,7 +191,12 @@ def _verdict(status, evidence=None, reason=""):
 # span of the others, so the full Jacobian has rank n - 3 as well
 # (R. H. Fox, Free differential calculus I, Ann. Math. 57, 1953).  A
 # lifting column adds at most 1, so every candidate has rank at most
-# n - 2 and at least n - 1 rows.
+# n - 2 and at least n - 1 rows.  The rank is read on the small
+# presentation: the full Jacobian's kernel at t = 2 over F_3 is the set
+# of translation vectors of maps into Z x| F_3 (t acting by 2), and
+# composing with the Tietze isomorphism maps the small kernel onto it
+# bijectively and linearly, so the deficiency n - rank is the small
+# kernel's dimension, the size of ``plain.kernel_mod(3)``.
 
 
 def stage_b_certificate(plain: SurgeryPresentation) -> dict:
@@ -198,9 +204,10 @@ def stage_b_certificate(plain: SurgeryPresentation) -> dict:
 
     Checks the two facts the argument above rests on: ``plain`` has at
     least as many non-framing relators as generators, and its Jacobian at
-    t = 2 has rank n - 3 over F_3.  The rank is n minus the size of
-    ``plain.kernel_mod(3)``, which the default (2,3) quotient maps have
-    already computed on the same presentation.  Either failing
+    t = 2 has rank n - 3 over F_3.  The relators are counted on the full
+    presentation; the rank is n minus the size of ``plain.kernel_mod(3)``,
+    which the default (2,3) quotient maps have already computed from the
+    small presentation.  Either failing
     contradicts the certified splitting and raises VerificationFailed;
     otherwise no candidate matrix has a right inverse, and the verdict
     is ``undetermined``.
@@ -330,8 +337,9 @@ def certify_doubly_slice(
     """Run the full pipeline on a knot diagram and assemble a certificate.
 
     ``plain``, when given, is the caller's zero-surgery presentation of
-    the knot ``diagram``; the pipeline then shares its cached weights,
-    Jacobian and splitting instead of building its own.
+    the knot ``diagram``; the pipeline then shares its cached Tietze
+    simplification, weights, module and splitting instead of building its
+    own.
     """
     h = diagram_hash(diagram)
     subject = {"kind": "knot", "name": name or None, "hash": h}

@@ -35,6 +35,7 @@ from .documents import (
 )
 from .errors import DsliceError, MalformedInput
 from .groups import metabelian_quotient_homs, restrict_images
+from .modules import alexander_module, detect_splitting
 from .twisted import crowell_check, crowell_compares
 
 __all__ = ["main"]
@@ -113,7 +114,9 @@ def _analyze_report(doc: dict, quotient) -> dict:
     diagram, name = diagram_from_document(doc)
     check_pattern_mark(doc)
     plain = zero_surgery(diagram, 0)
-    report = plain.splitting
+    # the witness lines are coordinates over the diagram's arcs, so the
+    # report reads the full presentation's module, not ``plain.module``
+    report = detect_splitting(alexander_module(plain.group, plain.meridian))
     out = {
         "name": name or None,
         "hash": diagram_hash(diagram),

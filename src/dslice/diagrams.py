@@ -35,14 +35,16 @@ from .errors import (
     NotAKnot,
 )
 from .groups import check_tietze, simplify_presentation, summand_homs
+from .laurent import LaurentPoly
 from .modules import (
+    _Degree,
     deleted_column_module,
     detect_splitting,
     fox_jacobian,
     infinite_cyclic_weights,
 )
 from .snf import nullspace_mod
-from .words import GroupPresentation, Word
+from .words import GroupPresentation, Word, fox_row
 
 __all__ = [
     "Diagram",
@@ -480,18 +482,27 @@ class SurgeryPresentation:
     generator of the arc they land on, which is what later stages use to
     line presentations over the same diagram up with each other.
 
-    ``weights``, ``jacobian``, ``module``, ``splitting``, ``summands``
-    and ``simplified`` are computed on first use and kept on this frozen
-    object, which every stage reads; ``dataclasses.replace`` gives an
-    object with its own.  So is ``kernel_mod(m)``, one per modulus m,
-    which the quotient-map enumeration and stage B's rank both read.
-    The module keeps its own untracked Groebner basis, ``module.basis``,
-    built on first use and never when the module's order or its
-    dimension over F_3 at t = 2 refutes the splitting; the splitting
-    search, its judge and every second-derived membership test of the
-    object share it.  A certified ``splitting`` keeps the one other
-    basis, ``module.basis`` extended by the two witnesses and tracked on
-    them alone, that ``summands`` reads its coordinates from.
+    Every verdict-bearing stage reads invariants of the group with its
+    map to Z, so it runs on ``simplified``, the Tietze-simplified
+    presentation whose isomorphism ``check_tietze`` has checked, and its
+    result is carried back to ``group`` through the Tietze words by
+    Fox's chain rule (R. H. Fox, Free differential calculus I, Ann.
+    Math. 57, 1953).  ``small_weights``, ``small_jacobian``, ``module``
+    and ``splitting`` live on the small generators, the module's columns
+    being the small generators without ``small_meridian``.  ``weights``,
+    ``summands`` and ``kernel_mod(m)`` are carried back to the full
+    generators, and every map built from them still meets every full
+    relator.  All of them are computed on first use and kept on this
+    frozen object, which every stage reads; ``dataclasses.replace``
+    gives an object with its own.  ``kernel_mod(m)`` is kept once per
+    modulus m, which the quotient-map enumeration and stage B's rank
+    both read.  The module keeps its own untracked Groebner basis,
+    ``module.basis``, built on first use and never when the module's
+    order or its dimension over F_3 at t = 2 refutes the splitting; the
+    splitting search, its judge and every second-derived membership test
+    of the object share it.  A certified ``splitting`` keeps the one
+    other basis, ``module.basis`` extended by the two witnesses and
+    tracked on them alone, that ``summands`` reads its coordinates from.
     """
 
     group: GroupPresentation
@@ -504,20 +515,50 @@ class SurgeryPresentation:
     base_gen_count: int = 0
 
     @cached_property
-    def weights(self) -> tuple:
-        """Exponent of each generator under the map onto H_1 = Z."""
-        return tuple(infinite_cyclic_weights(self.group, self.meridian))
+    def simplified(self) -> tuple:
+        """``group`` Tietze-simplified with the meridian kept, as
+        ``(small, words, kept)`` from ``simplify_presentation``, with the
+        isomorphism checked once here by ``check_tietze``."""
+        small, words, kept, record = simplify_presentation(
+            self.group, keep={self.meridian}
+        )
+        check_tietze(self.group, (small, words, kept), record)
+        return small, words, kept
+
+    @property
+    def small_meridian(self) -> int:
+        """The meridian's index among the small generators."""
+        return self.simplified[2].index(self.meridian)
 
     @cached_property
-    def jacobian(self) -> tuple:
-        """The full Fox matrix pushed into Lambda, one row per relator."""
-        return tuple(fox_jacobian(self.group, self.weights))
+    def small_weights(self) -> tuple:
+        """Exponent of each small generator under the map onto H_1 = Z."""
+        small = self.simplified[0]
+        return tuple(infinite_cyclic_weights(small, self.small_meridian))
+
+    @cached_property
+    def weights(self) -> tuple:
+        """Exponent of each generator under the map onto H_1 = Z: the
+        exponent sum of its Tietze word under ``small_weights``."""
+        sw = self.small_weights
+        return tuple(
+            sum(sw[g] * e for g, e in w.letters) for w in self.simplified[1]
+        )
+
+    @cached_property
+    def small_jacobian(self) -> tuple:
+        """The small presentation's Fox matrix pushed into Lambda, one row
+        per small relator."""
+        return tuple(fox_jacobian(self.simplified[0], self.small_weights))
 
     @cached_property
     def module(self):
-        """The Alexander module: ``jacobian`` without the meridian column."""
+        """The Alexander module: ``small_jacobian`` without the meridian
+        column."""
         return deleted_column_module(
-            self.jacobian, self.meridian, self.group.num_generators
+            self.small_jacobian,
+            self.small_meridian,
+            self.simplified[0].num_generators,
         )
 
     @cached_property
@@ -531,27 +572,33 @@ class SurgeryPresentation:
         return summand_homs(self)
 
     @cached_property
-    def simplified(self) -> tuple:
-        """``group`` Tietze-simplified with the meridian kept, as
-        ``(small, words, kept)`` from ``simplify_presentation``, with the
-        isomorphism checked once here by ``check_tietze``."""
-        small, words, kept, record = simplify_presentation(
-            self.group, keep={self.meridian}
-        )
-        check_tietze(self.group, (small, words, kept), record)
-        return small, words, kept
-
-    @cached_property
     def _kernels(self) -> dict:
         return {}
 
     def kernel_mod(self, m: int) -> tuple:
-        """Generators of the kernel of ``jacobian`` at t = 2 over Z/m, from
-        ``snf.nullspace_mod``, computed on first use for each m."""
+        """Generators of the kernel of the full Fox Jacobian at t = 2 over
+        Z/m, computed on first use for each m.
+
+        A translation vector of the small generators satisfies the small
+        relators exactly when the small Jacobian at t = 2 kills it, and
+        generator i's translation is then the Fox row of its Tietze word
+        at t = 2 applied to it.  Composing with the Tietze isomorphism is
+        a bijection of the maps, and linear, so the small kernel from
+        ``snf.nullspace_mod``, sent through the Tietze words' Fox matrix,
+        spans the full kernel, with as many generators: the full and the
+        small kernel mod each prime p dividing m have one dimension.
+        """
         if m not in self._kernels:
-            rows = [[p.evaluate_mod(2, m) for p in row] for row in self.jacobian]
+            small, words, _ = self.simplified
+            ns, sw = small.num_generators, self.small_weights
+            rows = [[p.evaluate_mod(2, m) for p in row] for row in self.small_jacobian]
+            tietze = [
+                [LaurentPoly(e).evaluate_mod(2, m) for e in fox_row(w, ns, sw, _Degree)]
+                for w in words
+            ]
             self._kernels[m] = tuple(
-                nullspace_mod(rows, m, ncols=self.group.num_generators)
+                tuple(sum(a * x for a, x in zip(row, v)) % m for row in tietze)
+                for v in nullspace_mod(rows, m, ncols=ns)
             )
         return self._kernels[m]
 

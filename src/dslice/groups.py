@@ -13,11 +13,12 @@ Four independent services live here:
   small presentation.
 * Construction of the two metabelian quotient maps onto BS(1,2) from a
   certified module splitting, one per summand, with exact dyadic
-  translation parts read from the splitting judge's coordinates.
+  translation parts read from the splitting judge's coordinates on the
+  small presentation and extended through the Tietze words.
 * Enumeration of homomorphisms onto the finite metabelian groups
   Z/n x| Z/m, read off the kernel of the Fox Jacobian at t = 2 over Z/m
   that the surgery presentation keeps, one per m, and checked on every
-  relator in one pass by ``bs12.check_metabelian_relators``.
+  full relator in one pass by ``bs12.check_metabelian_relators``.
 * Reidemeister-Schreier rewriting for the homology of finite covers,
   and a membership certificate for the second derived subgroup.
 """
@@ -254,11 +255,12 @@ def check_tietze(pres: GroupPresentation, simplified, record) -> None:
         image = _cyclic_reduce(r.substitute(phi)).letters
         if not image:
             continue
-        j = next((j for j, (s, si) in enumerate(classes)
-                  if _is_rotation(image, s) or _is_rotation(image, si)), None)
-        if j is None:
+        # small relators equal up to rotation and inversion are all hit
+        matched = {j for j, (s, si) in enumerate(classes)
+                   if _is_rotation(image, s) or _is_rotation(image, si)}
+        if not matched:
             raise VerificationFailed(f"relator {ri} maps to no small relator")
-        hit.add(j)
+        hit |= matched
     if len(hit) != len(small.relators):
         raise VerificationFailed("a small relator is the image of no relator")
 
@@ -303,29 +305,33 @@ def summand_homs(plain):
     Each splitting summand is a copy of Z[1/2] on which the meridian
     acts by 2 or by 1/2, so collapsing the other summand yields a map
     onto (a subgroup of) BS(1,2).  Translation parts come from the
-    judge's coordinates, which the splitting report keeps: each generator
-    column is p v1 + q v2 modulo the rows.  p and q are well defined
-    exactly modulo the summands' annihilators, which evaluation at t = 2
-    (resp. t = 1/2) kills.
+    judge's coordinates, which the splitting report keeps: each small
+    generator column is p v1 + q v2 modulo the rows.  p and q are well
+    defined exactly modulo the summands' annihilators, which evaluation
+    at t = 2 (resp. t = 1/2) kills.  The maps of the small generators
+    extend to the full ones by evaluating the Tietze words, and are
+    checked on every full relator.
     """
     report = plain.splitting
     if not report.certified:
         raise HypothesisNotMet("no certified splitting to project from")
-    pres, meridian, weights = plain.group, plain.meridian, plain.weights
+    small, words, _ = plain.simplified
+    meridian, weights = plain.small_meridian, plain.small_weights
     plus = []
     minus = []
-    for i in range(pres.num_generators):
-        if i == meridian:
+    for j in range(small.num_generators):
+        if j == meridian:
             p = q = ZERO
         else:
-            p, q = report.coords[i if i < meridian else i - 1]
-        plus.append(BS12(weights[i], p.evaluate_dyadic(1)))
-        minus.append(BS12(-weights[i], q.evaluate_dyadic(-1)))
-    h_plus = MetabelianHom(tuple(plus), 1, "t-2", bs12_surjective(plus))
-    h_minus = MetabelianHom(tuple(minus), -1, "2t-1", bs12_surjective(minus))
-    check_relators(pres, h_plus.images, Bs12Group)
-    check_relators(pres, h_minus.images, Bs12Group)
-    return h_plus, h_minus
+            p, q = report.coords[j if j < meridian else j - 1]
+        plus.append(BS12(weights[j], p.evaluate_dyadic(1)))
+        minus.append(BS12(-weights[j], q.evaluate_dyadic(-1)))
+    homs = []
+    for images, exponent, factor in ((plus, 1, "t-2"), (minus, -1, "2t-1")):
+        images = tuple(evaluate_word(w, images, Bs12Group) for w in words)
+        check_relators(plain.group, images, Bs12Group)
+        homs.append(MetabelianHom(images, exponent, factor, bs12_surjective(images)))
+    return tuple(homs)
 
 
 def _check_regular_budget(target) -> None:
@@ -338,14 +344,16 @@ def metabelian_quotient_homs(plain, n: int, m: int):
     mod-n abelianisation, for a SurgeryPresentation ``plain``.
 
     A candidate is determined by its vector of translation parts, and
-    the relator conditions are exactly the kernel of ``plain.jacobian``
-    evaluated at t = 2 over Z/m, which ``plain.kernel_mod(m)`` computes
-    once per presentation.  Every map is still checked on every full
-    relator, all in one pass by ``check_metabelian_relators``, so the
-    maps never rest on that kernel alone.  Returns ``(target,
-    image_tuples)`` with a deterministic ordering.  A target of more than
-    ``_REGULAR_CAP`` elements, which every cover cross-check of a map
-    would refuse, is refused before the kernel is requested.
+    the relator conditions are exactly the kernel of the full Fox
+    Jacobian evaluated at t = 2 over Z/m, which ``plain.kernel_mod(m)``
+    computes once per presentation, on the small presentation and carried
+    back through the Tietze words.  Every map is still checked on every
+    full relator, all in one pass by ``check_metabelian_relators``, so
+    the maps never rest on that kernel or on the isomorphism alone.
+    Returns ``(target, image_tuples)`` over the full generators, sorted
+    on the full tuples.  A target of more than ``_REGULAR_CAP``
+    elements, which every cover cross-check of a map would refuse, is
+    refused before the kernel is requested.
     """
     target = FiniteMetabelian(n, m)
     _check_regular_budget(target)
@@ -464,26 +472,31 @@ def second_derived_certificate(plain, word: Word) -> bool:
     """Exact membership test for the second derived subgroup of
     ``plain.group``, for a SurgeryPresentation ``plain``.
 
-    A loop lies in the second derived subgroup iff it dies in the
-    maximal metabelian quotient: its total winding must vanish and its
-    Fox vector v must lie in the row span of ``plain.jacobian``.  That
-    span test runs on the Alexander module instead.  Fox's fundamental
-    formula (Fox, Free differential calculus I, Ann. Math. 57, 1953)
-    gives sum_j v_j (t^w_j - 1) = 0 for a word of winding zero, and the
-    same for every relator row r.  If v', v without the meridian entry,
-    equals sum_i c_i r_i' in the meridian-deleted rows, then
-    u = v - sum_i c_i r_i vanishes off the meridian, so u_m (t - 1) = 0
-    (the meridian has weight 1) and u_m = 0 because Lambda is a domain.
-    So v lies in the row span of ``plain.jacobian`` exactly when v' lies
-    in ``plain.module``, which ``plain.module.basis`` decides.  The
-    identity is checked exactly, and a Fox vector that breaks it raises
-    VerificationFailed.  Every check is exact, so the answer is a theorem
-    in either direction.
+    The Tietze isomorphism carries the second derived subgroup onto the
+    small presentation's, so ``word`` goes down by substituting the
+    Tietze words and the test runs on ``plain.simplified``.  A loop lies
+    in the second derived subgroup iff it dies in the maximal metabelian
+    quotient: its total winding must vanish and its Fox vector v must
+    lie in the row span of the small Jacobian, ``plain.small_jacobian``.
+    That span test runs on the Alexander module instead.  Fox's
+    fundamental formula (Fox, Free differential calculus I, Ann. Math.
+    57, 1953) gives sum_j v_j (t^w_j - 1) = 0 for a word of winding
+    zero, and the same for every relator row r.  If v', v without the
+    meridian entry, equals sum_i c_i r_i' in the meridian-deleted rows,
+    then u = v - sum_i c_i r_i vanishes off the meridian, so
+    u_m (t - 1) = 0 (the meridian has weight 1) and u_m = 0 because
+    Lambda is a domain.  So v lies in the row span of the small Jacobian
+    exactly when v' lies in ``plain.module``, which
+    ``plain.module.basis`` decides.  The identity is checked exactly, and
+    a Fox vector that breaks it raises VerificationFailed.  Every check is
+    exact, so the answer is a theorem in either direction.
     """
-    weights, meridian = plain.weights, plain.meridian
+    small, words, _ = plain.simplified
+    word = word.substitute(dict(enumerate(words)))
+    weights, meridian = plain.small_weights, plain.small_meridian
     if evaluate_word(word, weights, _Degree) != 0:
         return False
-    n = plain.group.num_generators
+    n = small.num_generators
     vec = tuple(LaurentPoly(e) for e in fox_row(word, n, weights, _Degree))
     total = ZERO
     for v, w in zip(vec, weights):

@@ -28,12 +28,12 @@ count.
 
 ``crowell_compares`` reduces each twisted matrix over the image H of its
 map, which holds every Fox key: the whole-target matrix is d = [G : H]
-copies of that one.  Maps with equal coset actions share the cover
-Smith form.  A map alpha(h), for alpha an automorphism of the target
-made of conjugations and unit scalings (k, q) -> (k, u q), has the
-same coset action as h and h's group-ring rows with every key moved by
-alpha, so it has h's invariants on both paths: it reuses h's finished
-result, found by an exact lookup of its images, and builds nothing.
+copies of that one.  A map alpha(h), for alpha an automorphism of the
+target made of conjugations and unit scalings (k, q) -> (k, u q), has
+the same coset action as h and h's group-ring rows with every key moved
+by alpha, so it has h's invariants on both paths: it reuses h's
+finished result, found by an exact lookup of its images, and builds
+nothing.
 
 Also here: the transport records that let a certificate for a pattern
 be carried to its satellites.
@@ -123,9 +123,9 @@ def crowell_compares(pres, homs, target):
     target and s a unit scaling (k, q) -> (k, u*q) with gcd(u, m) = 1.
     Every conjugate of each representative's images is kept, so a map is
     found by looking up s(images) for each unit u.  A representative
-    gets its own coset action and group-ring rows, reduced over its own
-    image, and a cover Smith form shared by maps with equal actions; any
-    other map yields its representative's result and builds nothing.
+    gets its own coset action, cover Smith form and group-ring rows,
+    reduced over its own image; any other map yields its
+    representative's result and builds nothing.
 
     Lemma: for an automorphism alpha, alpha(h) and h have equal results.
     ``coset_action`` searches breadth first from the identity, and
@@ -142,7 +142,6 @@ def crowell_compares(pres, homs, target):
     # budget holds the cover path's holds too: check it before either runs
     _check_regular_budget(target)
     order, ng = target.order(), pres.num_generators
-    covers: dict = {}  # coset action -> (cosets, cover invariants)
     orbits: dict = {}  # conjugate images of a representative -> its result
     mul, inv, scale = target.mul, target.inv, target.scale
     # the unit scalings (k, q) -> (k, u*q), tried on each map's images
@@ -156,10 +155,8 @@ def crowell_compares(pres, homs, target):
                 break
         else:
             action = coset_action(pres, images, target)
-            if action not in covers:
-                rows, ncols, ncosets = schreier_rows(pres, action)
-                covers[action] = (ncosets, abelian_invariants(rows, ncols))
-            ncosets, cover = covers[action]
+            rows, ncols, ncosets = schreier_rows(pres, action)
+            cover = abelian_invariants(rows, ncols)
             elements = [target.identity()]
             for p, i in action[1]:
                 elements.append(mul(elements[p], images[i]))
@@ -186,9 +183,10 @@ def summand_specialization_check(plain, hom: MetabelianHom) -> bool:
     Composing a summand homomorphism with (k, q) -> t^k must be the
     abelianisation, up to the recorded meridian exponent: each image's
     exponent k is ``merid_exponent`` times its generator's weight.  The
-    Jacobian pushed through the composite is then ``plain.jacobian``, with
-    t inverted when the meridian maps to a^-1, since Fox rows pushed into
-    Lambda are a function of the presentation and the exponents alone.
+    Jacobian pushed through the composite is then the Fox Jacobian of
+    ``plain.group`` under ``plain.weights``, with t inverted when the
+    meridian maps to a^-1, since Fox rows pushed into Lambda are a
+    function of the presentation and the exponents alone.
     """
     return [x.k for x in hom.images] == [hom.merid_exponent * w for w in plain.weights]
 

@@ -212,9 +212,10 @@ def test_certify_unregistered_kink_eliminates_the_jacobian_once(
     code, out, _ = run(capsys, "certify", str(path), "--no-cache")
     assert code == 1 and "commutative shadow" in out
     # the (2,3) quotient maps and stage B's rank read one kernel mod 3 of
-    # the 11 x 10 Jacobian; the splitting test counts the F_3 dimension
-    # of the 4 x 2 simplified module
-    assert sorted(calls) == [(4, 2, 3), (11, 10, 3)]
+    # the 4 x 3 Jacobian of the Tietze-simplified presentation, carried
+    # back to the 10 full generators; the splitting test counts the F_3
+    # dimension of the 4 x 2 module
+    assert sorted(calls) == [(4, 2, 3), (4, 3, 3)]
 
 
 # ----------------------------------------------------------------- analyze
@@ -325,6 +326,22 @@ def test_oracle_trefoil_double_cover(docs, capsys):
     assert "all agree: True" in out
 
 
+def test_oracle_and_analyze_run_on_the_stevedore(tmp_path, capsys, monkeypatch):
+    # two small relators of 6_1 are inverse rotations of each other; the
+    # Tietze check once refused its presentation and both exited 2
+    from test_modules import STEVEDORE
+
+    monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "cache"))
+    path = tmp_path / "6_1.json"
+    path.write_text(json.dumps({"name": "6_1", "pd": [list(c) for c in STEVEDORE]}))
+    code, out, _ = run(capsys, "oracle", "--knot", str(path), "--n", "2", "--m", "3")
+    assert code == 0
+    assert "all agree: True" in out
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert "splitting: NotApplicable" in out
+
+
 def test_oracle_pattern_metabelian(docs, capsys):
     code, out, _ = run(
         capsys, "oracle", "--knot", docs["946"], "--n", "2", "--m", "3",
@@ -394,13 +411,13 @@ def test_oracle_computes_smith_forms_once_per_orbit(docs, capsys, monkeypatch):
     orbits = brute_scaled_orbit_count(homs, target)
     actions = len({coset_action(plain.group, h, target) for h in homs})
     assert (nmaps, orbits, actions) == (27, 5, 5)
-    # a coset action, group-ring rows and a twisted matrix and Smith form
-    # are built once per orbit under conjugation and unit scaling, and a
-    # cover Smith form once per distinct action; every other map reuses
-    # its orbit representative's result
+    # a coset action and a cover Smith form, group-ring rows and a
+    # twisted matrix and Smith form are built once per orbit under
+    # conjugation and unit scaling; every other map reuses its orbit
+    # representative's result
     assert calls == {
         "coset_action": orbits, "twisted_rows": orbits, "_regular_blocks": orbits,
-        "abelian_invariants": actions + orbits,
+        "abelian_invariants": 2 * orbits,
     }
 
 
@@ -579,7 +596,7 @@ def test_oracle_computes_the_fox_matrix_once(docs, capsys, monkeypatch):
         return inner(word, n, images, target)
 
     # count passes through every module-level binding of fox_row
-    for name in ("words", "modules", "groups", "twisted", "certify"):
+    for name in ("words", "modules", "groups", "twisted", "certify", "diagrams"):
         module = importlib.import_module(f"dslice.{name}")
         if getattr(module, "fox_row", None) is inner:
             monkeypatch.setattr(module, "fox_row", counting)
@@ -591,13 +608,14 @@ def test_oracle_computes_the_fox_matrix_once(docs, capsys, monkeypatch):
     maps = int(out.splitlines()[1].split(", ")[1].split()[0])
     assert (maps, orbits) == (49, 2)
     # the zero-surgery presentation of 9_46 has 10 relators on 9
-    # generators and simplifies to 4 on 3: one pass per relator for the
-    # Lambda-Jacobian, which the map enumeration reads, and one per small
-    # relator for each orbit representative's twisted rows
-    assert len(calls) == 10 + 4 * orbits
+    # generators and simplifies to 4 on 3: one pass per small relator for
+    # the Lambda-Jacobian and one per Tietze word, which carry its kernel
+    # mod 7 to the 9 generators the map enumeration reads, and one per
+    # small relator for each orbit representative's twisted rows
+    assert len(calls) == 4 + 9 + 4 * orbits
     twisted = [n for n, t in calls if isinstance(t, FiniteMetabelian)]
     assert twisted == [3] * (4 * orbits)
-    assert {n for n, t in calls if not isinstance(t, FiniteMetabelian)} == {9}
+    assert {n for n, t in calls if not isinstance(t, FiniteMetabelian)} == {3}
 
 
 def test_oracle_evaluates_each_map_once_on_the_full_relators(docs, capsys, monkeypatch):
@@ -678,11 +696,12 @@ def work(monkeypatch):
 
 
 # the two bases of a certified 9_46 splitting, both over the Alexander
-# module's 8 columns: the module's own basis, the one completion over its
-# rows, which filters the witness pool; and its extension by the one
+# module's 2 columns, the Tietze-simplified presentation's 3 generators
+# without the meridian: the module's own basis, the one completion over
+# its rows, which filters the witness pool; and its extension by the one
 # witness pair tried, tracked on the pair, which judges it and which the
 # summand maps read
-BASES_946 = [(8, False, False), (8, True, True)]
+BASES_946 = [(2, False, False), (2, True, True)]
 
 
 def test_certify_946_builds_two_bases(docs, capsys, work):
@@ -700,7 +719,7 @@ def test_satellite_request_shares_the_pattern_presentation(
 ):
     # the base certificate and the transport record read one surgery
     # presentation, and the second-derived test the module's basis: no
-    # basis spans all 9 generator columns
+    # basis spans the 9 full generator columns
     code, _, _ = run(
         capsys, "satellite", "--pattern", docs["946"], "--infection", curve,
         "--companion", docs.get(companion, companion), "--no-cache",
@@ -717,7 +736,7 @@ def test_family_request_builds_the_module_basis_once(docs, capsys, work):
     code, _, _ = run(capsys, "certify", docs["r-rr"], "--no-cache")
     assert code == 1
     assert work["bases"] == BASES_946
-    assert work["bases"].count((8, False, False)) == 1
+    assert work["bases"].count((2, False, False)) == 1
     assert work["fox_jacobian"] == 1 + 2
 
 

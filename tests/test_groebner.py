@@ -264,7 +264,8 @@ def _check_extension(rows, width, v1, v2, probes=()):
 
 
 def test_extension_by_the_946_witnesses_matches_a_fresh_basis(plain946):
-    module = plain946.module
+    # the full presentation's module, whose witnesses ``analyze`` reports
+    module = alexander_module(plain946.group, plain946.meridian)
     v1 = _unit(8, 6)
     v2 = _combine([ONE, -2 * ONE], [_unit(8, 3), _unit(8, 6)], 8)
     ext = _check_extension(list(module.rows), module.ncols, v1, v2)

@@ -356,8 +356,9 @@ def test_shadow_gate_obstructs_the_mirror_by_witness(monkeypatch):
     pd = bundled_document("946")["pd"]
     mirror = Diagram([(a, d, c, b) for a, b, c, d in pd])
     certify.certify_doubly_slice(mirror, registry=None)
-    # the generator weights eliminate once, on the 10 x 9 abelianization
-    # matrix, since every stage reads them from the one surgery
-    # presentation; the module order takes one pass per maximal minor of
-    # the simplified module's 4 relations on 2 columns, C(4, 2) = 6
-    assert eliminations == {(10, 9): 1, (2, 2): 6}
+    # the generator weights eliminate once, on the 4 x 3 abelianization
+    # matrix of the Tietze-simplified presentation, since every stage
+    # reads them from the one surgery presentation; the module order
+    # takes one pass per maximal minor of the module's 4 relations on 2
+    # columns, C(4, 2) = 6
+    assert eliminations == {(4, 3): 1, (2, 2): 6}

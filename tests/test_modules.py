@@ -8,8 +8,10 @@ import pytest
 import sympy
 
 from dslice.certify import NOT_APPLICABLE, certify_doubly_slice
-from dslice.corpus import bundled_diagram
+from dslice.bs12 import Bs12Group, check_relators
+from dslice.corpus import bundled_diagram, bundled_document, bundled_names
 from dslice.diagrams import Diagram, infect, wirtinger, zero_surgery
+from dslice.documents import diagram_from_document
 from dslice.errors import HypothesisNotMet
 from dslice.laurent import ONE, T, ZERO, LaurentPoly
 from dslice import modules
@@ -23,7 +25,7 @@ from dslice.modules import (
     fox_jacobian,
     infinite_cyclic_weights,
 )
-from dslice.snf import abelian_invariants
+from dslice.snf import abelian_invariants, nullspace_mod
 from dslice.words import GroupPresentation, Word
 
 from test_diagrams import FIG8, HOPF, KINK, TREFOIL, TREFOIL_MERID
@@ -180,8 +182,10 @@ def test_lazy_search_on_946_tests_only_the_vectors_it_reaches(monkeypatch):
     # order with v1 outermost: t - 2 is tested on e3 and then e6, which
     # passes; 2t - 1 on e3, e6, e3 + e6, e3 - e6, e3 + 2e6 and then
     # e3 - 2e6, which passes; the judge re-tests the pair.  The other 20
-    # of the 28 pool tests an eager search makes are never made.
-    module = zero_surgery(bundled_diagram("946"), 0).module
+    # of the 28 pool tests an eager search makes are never made.  The
+    # module is the full presentation's, as ``analyze`` reads it.
+    plain = zero_surgery(bundled_diagram("946"), 0)
+    module = alexander_module(plain.group, plain.meridian)
     basis = module.basis
     tested = []
     inner = type(basis).contains
@@ -310,3 +314,81 @@ def test_weights_of_a_dense_10_by_8_matrix_are_fast():
     assert time.perf_counter() - start < 1.0
     assert weights == [1, 1, 2, 3, 3, 1, 1, 3]
     assert weights == primitive_sympy_kernel(mat)
+
+
+# ------------------------------------------ stages on the small presentation
+
+
+def _small_path_inputs(workloads):
+    """``(tag, diagram)`` for 9_46, its mirror, its 36 Reidemeister-I
+    kinks, every bundled knot and 6_1."""
+    base = bundled_document("946")
+    d946 = bundled_diagram("946")
+    pds = {"mirror": workloads.mirror_pd(base["pd"])}
+    for edge in range(1, len(d946.edges) + 1):
+        for positive in (False, True):
+            pd = workloads.kink_pd(base["pd"], d946.signs, edge, positive)
+            pds[f"kink{edge:02d}{'+' if positive else '-'}"] = pd
+    out = [(tag, diagram_from_document({"pd": pd})[0]) for tag, pd in pds.items()]
+    for name in bundled_names():
+        doc = bundled_document(name)
+        if "pd" in doc:
+            out.append((name, diagram_from_document(doc)[0]))
+    out.append(("6_1", Diagram(STEVEDORE)))
+    return out
+
+
+def test_small_module_splits_as_the_full_module(workloads):
+    # the full presentation's module, which ``analyze`` reads, is the
+    # reference: verdict, order and note agree, and the weights carried
+    # back through the Tietze words are the full presentation's
+    inputs = _small_path_inputs(workloads)
+    assert len(inputs) == 1 + 36 + 4 + 1
+    verdicts = set()
+    for tag, diagram in inputs:
+        plain = zero_surgery(diagram, 0)
+        full = detect_splitting(alexander_module(plain.group, plain.meridian))
+        small = plain.splitting
+        got = (small.verdict, small.order, small.note)
+        assert got == (full.verdict, full.order, full.note), tag
+        verdicts.add(small.verdict)
+        assert plain.module.ncols == plain.simplified[0].num_generators - 1, tag
+        want = infinite_cyclic_weights(plain.group, plain.meridian)
+        assert list(plain.weights) == want, tag
+        if small.certified:
+            for hom in plain.summands:
+                assert [x.k for x in hom.images] == [
+                    hom.merid_exponent * w for w in want
+                ], tag
+                check_relators(plain.group, hom.images, Bs12Group)
+    assert verdicts == {"split", "no_split"}
+
+
+def _span(vectors, m):
+    span = {(0,) * len(vectors[0])} if vectors else set()
+    for b in vectors:
+        span = {
+            tuple((x + k * y) % m for x, y in zip(v, b))
+            for v in span for k in range(m)
+        }
+    return span
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 7), (4, 15)])
+def test_kernel_mod_spans_the_full_kernel(n, m):
+    # the small kernel, carried through the Tietze words' Fox matrix,
+    # spans the kernel of the full Jacobian at t = 2 over Z/m with as many
+    # generators, so the enumerated maps are the full presentation's
+    for diagram in (bundled_diagram("946"), Diagram(TREFOIL), Diagram(FIG8),
+                    Diagram(STEVEDORE)):
+        plain = zero_surgery(diagram, 0)
+        ng = plain.group.num_generators
+        rows = [
+            [p.evaluate_mod(2, m) for p in row]
+            for row in fox_jacobian(plain.group, plain.weights)
+        ]
+        full = nullspace_mod(rows, m, ncols=ng)
+        got = plain.kernel_mod(m)
+        assert len(got) == len(full)
+        assert all(len(v) == ng for v in got)
+        assert _span(got, m) == _span(full, m)

@@ -452,6 +452,74 @@ def test_nullspace_rule_sees_a_third_caller():
     ]
 
 
+# the builders of weights, Fox Jacobians and Alexander modules: the
+# surgery presentation builds its own on the Tietze-simplified
+# presentation; ``alexander_module`` reads its presentation's whole
+# Jacobian, for a companion's Alexander polynomial and for ``analyze``,
+# whose witness lines are coordinates over the diagram's arcs
+_ABELIAN_CALLERS = [
+    "cli.py _analyze_report alexander_module",
+    "diagrams.py SurgeryPresentation.small_jacobian fox_jacobian",
+    "diagrams.py SurgeryPresentation.small_weights infinite_cyclic_weights",
+    "modules.py alexander_module fox_jacobian",
+    "modules.py alexander_module infinite_cyclic_weights",
+    "modules.py alexander_polynomial alexander_module",
+]
+_ABELIAN_BUILDERS = {"infinite_cyclic_weights", "fox_jacobian", "alexander_module"}
+
+
+def _abelian_callers(source: str, filename: str) -> list:
+    """``file owner name`` for each call of an ``_ABELIAN_BUILDERS`` name,
+    the owner being the dotted classes and functions around the call."""
+    hits = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in _ABELIAN_BUILDERS:
+                hits.append(f"{filename} {'.'.join(owner)} {name}")
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = owner + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source, filename), ())
+    return hits
+
+
+def test_full_size_abelian_data_has_listed_builders():
+    # a stage that builds weights, a Jacobian or a module on the full
+    # presentation itself repeats, at the diagram's size, what the
+    # surgery presentation keeps at the group's
+    root = Path(dslice.__file__).parent
+    found = [
+        hit
+        for path in sorted(root.rglob("*.py"))
+        for hit in _abelian_callers(path.read_text(), str(path.relative_to(root)))
+    ]
+    assert sorted(found) == _ABELIAN_CALLERS
+
+
+def test_abelian_rule_sees_a_new_caller():
+    source = (
+        "from .modules import fox_jacobian, infinite_cyclic_weights\n"
+        "from . import modules\n"
+        "class SurgeryPresentation:\n"
+        "    def weights(self):\n"
+        "        return infinite_cyclic_weights(self.group, self.meridian)\n"
+        "    def small_jacobian(self):\n"
+        "        return fox_jacobian(self.simplified[0], self.small_weights)\n"
+        "def summand_homs(plain):\n"
+        "    return modules.alexander_module(plain.group, plain.meridian)\n"
+    )
+    assert _abelian_callers(source, "diagrams.py") == [
+        "diagrams.py SurgeryPresentation.weights infinite_cyclic_weights",
+        "diagrams.py SurgeryPresentation.small_jacobian fox_jacobian",
+        "diagrams.py summand_homs alexander_module",
+    ]
+
+
 # Reference implementations that no stage reads: tests check the
 # package's own paths against them.
 _REFERENCE_DEFS = {
