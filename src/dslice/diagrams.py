@@ -58,6 +58,21 @@ __all__ = [
 ]
 
 
+def _find(parent: dict, x):
+    """Root of ``x`` in the union-find forest ``parent``, halving paths."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: dict, x, y) -> None:
+    """Merge the classes of ``x`` and ``y`` under the smaller root."""
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx != ry:
+        parent[max(rx, ry)] = min(rx, ry)
+
+
 class Diagram:
     """Validated planar diagram with inferred orientations and signs."""
 
@@ -245,20 +260,11 @@ class Diagram:
         if self._arcs is not None:
             return self._arcs
         parent = {e: e for e in self.edges}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for _, b, _, d in self.crossings:
-            rb, rd = find(b), find(d)
-            if rb != rd:
-                parent[max(rb, rd)] = min(rb, rd)
+            _union(parent, b, d)
         classes: dict[int, list[int]] = {}
         for e in self.edges:
-            classes.setdefault(find(e), []).append(e)
+            classes.setdefault(_find(parent, e), []).append(e)
         arcs = tuple(tuple(sorted(v)) for _, v in sorted(classes.items()))
         self._arcs = arcs
         return arcs
@@ -285,26 +291,15 @@ class Diagram:
             for i in comps
             for e in self.components[i]
         }
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         kept_k = []
         for k, (a, b, c, d) in enumerate(self.crossings):
             u, o = self.crossing_strands(k)
             if u in keep and o in keep:
                 kept_k.append(k)
             elif u in keep:
-                ra, rc = find(a), find(c)
-                if ra != rc:
-                    parent[max(ra, rc)] = min(ra, rc)
+                _union(parent, a, c)
             elif o in keep:
-                rb, rd = find(b), find(d)
-                if rb != rd:
-                    parent[max(rb, rd)] = min(rb, rd)
+                _union(parent, b, d)
 
         edge_map = {}
         label = 1
@@ -312,7 +307,7 @@ class Diagram:
             cyc = self.components[i]
             reps = []
             for e in cyc:
-                r = find(e)
+                r = _find(parent, e)
                 if r not in reps:
                     reps.append(r)
             if len(reps) < 2:
@@ -321,7 +316,7 @@ class Diagram:
                 )
             for r in reps:
                 for e in cyc:
-                    if find(e) == r:
+                    if _find(parent, e) == r:
                         edge_map[e] = label
                 label += 1
         new_crossings = [
@@ -453,24 +448,6 @@ def wirtinger(diagram: Diagram) -> LinkGroup:
     )
 
 
-@dataclass
-class InfectionSite:
-    """Bookkeeping for one companion gluing inside an infection.
-
-    ``meridian_word`` and ``longitude_word`` describe the infection
-    curve in the base generators; the companion's generators occupy
-    ``gen_start .. gen_start + gen_count - 1``.
-    """
-
-    component: int
-    companion: Diagram
-    meridian_word: Word
-    longitude_word: Word
-    gen_start: int
-    gen_count: int
-    pattern_linking: int
-
-
 @dataclass(frozen=True)
 class SurgeryPresentation:
     """pi_1 of the manifold obtained by zero-surgery on one knot component.
@@ -496,13 +473,13 @@ class SurgeryPresentation:
     frozen object, which every stage reads; ``dataclasses.replace``
     gives an object with its own.  ``kernel_mod(m)`` is kept once per
     modulus m, which the quotient-map enumeration and stage B's rank
-    both read.  The module keeps its own untracked Groebner basis,
-    ``module.basis``, built on first use and never when the module's
-    order or its dimension over F_3 at t = 2 refutes the splitting; the
-    splitting search, its judge and every second-derived membership test
-    of the object share it.  A certified ``splitting`` keeps the one
-    other basis, ``module.basis`` extended by the two witnesses and
-    tracked on them alone, that ``summands`` reads its coordinates from.
+    both read.  The module keeps its own Groebner basis, ``module.basis``,
+    built on first use and never when the module's order or its dimension
+    over F_3 at t = 2 refutes the splitting; the splitting search, its
+    judge and every second-derived membership test of the object share
+    it, and the judge extends it by each witness pair it tries.
+    ``summands`` reads its translations off the module's rows at t = 2
+    and t = 1/2, with no basis.
     """
 
     group: GroupPresentation
@@ -511,8 +488,6 @@ class SurgeryPresentation:
     curve_words: dict
     curve_linking: dict = field(default_factory=dict)
     orig_edge_gen: dict = field(default_factory=dict)
-    sites: tuple = ()
-    base_gen_count: int = 0
 
     @cached_property
     def simplified(self) -> tuple:
@@ -634,7 +609,6 @@ def zero_surgery(diagram: Diagram, pattern: int, curves=None) -> SurgeryPresenta
         curve_words=words,
         curve_linking=linking,
         orig_edge_gen=gen_of,
-        base_gen_count=pres.group.num_generators,
     )
 
 
@@ -700,7 +674,6 @@ def infect(
     if lam_pattern:
         relators.append(lam_pattern)
     offset = len(names)
-    site_records = []
     for comp in sites:
         cpres = wirtinger(companions[comp])
         mu_eta = Word.gen(pres.meridians[comp_new[comp]])
@@ -711,17 +684,6 @@ def infect(
         relators.extend(r.shift(offset) for r in cpres.group.relators)
         relators.append(mu_j * lam_eta.inverse())
         relators.append(lam_j * mu_eta.inverse())
-        site_records.append(
-            InfectionSite(
-                component=comp,
-                companion=companions[comp],
-                meridian_word=mu_eta,
-                longitude_word=lam_eta,
-                gen_start=offset,
-                gen_count=cpres.group.num_generators,
-                pattern_linking=diagram.linking_number(comp, pattern),
-            )
-        )
         offset += len(cpres.group.names)
     sub_arc_of = sub.arc_of_edge()
     gen_of = {e: sub_arc_of[ne] for e, ne in edge_map.items()}
@@ -740,6 +702,4 @@ def infect(
         curve_words=words,
         curve_linking=linking,
         orig_edge_gen=gen_of,
-        sites=tuple(site_records),
-        base_gen_count=pres.group.num_generators,
     )

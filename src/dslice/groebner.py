@@ -11,23 +11,16 @@ the basis absorbs gcd combinations of leading coefficients, after which
 ordinary reduction decides membership (normal form zero if and only if
 the vector lies in the submodule).
 
-Each basis element optionally carries its expression in terms of the
-input generators, so reductions to zero yield explicit coefficient
-witnesses.  Callers re-verify witnesses by multiplication; nothing
-downstream trusts the bookkeeping blindly.
-
 A complete basis can be extended by further generators without a new
-completion: the extension copies the base's elements, which carry no
-coordinates, and forms only the pairs that involve a new element.  The
-old pairs keep their standard representations in the larger basis, so
-the result is a strong basis of the base module plus the new
-generators, and its coordinates are taken modulo the base module.
+completion: the extension copies the base's elements and forms only the
+pairs that involve a new element.  The old pairs keep their standard
+representations in the larger basis, so the result is a strong basis of
+the base module plus the new generators.
 
 A module term t^i u^j e_pos is stored under the key (i + j, i, -pos).
 The order is graded (total degree, then t-degree), with ties broken
 towards the lower position, which is exactly the tuple order of the
-keys, so a leading term is a plain ``max``.  Coordinates are scalars,
-kept as {(i, j): c} for t^i u^j.
+keys, so a leading term is a plain ``max``.
 
 Each basis element is stored with its leading monomial and leading
 coefficient, computed once when it joins the basis, and is indexed by
@@ -48,12 +41,10 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import BudgetExceeded
-from .laurent import LaurentPoly
 from .words import ring_add
 
 __all__ = [
     "vector_to_tu",
-    "scalar_from_tu",
     "GroebnerBasis",
     "module_contains",
 ]
@@ -98,76 +89,43 @@ def vector_to_tu(vec):
     return {k: v for k, v in out.items() if v}
 
 
-def scalar_from_tu(mono_dict) -> LaurentPoly:
-    coeffs = {}
-    for (i, j), c in mono_dict.items():
-        d = i - j
-        coeffs[d] = coeffs.get(d, 0) + c
-    return LaurentPoly(coeffs)
-
-
 def _scale_shift(elem, c, i, j):
     """c * t^i * u^j * elem."""
     return {(d + i + j, a + i, p): c * v for (d, a, p), v in elem.items()}
 
 
-def _coords_add(c1, c2):
-    out = dict(c1)
-    for g, d in c2.items():
-        out[g] = ring_add(out.get(g, {}), d)
-        if not out[g]:
-            del out[g]
-    return out
-
-
-def _coords_scale(coords, c, i, j):
-    return {
-        g: {(m[0] + i, m[1] + j): c * v for m, v in d.items()}
-        for g, d in coords.items()
-    }
-
-
 class GroebnerBasis:
     """Strong Groebner basis of a submodule of Lambda^width.
 
-    ``generators``: list of Laurent vectors.  When ``track`` is set the
-    basis remembers how each element is built from the generators and
-    :meth:`reduce` reports coefficients for successful memberships.
-
-    ``base``, a complete basis of the same width, makes this its
-    extension by ``generators``, as the module docstring describes.
+    ``generators``: list of Laurent vectors.  ``base``, a complete basis
+    of the same width, makes this its extension by ``generators``, as the
+    module docstring describes.
     """
 
-    def __init__(self, generators, width, track=False, budget=200000, base=None):
+    def __init__(self, generators, width, budget=200000, base=None):
         self.width = width
-        self.track = track
         self.budget = budget
         self._work = 0
-        # (elem, coords or None, leading monomial, leading coefficient)
+        # (elem, leading monomial, leading coefficient)
         self.basis = []
         self._by_pos = [[] for _ in range(width)]  # basis order per position
         self._pairs = []
         gens = []
-        for idx, vec in enumerate(generators):
+        for vec in generators:
             if len(vec) != width:
                 raise ValueError("generator width mismatch")
             elem = vector_to_tu(vec)
             if elem:
-                coords = {idx: {(0, 0): 1}} if track else None
-                gens.append((elem, coords))
+                gens.append(elem)
         if base is None:
             for pos in range(width):
-                rel = {(2, 1, -pos): 1, (0, 0, -pos): -1}
-                gens.append((rel, {} if track else None))
+                gens.append({(2, 1, -pos): 1, (0, 0, -pos): -1})
         elif base.width != width:
             raise ValueError("base width mismatch")
         else:
-            # in basis order, so each position's list stays in basis order;
-            # every pair among these was formed when the base completed
-            for elem, _, m, lc in base.basis:
-                entry = (elem, None, m, lc)
-                self.basis.append(entry)
-                self._by_pos[-m[2]].append(entry)
+            # every pair among the base's elements was formed when it completed
+            self.basis = list(base.basis)
+            self._by_pos = [list(entries) for entries in base._by_pos]
         self._complete(gens)
 
     def _tick(self):
@@ -175,19 +133,19 @@ class GroebnerBasis:
         if self._work > self.budget:
             raise BudgetExceeded("groebner computation exceeded its budget")
 
-    def _append(self, elem, coords):
+    def _append(self, elem):
         """Add a reduced element, queueing its pairs with every earlier one."""
         if max(map(abs, elem.values())).bit_length() > _COEFF_BITS:
             raise BudgetExceeded("groebner coefficients exceeded their size bound")
         m = max(elem)
-        entry = (elem, coords, m, elem[m])
+        entry = (elem, m, elem[m])
         n = len(self.basis)
         self._pairs.extend((k, n) for k in range(n))
         self.basis.append(entry)
         self._by_pos[-m[2]].append(entry)
 
-    def _reduce_full(self, elem, coords):
-        """Normal form; returns (reduced elem, coords)."""
+    def _reduce_full(self, elem):
+        """Normal form of ``elem``."""
         result = {}
         work = dict(elem)
         by_pos = self._by_pos
@@ -206,10 +164,10 @@ class GroebnerBasis:
             partial = None
             plc = 0
             for entry in by_pos[-npos]:
-                bm = entry[2]
+                bm = entry[1]
                 if bm[1] > mi or bm[0] - bm[1] > mj:
                     continue
-                lc = entry[3]
+                lc = entry[2]
                 if c % lc == 0:
                     exact = (entry, c // lc)
                     break
@@ -221,7 +179,7 @@ class GroebnerBasis:
                 result[m] = c
                 del work[m]
                 continue
-            (belem, bcoords, bm, _), q = hit
+            (belem, bm, _), q = hit
             d, i = md - bm[0], mi - bm[1]
             for (a, b, p), v in belem.items():
                 key = (a + d, b + i, p)
@@ -230,22 +188,20 @@ class GroebnerBasis:
                     work[key] = w
                 else:
                     del work[key]
-            if coords is not None and bcoords is not None:
-                coords = _coords_add(coords, _coords_scale(bcoords, -q, i, d - i))
-        return result, coords
+        return result
 
     def _complete(self, gens):
         basis = self.basis
         pairs = self._pairs
-        for elem, coords in gens:
-            red, rc = self._reduce_full(elem, coords)
+        for elem in gens:
+            red = self._reduce_full(elem)
             if red:
-                self._append(red, rc)
+                self._append(red)
         while pairs:
             self._tick()
             k1, k2 = pairs.pop()
-            e1, c1, m1, a1 = basis[k1]
-            e2, c2, m2, a2 = basis[k2]
+            e1, m1, a1 = basis[k1]
+            e2, m2, a2 = basis[k2]
             if m1[2] != m2[2]:
                 continue
             # t^i u^j shifts taking each leading term to their lcm
@@ -257,56 +213,22 @@ class GroebnerBasis:
             g = gcd(a1, a2)
             s1 = a2 // g
             s2 = a1 // g
-            s_elem = ring_add(
+            new_items.append(ring_add(
                 _scale_shift(e1, s1, i1, j1), _scale_shift(e2, -s2, i2, j2)
-            )
-            s_coords = None
-            if self.track:
-                s_coords = _coords_add(
-                    _coords_scale(c1 or {}, s1, i1, j1),
-                    _coords_scale(c2 or {}, -s2, i2, j2),
-                )
-            new_items.append((s_elem, s_coords))
+            ))
             # G-combination: realise gcd of leading coefficients
             if a1 % a2 and a2 % a1:
                 g, x1, x2 = _xgcd(a1, a2)
-                g_elem = ring_add(
+                new_items.append(ring_add(
                     _scale_shift(e1, x1, i1, j1), _scale_shift(e2, x2, i2, j2)
-                )
-                g_coords = None
-                if self.track:
-                    g_coords = _coords_add(
-                        _coords_scale(c1 or {}, x1, i1, j1),
-                        _coords_scale(c2 or {}, x2, i2, j2),
-                    )
-                new_items.append((g_elem, g_coords))
-            for elem, coords in new_items:
-                red, rc = self._reduce_full(elem, coords)
+                ))
+            for elem in new_items:
+                red = self._reduce_full(elem)
                 if red:
-                    self._append(red, rc)
-
-    def reduce(self, vec):
-        """Normal form of a Laurent vector modulo the submodule.
-
-        Returns ``(normal_form_elem, coords)``; membership holds exactly
-        when the normal form is empty.  ``coords`` (tracking only) maps
-        generator index -> Laurent coefficient; when the normal form is
-        empty, ``vec = sum coeff_g * generator_g`` holds exactly, or, on
-        an extension, modulo the base module.
-        """
-        elem = vector_to_tu(vec)
-        coords = {} if self.track else None
-        red, rc = self._reduce_full(elem, coords)
-        if rc is None:
-            return red, None
-        lifted = {
-            g: scalar_from_tu(d) * -1 for g, d in rc.items()
-        }
-        return red, lifted
+                    self._append(red)
 
     def contains(self, vec) -> bool:
-        red, _ = self._reduce_full(vector_to_tu(vec), None)
-        return not red
+        return not self._reduce_full(vector_to_tu(vec))
 
 
 def module_contains(rows, width, vec, budget=200000) -> bool:

@@ -13,8 +13,8 @@ Four independent services live here:
   small presentation.
 * Construction of the two metabelian quotient maps onto BS(1,2) from a
   certified module splitting, one per summand, with exact dyadic
-  translation parts read from the splitting judge's coordinates on the
-  small presentation and extended through the Tietze words.
+  translation parts read off the small presentation's Alexander module
+  at t = 2 and t = 1/2 and extended through the Tietze words.
 * Enumeration of homomorphisms onto the finite metabelian groups
   Z/n x| Z/m, read off the kernel of the Fox Jacobian at t = 2 over Z/m
   that the surgery presentation keeps, one per m, and checked on every
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .bs12 import (
     BS12,
@@ -42,7 +43,7 @@ from .errors import (
     HypothesisNotMet,
     VerificationFailed,
 )
-from .laurent import ONE, ZERO, LaurentPoly
+from .laurent import ONE, ZERO, LaurentPoly, corank_one_kernel
 from .modules import _Degree
 from .snf import abelian_invariants
 from .words import GroupPresentation, Word, fox_row
@@ -298,34 +299,65 @@ class MetabelianHom:
         return evaluate_word(word, self.images, Bs12Group)
 
 
+def _translations(module, on, off, k: int) -> list:
+    """The value at t = 2**k (k = +-1) of each column's coordinate along
+    ``on``, when the columns of ``module`` are e_j = p_j on + q_j off
+    modulo its rows for a certified witness pair ``on``, ``off``.
+
+    At t = 2**k the ``on`` summand survives over Q and the ``off`` summand
+    dies, since 2*2 - 1 = 3 and 1/2 - 2 = -3/2 are units of Q.  So the
+    rows, each cleared of powers of two and read there (mirrored and read
+    at t = 2 when k = -1), have a one-dimensional kernel over Q, whose
+    generator x from ``laurent.corank_one_kernel`` is a functional on the
+    module.  It kills ``off``, so x_j = p_j(2**k) (on . x), and p_j(2**k)
+    is well defined because evaluation kills the ``on`` summand's
+    annihilator.  Raises VerificationFailed unless x kills ``off`` but not
+    ``on``, or when a value is not dyadic.
+    """
+    rows = []
+    for row in module.rows:
+        row = [p.mirror() if k < 0 else p for p in row]
+        lo = min(p.min_degree() for p in row if p)
+        rows.append([p.shift(-lo).evaluate_int(2) for p in row])
+    x = corank_one_kernel(rows, module.ncols)
+    scale, rest = (
+        sum(a * p.evaluate_dyadic(k) for a, p in zip(x, v)) for v in (on, off)
+    )
+    if not scale or rest:
+        point = "2" if k > 0 else "1/2"
+        raise VerificationFailed(f"the functional at t = {point} misreads the witnesses")
+    values = [Fraction(a) / scale for a in x]
+    if any(v.denominator & (v.denominator - 1) for v in values):
+        raise VerificationFailed("a summand translation is not dyadic")
+    # whole translations stay ints, which BS(1,2) products keep cheap
+    return [v.numerator if v.denominator == 1 else v for v in values]
+
+
 def summand_homs(plain):
     """The two quotient maps induced by the certified splitting of
     ``plain``, a SurgeryPresentation (read them as ``plain.summands``).
 
     Each splitting summand is a copy of Z[1/2] on which the meridian
     acts by 2 or by 1/2, so collapsing the other summand yields a map
-    onto (a subgroup of) BS(1,2).  Translation parts come from the
-    judge's coordinates, which the splitting report keeps: each small
-    generator column is p v1 + q v2 modulo the rows.  p and q are well
+    onto (a subgroup of) BS(1,2).  A small generator column is
+    p v1 + q v2 modulo the rows of ``plain.module``, p and q being
     defined exactly modulo the summands' annihilators, which evaluation
-    at t = 2 (resp. t = 1/2) kills.  The maps of the small generators
-    extend to the full ones by evaluating the Tietze words, and are
-    checked on every full relator.
+    at t = 2 (resp. t = 1/2) kills; ``_translations`` reads p(2) and
+    q(1/2) off the rows.  The maps of the small generators extend to the
+    full ones by evaluating the Tietze words, and are checked on every
+    full relator.
     """
     report = plain.splitting
     if not report.certified:
         raise HypothesisNotMet("no certified splitting to project from")
-    small, words, _ = plain.simplified
+    _, words, _ = plain.simplified
     meridian, weights = plain.small_meridian, plain.small_weights
-    plus = []
-    minus = []
-    for j in range(small.num_generators):
-        if j == meridian:
-            p = q = ZERO
-        else:
-            p, q = report.coords[j if j < meridian else j - 1]
-        plus.append(BS12(weights[j], p.evaluate_dyadic(1)))
-        minus.append(BS12(-weights[j], q.evaluate_dyadic(-1)))
+    ps = _translations(plain.module, report.v1, report.v2, 1)
+    qs = _translations(plain.module, report.v2, report.v1, -1)
+    ps.insert(meridian, 0)
+    qs.insert(meridian, 0)
+    plus = [BS12(w, p) for w, p in zip(weights, ps)]
+    minus = [BS12(-w, q) for w, q in zip(weights, qs)]
     homs = []
     for images, exponent, factor in ((plus, 1, "t-2"), (minus, -1, "2t-1")):
         images = tuple(evaluate_word(w, images, Bs12Group) for w in words)

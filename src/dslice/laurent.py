@@ -22,8 +22,9 @@ and balanced base-``2**B`` digits, being unique, give the coefficients
 back exactly.  Only integer coefficients are accepted.  The package has
 one fraction-free elimination, ``_gauss_jordan`` (Bareiss, Math. Comp.
 22, 1968): each minor takes one pass on its square integer submatrix, and
-the generator weights take one on the abelianisation matrix.  Every
-division in it is checked with ``divmod``, and a remainder raises
+``corank_one_kernel`` takes one on an integer matrix of corank one, for
+the generator weights and for the summand translations.  Every division
+in it is checked with ``divmod``, and a remainder raises
 ``VerificationFailed``.
 """
 
@@ -294,6 +295,23 @@ def _gauss_jordan(rows: list):
         pivots[p] = i
         prev = a
     return pivots, prev
+
+
+def corank_one_kernel(rows: list, n: int) -> list:
+    """Integer generator of the kernel of ``rows``, an integer matrix of
+    ``n`` columns and rank n - 1, eliminated in place.
+
+    One ``_gauss_jordan`` pass must leave exactly one free column f, and
+    raises ``VerificationFailed`` otherwise.  Each pivot row p then reads
+    d x_p + row[f] x_f = 0 with d the pivot minor, so x_f = d,
+    x_p = -row[f] solves.
+    """
+    pivots, d = _gauss_jordan(rows)
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        raise VerificationFailed(f"kernel has {len(free)} free columns, not one")
+    f = free[0]
+    return [d if c == f else -rows[pivots[c]][f] for c in range(n)]
 
 
 def _decode(value: int, bits: int, low: int) -> LaurentPoly:

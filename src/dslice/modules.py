@@ -20,13 +20,13 @@ stays undetermined.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from math import comb, gcd
 
 from . import laurent
-from .errors import BudgetExceeded, HypothesisNotMet, VerificationFailed
+from .errors import BudgetExceeded, HypothesisNotMet
 from .groebner import GroebnerBasis
 from .laurent import ONE, T, ZERO, LaurentPoly, maximal_minors, poly_gcd
 from .snf import abelian_invariants, nullspace_mod
@@ -60,27 +60,16 @@ def infinite_cyclic_weights(pres: GroupPresentation, meridian: int):
     """Exponents of the generators under the map onto H_1 = Z.
 
     The weights span the integer kernel of the abelianisation matrix, which
-    has rank one when H_1 = Z.  One fraction-free elimination leaves one
-    free column f and, on each pivot row, d x_p + row[f] x_f = 0 with d the
-    pivot minor; so x_f = d, x_p = -row[f] solves, and dividing by the gcd
-    gives the primitive generator.  The meridian fixes its sign.  Fails
-    loudly when the abelianisation is not infinite cyclic or the
-    distinguished meridian does not generate it.
+    has rank one when H_1 = Z: ``laurent.corank_one_kernel`` gives a
+    generator, and dividing by the gcd gives the primitive one.  The
+    meridian fixes its sign.  Fails loudly when the abelianisation is not
+    infinite cyclic or the distinguished meridian does not generate it.
     """
     n = pres.num_generators
     m = pres.abelianization_matrix()
     if abelian_invariants(m, n) != (1, []):
         raise HypothesisNotMet("first homology is not infinite cyclic")
-    if not m:
-        if n != 1:
-            raise HypothesisNotMet("free group of rank > 1")
-        return [1]
-    pivots, d = laurent._gauss_jordan(m)
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        raise VerificationFailed("abelian_invariants promised rank one")
-    f = free[0]
-    weights = [d if c == f else -m[pivots[c]][f] for c in range(n)]
+    weights = laurent.corank_one_kernel(m, n)
     g = gcd(*weights)
     weights = [w // g for w in weights]
     if weights[meridian] == -1:
@@ -112,7 +101,7 @@ def fox_jacobian(pres: GroupPresentation, weights):
 class LambdaModule:
     """Cokernel of a matrix of Laurent polynomials.
 
-    ``basis``, an untracked Groebner basis of the row span, is built on
+    ``basis``, a Groebner basis of the row span, is built on
     first use under ``SPLIT_BUDGET`` and kept, so every membership
     question about one module shares it, and the splitting judge extends
     it instead of completing the rows again.
@@ -225,10 +214,7 @@ class SplitReport:
     verdict: "split" (certified), "no_split" (the order, or the dimension
     over F_3 at t = 2, obstructs), or "undetermined" (both fit but no
     witnesses were found in the search pool).
-    Witnesses are vectors in the module's original coordinates.  A
-    certified report keeps ``coords``, one pair (p, q) per column with
-    e_i = p v1 + q v2 modulo the rows: the judge's coordinates, which the
-    summand maps read.  They take no part in ``repr`` or comparison.
+    Witnesses are vectors in the module's original coordinates.
     """
 
     verdict: str
@@ -236,7 +222,6 @@ class SplitReport:
     v1: tuple | None = None
     v2: tuple | None = None
     note: str = ""
-    coords: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def certified(self) -> bool:
@@ -289,8 +274,7 @@ def detect_splitting(module: LambdaModule) -> SplitReport:
     original rows and visits pairs (v1, v2) in pool order, v1 outermost.
     ``module.basis`` tests a pool vector for t - 2 or 2t - 1 only when
     the search first reaches it, and :func:`_verify_split` alone judges
-    each pair, extending ``module.basis`` by it and keeping the
-    coordinates a certified report carries.
+    each pair, extending ``module.basis`` by it.
     """
     simp, kept = module.simplified()
     order = simp.order()
@@ -327,9 +311,8 @@ def detect_splitting(module: LambdaModule) -> SplitReport:
         if not contains(_scale_vec(T - 2 * ONE, v1)):
             continue
         for v2 in filter(kills_v2, pool):
-            coords = _verify_split(module, v1, v2)
-            if coords is not None:
-                return SplitReport("split", order, v1, v2, coords=coords)
+            if _verify_split(module, v1, v2):
+                return SplitReport("split", order, v1, v2)
     return SplitReport(
         "undetermined",
         order,
@@ -337,27 +320,17 @@ def detect_splitting(module: LambdaModule) -> SplitReport:
     )
 
 
-def _verify_split(module, v1, v2):
+def _verify_split(module, v1, v2) -> bool:
     """Judge a witness pair on the module's own rows.
 
-    When t - 2 kills ``v1``, 2t - 1 kills ``v2`` and the pair generates
-    the module, returns one pair (p, q) per column with
-    e_i = p v1 + q v2 modulo the rows, and None otherwise.  Each unit
-    vector is reduced once, with coordinates, on ``module.basis``
-    extended by ``[v1, v2]`` and tracked on the two witnesses alone.
+    True when t - 2 kills ``v1``, 2t - 1 kills ``v2`` and the pair
+    generates the module: every unit vector lies in ``module.basis``
+    extended by ``[v1, v2]``.
     """
     k = module.ncols
     if not module.basis.contains(_scale_vec(T - 2 * ONE, v1)):
-        return None
+        return False
     if not module.basis.contains(_scale_vec(2 * T - ONE, v2)):
-        return None
-    stacked = GroebnerBasis(
-        [v1, v2], k, track=True, budget=SPLIT_BUDGET, base=module.basis
-    )
-    coords = []
-    for i in range(k):
-        nf, c = stacked.reduce(_unit_vector(k, i))
-        if nf:
-            return None
-        coords.append((c.get(0, ZERO), c.get(1, ZERO)))
-    return tuple(coords)
+        return False
+    stacked = GroebnerBasis([v1, v2], k, budget=SPLIT_BUDGET, base=module.basis)
+    return all(stacked.contains(_unit_vector(k, i)) for i in range(k))

@@ -668,8 +668,8 @@ def test_oracle_evaluates_each_map_once_on_the_full_relators(docs, capsys, monke
 @pytest.fixture()
 def work(monkeypatch):
     """Count ``fox_jacobian`` calls through every module binding, and record
-    ``(width, track, extends)`` of every Groebner basis built, ``extends``
-    saying whether it extends a complete base."""
+    ``(width, extends)`` of every Groebner basis built, ``extends`` saying
+    whether it extends a complete base."""
     import sys
 
     from dslice import modules
@@ -687,9 +687,9 @@ def work(monkeypatch):
             monkeypatch.setattr(module, "fox_jacobian", fox_jacobian)
     init = GroebnerBasis.__init__
 
-    def recording(self, generators, width, track=False, budget=200000, base=None):
-        seen["bases"].append((width, track, base is not None))
-        init(self, generators, width, track=track, budget=budget, base=base)
+    def recording(self, generators, width, budget=200000, base=None):
+        seen["bases"].append((width, base is not None))
+        init(self, generators, width, budget=budget, base=base)
 
     monkeypatch.setattr(GroebnerBasis, "__init__", recording)
     return seen
@@ -699,9 +699,8 @@ def work(monkeypatch):
 # module's 2 columns, the Tietze-simplified presentation's 3 generators
 # without the meridian: the module's own basis, the one completion over
 # its rows, which filters the witness pool; and its extension by the one
-# witness pair tried, tracked on the pair, which judges it and which the
-# summand maps read
-BASES_946 = [(2, False, False), (2, True, True)]
+# witness pair tried, which judges it.  The summand maps read no basis.
+BASES_946 = [(2, False), (2, True)]
 
 
 def test_certify_946_builds_two_bases(docs, capsys, work):
@@ -736,7 +735,7 @@ def test_family_request_builds_the_module_basis_once(docs, capsys, work):
     code, _, _ = run(capsys, "certify", docs["r-rr"], "--no-cache")
     assert code == 1
     assert work["bases"] == BASES_946
-    assert work["bases"].count((2, False, False)) == 1
+    assert work["bases"].count((2, False)) == 1
     assert work["fox_jacobian"] == 1 + 2
 
 

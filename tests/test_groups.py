@@ -25,8 +25,10 @@ from dslice.groups import (
     simplify_presentation,
     summand_homs,
 )
-from dslice.laurent import LaurentPoly
+from dslice.laurent import ONE, T, ZERO, LaurentPoly
 from dslice.modules import (
+    LambdaModule,
+    SplitReport,
     alexander_module,
     alexander_polynomial,
     fox_jacobian,
@@ -282,6 +284,42 @@ def test_summand_homs_on_split_module():
     for r in pres.relators:
         assert plus(r).is_identity()
         assert minus(r).is_identity()
+
+
+def _split_946_style():
+    plain = as_surgery(presentation_from_rows(ROWS_946))
+    assert plain.splitting.certified
+    return plain
+
+
+def test_summand_read_refuses_rows_with_two_free_columns():
+    # t - 2 kills both rows' entries, so at t = 2 the rows vanish and
+    # leave both columns free: no functional is singled out
+    plain = _split_946_style()
+    plain.__dict__["module"] = LambdaModule.make(
+        [(T - 2 * ONE, ZERO), (ZERO, T * T - 2 * T)], 2
+    )
+    with pytest.raises(VerificationFailed, match="2 free columns"):
+        summand_homs(plain)
+
+
+def test_summand_read_refuses_a_v2_that_survives_at_t_2():
+    # v2 = v1 = e1 is not killed by the functional at t = 2, which a
+    # witness of the 2t - 1 summand must be
+    plain = _split_946_style()
+    e1 = plain.splitting.v1
+    assert e1 == (ONE, ZERO)
+    order = plain.splitting.order
+    plain.__dict__["splitting"] = SplitReport("split", order, e1, e1)
+    with pytest.raises(VerificationFailed, match="at t = 2 misreads"):
+        summand_homs(plain)
+    # the functional at t = 2 is (-3, 3): it kills e1 + e2, but reads
+    # 3 e2 as 9, so the columns would translate by -1/3 and 1/3
+    plain.__dict__["splitting"] = SplitReport(
+        "split", order, (ZERO, 3 * ONE), (ONE, ONE)
+    )
+    with pytest.raises(VerificationFailed, match="not dyadic"):
+        summand_homs(plain)
 
 
 def test_summand_homs_need_certificate():

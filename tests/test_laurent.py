@@ -360,5 +360,6 @@ def test_shadow_gate_obstructs_the_mirror_by_witness(monkeypatch):
     # matrix of the Tietze-simplified presentation, since every stage
     # reads them from the one surgery presentation; the module order
     # takes one pass per maximal minor of the module's 4 relations on 2
-    # columns, C(4, 2) = 6
-    assert eliminations == {(4, 3): 1, (2, 2): 6}
+    # columns, C(4, 2) = 6; the summand translations take one each at
+    # t = 2 and t = 1/2, on those 4 relations
+    assert eliminations == {(4, 3): 1, (2, 2): 6, (4, 2): 2}

@@ -191,35 +191,43 @@ def test_stage_b_rule_sees_the_search_come_back():
 # count, and every determinant is a laurent._gauss_jordan pass
 _RETIRED_DUPLICATES = {"DyadicRational", "FoxPolynomial", "rank_mod_p", "_int_det"}
 
+# the Groebner engine's coordinate tracking: a basis decides membership
+# only, and the summand maps read their translations off the module's
+# rows at t = 2 and t = 1/2
+_RETIRED_TRACKING = {"scalar_from_tu", "_coords_add", "_coords_scale"}
 
-def _duplicate_primitives(source: str, filename: str) -> list:
-    """A definition or an import of a retired duplicate primitive."""
+
+def _retired_names(source: str, filename: str, retired: set) -> list:
+    """A definition or an import of a name in ``retired``."""
     hits = []
     for node in ast.walk(ast.parse(source, filename)):
         if isinstance(node, ast.ImportFrom):
             hits += [
                 f"{filename}:{node.lineno} imports {alias.name}"
-                for alias in node.names if alias.name in _RETIRED_DUPLICATES
+                for alias in node.names if alias.name in retired
             ]
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if node.name in _RETIRED_DUPLICATES:
+            if node.name in retired:
                 hits.append(f"{filename}:{node.lineno} defines {node.name}")
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            if node.id in _RETIRED_DUPLICATES:
+            if node.id in retired:
                 hits.append(f"{filename}:{node.lineno} defines {node.id}")
     return hits
+
+
+def _package_hits(rule, *args) -> list:
+    root = Path(dslice.__file__).parent
+    return [
+        hit
+        for path in sorted(root.rglob("*.py"))
+        for hit in rule(path.read_text(), str(path.relative_to(root)), *args)
+    ]
 
 
 def test_exact_primitives_have_one_implementation():
     # two implementations of one exact primitive can drift apart, and
     # each is a second thing to trust
-    root = Path(dslice.__file__).parent
-    found = [
-        hit
-        for path in sorted(root.rglob("*.py"))
-        for hit in _duplicate_primitives(path.read_text(), str(path.relative_to(root)))
-    ]
-    assert found == []
+    assert _package_hits(_retired_names, _RETIRED_DUPLICATES) == []
 
 
 def test_duplicate_rule_sees_each_retired_primitive_come_back():
@@ -230,12 +238,31 @@ def test_duplicate_rule_sees_each_retired_primitive_come_back():
         "def _int_det(rows):\n    pass\n"
         "rank_mod_p = None\n"
     )
-    assert sorted(_duplicate_primitives(source, "m.py")) == [
+    assert sorted(_retired_names(source, "m.py", _RETIRED_DUPLICATES)) == [
         "m.py:1 imports DyadicRational",
         "m.py:2 imports rank_mod_p",
         "m.py:3 defines FoxPolynomial",
         "m.py:5 defines _int_det",
         "m.py:7 defines rank_mod_p",
+    ]
+
+
+def test_coordinate_tracking_stays_retired():
+    # bookkeeping carried through every S-pair, G-pair and reduction step
+    # only to be evaluated at one point
+    assert _package_hits(_retired_names, _RETIRED_TRACKING) == []
+
+
+def test_tracking_rule_sees_a_helper_come_back():
+    source = (
+        "from .groebner import GroebnerBasis, scalar_from_tu\n"
+        "def _coords_add(c1, c2):\n    pass\n"
+        "_coords_scale = None\n"
+    )
+    assert sorted(_retired_names(source, "m.py", _RETIRED_TRACKING)) == [
+        "m.py:1 imports scalar_from_tu",
+        "m.py:2 defines _coords_add",
+        "m.py:4 defines _coords_scale",
     ]
 
 
@@ -283,47 +310,56 @@ def test_basis_rule_sees_a_construction_come_back():
     assert _basis_builders(source, "modules.py") == []
 
 
-def _tracked_completions(source: str, filename: str) -> list:
-    """Calls constructing a tracked GroebnerBasis that extends no base: a
-    completion over a module's raw rows that the module's basis has
-    already done."""
+# the only completions over raw rows: a module's own basis, and the
+# one-off membership test
+_COMPLETION_OWNERS = {"groebner.py module_contains", "modules.py LambdaModule.basis"}
+
+
+def _fresh_completions(source: str, filename: str) -> list:
+    """Calls constructing a GroebnerBasis outside ``_COMPLETION_OWNERS``
+    that extend no module's basis by ``base=<module>.basis``: a completion
+    over a module's raw rows that the module's basis has already done."""
     hits = []
-    for node in ast.walk(ast.parse(source, filename)):
+
+    def visit(node, owner):
         if isinstance(node, ast.Call):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            keywords = {k.arg: k.value for k in node.keywords}
-            track = keywords.get("track")
-            if name != "GroebnerBasis" or track is None or "base" in keywords:
-                continue
-            if not (isinstance(track, ast.Constant) and not track.value):
-                hits.append(f"{filename}:{node.lineno} completes a tracked basis")
+            base = {k.arg: k.value for k in node.keywords}.get("base")
+            extends = isinstance(base, ast.Attribute) and base.attr == "basis"
+            where = f"{filename} {'.'.join(owner)}"
+            if name == "GroebnerBasis" and not extends and where not in _COMPLETION_OWNERS:
+                hits.append(f"{filename}:{node.lineno} completes a basis afresh")
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = owner + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source, filename), ())
     return hits
 
 
 def test_tracked_bases_extend_the_module_basis():
-    # the judge's tracked basis extends the module's complete basis by the
+    # the judge's basis extends the module's complete basis by the
     # witnesses; completing one afresh over the rows repeats that work
-    root = Path(dslice.__file__).parent
-    found = [
-        hit
-        for path in sorted(root.rglob("*.py"))
-        for hit in _tracked_completions(path.read_text(), str(path.relative_to(root)))
-    ]
-    assert found == []
+    assert _package_hits(_fresh_completions) == []
 
 
 def test_tracked_basis_rule_sees_a_fresh_completion_come_back():
     source = (
-        "stacked = GroebnerBasis(\n"
-        "    [v1, v2] + list(module.rows), k, track=True, budget=SPLIT_BUDGET\n"
-        ")\n"
-        "ext = GroebnerBasis([v1, v2], k, track=True, base=module.basis)\n"
-        "own = GroebnerBasis(list(self.rows), self.ncols, budget=SPLIT_BUDGET)\n"
-        "off = GroebnerBasis(rows, k, track=False)\n"
+        "def _verify_split(module, v1, v2):\n"
+        "    stacked = GroebnerBasis(\n"
+        "        [v1, v2] + list(module.rows), k, budget=SPLIT_BUDGET\n"
+        "    )\n"
+        "    ext = GroebnerBasis([v1, v2], k, base=module.basis)\n"
+        "    off = GroebnerBasis([v1, v2], k, base=None)\n"
+        "class LambdaModule:\n"
+        "    def basis(self):\n"
+        "        return GroebnerBasis(list(self.rows), self.ncols)\n"
     )
-    assert _tracked_completions(source, "modules.py") == [
-        "modules.py:1 completes a tracked basis",
+    assert _fresh_completions(source, "modules.py") == [
+        "modules.py:2 completes a basis afresh",
+        "modules.py:6 completes a basis afresh",
     ]
 
 
