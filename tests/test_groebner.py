@@ -82,6 +82,26 @@ def test_unit_saturation():
             assert gb.contains(shifted) == base
 
 
+def test_tracked_coordinates_reproduce_vector():
+    # a combination of the rows is a member, and adding it as a generator
+    # leaves the module as it was: the rows alone reproduce the vector
+    rng = random.Random(17)
+    rows = [
+        (3 * T - 3 * ONE, 2 * T - ONE),
+        (T - 2 * ONE, ZERO),
+    ]
+    gb = GroebnerBasis(list(rows), 2)
+    checks = [(ONE, ZERO), (ZERO, ONE), (ONE, ONE), (T, ZERO), (ZERO, T - 2 * ONE)]
+    for _ in range(25):
+        a, b = rand_poly(rng, 2, 3), rand_poly(rng, 2, 3)
+        vec = tuple(
+            a * rows[0][i] + b * rows[1][i] for i in range(2)
+        )
+        assert gb.contains(vec)
+        ext = GroebnerBasis([vec], 2, base=gb)
+        assert [ext.contains(c) for c in checks] == [gb.contains(c) for c in checks]
+
+
 def test_module_membership_946_style():
     # relation matrix of the pretzel knot's Alexander module in Seifert
     # surface coordinates; hand-checked witnesses
@@ -96,11 +116,6 @@ def test_module_membership_946_style():
     assert gb.contains((two_t_minus_1, two_t_minus_1))
     assert not gb.contains((ONE, ZERO))
     assert not gb.contains((ZERO, ONE))
-    # every combination of the rows is a member
-    rng = random.Random(17)
-    for _ in range(25):
-        a, b = rand_poly(rng, 2, 3), rand_poly(rng, 2, 3)
-        assert gb.contains(tuple(a * rows[0][i] + b * rows[1][i] for i in range(2)))
     # e1 and e1+e2 generate: stacking them makes everything reducible
     stacked = GroebnerBasis(
         rows + [(ONE, ZERO), (ONE, ONE)], 2
@@ -188,6 +203,31 @@ def _combine(coeffs, rows, width):
     return tuple(out)
 
 
+@pytest.mark.parametrize("width", (2, 3, 4))
+def test_random_submodules_track_without_steering(width):
+    # membership queries do not steer the basis: it has the same elements
+    # in the same order after every query as when it was built, a rebuild
+    # from the same rows gives it again with the same work count, and
+    # every combination of the rows is a member
+    rng = random.Random(60 + width)
+    probe = random.Random(width)
+    for _ in range(12):
+        rows = [
+            tuple(rand_poly(rng, 1, 3) for _ in range(width))
+            for _ in range(rng.randint(1, width))
+        ]
+        gb = GroebnerBasis(rows, width)
+        built = list(gb.basis)
+        again = GroebnerBasis(rows, width)
+        assert (again.basis, again._work) == (built, gb._work)
+        for _ in range(6):
+            member = _combine([rand_poly(probe, 1, 3) for _ in rows], rows, width)
+            other = tuple(rand_poly(probe, 1, 3) for _ in range(width))
+            assert gb.contains(member)
+            assert gb.contains(other) == again.contains(other)
+            assert gb.basis == built
+
+
 def _unit(width, i):
     return tuple(ONE if j == i else ZERO for j in range(width))
 
@@ -219,12 +259,11 @@ def test_extension_by_the_946_witnesses_matches_a_fresh_basis(plain946):
 
 @pytest.mark.parametrize("width", (2, 3, 4))
 def test_random_extensions_match_a_fresh_basis(width):
-    # seeded random submodules, each extended by two pool vectors, as a
-    # witness pair would be; members of the extended module are probed as
-    # well
+    # the seeded random submodules above, each extended by two pool
+    # vectors, as a witness pair would be; members of the extended module
+    # are probed as well
     rng = random.Random(60 + width)
     probe = random.Random(width)
-    draws = random.Random(100 + width)
     pool = _witness_pool(width)
     for _ in range(12):
         rows = [
@@ -239,9 +278,4 @@ def test_random_extensions_match_a_fresh_basis(width):
             for _ in range(4)
         ]
         ext = _check_extension(rows, width, v1, v2, probes)
-        # members of the base and of the extension are found
-        base = GroebnerBasis(rows, width)
-        for _ in range(6):
-            member = _combine([rand_poly(draws, 1, 3) for _ in rows], rows, width)
-            assert base.contains(member) and ext.contains(member)
         assert all(ext.contains(vec) for vec in probes)
