@@ -9,6 +9,17 @@ translation q is an int or a ``fractions.Fraction``, and 2^k1 acts by
 images generate BS(1,2), and ``check_relators`` checks images against
 any target.
 
+Words are evaluated in BS(1,2) with integers only.  By Fox's
+crossed-homomorphism identity (Fox, Free differential calculus I, Ann.
+Math. 57, 1953), the translation of a word is a sum over its letters of
++-2^a q_g, a being the a-exponent of the prefix before x_g (after it, for
+x_g^-1).  ``_DyadicImages`` writes every image translation q_g as Q_g /
+2^s over one common power of two and keeps the running sum as num * 2^lo
+with int shifts, so a word costs one normalisation, and a relator check
+none: a relator holds exactly when its a-exponent and num are both zero.
+``evaluate_word`` and ``check_relators`` take this path for BS(1,2) and
+the generic product loop for any other target.
+
 Finite quotients replace Z by Z/n and Z[1/2] by Z/m for odd m with
 2^n = 1 mod m, which makes the action well defined.  These quotients
 drive the homology cross-checks.  ``check_metabelian_relators`` checks a
@@ -163,7 +174,73 @@ class FiniteMetabelian:
         return f"FiniteMetabelian(n={self.n}, m={self.m})"
 
 
+def _dyadic(q) -> tuple:
+    """``(num, e)`` with q = num / 2^e for an int or a dyadic Fraction."""
+    if type(q) is int:
+        return q, 0
+    d = q.denominator
+    if d & (d - 1):
+        raise ValueError(f"translation {q} is not in Z[1/2]")
+    return q.numerator, d.bit_length() - 1
+
+
+class _DyadicImages:
+    """Generator images in BS(1,2), each as (k_g, Q_g) with q_g = Q_g / 2^s
+    for one common s, for evaluating words with integers only."""
+
+    __slots__ = ("s", "pairs")
+
+    def __init__(self, images):
+        split = [(x.k, *_dyadic(x.q)) for x in images]
+        self.s = s = max((e for _, _, e in split), default=0)
+        self.pairs = tuple((k, num << (s - e)) for k, num, e in split)
+
+    def fold(self, letters) -> tuple:
+        """``(k, num, lo)``: the word's value is (k, num * 2^(lo - s)).
+
+        x_g adds 2^a Q_g before moving a by k_g; x_g^-1 moves a by -k_g
+        and then adds -2^a Q_g, exactly as multiplying by the image or
+        its inverse does.  A term below 2^lo shifts num up instead.
+        """
+        pairs = self.pairs
+        a = num = lo = 0
+        for g, e in letters:
+            k, t = pairs[g]
+            if e == 1:
+                at = a
+                a += k
+            else:
+                a -= k
+                at = a
+                t = -t
+            if not t:
+                continue
+            if at >= lo:
+                num += t << (at - lo)
+            else:
+                num = (num << (lo - at)) + t
+                lo = at
+        return a, num, lo
+
+    def value(self, letters) -> BS12:
+        """The word's BS12 value: an int translation when it is whole,
+        otherwise one Fraction with a power-of-two denominator."""
+        k, num, lo = self.fold(letters)
+        e = lo - self.s  # the translation is num * 2^e
+        if e >= 0:
+            return BS12(k, num << e)
+        if not num:
+            return BS12(k, 0)
+        # cancel the factors of two that num shares with 2^-e
+        z = min((num & -num).bit_length() - 1, -e)
+        num >>= z
+        e += z
+        return BS12(k, num if not e else Fraction(num, 1 << -e))
+
+
 def evaluate_word(word: Word, images, target):
+    if target is Bs12Group:
+        return _DyadicImages(images).value(word.letters)
     mul, inv = target.mul, target.inv
     out = target.identity()
     for g, e in word.letters:
@@ -173,7 +250,17 @@ def evaluate_word(word: Word, images, target):
 
 def check_relators(pres, images, target) -> None:
     """Raise RelatorViolation unless the generator images satisfy every
-    relator."""
+    relator.  In BS(1,2) a relator holds exactly when its a-exponent and
+    its scaled translation are both zero, so no Fraction is built."""
+    if target is Bs12Group:
+        dyadic = _DyadicImages(images)
+        for r in pres.relators:
+            k, num, _ = dyadic.fold(r.letters)
+            if k or num:
+                raise RelatorViolation(
+                    f"relator {r!r} maps to {dyadic.value(r.letters)!r}"
+                )
+        return
     for r in pres.relators:
         v = evaluate_word(r, images, target)
         if v != target.identity():
@@ -220,22 +307,23 @@ def check_metabelian_relators(pres, homs, target) -> None:
 
 def _odd_part(v: int) -> int:
     v = abs(v)
-    while v and v % 2 == 0:
-        v //= 2
-    return v
+    return v // (v & -v) if v else 0
 
 
 def _unit_section(images) -> BS12:
-    """Some product of the images whose a-exponent is exactly one."""
+    """The first product of the images whose a-exponent is +-1, inverted
+    to exponent one if need be."""
     cur = BS12(0, 0)
     for g in images:
         if g.k == 0:
             continue
         if cur.k == 0:
             cur = g
-            continue
-        d, x, y = _xgcd(cur.k, g.k)
-        cur = (cur ** x) * (g ** y)
+        else:
+            d, x, y = _xgcd(cur.k, g.k)
+            cur = (cur ** x) * (g ** y)
+        if cur.k in (1, -1):
+            break
     if cur.k == -1:
         cur = cur.inverse()
     if cur.k != 1:
@@ -252,15 +340,25 @@ def bs12_surjective(images) -> bool:
     part is the Z[1/2]-span of q_i + tau*(1 - 2^k_i) over the images
     (k_i, q_i).  That span is all of Z[1/2] exactly when the odd parts
     of those numbers have gcd one.
+
+    Any such h gives the same answer: conjugation by (0, tau), an
+    automorphism, sends h to a and each image to (k_i, q_i + tau*(1 -
+    2^k_i)), so the test asks whether the conjugated subgroup, which
+    contains a, is everything, and that holds exactly when the image
+    itself is everything.  So ``_unit_section`` stops at the first
+    product of a-exponent +-1.  The numbers are read over the images'
+    common power of two, times 2^-k_i when k_i < 0, which leaves odd
+    parts unchanged, so each is an int.
     """
     kg = 0
     for g in images:
         kg = gcd(kg, g.k)
     if kg != 1:
         return False
-    tau = _unit_section(images).q
+    pairs = _DyadicImages([*images, _unit_section(images)]).pairs
+    _, tau = pairs[-1]
     qg = 0
-    for g in images:
-        delta = g.q + tau - times_power_of_two(tau, g.k)
-        qg = gcd(qg, _odd_part(delta.numerator))
+    for k, q in pairs[:-1]:
+        delta = q + tau - (tau << k) if k >= 0 else ((q + tau) << -k) - tau
+        qg = gcd(qg, _odd_part(delta))
     return qg == 1

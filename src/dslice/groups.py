@@ -33,6 +33,7 @@ from .bs12 import (
     BS12,
     Bs12Group,
     FiniteMetabelian,
+    _DyadicImages,
     bs12_surjective,
     check_metabelian_relators,
     check_relators,
@@ -79,7 +80,7 @@ def _cyclic_reduce(w: Word) -> Word:
     ls = w.letters
     while len(ls) >= 2 and ls[0][0] == ls[-1][0] and ls[0][1] == -ls[-1][1]:
         ls = ls[1:-1]
-    return w if ls is w.letters else Word(ls)
+    return w if ls is w.letters else Word._reduced(ls)
 
 
 def simplify_presentation(pres: GroupPresentation, keep=()):
@@ -107,10 +108,14 @@ def simplify_presentation(pres: GroupPresentation, keep=()):
             origins.append(ri)
     record = []
     letter_budget = _LETTER_BUDGET * (sum(len(r) for r in relators) + n + 20)
+    # counts[i] counts the generators of relators[i]; total is their sum.
+    # An elimination recounts only the relators it rewrites.
+    counts = [Counter(g for g, _ in r.letters) for r in relators]
+    total = Counter()
+    for c in counts:
+        total.update(c)
 
     while True:
-        counts = [Counter(g for g, _ in r.letters) for r in relators]
-        total = Counter(g for r in relators for g, _ in r.letters)
         best = None
         for ri, r in enumerate(relators):
             for g, c in counts[ri].items():
@@ -126,30 +131,42 @@ def simplify_presentation(pres: GroupPresentation, keep=()):
         r = relators[ri]
         pos = next(k for k, (gg, _) in enumerate(r.letters) if gg == g)
         e = r.letters[pos][1]
-        prefix = Word(r.letters[:pos])
-        suffix = Word(r.letters[pos + 1:])
+        prefix = Word._reduced(r.letters[:pos])
+        suffix = Word._reduced(r.letters[pos + 1:])
         if e == 1:
             wg = prefix.inverse() * suffix.inverse()
         else:
             wg = suffix * prefix
-        # relators are kept cyclically reduced, so one without g stays
-        replaced = [
-            (_cyclic_reduce(s.substitute({g: wg})) if counts[si][g] else s, o)
-            for si, (s, o) in enumerate(zip(relators, origins))
-            if si != ri
-        ]
-        replaced = [(s, o) for s, o in replaced if s]
-        if sum(len(s) for s, _ in replaced) > letter_budget:
+        # relators are kept cyclically reduced, so one without g stays, and
+        # keeps its count; a rewritten one is recounted (None) below
+        replaced = []
+        for si, (s, o, c) in enumerate(zip(relators, origins, counts)):
+            if si == ri:
+                continue
+            if c[g]:
+                s, c = _cyclic_reduce(s.substitute({g: wg})), None
+            if s:
+                replaced.append((s, o, c))
+        if sum(len(s) for s, _, _ in replaced) > letter_budget:
             break
         record.append((g, origins[ri], wg))
-        relators, origins = [], []
+        for si, c in enumerate(counts):
+            if si == ri or c[g]:
+                total.subtract(c)
+        relators, origins, counts = [], [], []
         seen = set()
-        for s, o in replaced:
+        for s, o, c in replaced:
             if s.letters in seen or _inverse_letters(s.letters) in seen:
+                if c is not None:
+                    total.subtract(c)
                 continue
+            if c is None:
+                c = Counter(h for h, _ in s.letters)
+                total.update(c)
             seen.add(s.letters)
             relators.append(s)
             origins.append(o)
+            counts.append(c)
 
     # a solution holds only kept generators and ones eliminated after it,
     # so resolving the latest first leaves every word in kept generators
@@ -345,7 +362,8 @@ def summand_homs(plain):
     at t = 2 (resp. t = 1/2) kills; ``_translations`` reads p(2) and
     q(1/2) off the rows.  The maps of the small generators extend to the
     full ones by evaluating the Tietze words, and are checked on every
-    full relator.
+    full relator.  Both run on ``bs12._DyadicImages``, in integers, with
+    the small images scaled once per map.
     """
     report = plain.splitting
     if not report.certified:
@@ -360,7 +378,8 @@ def summand_homs(plain):
     minus = [BS12(-w, q) for w, q in zip(weights, qs)]
     homs = []
     for images, exponent, factor in ((plus, 1, "t-2"), (minus, -1, "2t-1")):
-        images = tuple(evaluate_word(w, images, Bs12Group) for w in words)
+        small = _DyadicImages(images)
+        images = tuple(small.value(w.letters) for w in words)
         check_relators(plain.group, images, Bs12Group)
         homs.append(MetabelianHom(images, exponent, factor, bs12_surjective(images)))
     return tuple(homs)

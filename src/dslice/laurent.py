@@ -3,8 +3,10 @@
 ``LaurentPoly`` stores a sparse map ``degree -> coefficient`` with Python
 int coefficients: the ring Z[t, t^-1].  ``evaluate_dyadic`` evaluates at
 t = 2**k in Z[1/2], where ``times_power_of_two`` multiplies by 2**k with
-int shifts and ``fractions.Fraction``.  All arithmetic is exact; nothing
-here ever touches floats.
+int shifts and ``fractions.Fraction``; it also serves single BS(1,2)
+products, while whole words in BS(1,2) are evaluated with ints alone
+(``bs12._DyadicImages``).  All arithmetic is exact; nothing here ever
+touches floats.
 
 Two Laurent polynomials are *associate* when they differ by a unit
 ``+-t^k``.  ``canonical()`` picks the representative with lowest degree 0

@@ -67,6 +67,14 @@ class Word:
     def __post_init__(self):
         object.__setattr__(self, "letters", _reduce(self.letters))
 
+    @classmethod
+    def _reduced(cls, letters: tuple) -> "Word":
+        """A word on a letter tuple that is already freely reduced, with
+        exponents +-1, such as a slice or the inverse of a word."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     @staticmethod
     def gen(i: int, e: int = 1) -> "Word":
         return Word(((i, 1),) * e if e > 0 else ((i, -1),) * (-e))
@@ -79,7 +87,7 @@ class Word:
         return Word(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
+        return Word._reduced(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def conjugate(self, by: "Word") -> "Word":
         """Return ``by * self * by^-1``."""
