@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import gcd
+from random import Random
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,11 +12,14 @@ from dslice.bs12 import (
     BS12_C,
     Bs12Group,
     FiniteMetabelian,
+    _unit_section,
     bs12_surjective,
     check_relators,
     evaluate_word,
 )
 from dslice.errors import IncompatibleParameters, RelatorViolation
+from dslice.groebner import _xgcd
+from dslice.laurent import times_power_of_two
 from dslice.words import GroupPresentation, Word, ring_mul
 
 
@@ -90,6 +94,15 @@ def test_check_relators_raises():
     check_relators(pres, (BS12_A, BS12_C), Bs12Group)
     with pytest.raises(RelatorViolation):
         check_relators(pres, (BS12_C, BS12_A), Bs12Group)
+    # a -> (2, 0) leaves a-exponent 0 but translation 2, and a, c -> (1, 0)
+    # leave translation 0 but a-exponent -1
+    for forged in ((BS12(2, 0), BS12_C), (BS12_A, BS12_A)):
+        with pytest.raises(RelatorViolation):
+            check_relators(pres, forged, Bs12Group)
+    # c -> (0, 1/8) still satisfies the relator; a -> (2, 1/8) does not
+    check_relators(pres, (BS12_A, BS12(0, dy(1, 3))), Bs12Group)
+    with pytest.raises(RelatorViolation, match="maps to BS12"):
+        check_relators(pres, (BS12(2, dy(1, 3)), BS12_C), Bs12Group)
 
 
 def test_surjectivity_criterion():
@@ -185,3 +198,98 @@ def test_group_ring_ops():
     one_minus_a = {e: 1, a: -1}
     prod = ring_mul(one_plus_a, one_minus_a, Bs12Group)
     assert prod == {e: 1, a * a: -1}
+
+
+# ------------------------------------------- integer evaluation of words
+
+
+def _random_translation(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-40, 40)
+    return Fraction(rng.randint(-40, 40), 1 << rng.randint(0, 6))
+
+
+def _random_images(rng, n):
+    return tuple(
+        BS12(rng.randint(-3, 3), _random_translation(rng)) for _ in range(n)
+    )
+
+
+def _fold(word, images):
+    out = BS12(0, 0)
+    for g, e in word.letters:
+        out = out * (images[g] if e == 1 else images[g].inverse())
+    return out
+
+
+def test_integer_evaluation_matches_the_product_fold():
+    rng = Random(30)
+    words = [Word()]
+    while len(words) < 600:
+        n = rng.randint(0, 24)
+        words.append(Word(tuple(
+            (rng.randrange(4), rng.choice((1, -1))) for _ in range(n)
+        )))
+    for word in words:
+        images = _random_images(rng, 4)
+        v = evaluate_word(word, images, Bs12Group)
+        assert v == _fold(word, images), (word, images)
+        # a whole translation is an int, any other one a reduced Fraction
+        if v.q == int(v.q):
+            assert type(v.q) is int
+        else:
+            assert type(v.q) is Fraction
+    assert evaluate_word(Word(), _random_images(rng, 2), Bs12Group) == BS12(0, 0)
+
+
+def test_integer_evaluation_refuses_non_dyadic_translations():
+    with pytest.raises(ValueError, match="Z\\[1/2\\]"):
+        evaluate_word(Word.gen(0), (BS12(1, Fraction(1, 3)),), Bs12Group)
+
+
+def _old_unit_section(images):
+    # the section before it stopped early: every image is folded in
+    cur = BS12(0, 0)
+    for g in images:
+        if g.k == 0:
+            continue
+        if cur.k == 0:
+            cur = g
+            continue
+        d, x, y = _xgcd(cur.k, g.k)
+        cur = (cur ** x) * (g ** y)
+    return cur.inverse() if cur.k == -1 else cur
+
+
+def _old_surjective(images):
+    kg = 0
+    for g in images:
+        kg = gcd(kg, g.k)
+    if kg != 1:
+        return False
+    tau = _old_unit_section(images).q
+    qg = 0
+    for g in images:
+        delta = g.q + tau - times_power_of_two(tau, g.k)
+        v = abs(delta.numerator)
+        while v and v % 2 == 0:
+            v //= 2
+        qg = gcd(qg, v)
+    return qg == 1
+
+
+def test_surjectivity_matches_the_full_unit_section():
+    rng = Random(31)
+    answers, moved = [], 0
+    for _ in range(400):
+        images = _random_images(rng, rng.randint(1, 4))
+        answers.append(bs12_surjective(images))
+        assert answers[-1] == _old_surjective(images), images
+        if answers[-1] or gcd(*(g.k for g in images)) == 1:
+            moved += _unit_section(images) != _old_unit_section(images)
+    # both answers occur, and many sections stop before the last image
+    assert 50 < sum(answers) < 350
+    assert moved > 50

@@ -640,3 +640,31 @@ def test_fox_row_values():
         BS12(0, 1): -1,
         e: -1,
     }
+
+
+def test_summand_maps_build_at_most_one_fraction_per_image(workloads, monkeypatch):
+    # words are evaluated and relators checked with ints; a Fraction is
+    # built only for a translation that is not whole, once per image
+    import dslice.bs12
+    import dslice.laurent
+    from fractions import Fraction
+
+    from dslice.corpus import bundled_document
+    from dslice.documents import diagram_from_document
+
+    pd = workloads.mirror_pd(bundled_document("946")["pd"])
+    plain = zero_surgery(diagram_from_document({"pd": pd})[0], 0)
+    plain.splitting
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    for module in (dslice.bs12, groups, dslice.laurent):
+        monkeypatch.setattr(module, "Fraction", counting)
+    plus, minus = plain.summands
+    images = plus.images + minus.images
+    assert len(images) == 2 * plain.group.num_generators == 18
+    assert len(made) <= len(images)
+    assert any(type(x.q) is Fraction for x in images)

@@ -164,3 +164,30 @@ def test_fox_row_is_the_pushed_free_derivative(name, data):
     for entry, x in zip(row, images):
         total = ring_add(total, ring_mul(entry, ring_add({x: 1}, one, -1), target))
     assert total == ring_add({evaluate_word(word, images, target): 1}, one, -1)
+
+
+def test_outside_letters_are_still_validated():
+    with pytest.raises(ValueError, match="exponent"):
+        Word(((0, 2),))
+    with pytest.raises(ValueError, match="exponent"):
+        Word(((0, 1), (1, 0)))
+
+
+def test_inverse_and_cyclic_reduction_match_full_reduction():
+    # both build words from letters that are already reduced, without
+    # reducing again; reducing from scratch gives the same words
+    from dslice.groups import _cyclic_reduce
+
+    rng = random.Random(30)
+    for _ in range(500):
+        word = Word(tuple(
+            (rng.randrange(3), rng.choice((1, -1)))
+            for _ in range(rng.randint(0, 16))
+        ))
+        inverse = Word(tuple((g, -e) for g, e in reversed(word.letters)))
+        assert word.inverse() == inverse
+        assert word.inverse().letters == inverse.letters
+        ls = word.letters
+        while len(ls) >= 2 and ls[0][0] == ls[-1][0] and ls[0][1] == -ls[-1][1]:
+            ls = ls[1:-1]
+        assert _cyclic_reduce(word) == Word(ls)
