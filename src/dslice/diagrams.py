@@ -279,12 +279,17 @@ class Diagram:
 
         Crossings involving a discarded component disappear and the edges
         of the kept strand running through them merge.  Returns the new
-        diagram together with the old-edge -> new-edge map.
+        diagram together with the old-edge -> new-edge map.  Keeping a
+        knot's only component returns the diagram itself and the identity
+        map: its edges already ascend 1..2n along the orientation, which
+        is the relabelling below.
         """
         comps = sorted(set(comps))
         for i in comps:
             if not 0 <= i < self.num_components:
                 raise InvalidDiagram(f"no component {i}")
+        if comps == [0] and self.num_components == 1:
+            return self, {e: e for e in self.edges}
         keep = set(comps)
         parent = {
             e: e
@@ -346,27 +351,30 @@ def canonical_code(diagram: Diagram):
     Minimises the sorted crossing list over all cyclic relabellings of
     the (single) component.  Mirrors and orientation reversal are NOT
     quotiented out; recognition is deliberately conservative.
+
+    Each edge is the incoming under-strand ``a`` of one crossing at
+    most, and some relabelling sends a crossing's ``a`` to 1, so the
+    least code starts with that crossing: its relabelling is one of
+    these, one per crossing.  Only those whose crossing then reads least
+    can win, and only their full codes are sorted.
     """
     if diagram.num_components != 1:
         raise NotAKnot("canonical codes are only defined for knots here")
     n = len(diagram.edges)
-    best = None
-    for shift in range(n):
-        relab = {e: (e - 1 + shift) % n + 1 for e in diagram.edges}
-        code = sorted(
-            (
-                relab[a],
-                relab[b],
-                relab[c],
-                relab[d],
-                s,
-            )
-            for (a, b, c, d), s in zip(diagram.crossings, diagram.signs)
-        )
-        key = tuple(map(tuple, code))
-        if best is None or key < best:
-            best = key
-    return best
+    crossings = tuple(zip(diagram.crossings, diagram.signs))
+
+    def relabelled(shift, cr, s):
+        return tuple((e - 1 + shift) % n + 1 for e in cr) + (s,)
+
+    heads = {}  # the shift sending a crossing's a to 1: that crossing
+    for cr, s in crossings:
+        shift = (1 - cr[0]) % n
+        heads[shift] = relabelled(shift, cr, s)
+    least = min(heads.values())
+    return min(
+        tuple(sorted(relabelled(shift, cr, s) for cr, s in crossings))
+        for shift, head in heads.items() if head == least
+    )
 
 
 def diagram_hash(diagram: Diagram) -> str:

@@ -25,7 +25,7 @@ Four independent services live here:
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,7 +47,7 @@ from .errors import (
 from .laurent import ONE, ZERO, LaurentPoly, corank_one_kernel
 from .modules import _Degree
 from .snf import abelian_invariants
-from .words import GroupPresentation, Word, fox_row
+from .words import GroupPresentation, Word, _inverse_letters, _substitute, fox_row
 
 __all__ = [
     "simplify_presentation",
@@ -76,11 +76,26 @@ _KERNEL_CAP = 250000
 _LETTER_BUDGET = 50
 
 
-def _cyclic_reduce(w: Word) -> Word:
-    ls = w.letters
-    while len(ls) >= 2 and ls[0][0] == ls[-1][0] and ls[0][1] == -ls[-1][1]:
-        ls = ls[1:-1]
-    return w if ls is w.letters else Word._reduced(ls)
+def _cyclic_reduce(ls: tuple) -> tuple:
+    k = 0
+    while 2 * k + 1 < len(ls) and ls[k][0] == ls[~k][0] and ls[k][1] != ls[~k][1]:
+        k += 1
+    return ls[k:len(ls) - k] if k else ls
+
+
+def _occurrences(ls: tuple, total: dict) -> dict:
+    """How often each generator occurs in ``ls``, also added to ``total``."""
+    c = {}
+    for h, _ in ls:
+        c[h] = c.get(h, 0) + 1
+    for h, k in c.items():
+        total[h] = total.get(h, 0) + k
+    return c
+
+
+def _uncount(c: dict, total: dict) -> None:
+    for h, k in c.items():
+        total[h] -= k
 
 
 def simplify_presentation(pres: GroupPresentation, keep=()):
@@ -97,76 +112,77 @@ def simplify_presentation(pres: GroupPresentation, keep=()):
     as ``word``, in the original generators not eliminated before it.
     ``check_tietze`` replays it.  Indices in ``keep`` are never
     eliminated.  Best effort: stops quietly when the rewritten relators
-    would outgrow ``_LETTER_BUDGET`` times the input.
+    would outgrow ``_LETTER_BUDGET`` times the input.  The pass runs on
+    cyclically reduced letter tuples and builds words at the end.
     """
     keep = set(keep)
     n = pres.num_generators
-    relators, origins = [], []  # origins[i]: the original index of relators[i]
+    # relators[i], its inverse, its counts and its index in pres.relators
+    relators, inverses, counts, origins = [], [], [], []
+    total = {}
     for ri, r in enumerate(pres.relators):
-        if r:
-            relators.append(_cyclic_reduce(r))
+        ls = _cyclic_reduce(r.letters)
+        if ls:
+            relators.append(ls)
+            inverses.append(_inverse_letters(ls))
+            counts.append(_occurrences(ls, total))
             origins.append(ri)
     record = []
-    letter_budget = _LETTER_BUDGET * (sum(len(r) for r in relators) + n + 20)
-    # counts[i] counts the generators of relators[i]; total is their sum.
-    # An elimination recounts only the relators it rewrites.
-    counts = [Counter(g for g, _ in r.letters) for r in relators]
-    total = Counter()
-    for c in counts:
-        total.update(c)
+    letter_budget = _LETTER_BUDGET * (sum(map(len, relators)) + n + 20)
 
     while True:
         best = None
-        for ri, r in enumerate(relators):
-            for g, c in counts[ri].items():
-                if c != 1 or g in keep:
+        for ri, c in enumerate(counts):
+            size = len(relators[ri]) - 1
+            if best is not None and size > best[0]:
+                continue
+            for g, k in c.items():
+                if k != 1 or g in keep:
                     continue
                 # (letters left in the solution, occurrences elsewhere, ...)
-                cost = (len(r) - 1, total[g] - 1, g, ri)
+                cost = (size, total[g] - 1, g, ri)
                 if best is None or cost < best:
                     best = cost
         if best is None:
             break
         _, _, g, ri = best
-        r = relators[ri]
-        pos = next(k for k, (gg, _) in enumerate(r.letters) if gg == g)
-        e = r.letters[pos][1]
-        prefix = Word._reduced(r.letters[:pos])
-        suffix = Word._reduced(r.letters[pos + 1:])
-        if e == 1:
-            wg = prefix.inverse() * suffix.inverse()
-        else:
-            wg = suffix * prefix
-        # relators are kept cyclically reduced, so one without g stays, and
-        # keeps its count; a rewritten one is recounted (None) below
-        replaced = []
-        for si, (s, o, c) in enumerate(zip(relators, origins, counts)):
-            if si == ri:
+        r, rinv, m = relators[ri], inverses[ri], len(relators[ri])
+        pos = next(k for k, (h, _) in enumerate(r) if h == g)
+        # read from x_g^e, r is x_g^e u and x_g = u^-e, reduced since r is
+        # cyclically reduced; u^-1 is r^-1 rotated, less x_g^-e
+        u = (r[pos + 1:] + r[:pos] if r[pos][1] == -1
+             else rinv[m - pos:] + rinv[:m - pos - 1])
+        images = {g: Word._reduced(u)}
+        # a relator without g stays, with its inverse and counts; the
+        # counts of the others leave total, and a rewritten one is
+        # recounted below
+        rewritten = []
+        for si, (s, c) in enumerate(zip(relators, counts)):
+            if si != ri and g not in c:
+                rewritten.append((s, inverses[si], c, origins[si]))
                 continue
-            if c[g]:
-                s, c = _cyclic_reduce(s.substitute({g: wg})), None
+            _uncount(c, total)
+            s = _cyclic_reduce(_substitute(s, images)) if si != ri else ()
             if s:
-                replaced.append((s, o, c))
-        if sum(len(s) for s, _, _ in replaced) > letter_budget:
+                rewritten.append((s, None, None, origins[si]))
+        if sum(len(s) for s, _, _, _ in rewritten) > letter_budget:
             break
-        record.append((g, origins[ri], wg))
-        for si, c in enumerate(counts):
-            if si == ri or c[g]:
-                total.subtract(c)
-        relators, origins, counts = [], [], []
+        record.append((g, origins[ri], images[g]))
+        relators, inverses, counts, origins = [], [], [], []
         seen = set()
-        for s, o, c in replaced:
-            if s.letters in seen or _inverse_letters(s.letters) in seen:
+        for s, sinv, c, o in rewritten:
+            if sinv is None:
+                sinv = _inverse_letters(s)
+            if s in seen or sinv in seen:
+                # a repeat, up to inversion, of a relator kept before it
                 if c is not None:
-                    total.subtract(c)
+                    _uncount(c, total)
                 continue
-            if c is None:
-                c = Counter(h for h, _ in s.letters)
-                total.update(c)
-            seen.add(s.letters)
+            seen.add(s)
             relators.append(s)
+            inverses.append(sinv)
+            counts.append(_occurrences(s, total) if c is None else c)
             origins.append(o)
-            counts.append(c)
 
     # a solution holds only kept generators and ones eliminated after it,
     # so resolving the latest first leaves every word in kept generators
@@ -174,19 +190,18 @@ def simplify_presentation(pres: GroupPresentation, keep=()):
     for g, _, wg in reversed(record):
         solved[g] = wg.substitute(solved)
     kept = tuple(i for i in range(n) if i not in solved)
-    to_new = {old: Word.gen(new) for new, old in enumerate(kept)}
+    new_of = {old: new for new, old in enumerate(kept)}
+
+    def renamed(ls):
+        return Word._reduced(tuple((new_of[h], f) for h, f in ls))
+
     new_pres = GroupPresentation(
-        tuple(pres.names[i] for i in kept),
-        tuple(r.substitute(to_new) for r in relators),
+        tuple(pres.names[i] for i in kept), tuple(map(renamed, relators))
     )
     images = tuple(
-        solved.get(i, Word.gen(i)).substitute(to_new) for i in range(n)
+        renamed(solved[i].letters if i in solved else ((i, 1),)) for i in range(n)
     )
     return new_pres, images, kept, tuple(record)
-
-
-def _inverse_letters(ls: tuple) -> tuple:
-    return tuple((h, -f) for h, f in reversed(ls))
 
 
 def _is_rotation(w: tuple, s: tuple) -> bool:
@@ -244,11 +259,11 @@ def check_tietze(pres: GroupPresentation, simplified, record) -> None:
     phi = dict(enumerate(words))
     earlier = []
     for g, ri, wg in record:
-        r = _cyclic_reduce(pres.relators[ri])
+        r = Word._reduced(_cyclic_reduce(pres.relators[ri].letters))
         for h, wh in earlier:
             if (h, 1) in r.letters or (h, -1) in r.letters:
                 r = r.substitute({h: wh})
-        ls = _cyclic_reduce(r).letters
+        ls = _cyclic_reduce(r.letters)
         at = [k for k, (h, _) in enumerate(ls) if h == g]
         if len(at) != 1:
             raise VerificationFailed(f"relator {ri} holds generator {g} {len(at)} times")
@@ -270,7 +285,7 @@ def check_tietze(pres: GroupPresentation, simplified, record) -> None:
     for ri, r in enumerate(pres.relators):
         if ri in eliminating:
             continue
-        image = _cyclic_reduce(r.substitute(phi)).letters
+        image = _cyclic_reduce(r.substitute(phi).letters)
         if not image:
             continue
         # small relators equal up to rotation and inversion are all hit

@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, gcd
 
 from . import laurent
@@ -228,14 +228,8 @@ class SplitReport:
         return self.verdict == "split"
 
 
-def _unit_vector(ncols, i, scale=None):
-    return tuple(
-        (scale or ONE) if j == i else ZERO for j in range(ncols)
-    )
-
-
-def _vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+def _unit_vector(ncols, i):
+    return tuple(ONE if j == i else ZERO for j in range(ncols))
 
 
 def _scale_vec(p, v):
@@ -243,16 +237,18 @@ def _scale_vec(p, v):
     return tuple(p * a if a else a for a in v)
 
 
+_POOL_SCALES = (ONE, -ONE, 2 * ONE, -2 * ONE, 3 * ONE, -3 * ONE)
+
+
 def _witness_pool(ncols):
+    """Each unit vector e_i, then e_i + s e_j for i != j and s in
+    ``_POOL_SCALES``, in that order."""
     pool = [_unit_vector(ncols, i) for i in range(ncols)]
-    scales = [ONE, -ONE, 2 * ONE, -2 * ONE, 3 * ONE, -3 * ONE]
-    for i in range(ncols):
-        ei = _unit_vector(ncols, i)
-        for j in range(ncols):
-            if i == j:
-                continue
-            for s in scales:
-                pool.append(_vec_add(ei, _scale_vec(s, _unit_vector(ncols, j))))
+    for i, j in permutations(range(ncols), 2):
+        for s in _POOL_SCALES:
+            pool.append(tuple(
+                ONE if k == i else s if k == j else ZERO for k in range(ncols)
+            ))
     return pool
 
 

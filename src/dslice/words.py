@@ -58,6 +58,30 @@ def _reduce(letters):
     return tuple(out)
 
 
+def _inverse_letters(ls: tuple) -> tuple:
+    return tuple((h, -f) for h, f in reversed(ls))
+
+
+def _substitute(letters: tuple, images: dict) -> tuple:
+    """``letters`` with each generator g of ``images`` replaced by the
+    word ``images[g]``, freely reduced as it is concatenated: the letters
+    and the images are reduced, so each piece cancels only where it
+    meets what precedes it."""
+    out = []
+    for x in letters:
+        w = images.get(x[0])
+        if w is None:
+            w = (x,)
+        else:
+            w = w.letters if x[1] == 1 else _inverse_letters(w.letters)
+        k, m = 0, len(w)
+        while k < m and out and out[-1][0] == w[k][0] and out[-1][1] != w[k][1]:
+            out.pop()
+            k += 1
+        out.extend(w[k:] if k else w)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word in generators indexed by non-negative ints."""
@@ -84,10 +108,15 @@ class Word:
         return Word(())
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        # both are reduced, so letters cancel only where they meet
+        a, b = self.letters, other.letters
+        k, m = 0, min(len(a), len(b))
+        while k < m and a[-1 - k][0] == b[k][0] and a[-1 - k][1] != b[k][1]:
+            k += 1
+        return Word._reduced(a[:len(a) - k] + b[k:])
 
     def inverse(self) -> "Word":
-        return Word._reduced(tuple((g, -e) for g, e in reversed(self.letters)))
+        return Word._reduced(_inverse_letters(self.letters))
 
     def conjugate(self, by: "Word") -> "Word":
         """Return ``by * self * by^-1``."""
@@ -113,21 +142,8 @@ class Word:
         return Word(tuple((g + offset, e) for g, e in self.letters))
 
     def substitute(self, images: dict) -> "Word":
-        """Replace each generator by a word; missing indices map to self.
-
-        The images' letters are concatenated and reduced once: free
-        reduction is confluent, so this is the product of the images.
-        """
-        letters = []
-        for g, e in self.letters:
-            w = images.get(g)
-            if w is None:
-                letters.append((g, e))
-            elif e == 1:
-                letters.extend(w.letters)
-            else:
-                letters.extend((h, -f) for h, f in reversed(w.letters))
-        return Word(tuple(letters))
+        """Replace each generator by a word; missing indices map to self."""
+        return Word._reduced(_substitute(self.letters, images))
 
     def __repr__(self):
         return f"Word({list(self.letters)!r})"

@@ -172,6 +172,60 @@ def test_canonical_code_relabelling_invariance():
     assert diagram_hash(d) != diagram_hash(Diagram(FIG8))
 
 
+
+def _kinked_knots(workloads):
+    """Every bundled knot, its mirror, and both with seeded kinks."""
+    from random import Random
+
+    from dslice.corpus import bundled_document, bundled_names
+
+    out = []
+    for name in bundled_names():
+        pd = bundled_document(name).get("pd")
+        if pd is None:
+            continue
+        for seed, start in enumerate((pd, workloads.mirror_pd(pd))):
+            rng, pd_k = Random(seed), start
+            out.append(Diagram(start))
+            for _ in range(6):
+                d = Diagram(pd_k)
+                edge = rng.randrange(1, len(d.edges) + 1)
+                pd_k = workloads.kink_pd(pd_k, d.signs, edge, rng.random() < 0.5)
+                out.append(Diagram(pd_k))
+    return [d for d in out if d.num_components == 1]
+
+
+def test_canonical_code_is_the_least_over_every_relabelling(workloads):
+    # the code sorts only the relabellings that send some crossing's a to
+    # 1; the least over all 2n of them must be the same
+    knots = _kinked_knots(workloads)
+    assert len(knots) == 56
+    for d in knots:
+        n = len(d.edges)
+        every = min(
+            tuple(sorted(
+                tuple((e - 1 + shift) % n + 1 for e in cr) + (s,)
+                for cr, s in zip(d.crossings, d.signs)
+            ))
+            for shift in range(n)
+        )
+        assert canonical_code(d) == every
+
+
+def test_restricting_a_knot_keeps_its_diagram_and_edges(workloads):
+    # with a split kink beside it, the knot goes through the general
+    # relabelling; alone, restricted returns the knot itself
+    for d in _kinked_knots(workloads):
+        n = len(d.edges)
+        split = Diagram(d.crossings + ((n + 1, n + 2, n + 2, n + 1),))
+        sub, edge_map = split.restricted([0])
+        assert sub == d and sub.components == d.components
+        assert edge_map == {e: e for e in d.edges}
+        same, identity = d.restricted([0])
+        assert same == d and identity == edge_map
+    with pytest.raises(InvalidDiagram, match="no component 1"):
+        Diagram(TREFOIL).restricted([1])
+
 def test_infect_with_unknot_keeps_homology():
     d = Diagram(TREFOIL_MERID)
     s = infect(d, 0, {1: Diagram(KINK)})

@@ -668,3 +668,68 @@ def test_summand_maps_build_at_most_one_fraction_per_image(workloads, monkeypatc
     assert len(images) == 2 * plain.group.num_generators == 18
     assert len(made) <= len(images)
     assert any(type(x.q) is Fraction for x in images)
+
+
+def _pinned_inputs(workloads):
+    """Every bundled knot, the 9_46 mirror and seeded kinks of seeds 1-3,
+    and 9_46 with 50 seeded kinks, as (tag, Diagram) pairs."""
+    from random import Random
+
+    from dslice.corpus import bundled_diagram, bundled_document, bundled_names
+    from dslice.diagrams import diagram_hash
+    from dslice.documents import diagram_from_document
+
+    out = []
+    for name in bundled_names():
+        d = bundled_diagram(name)
+        if d is not None and d.num_components == 1:
+            out.append((name, d))
+    base = bundled_document("946")
+    for seed in (1, 2, 3):
+        docs = workloads.unregistered_documents(
+            seed, base, diagram_from_document, diagram_hash, set()
+        )
+        out += [(f"{seed} {tag}", diagram_from_document(doc)[0]) for tag, doc in docs]
+    rng = Random(1)
+    pd = base["pd"]
+    for _ in range(50):
+        d = Diagram(pd)
+        edge = rng.randrange(1, len(d.edges) + 1)
+        pd = workloads.kink_pd(pd, d.signs, edge, rng.random() < 0.5)
+    out.append(("50 kinks", Diagram(pd)))
+    return out
+
+
+def test_tietze_output_and_diagram_hashes_are_pinned(workloads):
+    # one digest over (small, words, kept, record) of every input's
+    # zero-surgery, and one over their diagram hashes; both were recorded
+    # before the elimination loop moved to letter tuples
+    import hashlib
+    import json
+
+    from dslice.diagrams import diagram_hash
+
+    inputs = _pinned_inputs(workloads)
+    assert len(inputs) == 4 + 3 * 7 + 1
+    tietze, hashes = [], []
+    for tag, d in inputs:
+        pres = zero_surgery(d, 0)
+        small, words, kept, record = simplify_presentation(
+            pres.group, keep={pres.meridian}
+        )
+        tietze.append([
+            tag,
+            list(small.names),
+            [list(r.letters) for r in small.relators],
+            [list(w.letters) for w in words],
+            list(kept),
+            [[g, ri, list(w.letters)] for g, ri, w in record],
+        ])
+        hashes.append([tag, diagram_hash(d)])
+    digest = lambda x: hashlib.sha256(json.dumps(x).encode()).hexdigest()
+    assert digest(tietze) == (
+        "734c94a329b748ba46c8c1d6478e852d38670f0f31b425a1f5f60f15a9267018"
+    )
+    assert digest(hashes) == (
+        "22c99c53926fb3cca234949e7388f810f28734274701bf8dfc4e167c713e86ae"
+    )

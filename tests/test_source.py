@@ -266,6 +266,42 @@ def test_tracking_rule_sees_a_helper_come_back():
     ]
 
 
+
+# Word._reduced takes letters unchecked; the word algebra and the Tietze
+# pass build them from words the constructor has already checked
+_UNCHECKED_WORD_OWNERS = {"words.py", "groups.py"}
+
+
+def _unchecked_words(source: str, filename: str) -> list:
+    """Reads of ``Word._reduced`` outside ``_UNCHECKED_WORD_OWNERS``."""
+    if filename in _UNCHECKED_WORD_OWNERS:
+        return []
+    return [
+        f"{filename}:{node.lineno} reads _reduced"
+        for node in ast.walk(ast.parse(source, filename))
+        if isinstance(node, ast.Attribute) and node.attr == "_reduced"
+    ]
+
+
+def test_unchecked_words_stay_in_the_word_algebra():
+    # a word built elsewhere from raw letters must pass the constructor's
+    # exponent check and free reduction
+    assert _package_hits(_unchecked_words) == []
+
+
+def test_unchecked_word_rule_sees_a_new_caller():
+    source = (
+        "from .words import Word\n"
+        "w = Word._reduced(((0, 2),))\n"
+        "make = Word._reduced\n"
+        "v = Word(((0, 1),))\n"
+    )
+    assert sorted(_unchecked_words(source, "diagrams.py")) == [
+        "diagrams.py:2 reads _reduced",
+        "diagrams.py:3 reads _reduced",
+    ]
+    assert _unchecked_words(source, "groups.py") == []
+
 _BASIS_BUILDERS = {"groebner.py", "modules.py", "diagrams.py"}
 
 

@@ -64,6 +64,32 @@ def test_substitute_is_the_folded_product(a, images):
     assert word.substitute(images) == _fold_substitute(word, images)
 
 
+
+@given(letters, letters, st.integers(0, 12))
+def test_product_cancels_at_the_junction(a, b, k):
+    # y opens with up to k letters of x^-1, so the junction cancels deeply
+    x = Word(tuple(a))
+    y = Word(x.inverse().letters[:k] + tuple(b))
+    assert x * y == Word(x.letters + y.letters)
+
+
+def _concatenated(word, images):
+    # every image's letters in a row, reduced once by the checked constructor
+    out = []
+    for g, e in word.letters:
+        v = images.get(g, Word.gen(g))
+        out += v.letters if e == 1 else v.inverse().letters
+    return Word(tuple(out))
+
+
+@given(letters, letters, letters)
+def test_substitute_cancels_across_images(a, u, v):
+    # x_1's image opens with x_0's inverted, and x_2's undoes v
+    word, u, v = Word(tuple(a)), Word(tuple(u)), Word(tuple(v))
+    images = {0: u, 1: u.inverse() * v, 2: v.inverse()}
+    assert word.substitute(images) == _fold_substitute(word, images)
+    assert word.substitute(images) == _concatenated(word, images)
+
 def test_fox_derivative_generator():
     x = Word.gen(0)
     assert fox_derivative(x, 0) == {Word.identity(): 1}
@@ -190,4 +216,4 @@ def test_inverse_and_cyclic_reduction_match_full_reduction():
         ls = word.letters
         while len(ls) >= 2 and ls[0][0] == ls[-1][0] and ls[0][1] == -ls[-1][1]:
             ls = ls[1:-1]
-        assert _cyclic_reduce(word) == Word(ls)
+        assert _cyclic_reduce(word.letters) == ls
