@@ -150,9 +150,9 @@ def simplify_presentation(pres: GroupPresentation, keep=()):
         pos = next(k for k, (h, _) in enumerate(r) if h == g)
         # read from x_g^e, r is x_g^e u and x_g = u^-e, reduced since r is
         # cyclically reduced; u^-1 is r^-1 rotated, less x_g^-e
-        u = (r[pos + 1:] + r[:pos] if r[pos][1] == -1
-             else rinv[m - pos:] + rinv[:m - pos - 1])
-        images = {g: Word._reduced(u)}
+        wg = (r[pos + 1:] + r[:pos] if r[pos][1] == -1
+              else rinv[m - pos:] + rinv[:m - pos - 1])
+        images = {g: Word._reduced(wg)}
         # a relator without g stays, with its inverse and counts; the
         # counts of the others leave total, and a rewritten one is
         # recounted below
