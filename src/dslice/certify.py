@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import re
 from copy import deepcopy
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .bs12 import BS12, BS12_A, BS12_C, Bs12Group
 from .diagrams import Diagram, SurgeryPresentation, diagram_hash, zero_surgery
@@ -94,6 +94,12 @@ RULE_TRIVIAL = "transport/trivial-companion"
 RULE_DERIVED = "transport/second-derived-curve"
 RULE_FAMILY_HOLDS = "family/iterated-curves"
 RULE_FAMILY_FAILS = "family/nontrivial-companions-fail"
+
+# stated on every certificate with a failing verdict
+_NOT_NECESSARY = (
+    "a failed lifting condition does not refute double sliceness;"
+    " the criterion is sufficient, not necessary"
+)
 
 # Relation lifting in the target group's own presentation
 # < a, c | a c a^-1 c^-2 >.  No stage calls ``relator_lift``; it stays
@@ -166,6 +172,14 @@ def _verdict(status, evidence=None, reason=""):
     if reason:
         out["reason"] = reason
     return out
+
+
+def _both(status, evidence=None) -> dict:
+    """One verdict per summand, each holding its own copy of ``evidence``."""
+    return {
+        "P1": _verdict(status, deepcopy(evidence)),
+        "P2": _verdict(status, deepcopy(evidence)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +296,11 @@ class Certificate:
     version: str = CERT_VERSION
 
     def as_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "hypotheses": list(self.hypotheses),
-            "verdicts": self.verdicts,
-            "conclusion": self.conclusion,
-            "citations": list(self.citations),
-            "inputs": self.inputs,
-            "version": self.version,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        # the fields as they stand: serialising needs no copy of them
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
 
 def _conclusion_from(verdicts: dict) -> str:
@@ -305,26 +312,9 @@ def _conclusion_from(verdicts: dict) -> str:
     return UNDECIDED
 
 
-def _not_evaluated() -> dict:
-    return {
-        "P1": _verdict(NOT_EVALUATED),
-        "P2": _verdict(NOT_EVALUATED),
-    }
-
-
-def _cite_from_verdicts(verdicts: dict, citations: list) -> list:
-    out = list(citations)
-    for v in verdicts.values():
-        ev = v.get("evidence", {})
-        kind = ev.get("kind")
-        rule = None
-        if kind == "ClosedFormFamily":
-            rule = ev.get("rule")
-        elif kind == "TransportChain":
-            rule = RULE_DERIVED
-        if rule and rule not in out:
-            out.append(rule)
-    return out
+def _not_applicable(subject, hyps, inputs) -> Certificate:
+    """A certificate whose hypotheses fail: no summand is evaluated."""
+    return Certificate(subject, hyps, _both(NOT_EVALUATED), NOT_APPLICABLE, [], inputs)
 
 
 def certify_doubly_slice(
@@ -358,10 +348,7 @@ def certify_doubly_slice(
         hyps.append(f"splitting note: {report.note}")
     if not report.certified:
         hyps.append("module hypothesis not met; the criterion does not apply")
-        return Certificate(
-            subject, hyps, _not_evaluated(), NOT_APPLICABLE, [], inputs
-        )
-    citations = [RULE_SPLIT]
+        return _not_applicable(subject, hyps, inputs)
     plus, minus = plain.summands
     hyps.append(
         f"summand maps surjective: P1 {plus.surjective}, P2 {minus.surjective}"
@@ -390,14 +377,11 @@ def certify_doubly_slice(
         verdicts = {t: v or deepcopy(stage_b) for t, v in verdicts.items()}
     conclusion = _conclusion_from(verdicts)
     if conclusion == INCONCLUSIVE:
-        hyps.append(
-            "a failed lifting condition does not refute double sliceness;"
-            " the criterion is sufficient, not necessary"
-        )
-    return Certificate(
-        subject, hyps, verdicts, conclusion,
-        _cite_from_verdicts(verdicts, citations), inputs,
-    )
+        hyps.append(_NOT_NECESSARY)
+    # stage B's evidence names no rule; stage A's names its closed form
+    rules = filter(None, (v["evidence"].get("rule") for v in verdicts.values()))
+    citations = list(dict.fromkeys([RULE_SPLIT, *rules]))
+    return Certificate(subject, hyps, verdicts, conclusion, citations, inputs)
 
 
 def _ser_word(word: Word):
@@ -460,31 +444,18 @@ def certify_satellite(
     ]
     if not _base_both_hold(base):
         hyps.append("failed check: base pattern lifting verdicts")
-        return Certificate(
-            subject, hyps, _not_evaluated(), NOT_APPLICABLE, [], inputs
-        )
+        return _not_applicable(subject, hyps, inputs)
     if not rec.valid:
         which = "winding" if rec.winding != 0 else "membership/order"
         hyps.append(f"failed check: transport record ({which})")
-        return Certificate(
-            subject, hyps, _not_evaluated(), NOT_APPLICABLE, [], inputs
-        )
+        return _not_applicable(subject, hyps, inputs)
     hyps.append(
         "module splitting carried across the infection by the collapse map"
     )
-    evidence = {"kind": "TransportChain", "records": [rec.as_dict()]}
-    verdicts = {
-        "P1": _verdict(HOLDS, evidence),
-        "P2": _verdict(HOLDS, evidence),
-    }
+    verdicts = _both(HOLDS, {"kind": "TransportChain", "records": [rec.as_dict()]})
     rule = RULE_DERIVED if rec.second_derived else RULE_TRIVIAL
-    citations = [rule]
-    for c in base.citations:
-        if c not in citations:
-            citations.append(c)
-    return Certificate(
-        subject, hyps, verdicts, CERTIFIED, citations, inputs
-    )
+    citations = list(dict.fromkeys([rule, *base.citations]))
+    return Certificate(subject, hyps, verdicts, CERTIFIED, citations, inputs)
 
 
 def _commutator_of_nullhomologous(word: Word, weights) -> bool:
@@ -582,9 +553,7 @@ def certify_family(
     }
     if not _base_both_hold(base):
         hyps.append("failed check: base pattern lifting verdicts")
-        return Certificate(
-            subject, hyps, _not_evaluated(), NOT_APPLICABLE, [], inputs
-        )
+        return _not_applicable(subject, hyps, inputs)
     # Curated failure rule: every infection sits on the obstructing curve
     # set and brings a companion with nontrivial module order.
     fails_on = set(frule.get("fails_on", ()))
@@ -598,32 +567,20 @@ def certify_family(
         and all(r.winding == 0 for r in recs)
     ):
         rule = frule["fails_rule"]
-        verdicts = {
-            "P1": _verdict(FAILS, {
-                "kind": "ClosedFormFamily", "rule": rule, "citations": [rule],
-            }),
-            "P2": _verdict(FAILS, {
-                "kind": "ClosedFormFamily", "rule": rule, "citations": [rule],
-            }),
-        }
+        verdicts = _both(
+            FAILS, {"kind": "ClosedFormFamily", "rule": rule, "citations": [rule]}
+        )
         hyps.append(
             "curated obstruction: along these curves, companions of"
             " nontrivial module order break the lifting condition on both"
             " summands"
         )
-        hyps.append(
-            "a failed lifting condition does not refute double sliceness;"
-            " the criterion is sufficient, not necessary"
-        )
-        return Certificate(
-            subject, hyps, verdicts, INCONCLUSIVE, [rule], inputs
-        )
+        hyps.append(_NOT_NECESSARY)
+        return Certificate(subject, hyps, verdicts, INCONCLUSIVE, [rule], inputs)
     if not all(rec.valid for rec in recs):
         bad = [i["curve"] for i, r in zip(subject_inf, recs) if not r.valid]
         hyps.append(f"failed check: transport record for {', '.join(bad)}")
-        return Certificate(
-            subject, hyps, _not_evaluated(), NOT_APPLICABLE, [], inputs
-        )
+        return _not_applicable(subject, hyps, inputs)
     if len(derived_curves) > 1:
         stable = all(
             _commutator_of_nullhomologous(plain.curve_words[c], plain.weights)
@@ -634,20 +591,13 @@ def certify_family(
             f" so membership persists through earlier infections: {stable}"
         )
         if not stable:
-            return Certificate(
-                subject, hyps, _not_evaluated(), NOT_APPLICABLE, [], inputs
-            )
+            return _not_applicable(subject, hyps, inputs)
     hyps.append(
         "module splitting carried across each infection by the collapse map"
     )
-    evidence = {
-        "kind": "TransportChain",
-        "records": [rec.as_dict() for rec in recs],
-    }
-    verdicts = {
-        "P1": _verdict(HOLDS, evidence),
-        "P2": _verdict(HOLDS, evidence),
-    }
+    verdicts = _both(
+        HOLDS, {"kind": "TransportChain", "records": [rec.as_dict() for rec in recs]}
+    )
     citations = [frule.get("holds_rule", RULE_FAMILY_HOLDS)]
     if any(not r.companion_alexander_trivial for r in recs):
         citations.append(RULE_DERIVED)

@@ -151,26 +151,19 @@ class Diagram:
                 return False
             return True
 
-        resolved = list(signs) if signs else [0] * len(self.crossings)
-        if signs:
-            for k, s in enumerate(signs):
-                if not legal(k, s):
-                    raise InvalidDiagram(
-                        f"declared sign {s:+d} impossible at crossing {k}"
-                    )
-                _, b, _, d = self.crossings[k]
-                inc, out = (d, b) if s == 1 else (b, d)
-                claim(ends, inc, k, "ends")
-                claim(starts, out, k, "starts")
-            return tuple(resolved)
-
+        # a declared sign is its crossing's only candidate, so declared
+        # signs resolve in one pass, in crossing order
+        candidates = [(s,) for s in signs] if signs else [(1, -1)] * len(self.crossings)
+        resolved = [0] * len(self.crossings)
         pending = set(range(len(self.crossings)))
         while pending:
             progress = False
             for k in sorted(pending):
-                ok = [s for s in (1, -1) if legal(k, s)]
+                ok = [s for s in candidates[k] if legal(k, s)]
                 if not ok:
                     raise InvalidDiagram(
+                        f"declared sign {signs[k]:+d} impossible at crossing {k}"
+                        if signs else
                         f"no consistent over-strand direction at crossing {k}"
                     )
                 if len(ok) == 1:

@@ -9,7 +9,6 @@ A diagram document is a JSON object::
       "components": [[1, 2, ...], ...],  # optional, cross-checked
       "marks": {                         # optional
         "pattern": 0,                    # surgery component; only 0
-        "infection": 1,                  # drawn infection component
         "curves": {"name": [[edge, sign], ...], ...}
       }
     }

@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .bs12 import (
     BS12,
@@ -257,12 +258,25 @@ def check_tietze(pres: GroupPresentation, simplified, record) -> None:
         if words[i] != Word.gen(j):
             raise VerificationFailed(f"kept generator {i} is not small generator {j}")
     phi = dict(enumerate(words))
-    earlier = []
-    for g, ri, wg in record:
+    position = {g: p for p, (g, _, _) in enumerate(record)}
+
+    def between(letters, lo, hi):
+        """Record positions strictly between lo and hi of the letters."""
+        return {position[h] for h, _ in letters if lo < position.get(h, hi) < hi}
+
+    for at_g, (g, ri, wg) in enumerate(record):
         r = Word._reduced(_cyclic_reduce(pres.relators[ri].letters))
-        for h, wh in earlier:
+        # substitute the earlier solutions r holds in record order, as a
+        # scan over all would: each adds generators of later positions,
+        # and one of an earlier position stays, as the scan is past it
+        queue = sorted(between(r.letters, -1, at_g))
+        while queue:
+            p = heappop(queue)
+            h, _, wh = record[p]
             if (h, 1) in r.letters or (h, -1) in r.letters:
                 r = r.substitute({h: wh})
+                for q in between(wh.letters, p, at_g) - set(queue):
+                    heappush(queue, q)
         ls = _cyclic_reduce(r.letters)
         at = [k for k, (h, _) in enumerate(ls) if h == g]
         if len(at) != 1:
@@ -275,7 +289,6 @@ def check_tietze(pres: GroupPresentation, simplified, record) -> None:
             raise VerificationFailed(f"relator {ri} does not solve for generator {g}")
         if wg.substitute(phi) != words[g]:
             raise VerificationFailed(f"generator {g}'s Tietze word misses its solution")
-        earlier.append((g, wg))
     # phi(x_h) = phi(wh) for every eliminated h, so an eliminating relator,
     # conjugate to x_g^e u once the earlier solutions are substituted, maps
     # to a conjugate of phi(wg^e u) = 1 and reaches no small relator

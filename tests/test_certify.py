@@ -688,6 +688,36 @@ def test_family_trivial_order_companion_on_homology_curve(base_and_plain):
     assert cert.conclusion == CERTIFIED
 
 
+def test_each_summand_holds_its_own_evidence(base_and_plain):
+    # editing one summand's verdict leaves the other's alone, and editing
+    # a certificate's dict leaves the certificate alone
+    base, plain = base_and_plain
+    d946 = bundled_diagram("946")
+    failing = [
+        {"curve": curve, "companion": d946, "name": "9_46", "kind": "concrete"}
+        for curve in ("gamma1", "gamma2")
+    ]
+    certs = [
+        (certify_doubly_slice(d946), UNDECIDED),
+        (certify_satellite(base, plain, "eta1"), CERTIFIED),
+        (family_946(), CERTIFIED),
+        (certify_family(plain, base.subject["hash"], base, failing,
+                        registry=default_registry()), INCONCLUSIVE),
+        (certify_satellite(base, plain, "gamma1"), NOT_APPLICABLE),
+    ]
+    for cert, conclusion in certs:
+        assert cert.conclusion == conclusion
+        p1, p2 = cert.verdicts["P1"], cert.verdicts["P2"]
+        assert p1 == p2 and p1["evidence"] is not p2["evidence"], conclusion
+        blob = cert.to_json()
+        edited = cert.as_dict()
+        edited["verdicts"]["P1"]["evidence"]["kind"] = "edited"
+        edited["hypotheses"].append("edited")
+        edited["citations"].append("edited")
+        edited["subject"]["kind"] = "edited"
+        assert cert.to_json() == blob, conclusion
+
+
 # ------------------------------------------------------------------ replay
 
 

@@ -251,6 +251,24 @@ def test_check_tietze_refuses_a_changed_kept_word_or_a_lost_elimination():
         groups.check_tietze(pres, simplified, ((record[0][0], 99, record[0][2]),) + record[1:])
 
 
+def test_check_tietze_refuses_a_solution_moved_after_its_dependent():
+    # solution i holds generator j, eliminated later; swapped, the check
+    # replays j's solution before the one that introduces x_j
+    pres, simplified, record = _tietze_case(bundled_pattern("946")[0])
+    swaps = [
+        (i, j)
+        for i, (_, _, wi) in enumerate(record)
+        for j in range(i + 1, len(record))
+        if any(h == record[j][0] for h, _ in wi.letters)
+    ]
+    assert len(swaps) == 3
+    for i, j in swaps:
+        forged = list(record)
+        forged[i], forged[j] = forged[j], forged[i]
+        with pytest.raises(VerificationFailed, match="does not solve|holds generator"):
+            groups.check_tietze(pres, simplified, tuple(forged))
+
+
 # ------------------------------------------------------- summand homs
 
 

@@ -770,3 +770,68 @@ def test_builder_rule_sees_a_second_path_come_back():
     assert _second_builders(source, "certify.py") == [
         "certify.py:7 defines _restore_curves",
     ]
+
+
+# certify.py writes each certificate decision once: the not-applicable
+# exit in ``_not_applicable`` and the P1/P2 verdict pair in ``_both``
+_DECISION_OWNERS = {"NotApplicable": "_not_applicable", "P1 and P2": "_both"}
+
+
+def _second_decisions(source: str, filename: str) -> list:
+    """In certify.py, a ``Certificate`` call passing ``NOT_APPLICABLE``
+    outside ``_not_applicable``, and a dict literal keyed by both "P1"
+    and "P2" outside ``_both``."""
+    if filename != "certify.py":
+        return []
+    hits = []
+
+    def visit(node, owner):
+        decision = None
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            args = node.args + [k.value for k in node.keywords]
+            if name == "Certificate" and any(
+                getattr(a, "id", None) == "NOT_APPLICABLE"
+                or getattr(a, "value", None) == "NotApplicable"
+                for a in args
+            ):
+                decision = "NotApplicable"
+        elif isinstance(node, ast.Dict):
+            keys = {getattr(k, "value", None) for k in node.keys}
+            if {"P1", "P2"} <= keys:
+                decision = "P1 and P2"
+        if decision and _DECISION_OWNERS[decision] != owner:
+            hits.append(f"{filename}:{node.lineno} builds {decision}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source, filename), None)
+    return hits
+
+
+def test_certificate_decisions_have_one_owner():
+    # a second hand-built exit or verdict pair can drift from the first:
+    # the pairs once shared one evidence dict between the summands
+    assert _package_hits(_second_decisions) == []
+
+
+def test_decision_rule_sees_a_second_builder_come_back():
+    source = (
+        "def _not_applicable(subject, hyps, inputs):\n"
+        "    return Certificate(subject, hyps, _both(N), NOT_APPLICABLE, [], inputs)\n"
+        "def _both(status, evidence=None):\n"
+        "    return {'P1': _verdict(status), 'P2': _verdict(status)}\n"
+        "def certify_satellite(base):\n"
+        "    verdicts = {'P1': v, 'P2': v}\n"
+        "    return Certificate(s, h, verdicts, conclusion='NotApplicable')\n"
+        "one = {'P1': v}\n"
+        "ok = Certificate(s, h, verdicts, CERTIFIED, [], i)\n"
+    )
+    assert _second_decisions(source, "certify.py") == [
+        "certify.py:6 builds P1 and P2",
+        "certify.py:7 builds NotApplicable",
+    ]
+    assert _second_decisions(source, "cli.py") == []
