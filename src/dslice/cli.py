@@ -13,6 +13,13 @@ byte-identical output.  Results are cached under a content-hash key
 (see the cache module); ``--no-cache`` bypasses the cache and
 ``--verify-cache`` recomputes on every hit and insists the stored bytes
 match.
+
+Each call builds its own parser, but gives arguments and ``-h`` only to
+the subparser of the command it names (the first token not starting
+with ``-``): building all four was most of a cached request's time.
+Every subcommand is still registered with its help line, so top-level
+help, usage and errors keep their bytes.  The parser is not kept
+between calls.
 """
 
 from __future__ import annotations
@@ -237,8 +244,7 @@ def cmd_oracle(doc: dict, n: int, m: int, fmt: str):
 
 def _run_cached(args, operation: str, payload, compute):
     """Serve from the cache, or compute, verify, and store."""
-    use_cache = not args.no_cache
-    if not use_cache:
+    if args.no_cache:
         text, code = compute()
         sys.stdout.write(text)
         return code
@@ -248,89 +254,85 @@ def _run_cached(args, operation: str, payload, compute):
         sys.stdout.write(entry["result"])
         return int(entry.get("exit", 0))
     text, code = compute()
-    if entry is not None and entry["result"] != text:
+    stale = entry is not None and entry["result"] != text
+    if stale:
         sys.stderr.write(
             "dslice: cache entry does not byte-match recomputation;"
             " replacing it\n"
         )
-        store_entry(key, operation, text, code)
-        sys.stdout.write(text)
-        return 1
     store_entry(key, operation, text, code)
     sys.stdout.write(text)
-    return code
-
-
-def _quotient(args):
-    target = FiniteMetabelian(*args.quotient_bound)
-    return target.n, target.m
+    return 1 if stale else code
 
 
 def _add_common(p):
-    p.add_argument(
-        "--format", choices=("json", "text"), default="text",
-        help="output format (default text)",
-    )
-    p.add_argument(
-        "--no-cache", action="store_true",
-        help="do not read or write the result cache",
-    )
-    p.add_argument(
-        "--verify-cache", action="store_true",
-        help="recompute on cache hits and check byte equality",
-    )
+    p.add_argument("--format", choices=("json", "text"), default="text",
+                   help="output format (default text)")
+    p.add_argument("--no-cache", action="store_true",
+                   help="do not read or write the result cache")
+    p.add_argument("--verify-cache", action="store_true",
+                   help="recompute on cache hits and check byte equality")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_documents(p):
+    p.add_argument("paths", nargs="+", metavar="DOC")
+    p.add_argument("--quotient-bound", nargs=2, type=int, default=(2, 3),
+                   metavar=("N", "M"))
+
+
+def _add_satellite(p):
+    p.add_argument("--pattern", required=True, metavar="DOC")
+    p.add_argument("--infection", required=True, metavar="CURVE")
+    p.add_argument("--companion", default="any", metavar="DOC|any|wh-symbolic",
+                   help="companion document, or a symbolic class of companions")
+
+
+def _add_oracle(p):
+    p.add_argument("--knot", required=True, metavar="DOC")
+    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--m", required=True, type=int)
+
+
+# Each subcommand: its help line and the function that adds its arguments.
+_COMMANDS = {
+    "analyze": ("module order, splitting verdict, quotient data",
+                _add_documents),
+    "certify": ("full double-slice certificate", _add_documents),
+    "satellite": ("transport a certificate through one infection",
+                  _add_satellite),
+    "oracle": ("compare both finite-cover homology paths", _add_oracle),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """Arguments and ``-h`` go to ``command``'s subparser alone, or to
+    every subparser when ``command`` is None or unknown."""
     parser = argparse.ArgumentParser(
         prog="dslice",
         description="Double-slice certification for knots from PD codes.",
         epilog=f"Cache directory override: ${ENV_CACHE_DIR}.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "analyze", help="module order, splitting verdict, quotient data"
-    )
-    p.add_argument("paths", nargs="+", metavar="DOC")
-    p.add_argument("--quotient-bound", nargs=2, type=int, default=(2, 3),
-                   metavar=("N", "M"))
-    _add_common(p)
-
-    p = sub.add_parser("certify", help="full double-slice certificate")
-    p.add_argument("paths", nargs="+", metavar="DOC")
-    p.add_argument("--quotient-bound", nargs=2, type=int, default=(2, 3),
-                   metavar=("N", "M"))
-    _add_common(p)
-
-    p = sub.add_parser(
-        "satellite", help="transport a certificate through one infection"
-    )
-    p.add_argument("--pattern", required=True, metavar="DOC")
-    p.add_argument("--infection", required=True, metavar="CURVE")
-    p.add_argument(
-        "--companion", default="any", metavar="DOC|any|wh-symbolic",
-        help="companion document, or a symbolic class of companions",
-    )
-    _add_common(p)
-
-    p = sub.add_parser(
-        "oracle", help="compare both finite-cover homology paths"
-    )
-    p.add_argument("--knot", required=True, metavar="DOC")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--m", required=True, type=int)
-    _add_common(p)
-
+    every = command not in _COMMANDS
+    for name, (text, add_arguments) in _COMMANDS.items():
+        build = every or name == command
+        p = sub.add_parser(name, help=text, add_help=build)
+        if build:
+            add_arguments(p)
+            _add_common(p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # no top-level option takes a value: the first positional is the command
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = _build_parser(command).parse_args(argv)
     try:
         if args.command in ("analyze", "certify"):
             run = {"analyze": cmd_analyze, "certify": cmd_certify}[args.command]
-            quotient = _quotient(args)
+            target = FiniteMetabelian(*args.quotient_bound)
+            quotient = target.n, target.m
             worst = 0
             for path in args.paths:
                 doc = load_document(path)
@@ -358,16 +360,13 @@ def main(argv=None) -> int:
                     pattern_doc, args.infection, companion_doc, args.format
                 ),
             )
-        if args.command == "oracle":
-            FiniteMetabelian(args.n, args.m)  # refuses bad parameters
-            doc = load_document(args.knot)
-            payload = {"doc": doc, "n": args.n, "m": args.m,
-                       "format": args.format}
-            return _run_cached(
-                args, "oracle", payload,
-                lambda: cmd_oracle(doc, args.n, args.m, args.format),
-            )
-        raise MalformedInput(f"unknown command {args.command!r}")
+        FiniteMetabelian(args.n, args.m)  # oracle; refuses bad parameters
+        doc = load_document(args.knot)
+        payload = {"doc": doc, "n": args.n, "m": args.m, "format": args.format}
+        return _run_cached(
+            args, "oracle", payload,
+            lambda: cmd_oracle(doc, args.n, args.m, args.format),
+        )
     except DsliceError as exc:
         sys.stderr.write(f"dslice: {exc}\n")
         return 2

@@ -92,27 +92,46 @@ def document_kind(doc: dict) -> str:
     raise MalformedInput("document is neither a diagram nor a satellite")
 
 
+def _is_label(x) -> bool:
+    """A 1-based edge label: an integer, and not a JSON boolean."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
+def _is_sign(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x in (1, -1)
+
+
+def _labels(row) -> bool:
+    return isinstance(row, (list, tuple)) and all(_is_label(x) for x in row)
+
+
 def validate_diagram_document(doc: dict) -> None:
     pd = doc.get("pd")
     if not isinstance(pd, list) or not pd:
         raise MalformedInput("diagram document needs a nonempty 'pd' list")
     for row in pd:
-        if (
-            not isinstance(row, (list, tuple))
-            or len(row) != 4
-            or not all(isinstance(x, int) and x >= 1 for x in row)
-        ):
+        if not _labels(row) or len(row) != 4:
             raise MalformedInput(
                 "each crossing must list four 1-based edge labels"
             )
     signs = doc.get("signs")
-    if signs is not None:
-        if len(signs) != len(pd) or not all(s in (1, -1) for s in signs):
-            raise MalformedInput("signs must be one of +1/-1 per crossing")
+    if signs is not None and (
+        not isinstance(signs, list)
+        or len(signs) != len(pd)
+        or not all(_is_sign(s) for s in signs)
+    ):
+        raise MalformedInput("signs must be one of +1/-1 per crossing")
+    comps = doc.get("components")
+    if comps is not None and (
+        not isinstance(comps, list) or not all(_labels(c) for c in comps)
+    ):
+        raise MalformedInput("components must be lists of edge labels")
     marks = doc.get("marks", {})
     if marks and not isinstance(marks, dict):
         raise MalformedInput("marks must be an object")
     curves = marks.get("curves", {}) if marks else {}
+    if not isinstance(curves, dict):
+        raise MalformedInput("marks.curves must be an object")
     for name, letters in curves.items():
         if not isinstance(letters, list) or not letters:
             raise MalformedInput(f"curve {name!r} must be a nonempty list")
@@ -120,7 +139,8 @@ def validate_diagram_document(doc: dict) -> None:
             if (
                 not isinstance(pair, (list, tuple))
                 or len(pair) != 2
-                or pair[1] not in (1, -1)
+                or not _is_label(pair[0])
+                or not _is_sign(pair[1])
             ):
                 raise MalformedInput(
                     f"curve {name!r} entries must be [edge, sign] pairs"
@@ -138,7 +158,7 @@ def validate_satellite_document(doc: dict) -> None:
             "satellite document needs a nonempty 'infections' list"
         )
     for item in infections:
-        if not isinstance(item, dict) or "curve" not in item:
+        if not isinstance(item, dict) or not isinstance(item.get("curve"), str):
             raise MalformedInput("each infection needs a 'curve' name")
         companion = item.get("companion")
         if isinstance(companion, str):
@@ -158,9 +178,10 @@ def _resolve_diagram_ref(ref: dict):
     if "bundled" in ref:
         from .corpus import bundled_document
 
-        doc = bundled_document(ref["bundled"])
+        name = ref["bundled"]
+        doc = bundled_document(name) if isinstance(name, str) else None
         if doc is None:
-            raise MalformedInput(f"no bundled document {ref['bundled']!r}")
+            raise MalformedInput(f"no bundled document {name!r}")
         return doc
     return ref
 

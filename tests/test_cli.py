@@ -1,5 +1,6 @@
 """End-to-end exit-code and output contract for the command line."""
 
+import copy
 import hashlib
 import json
 import os
@@ -473,6 +474,46 @@ def test_malformed_pd(docs, capsys, tmp_path):
     code, _, err = run(capsys, "certify", str(bad))
     assert code == 2
     assert "four" in err
+
+
+def _knot_with(**fields):
+    return {**bundled_document("946"), **fields}
+
+
+def _family_with(pattern=None, companion=None, curve=None):
+    doc = copy.deepcopy(bundled_document("r-rr"))  # the corpus caches it
+    first = doc["infections"][0]
+    doc["pattern"] = pattern or doc["pattern"]
+    first["companion"] = companion or first["companion"]
+    first["curve"] = curve or first["curve"]
+    return doc
+
+
+MALFORMED = {
+    "signs not a list": _knot_with(signs=5),
+    "boolean signs": _knot_with(signs=[True] * 9),
+    "components not a list": _knot_with(components=3),
+    "component with a string label": _knot_with(components=[[1, "x"]]),
+    "curves not an object": _knot_with(marks={"curves": 3}),
+    "boolean curve edge": _knot_with(marks={"curves": {"eta1": [[True, 1]]}}),
+    "boolean curve exponent": _knot_with(marks={"curves": {"eta1": [[1, True]]}}),
+    "string curve edge": _knot_with(marks={"curves": {"eta1": [["x", 1]]}}),
+    "bundled pattern named by a list": _family_with(pattern={"bundled": ["946"]}),
+    "bundled companion named by a list": _family_with(
+        companion={"bundled": ["946"]}
+    ),
+    "infection curve not a string": _family_with(curve=["eta1"]),
+    "boolean pd labels": {"pd": [[True, 2, 2, True]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_exits_2_with_one_line(docs, capsys, tmp_path, case):
+    path = tmp_path / "doc.json"
+    dump_document(MALFORMED[case], str(path))
+    code, out, err = run(capsys, "certify", str(path), "--no-cache")
+    assert (code, out) == (2, "")
+    assert err.startswith("dslice: ") and err.count("\n") == 1
 
 
 # ----------------------------------------------------------------- caching
