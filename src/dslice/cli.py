@@ -14,12 +14,13 @@ byte-identical output.  Results are cached under a content-hash key
 ``--verify-cache`` recomputes on every hit and insists the stored bytes
 match.
 
-Each call builds its own parser, but gives arguments and ``-h`` only to
-the subparser of the command it names (the first token not starting
-with ``-``): building all four was most of a cached request's time.
-Every subcommand is still registered with its help line, so top-level
-help, usage and errors keep their bytes.  The parser is not kept
-between calls.
+A request whose first token names a subcommand is parsed by that
+subcommand's parser alone, made as ``add_parser`` makes it, so its
+``-h`` and its errors are the full tree's: building every subparser was
+most of a cached request's time.  Anything else (no arguments, a
+top-level option, an unknown command, or tokens the subparser leaves
+over) goes to the full tree, which owns top-level help and usage.
+No parser is kept between calls.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .corpus import default_registry
 from .diagrams import diagram_hash, zero_surgery
 from .documents import (
     COMPANION_TOKENS,
-    check_pattern_mark,
     diagram_from_document,
     document_kind,
     load_document,
@@ -119,7 +119,6 @@ def _analyze_report(doc: dict, quotient) -> dict:
     if document_kind(doc) != "diagram":
         raise MalformedInput("analyze expects a knot or link document")
     diagram, name = diagram_from_document(doc)
-    check_pattern_mark(doc)
     plain = zero_surgery(diagram, 0)
     # the witness lines are coordinates over the diagram's arcs, so the
     # report reads the full presentation's module, not ``plain.module``
@@ -304,30 +303,37 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command=None) -> argparse.ArgumentParser:
-    """Arguments and ``-h`` go to ``command``'s subparser alone, or to
-    every subparser when ``command`` is None or unknown."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dslice",
         description="Double-slice certification for knots from PD codes.",
         epilog=f"Cache directory override: ${ENV_CACHE_DIR}.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    every = command not in _COMMANDS
     for name, (text, add_arguments) in _COMMANDS.items():
-        build = every or name == command
-        p = sub.add_parser(name, help=text, add_help=build)
-        if build:
-            add_arguments(p)
-            _add_common(p)
+        p = sub.add_parser(name, help=text)
+        add_arguments(p)
+        _add_common(p)
     return parser
 
 
+def _parse_args(argv):
+    """``argv`` parsed by its subcommand's own parser when that leaves
+    nothing over, otherwise by the full tree."""
+    if argv and argv[0] in _COMMANDS:
+        # the parser ``add_parser`` makes for this command
+        p = argparse.ArgumentParser(prog=f"dslice {argv[0]}")
+        _COMMANDS[argv[0]][1](p)
+        _add_common(p)
+        args, extras = p.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # no top-level option takes a value: the first positional is the command
-    command = next((a for a in argv if not a.startswith("-")), None)
-    args = _build_parser(command).parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         if args.command in ("analyze", "certify"):
             run = {"analyze": cmd_analyze, "certify": cmd_certify}[args.command]

@@ -3,7 +3,7 @@
 A diagram document is a JSON object::
 
     {
-      "name": "9_46",                    # optional display name
+      "name": "9_46",                    # optional display name, a string
       "pd": [[11, 1, 12, 18], ...],      # crossings, 1-based edge labels
       "signs": [1, -1, ...],             # optional, else inferred
       "components": [[1, 2, ...], ...],  # optional, cross-checked
@@ -105,7 +105,14 @@ def _labels(row) -> bool:
     return isinstance(row, (list, tuple)) and all(_is_label(x) for x in row)
 
 
+def _check_name(doc: dict, what: str) -> None:
+    """Refuse a display ``name`` that is present but not a string."""
+    if not isinstance(doc.get("name", ""), str):
+        raise MalformedInput(f"{what} name must be a string")
+
+
 def validate_diagram_document(doc: dict) -> None:
+    _check_name(doc, "diagram")
     pd = doc.get("pd")
     if not isinstance(pd, list) or not pd:
         raise MalformedInput("diagram document needs a nonempty 'pd' list")
@@ -129,6 +136,7 @@ def validate_diagram_document(doc: dict) -> None:
     marks = doc.get("marks", {})
     if marks and not isinstance(marks, dict):
         raise MalformedInput("marks must be an object")
+    check_pattern_mark(doc)
     curves = marks.get("curves", {}) if marks else {}
     if not isinstance(curves, dict):
         raise MalformedInput("marks.curves must be an object")
@@ -148,6 +156,7 @@ def validate_diagram_document(doc: dict) -> None:
 
 
 def validate_satellite_document(doc: dict) -> None:
+    _check_name(doc, "satellite")
     if not isinstance(doc.get("pattern"), dict):
         raise MalformedInput(
             "satellite document needs a 'pattern' object"
@@ -160,6 +169,7 @@ def validate_satellite_document(doc: dict) -> None:
     for item in infections:
         if not isinstance(item, dict) or not isinstance(item.get("curve"), str):
             raise MalformedInput("each infection needs a 'curve' name")
+        _check_name(item, "infection")
         companion = item.get("companion")
         if isinstance(companion, str):
             if COMPANION_TOKENS.get(companion) != companion:
@@ -216,7 +226,6 @@ def marked_presentation(doc: dict):
     """Diagram plus zero-surgery presentation with marked curves attached."""
     doc = _resolve_diagram_ref(doc)
     diagram, name = diagram_from_document(doc)
-    check_pattern_mark(doc)
     plain = zero_surgery(diagram, 0)
     curves = (doc.get("marks", {}) or {}).get("curves", {})
     if curves:

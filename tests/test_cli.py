@@ -489,6 +489,12 @@ def _family_with(pattern=None, companion=None, curve=None):
     return doc
 
 
+def _infection_named(name):
+    doc = _family_with()
+    doc["infections"][0]["name"] = name
+    return doc
+
+
 MALFORMED = {
     "signs not a list": _knot_with(signs=5),
     "boolean signs": _knot_with(signs=[True] * 9),
@@ -504,6 +510,10 @@ MALFORMED = {
     ),
     "infection curve not a string": _family_with(curve=["eta1"]),
     "boolean pd labels": {"pd": [[True, 2, 2, True]]},
+    **{f"{kind} name {label}": doc
+       for label, name in (("number", 5), ("list", ["x"]), ("boolean", True))
+       for kind, doc in (("knot", _knot_with(name=name)),
+                         ("infection", _infection_named(name)))},
 }
 
 
@@ -783,7 +793,7 @@ def test_family_request_builds_the_module_basis_once(docs, capsys, work):
 def test_nonzero_pattern_mark_keeps_its_output(docs, capsys, tmp_path):
     # a document marking another pattern component is refused, naming the
     # field, before a knot's missing component or a link's missing
-    # canonical hash is reached; analyze refuses it too
+    # canonical hash is reached
     knot = bundled_document("946")
     knot = {**knot, "marks": {**knot["marks"], "pattern": 1}}
     trefoil = [[a + 18, b + 18, c + 18, d + 18]
@@ -806,7 +816,20 @@ def test_nonzero_pattern_mark_keeps_its_output(docs, capsys, tmp_path):
         dump_document(family, path)
         code, out, got = run(capsys, "certify", path, "--no-cache")
         assert (code, out) == (2, "") and err in got
-    # a knot certificate reads no marks
-    dump_document(knot, path)
-    assert run(capsys, "certify", path, "--no-cache")[:2] == run(
-        capsys, "certify", docs["946"], "--no-cache")[:2]
+
+
+@pytest.mark.parametrize("command,name,mark", [
+    ("certify", "946", "x"), ("analyze", "946", "x"), ("oracle", "trefoil", 1),
+])
+def test_every_command_refuses_a_nonzero_pattern_mark(
+    capsys, tmp_path, command, name, mark,
+):
+    doc = bundled_document(name)
+    doc = {**doc, "marks": {**doc.get("marks", {}), "pattern": mark}}
+    path = str(tmp_path / "knot.json")
+    dump_document(doc, path)
+    argv = {"oracle": ["oracle", "--knot", path, "--n", "2", "--m", "1"]}
+    code, out, err = run(capsys, *argv.get(command, [command, path]),
+                         "--no-cache")
+    assert (code, out) == (2, "")
+    assert err == f"dslice: marks.pattern must be 0, not {mark!r}\n"
