@@ -510,6 +510,7 @@ MALFORMED = {
     ),
     "infection curve not a string": _family_with(curve=["eta1"]),
     "boolean pd labels": {"pd": [[True, 2, 2, True]]},
+    "satellite name number": {**_family_with(), "name": 5},
     **{f"{kind} name {label}": doc
        for label, name in (("number", 5), ("list", ["x"]), ("boolean", True))
        for kind, doc in (("knot", _knot_with(name=name)),
