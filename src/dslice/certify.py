@@ -415,7 +415,7 @@ def certify_satellite(
         companion_kind = "concrete" if companion is not None else "any"
     rec = _family_record(plain, {
         "curve": curve, "companion": companion, "kind": companion_kind,
-    })
+    }, {})
     if companion is not None:
         label = {"name": companion_name or None, "hash": diagram_hash(companion)}
     elif companion_kind == "doubled":
@@ -475,18 +475,27 @@ def _commutator_of_nullhomologous(word: Word, weights) -> bool:
     return False
 
 
-def _family_record(plain, item):
+def _family_record(plain, item, orders):
     """Transport record for one family infection slot.
 
-    Concrete companions are measured; symbolic slots carry the closed
-    form for their kind: a doubled companion always has trivial module
-    order, an arbitrary companion guarantees nothing.
+    Concrete companions are measured, each diagram once per certificate:
+    ``orders`` maps the hash of every companion measured so far to
+    whether its module order is trivial.  Symbolic slots carry the
+    closed form for their kind: a doubled companion always has trivial
+    module order, an arbitrary companion guarantees nothing.
     """
     curve = item["curve"]
     kind = item.get("kind", "concrete")
     companion = item.get("companion")
     if kind == "concrete" and companion is not None:
-        return transport_record(plain, curve, companion=companion)
+        h = diagram_hash(companion)
+        if h in orders:
+            return replace(
+                transport_record(plain, curve), companion_alexander_trivial=orders[h]
+            )
+        rec = transport_record(plain, curve, companion=companion)
+        orders[h] = rec.companion_alexander_trivial
+        return rec
     rec = transport_record(plain, curve, companion=None)
     if kind == "doubled":
         rec = replace(rec, companion_alexander_trivial=True)
@@ -519,9 +528,10 @@ def certify_family(
     hyps = [f"base pattern verdicts both hold: {_base_both_hold(base)}"]
     recs = []
     derived_curves = []
+    orders = {}
     for item in infections:
         curve = item["curve"]
-        rec = _family_record(plain, item)
+        rec = _family_record(plain, item, orders)
         recs.append(rec)
         companion = item.get("companion")
         subject_inf.append({

@@ -112,7 +112,29 @@ class LambdaModule:
 
     @cached_property
     def basis(self) -> GroebnerBasis:
-        return GroebnerBasis(list(self.rows), self.ncols, budget=SPLIT_BUDGET)
+        """Groebner basis of the row span, seeded with a minor if needed.
+
+        When the completion of the rows runs out of budget, the rows are
+        completed again, under the same budget, together with d * e_j for
+        every column j, where d is the first nonzero maximal minor of the
+        rows.  For the k rows S on which d = det(A_S) is taken,
+        adj(A_S) A_S = det(A_S) I, so row j of adj(A_S) combines the rows
+        of S into d * e_j: every seed lies in the row span, the span is
+        unchanged, and so is every membership answer.  The seeds bound the
+        degrees the completion reaches, as determinant-modular Hermite
+        forms do.  With no nonzero maximal minor the budget error stands.
+        """
+        try:
+            return GroebnerBasis(list(self.rows), self.ncols, budget=SPLIT_BUDGET)
+        except BudgetExceeded:
+            d = next((d for d in self._maximal_minors() if not d.is_zero()), None)
+            if d is None:
+                raise
+        seeds = [
+            tuple(d if c == j else ZERO for c in range(self.ncols))
+            for j in range(self.ncols)
+        ]
+        return GroebnerBasis(list(self.rows) + seeds, self.ncols, budget=SPLIT_BUDGET)
 
     @staticmethod
     def make(rows, ncols):
@@ -172,19 +194,23 @@ class LambdaModule:
             return ONE
         if len(self.rows) < k:
             return ZERO
-        if comb(len(self.rows), k) > _MINOR_CAP:
+        g = ZERO
+        for d in self._maximal_minors():
+            g = poly_gcd(g, d)
+            if g == ONE:
+                break
+        return g.canonical()
+
+    def _maximal_minors(self):
+        """The ncols x ncols minors of the rows, one per row subset."""
+        if comb(len(self.rows), self.ncols) > _MINOR_CAP:
             raise BudgetExceeded(
                 "too many maximal minors; simplify the presentation first"
             )
         # row subsets of the relations are column subsets of the transpose
         columns = list(zip(*self.rows))
-        subsets = combinations(range(len(self.rows)), k)
-        g = ZERO
-        for d in maximal_minors(columns, subsets):
-            g = poly_gcd(g, d)
-            if g == ONE:
-                break
-        return g.canonical()
+        subsets = combinations(range(len(self.rows)), self.ncols)
+        return maximal_minors(columns, subsets)
 
 
 def deleted_column_module(rows, meridian: int, ngens: int) -> LambdaModule:

@@ -3,18 +3,37 @@
 ``nullspace_mod`` is the one dense elimination over Z/m; a rank mod a
 prime p is the column count less the number of generators it returns.
 
-The sparse routine is tuned for the matrices this package actually meets:
-abelianised Reidemeister-Schreier relators and regular-representation
-blocks, which are large (hundreds of rows) but overwhelmingly filled with
-0 and +-1.  Rows are kept in buckets by their current number of nonzeros;
-each row operation moves the row it changes to its new bucket.  A pivot
-is chosen from the lowest nonempty buckets upward, among the entries of
-the two shortest rows (more if those hold no unit): smallest |value|
-first, then least Markowitz fill (row count - 1) * (column count - 1).
-So a pivot choice never rescans the whole matrix, and since a unit is
-taken whenever one is left, the coefficient explosion of naive SNF rarely
-gets a chance to start.  The pivot order changes the work, never the
-invariants.
+``sparse_invariants`` is the one integer Smith routine.  It is tuned for
+the matrices this package actually meets: abelianised
+Reidemeister-Schreier relators and regular-representation blocks, which
+are tall (more relator rows than generator columns), large (hundreds of
+rows) and overwhelmingly filled with 0 and +-1.
+
+* Orientation.  When the matrix has more nonzero rows than nonzero
+  columns, its transpose is eliminated instead.  P A Q = D with P, Q
+  unimodular gives Q^T A^T P^T = D^T, so A and A^T have the same rank
+  and the same elementary divisors; only the number of rows each pivot
+  has to clear changes.
+* Pivots.  Rows are kept in buckets by their current number of
+  nonzeros, and a row changes bucket only when its length changes.  A
+  pivot is chosen from the lowest nonempty buckets upward, among the
+  entries of the two shortest rows (more if those hold no unit):
+  smallest |value| first, then least Markowitz fill (row count - 1) *
+  (column count - 1).  So a pivot choice never rescans the whole
+  matrix, and since a unit is taken whenever one is left, the
+  coefficient explosion of naive SNF rarely gets a chance to start.
+* Unit pivots.  A pivot +-1 clears its column in one sweep: each other
+  row of the column loses (entry * pivot) times the pivot row, which
+  leaves no remainder.  The pivot row then leaves the matrix with
+  divisor 1, since column operations would clear its other entries
+  without touching any other row.
+* Other pivots keep the Euclid steps: row operations by floor quotient,
+  a nonzero remainder becoming the new, smaller pivot, and then column
+  operations on the pivot row, where a nonzero remainder again becomes
+  the pivot.
+
+Each row operation reads every entry it updates with one lookup.  The
+pivot order changes the work, never the invariants.
 
 Everything returns plain ints; no floats anywhere.
 """
@@ -38,7 +57,8 @@ def sparse_invariants(rows, ncols: int):
     """Diagonalise a sparse integer matrix by row/column operations.
 
     Args:
-        rows: iterable of ``{col: value}`` dicts (zero values allowed).
+        rows: iterable of ``{col: value}`` dicts or of dense lists (zero
+            values allowed).
         ncols: number of columns of the ambient matrix.
 
     Returns:
@@ -47,51 +67,31 @@ def sparse_invariants(rows, ncols: int):
         cokernel of the matrix is ``Z^(ncols - rank) + sum Z/d``.
     """
     mat = {}
-    colidx: dict = {}
-    buckets: dict = {}  # nonzero count -> set of rows with that count
+    cols: dict = {}
     for i, r in enumerate(rows):
-        if not isinstance(r, dict):
-            r = {j: v for j, v in enumerate(r)}
-        clean = {j: v for j, v in r.items() if v}
+        items = r.items() if isinstance(r, dict) else enumerate(r)
+        clean = {j: v for j, v in items if v}
         if clean:
             mat[i] = clean
-            buckets.setdefault(len(clean), set()).add(i)
-            for j in clean:
-                colidx.setdefault(j, set()).add(i)
+            for j, v in clean.items():
+                cols.setdefault(j, {})[i] = v
+    if len(mat) > len(cols):
+        mat, cols = cols, mat  # eliminate the transpose, which has fewer rows
+    colidx = {j: set(c) for j, c in cols.items()}
+    buckets: dict = {}  # nonzero count -> set of rows with that count
+    for i, row in mat.items():
+        buckets.setdefault(len(row), set()).add(i)
 
-    def rebucket(i, old, new):
-        # move row i from the bucket of count old to that of count new
-        if old:
-            b = buckets[old]
-            b.discard(i)
-            if not b:
-                del buckets[old]
+    def move(i, old, new):
+        # row i went from old to new nonzeros; an empty row leaves mat
+        b = buckets[old]
+        b.discard(i)
+        if not b:
+            del buckets[old]
         if new:
             buckets.setdefault(new, set()).add(i)
-
-    def unlink(i, j):
-        # entry (i, j) has become zero
-        s = colidx[j]
-        s.discard(i)
-        if not s:
-            del colidx[j]
-
-    def row_op(dst, src, q):
-        # row dst -= q * row src
-        row = mat[dst]
-        old = len(row)
-        for j, v in mat[src].items():
-            w = row.get(j, 0) - q * v
-            if w:
-                if j not in row:
-                    colidx.setdefault(j, set()).add(dst)
-                row[j] = w
-            else:
-                del row[j]
-                unlink(dst, j)
-        rebucket(dst, old, len(row))
-        if not row:
-            del mat[dst]
+        else:
+            del mat[i]
 
     def choose_pivot():
         # smallest |value|, then least fill, over the shortest rows
@@ -101,66 +101,85 @@ def sparse_invariants(rows, ncols: int):
             fill = count - 1
             for i in buckets[count]:
                 for j, v in mat[i].items():
-                    key = (abs(v), fill * (len(colidx[j]) - 1))
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
-                        if key == (1, 0):
+                    a = v if v > 0 else -v
+                    if best is not None and a > best[0]:
+                        continue
+                    f = fill * (len(colidx[j]) - 1)
+                    if best is None or a < best[0] or f < best[1]:
+                        best = (a, f, i, j)
+                        if a == 1 and not f:
                             return i, j
                 seen += 1
-                if seen >= _PIVOT_ROWS and best[0][0] == 1:
-                    return best[1], best[2]
-        return best[1], best[2]
+                if seen >= _PIVOT_ROWS and best[0] == 1:
+                    return best[2], best[3]
+        return best[2], best[3]
 
     divisors = []
     while mat:
         pi, pj = choose_pivot()
-
         while True:
             # clear the pivot column with row operations
-            pv = mat[pi][pj]
-            moved = False
+            prow = mat[pi]
+            pv = prow[pj]
+            unit = pv == 1 or pv == -1
+            items = prow.items()
             for i in list(colidx[pj]):
                 if i == pi:
                     continue
-                q = mat[i][pj] // pv  # floor division: |remainder| < |pv|
+                row = mat[i]
+                q = row[pj] // pv  # exact for a unit, else |remainder| < |pv|
                 if q:
-                    row_op(i, pi, q)
-                if mat.get(i, {}).get(pj):
+                    # row i -= q * row pi, one lookup per entry
+                    old = len(row)
+                    get = row.get
+                    for j, v in items:
+                        w = get(j)
+                        if w is None:
+                            row[j] = -q * v
+                            colidx[j].add(i)
+                        else:
+                            w -= q * v
+                            if w:
+                                row[j] = w
+                            else:
+                                del row[j]
+                                colidx[j].discard(i)
+                    if len(row) != old:
+                        move(i, old, len(row))
+                if not unit and pj in row:
                     # smaller remainder becomes the new pivot (Euclid step)
                     pi = i
-                    moved = True
                     break
-            if moved:
-                continue
-            # column is clear except the pivot; clear the pivot row with
-            # column operations, which now touch only row pi
-            row = mat[pi]
-            old = len(row)
-            for j, v in list(row.items()):
-                if j == pj:
-                    continue
-                r = v % pv
-                if r:
-                    # switch pivot to the smaller entry in the same row
-                    row[j] = r
-                    pj = j
-                    moved = True
+            else:
+                if unit:
                     break
-                del row[j]
-                unlink(pi, j)
-            rebucket(pi, old, len(row))
-            if not moved:
-                break
+                # the column is clear except the pivot; column operations
+                # clear the pivot row and touch no other row
+                old = len(prow)
+                switch = None
+                for j, v in list(prow.items()):
+                    if j != pj:
+                        r = v % pv
+                        if r:
+                            # the smaller entry in the same row becomes the pivot
+                            prow[j] = r
+                            switch = j
+                            break
+                        del prow[j]
+                        colidx[j].discard(pi)
+                if len(prow) != old:
+                    move(pi, old, len(prow))
+                if switch is None:
+                    break
+                pj = switch
+        # the pivot row leaves: for a unit, column operations would clear
+        # its other entries without touching any other row
+        divisors.append(pv)
+        move(pi, len(prow), 0)
+        for j in prow:
+            colidx[j].discard(pi)
 
-        row = mat.pop(pi)
-        divisors.append(abs(row[pj]))
-        rebucket(pi, len(row), 0)
-        for j in row:
-            unlink(pi, j)
-
-    rank = len(divisors)
-    chain = normalize_divisor_chain([d for d in divisors if d != 1])
-    return rank, chain
+    return len(divisors), normalize_divisor_chain([abs(d) for d in divisors])
 
 
 def normalize_divisor_chain(ds):

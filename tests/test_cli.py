@@ -187,6 +187,29 @@ def test_certify_unregistered_946_bytes_are_pinned(capsys, tmp_path, tag):
         )
 
 
+def test_certify_946_with_200_kinks_exits_undetermined(
+    capsys, tmp_path, workloads
+):
+    # 9_46 kinked 200 times with Random(1), 209 crossings: its small
+    # module's basis completes only when seeded with a maximal minor
+    import random
+
+    from dslice.documents import diagram_from_document
+
+    pd = bundled_document("946")["pd"]
+    rng = random.Random(1)
+    for _ in range(200):
+        diagram, _ = diagram_from_document({"pd": pd})
+        edge = rng.randint(1, len(diagram.edges))
+        pd = workloads.kink_pd(pd, diagram.signs, edge, rng.random() < 0.5)
+    assert len(pd) == 209
+    path = tmp_path / "kinked.json"
+    path.write_text(json.dumps({"format": "dslice-diagram/1", "pd": pd}))
+    code, out, _ = run(capsys, "certify", str(path), "--no-cache")
+    assert code == 1
+    assert "splitting verdict: split" in out and "Undetermined" in out
+
+
 def test_certify_unregistered_kink_eliminates_the_jacobian_once(
     capsys, tmp_path, monkeypatch
 ):
@@ -361,6 +384,8 @@ ORACLE_DIGESTS = {
         (0, "0dd5b64e7667f621f6718249899b5ff930fca9f5952847798d9230732cff0dac"),
     ("946", 3, 7, "json"):
         (0, "d30c8acdb6f760ac8e7ff124a763bfdcc1a67cf36264dea2da52aa3285b1a8c8"),
+    ("946", 4, 15, "text"):
+        (0, "b119ed43c1a88ad9c9ee701c2d4eb98c254d109dd7a931c3ac82b57b95e1827e"),
     ("trefoil", 4, 15, "text"):
         (0, "5f98efa674084923866302cf132e50abd749821ba8f713467cd50000dce71438"),
     ("trefoil", 4, 15, "json"):
@@ -788,7 +813,37 @@ def test_family_request_builds_the_module_basis_once(docs, capsys, work):
     assert code == 1
     assert work["bases"] == BASES_946
     assert work["bases"].count((2, False)) == 1
-    assert work["fox_jacobian"] == 1 + 2
+    # the pattern's Jacobian and one Alexander polynomial of the companion
+    # 9_46, which both curves share
+    assert work["fox_jacobian"] == 1 + 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_family_request_measures_each_companion_once(
+    docs, capsys, monkeypatch, fmt
+):
+    import dslice.twisted as twisted
+
+    inner = twisted.alexander_polynomial
+    calls = []
+
+    def counting(pres, meridian):
+        calls.append(pres.num_generators)
+        return inner(pres, meridian)
+
+    monkeypatch.setattr(twisted, "alexander_polynomial", counting)
+    code, out, _ = run(
+        capsys, "certify", docs["r-rr"], "--format", fmt, "--no-cache"
+    )
+    assert code == 1
+    assert len(calls) == 1
+    if fmt == "json":
+        records = [
+            line for line in json.loads(out)["hypotheses"]
+            if line.startswith("curve ")
+        ]
+        assert len(records) == 2
+        assert all("companion trivial order False" in r for r in records)
 
 
 def test_nonzero_pattern_mark_keeps_its_output(docs, capsys, tmp_path):

@@ -12,11 +12,13 @@ from dslice.bs12 import Bs12Group, check_relators
 from dslice.corpus import bundled_diagram, bundled_document, bundled_names
 from dslice.diagrams import Diagram, infect, wirtinger, zero_surgery
 from dslice.documents import diagram_from_document
-from dslice.errors import HypothesisNotMet
+from dslice.errors import BudgetExceeded, HypothesisNotMet
+from dslice.groebner import GroebnerBasis
 from dslice.laurent import ONE, T, ZERO, LaurentPoly
 from dslice import modules
 from dslice.modules import (
     LambdaModule,
+    SPLIT_BUDGET,
     TARGET_ORDER,
     _verify_split,
     alexander_module,
@@ -415,3 +417,91 @@ def test_kernel_mod_spans_the_full_kernel(n, m):
         assert len(got) == len(full)
         assert all(len(v) == ng for v in got)
         assert _span(got, m) == _span(full, m)
+
+
+# ------------------------------------------- Groebner bases seeded by a minor
+
+# the small module of 9_46 with 200 seeded Reidemeister-I kinks (9_46's
+# PD code kinked 200 times by workloads.kink_pd with Random(1): 209
+# crossings), as {degree: coefficient} per entry; its unseeded completion
+# exceeds the coefficient bound
+KINKED_946_ROWS = [
+    [{-3: -1, -2: 3, -1: -2}, {-2: 1, -1: -1, 0: 1}],
+    [{-2: 1, -1: -2}, {-1: -1, 1: 1}],
+    [{-1: -1, 0: 2}, {0: 1, 1: -2}],
+    [{-3: 1, -2: -1, -1: -2, 4: 1, 5: -2},
+     {-2: -1, -1: 1, 0: 2, 1: 2, 2: 1, 3: 1, 4: 1, 6: 1}],
+]
+
+
+def _kinked_946_module():
+    rows = [tuple(LaurentPoly(p) for p in row) for row in KINKED_946_ROWS]
+    return LambdaModule.make(rows, 2)
+
+
+def test_kinked_946_basis_completes_when_seeded_with_a_minor():
+    module = _kinked_946_module()
+    with pytest.raises(BudgetExceeded, match="coefficients"):
+        GroebnerBasis(list(module.rows), 2, budget=SPLIT_BUDGET)
+    basis = module.basis
+    assert all(basis.contains(row) for row in module.rows)
+    report = detect_splitting(module)
+    assert (report.verdict, report.order) == ("split", TARGET_ORDER)
+
+
+def _membership_answers(basis, ncols):
+    # the witness pool and its multiples by t - 2 and 2t - 1, the
+    # vectors the splitting search asks about
+    pool = modules._witness_pool(ncols)
+    queries = pool + [
+        modules._scale_vec(p, v) for p in (T_MINUS_2, TWO_T_MINUS_1) for v in pool
+    ]
+    return [basis.contains(v) for v in queries]
+
+
+def _seeded_basis(monkeypatch, module):
+    """``module.basis`` with its unseeded completion forced to fail, and
+    the seeds it was completed with."""
+    calls = []
+
+    def fail_once(gens, width, budget):
+        calls.append(gens)
+        if len(calls) == 1:
+            raise BudgetExceeded("forced")
+        return GroebnerBasis(gens, width, budget=budget)
+
+    with monkeypatch.context() as m:
+        m.setattr(modules, "GroebnerBasis", fail_once)
+        basis = LambdaModule(module.rows, module.ncols).basis
+    rows = list(module.rows)
+    assert calls[0] == rows and calls[1][:len(rows)] == rows
+    return basis, calls[1][len(rows):]
+
+
+def test_seeded_basis_answers_as_the_unseeded_one(monkeypatch):
+    module = zero_surgery(bundled_diagram("946"), 0).module
+    want = _membership_answers(module.basis, module.ncols)
+    assert True in want and False in want
+    seeded, seeds = _seeded_basis(monkeypatch, module)
+    d = seeds[0][0]
+    assert not d.is_zero() and d != ONE
+    assert seeds == [(d, ZERO), (ZERO, d)]
+    assert _membership_answers(seeded, module.ncols) == want
+
+
+def test_seeds_outside_the_row_span_change_the_answers(monkeypatch):
+    # e_j in place of d e_j: the seeds span everything, so every query
+    # becomes a member
+    module = zero_surgery(bundled_diagram("946"), 0).module
+    want = _membership_answers(module.basis, module.ncols)
+    monkeypatch.setattr(LambdaModule, "_maximal_minors", lambda self: iter([ONE]))
+    seeded, seeds = _seeded_basis(monkeypatch, module)
+    assert seeds == [(ONE, ZERO), (ZERO, ONE)]
+    assert _membership_answers(seeded, module.ncols) != want
+
+
+def test_no_nonzero_minor_keeps_the_budget_error(monkeypatch):
+    # one row on two columns has no maximal minor to seed with
+    module = LambdaModule.make([(T_MINUS_2, ONE)], 2)
+    with pytest.raises(BudgetExceeded, match="forced"):
+        _seeded_basis(monkeypatch, module)

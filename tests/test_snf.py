@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -180,3 +181,140 @@ def test_nullspace_mod_eliminates_over_z_mod_m():
             assert span_mod(gens, m, nc) == brute_nullspace(a, m, nc)
             checked += 1
     assert checked > 100
+
+
+# -------------------------------------------------- the sparse Smith kernel
+
+
+def transpose(rows, ncols):
+    dense = [
+        [r.get(j, 0) for j in range(ncols)] if isinstance(r, dict) else list(r)
+        for r in rows
+    ]
+    return [list(col) for col in zip(*dense)] if dense else [[]] * ncols
+
+
+def awkward_matrix(rng, nr, nc):
+    """Entries up to +-9 with zero rows, zero columns, repeated rows and
+    integer combinations of earlier rows mixed in."""
+    zero_cols = {j for j in range(nc) if rng.random() < 0.15}
+    rows = []
+    for _ in range(nr):
+        pick = rng.random()
+        if rows and pick < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif len(rows) >= 2 and pick < 0.3:
+            a, b = rng.sample(rows, 2)
+            x, y = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows.append([x * u + y * v for u, v in zip(a, b)])
+        elif pick < 0.4:
+            rows.append([0] * nc)
+        else:
+            rows.append([
+                0 if j in zero_cols or rng.random() < 0.4 else rng.randint(-9, 9)
+                for j in range(nc)
+            ])
+    return rows
+
+
+def as_dict_rows(rng, rows):
+    # sparse dicts, now and then keeping an explicit zero
+    return [
+        {j: v for j, v in enumerate(r) if v or rng.random() < 0.2} for r in rows
+    ]
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide", "square"])
+def test_sparse_invariants_vs_sympy_on_awkward_matrices(shape):
+    rng = random.Random(f"snf:{shape}")
+    for _ in range(80):
+        k = rng.randint(0, 7)
+        extra = rng.randint(1, 5)
+        nr, nc = {"tall": (k + extra, k), "wide": (k, k + extra),
+                  "square": (k, k)}[shape]
+        dense = awkward_matrix(rng, nr, nc)
+        rows = as_dict_rows(rng, dense) if rng.random() < 0.5 else dense
+        expected = sympy_divisors(dense, nc)
+        got = sparse_invariants(rows, nc)
+        assert got == (len(expected), [v for v in expected if v > 1]), dense
+        assert sparse_invariants(transpose(rows, nc), nr) == got, dense
+
+
+def test_sparse_invariants_of_a_matrix_and_its_transpose_agree():
+    # P A Q = D gives Q^T A^T P^T = D^T: same rank, same divisors
+    rng = random.Random(1957)
+    for _ in range(300):
+        nr, nc = rng.randint(0, 12), rng.randint(1, 12)
+        rows = random_sparse_rows(rng, nr, nc)
+        got = sparse_invariants(rows, nc)
+        assert sparse_invariants(transpose(rows, nc), nr) == got
+
+
+def test_non_unit_pivots_take_euclid_steps_and_column_operations():
+    # no entry is a unit: the pivots reach their gcds by Euclid steps on
+    # rows, and by column operations where the pivot row keeps a remainder
+    cases = [
+        ([[6, 4], [4, 6]], (2, [2, 10])),
+        ([[2, 3], [4, 5]], (2, [2])),
+        ([[4], [6]], (1, [2])),
+        ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], (3, [2, 6, 12])),
+    ]
+    for rows, want in cases:
+        nc = len(rows[0])
+        assert sparse_invariants(rows, nc) == want
+        assert sparse_invariants(transpose(rows, nc), len(rows)) == want
+        assert sparse_invariants([dict(enumerate(r)) for r in rows], nc) == want
+
+
+# (rows, columns, nonzeros, (rank, divisors)) of every matrix the cover
+# oracle reduces for 9_46, in order: for each orbit representative the
+# cover relators, then the twisted Jacobian's regular blocks
+ORACLE_BLOCKS_946 = {
+    (3, 7): [
+        (12, 7, 46, (6, [7, 7])), (12, 9, 60, (6, [7, 7])),
+        (84, 43, 586, (42, [7, 7])), (84, 63, 840, (42, [7, 7])),
+    ],
+    (4, 15): [
+        (16, 9, 59, (8, [15, 15])), (16, 12, 80, (8, [15, 15])),
+        (48, 25, 279, (24, [15, 15])), (48, 36, 408, (24, [15, 15])),
+        (240, 121, 1674, (120, [15, 15])), (240, 180, 2460, (120, [15, 15])),
+        (240, 121, 2164, (120, [2, 2, 2, 2, 2, 2, 10, 90])),
+        (240, 180, 3240, (120, [2, 2, 2, 2, 2, 2, 10, 90])),
+        (240, 121, 2172, (120, [5, 45])), (240, 180, 3240, (120, [5, 45])),
+        (80, 41, 574, (40, [15, 15])), (80, 60, 820, (40, [15, 15])),
+        (240, 121, 2156, (120, [15, 15])), (240, 180, 3240, (120, [15, 15])),
+        (48, 25, 418, (24, [2, 2, 2, 2, 2, 2, 10, 90])),
+        (48, 36, 600, (24, [2, 2, 2, 2, 2, 2, 10, 90])),
+        (48, 25, 354, (24, [15, 15])), (48, 36, 492, (24, [15, 15])),
+        (48, 25, 422, (24, [5, 45])), (48, 36, 612, (24, [5, 45])),
+    ],
+}
+
+
+@pytest.mark.parametrize("n,m", sorted(ORACLE_BLOCKS_946))
+def test_sparse_invariants_pinned_oracle_blocks(monkeypatch, n, m):
+    import dslice.twisted as twisted
+    from dslice.corpus import bundled_diagram
+    from dslice.diagrams import zero_surgery
+    from dslice.groups import metabelian_quotient_homs, restrict_images
+
+    plain = zero_surgery(bundled_diagram("946"), 0)
+    target, homs = metabelian_quotient_homs(plain, n, m)
+    simplified = plain.simplified
+    blocks = []
+
+    def recording(rows, ncols):
+        blocks.append((rows, ncols))
+        return abelian_invariants(rows, ncols)
+
+    monkeypatch.setattr(twisted, "abelian_invariants", recording)
+    restricted = (restrict_images(simplified, h) for h in homs)
+    for _, _, agree in twisted.crowell_compares(simplified[0], restricted, target):
+        assert agree
+    got = [
+        (len(rows), ncols, sum(len(r) for r in rows), sparse_invariants(rows, ncols))
+        for rows, ncols in blocks
+    ]
+    assert got == ORACLE_BLOCKS_946[(n, m)]
+    for (rows, ncols), (nr, *_, want) in zip(blocks, got):
+        assert sparse_invariants(transpose(rows, ncols), nr) == want
