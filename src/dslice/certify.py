@@ -413,11 +413,12 @@ def certify_satellite(
     """
     if companion_kind is None:
         companion_kind = "concrete" if companion is not None else "any"
+    h = diagram_hash(companion) if companion is not None else None
     rec = _family_record(plain, {
         "curve": curve, "companion": companion, "kind": companion_kind,
-    }, {})
+    }, h, {})
     if companion is not None:
-        label = {"name": companion_name or None, "hash": diagram_hash(companion)}
+        label = {"name": companion_name or None, "hash": h}
     elif companion_kind == "doubled":
         label = "DoubledAnyKnot"
     else:
@@ -430,7 +431,7 @@ def certify_satellite(
     }
     inputs = {
         "pattern": base.subject.get("hash"),
-        "companion": diagram_hash(companion) if companion is not None else None,
+        "companion": h,
         "companion_kind": companion_kind,
         "curve_word": _ser_word(plain.curve_words[curve]),
         "curve_linking": plain.curve_linking[curve],
@@ -475,12 +476,13 @@ def _commutator_of_nullhomologous(word: Word, weights) -> bool:
     return False
 
 
-def _family_record(plain, item, orders):
+def _family_record(plain, item, h, orders):
     """Transport record for one family infection slot.
 
     Concrete companions are measured, each diagram once per certificate:
-    ``orders`` maps the hash of every companion measured so far to
-    whether its module order is trivial.  Symbolic slots carry the
+    ``h`` is the slot's companion hash, and ``orders`` maps the hash of
+    every companion measured so far to whether its module order is
+    trivial.  Symbolic slots carry the
     closed form for their kind: a doubled companion always has trivial
     module order, an arbitrary companion guarantees nothing.
     """
@@ -488,7 +490,6 @@ def _family_record(plain, item, orders):
     kind = item.get("kind", "concrete")
     companion = item.get("companion")
     if kind == "concrete" and companion is not None:
-        h = diagram_hash(companion)
         if h in orders:
             return replace(
                 transport_record(plain, curve), companion_alexander_trivial=orders[h]
@@ -531,14 +532,15 @@ def certify_family(
     orders = {}
     for item in infections:
         curve = item["curve"]
-        rec = _family_record(plain, item, orders)
-        recs.append(rec)
         companion = item.get("companion")
+        h = diagram_hash(companion) if companion is not None else None
+        rec = _family_record(plain, item, h, orders)
+        recs.append(rec)
         subject_inf.append({
             "curve": curve,
             "name": item.get("name") or None,
             "kind": item.get("kind", "concrete"),
-            "hash": diagram_hash(companion) if companion is not None else None,
+            "hash": h,
         })
         inputs_curves[curve] = {
             "word": _ser_word(plain.curve_words[curve]),
