@@ -603,6 +603,31 @@ def test_satellite_request_refuses_an_unknown_companion_token():
         satellite_request(bundled_document("946"), "eta1", "some")
 
 
+# sha256 of the certificate below, recorded while a satellite's base still
+# built the summand maps and quotient cross-check it never printed
+STAGE_B_SATELLITE_SHA256 = (
+    "d4ebcc167e2b14d24dc5969479cb431095f3f30c79ebd022a5f99467a2548500"
+)
+
+
+def test_satellite_without_registry_runs_stage_b_once(monkeypatch):
+    # no registry row: stage B gives the base's verdicts, once for both
+    # summands, and the satellite bytes stay those recorded above
+    calls = []
+    inner = certify.stage_b_certificate
+
+    def counting(plain):
+        calls.append(plain)
+        return inner(plain)
+
+    monkeypatch.setattr(certify, "stage_b_certificate", counting)
+    cert = satellite_request(bundled_document("946"), "eta1", "any", registry=None)
+    assert len(calls) == 1
+    assert cert.conclusion == NOT_APPLICABLE
+    digest = hashlib.sha256(cert.to_json().encode()).hexdigest()
+    assert digest == STAGE_B_SATELLITE_SHA256
+
+
 def test_satellite_any_companion_needs_derived_curve(base_and_plain):
     base, plain = base_and_plain
     cert = certify_satellite(base, plain, "gamma1")
