@@ -18,6 +18,9 @@ certified splitting caps the rank of every candidate below its row count
 (see ``stage_b_certificate``).  Stage B checks the rank that argument
 rests on and answers ``undetermined``; it never answers ``fails``.
 Every ``holds`` and ``fails`` verdict comes from a closed-form rule.
+
+A satellite or family rests on its pattern's module lines and verdicts
+only; the summand maps and quotient cross-check belong to knot certificates.
 """
 
 from __future__ import annotations
@@ -220,8 +223,8 @@ def stage_b_certificate(plain: SurgeryPresentation) -> dict:
     least as many non-framing relators as generators, and its Jacobian at
     t = 2 has rank n - 3 over F_3.  The relators are counted on the full
     presentation; the rank is n minus the size of ``plain.kernel_mod(3)``,
-    which the default (2,3) quotient maps have already computed from the
-    small presentation.  Either failing
+    computed once per presentation on the small one, which a knot
+    certificate's default (2,3) quotient maps also read.  Either failing
     contradicts the certified splitting and raises VerificationFailed;
     otherwise no candidate matrix has a right inverse, and the verdict
     is ``undetermined``.
@@ -266,7 +269,16 @@ def ext_condition(
         raise ValueError("summand tag must be P1 or P2")
     if not plain.splitting.certified:
         raise NoSplitting("module splitting has not been certified")
-    return _stage_a(registry, subject_hash, which) or stage_b_certificate(plain)
+    return _staged_verdicts(plain, subject_hash, registry)[which]
+
+
+def _staged_verdicts(plain, subject_hash, registry) -> dict:
+    """Stage A per summand, else one stage-B verdict, copied to each."""
+    verdicts = {tag: _stage_a(registry, subject_hash, tag) for tag in ("P1", "P2")}
+    if None in verdicts.values():
+        stage_b = stage_b_certificate(plain)
+        verdicts = {t: v or deepcopy(stage_b) for t, v in verdicts.items()}
+    return verdicts
 
 
 def _stage_a(registry, subject_hash, which) -> dict | None:
@@ -317,6 +329,59 @@ def _not_applicable(subject, hyps, inputs) -> Certificate:
     return Certificate(subject, hyps, _both(NOT_EVALUATED), NOT_APPLICABLE, [], inputs)
 
 
+def _base_certificate(diagram, name, registry, plain) -> Certificate:
+    """The verdict core of a knot certificate: its subject, the module
+    lines, the splitting gate, the staged verdicts, the conclusion and
+    the citations.  A satellite or family rests on this alone."""
+    h = diagram_hash(diagram)
+    subject = {"kind": "knot", "name": name or None, "hash": h}
+    inputs = {"diagram": h}
+    report = plain.splitting
+    hyps = [
+        f"module order: {report.order}",
+        "order matches (t-2)(2t-1) up to units: "
+        f"{report.order.is_associate(TARGET_ORDER)}",
+        f"splitting verdict: {report.verdict}",
+    ]
+    if report.note:
+        hyps.append(f"splitting note: {report.note}")
+    if not report.certified:
+        hyps.append("module hypothesis not met; the criterion does not apply")
+        return _not_applicable(subject, hyps, inputs)
+    verdicts = _staged_verdicts(plain, h, registry)
+    conclusion = _conclusion_from(verdicts)
+    if conclusion == INCONCLUSIVE:
+        hyps.append(_NOT_NECESSARY)
+    # stage B's evidence names no rule; stage A's names its closed form
+    rules = filter(None, (v["evidence"].get("rule") for v in verdicts.values()))
+    citations = list(dict.fromkeys([RULE_SPLIT, *rules]))
+    return Certificate(subject, hyps, verdicts, conclusion, citations, inputs)
+
+
+def _knot_report(plain, quotient) -> list:
+    """The lines only a knot certificate prints: the summand maps, and the
+    maps at ``quotient`` with the first one's cover cross-check."""
+    plus, minus = plain.summands
+    spec1, spec2 = (summand_specialization_check(plain, hom) for hom in (plus, minus))
+    hyps = [
+        f"summand maps surjective: P1 {plus.surjective}, P2 {minus.surjective}",
+        f"summand maps specialize the plain Jacobian: P1 {spec1}, P2 {spec2}",
+    ]
+    qn, qm = quotient
+    try:
+        target, homs = metabelian_quotient_homs(plain, qn, qm)
+        hyps.append(f"metabelian quotient maps at ({qn},{qm}): {len(homs)}")
+        if homs:
+            simplified = plain.simplified
+            ok = crowell_check(
+                simplified[0], restrict_images(simplified, homs[0]), target
+            )
+            hyps.append(f"cover homology cross-check at ({qn},{qm}): {ok}")
+    except BudgetExceeded:
+        hyps.append(f"metabelian quotient maps at ({qn},{qm}): skipped")
+    return hyps
+
+
 def certify_doubly_slice(
     diagram: Diagram,
     name: str = "",
@@ -331,57 +396,14 @@ def certify_doubly_slice(
     simplification, weights, module and splitting instead of building its
     own.
     """
-    h = diagram_hash(diagram)
-    subject = {"kind": "knot", "name": name or None, "hash": h}
-    inputs = {"diagram": h}
     if plain is None:
         plain = zero_surgery(diagram, 0)
-    hyps = []
-    report = plain.splitting
-    hyps.append(f"module order: {report.order}")
-    hyps.append(
-        "order matches (t-2)(2t-1) up to units: "
-        f"{report.order.is_associate(TARGET_ORDER)}"
-    )
-    hyps.append(f"splitting verdict: {report.verdict}")
-    if report.note:
-        hyps.append(f"splitting note: {report.note}")
-    if not report.certified:
-        hyps.append("module hypothesis not met; the criterion does not apply")
-        return _not_applicable(subject, hyps, inputs)
-    plus, minus = plain.summands
-    hyps.append(
-        f"summand maps surjective: P1 {plus.surjective}, P2 {minus.surjective}"
-    )
-    spec1 = summand_specialization_check(plain, plus)
-    spec2 = summand_specialization_check(plain, minus)
-    hyps.append(
-        f"summand maps specialize the plain Jacobian: P1 {spec1}, P2 {spec2}"
-    )
-    qn, qm = quotient
-    try:
-        target, homs = metabelian_quotient_homs(plain, qn, qm)
-        hyps.append(f"metabelian quotient maps at ({qn},{qm}): {len(homs)}")
-        if homs:
-            simplified = plain.simplified
-            ok = crowell_check(
-                simplified[0], restrict_images(simplified, homs[0]), target
-            )
-            hyps.append(f"cover homology cross-check at ({qn},{qm}): {ok}")
-    except BudgetExceeded:
-        hyps.append(f"metabelian quotient maps at ({qn},{qm}): skipped")
-    # stage B does not depend on the summand: run it once, copy it for each
-    verdicts = {tag: _stage_a(registry, h, tag) for tag in ("P1", "P2")}
-    if None in verdicts.values():
-        stage_b = stage_b_certificate(plain)
-        verdicts = {t: v or deepcopy(stage_b) for t, v in verdicts.items()}
-    conclusion = _conclusion_from(verdicts)
-    if conclusion == INCONCLUSIVE:
-        hyps.append(_NOT_NECESSARY)
-    # stage B's evidence names no rule; stage A's names its closed form
-    rules = filter(None, (v["evidence"].get("rule") for v in verdicts.values()))
-    citations = list(dict.fromkeys([RULE_SPLIT, *rules]))
-    return Certificate(subject, hyps, verdicts, conclusion, citations, inputs)
+    report = _knot_report(plain, quotient) if plain.splitting.certified else []
+    cert = _base_certificate(diagram, name, registry, plain)
+    # the report follows the module lines; an inconclusive note stays last
+    at = len(cert.hypotheses) - (cert.conclusion == INCONCLUSIVE)
+    cert.hypotheses[at:at] = report
+    return cert
 
 
 def _ser_word(word: Word):
@@ -520,7 +542,7 @@ def certify_family(
     subgroup.  With several second-derived curves, every such curve must
     literally be a commutator of weight-zero words, which keeps its
     membership valid on the presentations produced by the infections
-    before it.
+    before it.  Only the verdicts of ``base``, the pattern's core, are read.
     """
     registry = registry or {}
     frule = registry.get("family", {}).get(pattern_hash, {})
@@ -642,14 +664,10 @@ def certify_request(
     """
     if document_kind(doc) == "diagram":
         diagram, name = diagram_from_document(doc)
-        return certify_doubly_slice(
-            diagram, name=name, registry=registry, quotient=tuple(quotient)
-        )
+        return certify_doubly_slice(diagram, name, registry, tuple(quotient))
     validate_satellite_document(doc)
     diagram, plain, pname = marked_presentation(doc["pattern"])
-    base = certify_doubly_slice(
-        diagram, name=pname, registry=registry, plain=plain
-    )
+    base = _base_certificate(diagram, pname, registry, plain)
     infections = []
     for item in doc["infections"]:
         curve = item["curve"]
@@ -669,13 +687,12 @@ def satellite_request(
     pattern_doc: dict, curve: str, companion, registry: dict | None = None
 ) -> Certificate:
     """The certificate of a ``satellite`` request: the pattern document's
-    marked ``curve`` infected by ``companion``, a token or a document."""
+    marked ``curve`` infected by ``companion``, a token or a document.
+    The pattern's base certifies its module and verdicts only."""
     diagram, plain, pname = marked_presentation(pattern_doc)
     if curve not in plain.curve_words:
         raise MalformedInput(f"pattern has no marked curve {curve!r}")
-    base = certify_doubly_slice(
-        diagram, name=pname, registry=registry, plain=plain
-    )
+    base = _base_certificate(diagram, pname, registry, plain)
     companion, cname, kind = _companion(companion)
     return certify_satellite(
         base, plain, curve, companion,

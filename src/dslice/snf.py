@@ -59,7 +59,8 @@ def sparse_invariants(rows, ncols: int):
     Args:
         rows: iterable of ``{col: value}`` dicts or of dense lists (zero
             values allowed).
-        ncols: number of columns of the ambient matrix.
+        ncols: number of columns of the ambient matrix; a nonzero entry
+            outside ``range(ncols)`` raises ValueError.
 
     Returns:
         ``(rank, divisors)`` where ``divisors`` are the nontrivial (> 1)
@@ -75,6 +76,8 @@ def sparse_invariants(rows, ncols: int):
             mat[i] = clean
             for j, v in clean.items():
                 cols.setdefault(j, {})[i] = v
+    if cols and (min(cols) < 0 or max(cols) >= ncols):
+        raise ValueError(f"a nonzero entry lies outside {ncols} columns")
     if len(mat) > len(cols):
         mat, cols = cols, mat  # eliminate the transpose, which has fewer rows
     colidx = {j: set(c) for j, c in cols.items()}

@@ -507,6 +507,27 @@ def test_certify_bundled_pattern_is_certified():
     assert cert.subject["hash"] == diagram_hash(bundled_diagram("946"))
 
 
+def test_inconclusive_knot_certificate_ends_with_its_note():
+    # the knot report goes between the module lines and the closing note
+    d = bundled_diagram("946")
+    h = diagram_hash(d)
+    row = default_registry()["ext"][h]
+    registry = {"ext": {h: {**row, "P1": {**row["P1"], "status": FAILS}}}}
+    cert = certify_doubly_slice(d, registry=registry)
+    assert cert.conclusion == INCONCLUSIVE
+    assert cert.hypotheses == [
+        "module order: 2 - 5*t + 2*t^2",
+        "order matches (t-2)(2t-1) up to units: True",
+        "splitting verdict: split",
+        "summand maps surjective: P1 True, P2 True",
+        "summand maps specialize the plain Jacobian: P1 True, P2 True",
+        "metabelian quotient maps at (2,3): 27",
+        "cover homology cross-check at (2,3): True",
+        "a failed lifting condition does not refute double sliceness;"
+        " the criterion is sufficient, not necessary",
+    ]
+
+
 def test_certify_without_registry_is_undetermined():
     cert = certify_doubly_slice(bundled_diagram("946"))
     assert cert.conclusion == UNDECIDED

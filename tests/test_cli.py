@@ -846,6 +846,68 @@ def test_family_request_measures_each_companion_once(
         assert all("companion trivial order False" in r for r in records)
 
 
+# the knot report's work: the summand maps, and the quotient maps with the
+# cover cross-check of the first.  Only a knot certificate prints it.
+REPORT_WORK = ("summand_homs", "metabelian_quotient_homs", "crowell_check")
+
+
+@pytest.fixture()
+def report_work(monkeypatch):
+    """Count calls of each function of ``REPORT_WORK`` through every
+    module binding."""
+    import sys
+
+    from dslice import groups, twisted
+
+    counts = dict.fromkeys(REPORT_WORK, 0)
+
+    def counting(fname, inner):
+        def wrapper(*args, **kwargs):
+            counts[fname] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for fname in REPORT_WORK:
+        inner = getattr(groups, fname, None) or getattr(twisted, fname)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("dslice") and getattr(module, fname, None) is inner:
+                monkeypatch.setattr(module, fname, counting(fname, inner))
+    return counts
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ("satellite", "946", "eta1", "any"),
+    ("satellite", "946", "gamma1", "946"),
+    ("certify", "r-rr"),
+], ids=["eta1 any", "gamma1 946", "r-rr"])
+def test_satellites_and_families_build_no_knot_report(
+    docs, capsys, report_work, fmt, argv,
+):
+    # a satellite or family certifies its pattern's module and verdicts,
+    # and so does the replay of its certificate
+    if argv[0] == "satellite":
+        _, pattern, curve, companion = argv
+        argv = ("satellite", "--pattern", docs[pattern], "--infection", curve,
+                "--companion", docs.get(companion, companion))
+    else:
+        argv = ("certify", docs[argv[1]])
+    code, out, _ = run(capsys, *argv, "--format", fmt, "--no-cache")
+    assert code in (0, 1) and out
+    if fmt == "json":
+        assert replay_certificate(
+            json.loads(out), resolve_hash, registry=default_registry()
+        )
+    assert report_work == dict.fromkeys(REPORT_WORK, 0)
+
+
+def test_knot_certificate_builds_its_report_once(docs, capsys, report_work):
+    code, out, _ = run(capsys, "certify", docs["946"], "--no-cache")
+    assert code == 0
+    assert "cover homology cross-check at (2,3): True" in out
+    assert report_work == dict.fromkeys(REPORT_WORK, 1)
+
+
 def test_nonzero_pattern_mark_keeps_its_output(docs, capsys, tmp_path):
     # a document marking another pattern component is refused, naming the
     # field, before a knot's missing component or a link's missing

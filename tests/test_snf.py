@@ -98,8 +98,20 @@ def test_abelian_invariants_examples():
     # zero map leaves everything free
     assert abelian_invariants([], 3) == (3, [])
     assert abelian_invariants([[0, 0]], 2) == (2, [])
+    # a zero entry lies in no column, so a longer dense row is fine
+    assert abelian_invariants([[1, 0, 0]], 2) == (1, [])
     # trefoil double branched cover style: Z/3
     assert abelian_invariants([[1, 1], [-1, 2]], 2) == (0, [3])
+
+
+@pytest.mark.parametrize("rows", [
+    [{5: 1}, {6: 1}, {7: 1}],  # once read as free rank -1
+    [[0, 0, 1]],  # once read as free rank 1
+    [{-1: 2}],
+])
+def test_entries_outside_the_columns_are_refused(rows):
+    with pytest.raises(ValueError, match="outside 2 columns"):
+        abelian_invariants(rows, 2)
 
 
 def test_normalize_divisor_chain():

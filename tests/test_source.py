@@ -718,8 +718,8 @@ def test_cap_rule_sees_a_caller_check_come_back():
 # builders, which derive curve words from the pattern document's marks;
 # replay once restored the stored curve words instead
 _BUILDER_INTERNALS = {
-    "certify_doubly_slice", "certify_satellite", "certify_family",
-    "marked_presentation",
+    "certify_doubly_slice", "_base_certificate", "certify_satellite",
+    "certify_family", "marked_presentation",
 }
 
 
@@ -835,3 +835,55 @@ def test_decision_rule_sees_a_second_builder_come_back():
         "certify.py:7 builds NotApplicable",
     ]
     assert _second_decisions(source, "cli.py") == []
+
+
+# "stage A, else stage B" is decided once, in ``_staged_verdicts``, which
+# the verdict core of every certificate and ``ext_condition`` both read
+_STAGE_CALLERS = [
+    "certify.py _staged_verdicts calls _stage_a",
+    "certify.py _staged_verdicts calls stage_b_certificate",
+]
+
+
+def _stage_callers(source: str, filename: str) -> list:
+    """``file owner calls name`` for each call of ``_stage_a`` or
+    ``stage_b_certificate``, the owner being the enclosing function."""
+    hits = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in ("_stage_a", "stage_b_certificate"):
+                hits.append(f"{filename} {owner} calls {name}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source, filename), None)
+    return hits
+
+
+def test_staged_verdicts_have_one_owner():
+    # a second "stage A, else stage B" can drift from the first: the knot
+    # certificate and ext_condition once wrote it each
+    assert _package_hits(_stage_callers) == _STAGE_CALLERS
+
+
+def test_stage_rule_sees_a_second_path_come_back():
+    source = (
+        "def _staged_verdicts(plain, h, registry):\n"
+        "    v = {t: _stage_a(registry, h, t) for t in ('P1', 'P2')}\n"
+        "    return v if all(v.values()) else stage_b_certificate(plain)\n"
+        "def ext_condition(plain, which, h=None, registry=None):\n"
+        "    return _stage_a(registry, h, which) or certify.stage_b_certificate(plain)\n"
+    )
+    assert _stage_callers(source, "certify.py") == [
+        *_STAGE_CALLERS,
+        "certify.py ext_condition calls _stage_a",
+        "certify.py ext_condition calls stage_b_certificate",
+    ]
+    assert _stage_callers("x = stage_b_certificate(p)\n", "cli.py") == [
+        "cli.py None calls stage_b_certificate",
+    ]
