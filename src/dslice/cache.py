@@ -66,7 +66,11 @@ def cache_key(operation: str, payload) -> str:
 
 
 def load_entry(key: str, directory: Path | None = None):
-    """The stored envelope, or None on a miss or an unreadable entry."""
+    """The stored envelope, or None on a miss or an unreadable entry.
+
+    An entry's exit must be the int 0 or 1 that ``store_entry`` wrote; a
+    JSON boolean is not one.
+    """
     path = (directory or cache_dir()) / f"{key}.json"
     try:
         entry = json.loads(path.read_text())
@@ -75,6 +79,8 @@ def load_entry(key: str, directory: Path | None = None):
     if not isinstance(entry, dict) or entry.get("toolchain") != TOOLCHAIN:
         return None
     if not isinstance(entry.get("result"), str):
+        return None
+    if type(entry.get("exit")) is not int or entry["exit"] not in (0, 1):
         return None
     return entry
 

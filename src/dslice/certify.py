@@ -28,10 +28,16 @@ from __future__ import annotations
 import json
 import re
 from copy import deepcopy
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .bs12 import BS12, BS12_A, BS12_C, Bs12Group
-from .diagrams import Diagram, SurgeryPresentation, diagram_hash, zero_surgery
+from .diagrams import (
+    Diagram,
+    SurgeryPresentation,
+    diagram_hash,
+    wirtinger,
+    zero_surgery,
+)
 from .documents import (
     COMPANION_TOKENS,
     diagram_from_document,
@@ -47,10 +53,10 @@ from .errors import (
     RelatorViolation,
     VerificationFailed,
 )
-from .groups import metabelian_quotient_homs, restrict_images
-from .modules import TARGET_ORDER
+from .laurent import ONE
+from .modules import TARGET_ORDER, alexander_polynomial
 from .twisted import (
-    crowell_check,
+    first_cover_check,
     summand_specialization_check,
     transport_record,
 )
@@ -369,13 +375,9 @@ def _knot_report(plain, quotient) -> list:
     ]
     qn, qm = quotient
     try:
-        target, homs = metabelian_quotient_homs(plain, qn, qm)
-        hyps.append(f"metabelian quotient maps at ({qn},{qm}): {len(homs)}")
-        if homs:
-            simplified = plain.simplified
-            ok = crowell_check(
-                simplified[0], restrict_images(simplified, homs[0]), target
-            )
+        maps, ok = first_cover_check(plain, qn, qm)
+        hyps.append(f"metabelian quotient maps at ({qn},{qm}): {maps}")
+        if maps:
             hyps.append(f"cover homology cross-check at ({qn},{qm}): {ok}")
     except BudgetExceeded:
         hyps.append(f"metabelian quotient maps at ({qn},{qm}): skipped")
@@ -501,28 +503,24 @@ def _commutator_of_nullhomologous(word: Word, weights) -> bool:
 def _family_record(plain, item, h, orders):
     """Transport record for one family infection slot.
 
+    Whether the companion has trivial module order is decided here.
     Concrete companions are measured, each diagram once per certificate:
     ``h`` is the slot's companion hash, and ``orders`` maps the hash of
-    every companion measured so far to whether its module order is
-    trivial.  Symbolic slots carry the
-    closed form for their kind: a doubled companion always has trivial
-    module order, an arbitrary companion guarantees nothing.
+    every companion measured so far to whether its Alexander polynomial
+    is 1.  Symbolic slots carry the closed form for their kind: a doubled
+    companion always has trivial module order, an arbitrary companion
+    guarantees nothing.
     """
-    curve = item["curve"]
     kind = item.get("kind", "concrete")
     companion = item.get("companion")
     if kind == "concrete" and companion is not None:
-        if h in orders:
-            return replace(
-                transport_record(plain, curve), companion_alexander_trivial=orders[h]
-            )
-        rec = transport_record(plain, curve, companion=companion)
-        orders[h] = rec.companion_alexander_trivial
-        return rec
-    rec = transport_record(plain, curve, companion=None)
-    if kind == "doubled":
-        rec = replace(rec, companion_alexander_trivial=True)
-    return rec
+        if h not in orders:
+            lg = wirtinger(companion)
+            orders[h] = alexander_polynomial(lg.group, lg.meridians[0]) == ONE
+        trivial = orders[h]
+    else:
+        trivial = True if kind == "doubled" else None
+    return transport_record(plain, item["curve"], trivial)
 
 
 def certify_family(

@@ -41,9 +41,8 @@ from .documents import (
     load_document,
 )
 from .errors import DsliceError, MalformedInput
-from .groups import metabelian_quotient_homs, restrict_images
 from .modules import alexander_module, detect_splitting
-from .twisted import crowell_check, crowell_compares
+from .twisted import cover_compares, first_cover_check
 
 __all__ = ["main"]
 
@@ -144,17 +143,11 @@ def _analyze_report(doc: dict, quotient) -> dict:
         },
     }
     n, m = quotient
-    target, homs = metabelian_quotient_homs(plain, n, m)
-    agree = None
-    if homs:
-        simplified = plain.simplified
-        agree = crowell_check(
-            simplified[0], restrict_images(simplified, homs[0]), target
-        )
+    maps, agree = first_cover_check(plain, n, m)
     out["metabelian_quotient"] = {
         "n": n,
         "m": m,
-        "maps": len(homs),
+        "maps": maps,
         "crowell_agree": agree,
     }
     return out
@@ -197,15 +190,8 @@ def cmd_oracle(doc: dict, n: int, m: int, fmt: str):
         raise MalformedInput("oracle expects a knot document")
     diagram, name = diagram_from_document(doc)
     plain = zero_surgery(diagram, 0)
-    target, homs = metabelian_quotient_homs(plain, n, m)
-    # both paths are invariants of the group and the map, so they run on
-    # the Tietze-simplified presentation with each map restricted to it
-    simplified = plain.simplified
-    restricted = (restrict_images(simplified, h) for h in homs)
     maps = []
-    for (free, torsion), (tfree, ttors), agree in crowell_compares(
-        simplified[0], restricted, target
-    ):
+    for (free, torsion), (tfree, ttors), agree in cover_compares(plain, n, m):
         maps.append({
             "cover": {"free": free, "torsion": list(torsion)},
             "twisted": {"free": tfree, "torsion": list(ttors)},
@@ -251,9 +237,9 @@ def _run_cached(args, operation: str, payload, compute):
     entry = load_entry(key)
     if entry is not None and not args.verify_cache:
         sys.stdout.write(entry["result"])
-        return int(entry.get("exit", 0))
+        return entry["exit"]
     text, code = compute()
-    stale = entry is not None and entry["result"] != text
+    stale = entry is not None and (entry["result"], entry["exit"]) != (text, code)
     if stale:
         sys.stderr.write(
             "dslice: cache entry does not byte-match recomputation;"

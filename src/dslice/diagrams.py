@@ -453,8 +453,9 @@ def wirtinger(diagram: Diagram) -> LinkGroup:
 class SurgeryPresentation:
     """pi_1 of the manifold obtained by zero-surgery on one knot component.
 
-    ``curve_words`` expresses each requested marked curve as a word in
-    the presentation's generators (well defined up to conjugation).
+    ``curve_words`` expresses each marked curve as a word in the
+    presentation's generators (well defined up to conjugation);
+    ``attach_curve_words`` adds curves given as edge words.
     ``meridian`` indexes the distinguished meridian generator.
     ``orig_edge_gen`` maps edges of the *input* diagram to the base
     generator of the arc they land on, which is what later stages use to
@@ -579,15 +580,8 @@ class SurgeryPresentation:
         return self._kernels[m]
 
 
-def zero_surgery(diagram: Diagram, pattern: int, curves=None) -> SurgeryPresentation:
-    """Zero-surgery on the ``pattern`` component, other components erased.
-
-    ``curves`` maps names to component indices; each marked curve's free
-    homotopy class in the surgered manifold is returned as a word.
-    """
-    curves = dict(curves or {})
-    if pattern in curves.values():
-        raise InvalidDiagram("the pattern cannot double as a marked curve")
+def zero_surgery(diagram: Diagram, pattern: int) -> SurgeryPresentation:
+    """Zero-surgery on the ``pattern`` component, other components erased."""
     sub, edge_map = diagram.restricted([pattern])
     pres = wirtinger(sub)
     lam = pres.longitudes[0]
@@ -595,21 +589,12 @@ def zero_surgery(diagram: Diagram, pattern: int, curves=None) -> SurgeryPresenta
         pres.group.names, pres.group.relators + ((lam,) if lam else ())
     )
     sub_arc_of = sub.arc_of_edge()
-    gen_of = {e: sub_arc_of[ne] for e, ne in edge_map.items()}
-    words = {}
-    linking = {}
-    for name, comp in curves.items():
-        if not 0 <= comp < diagram.num_components or comp == pattern:
-            raise MissingMark(f"curve {name!r}: no such component {comp}")
-        words[name] = _underpass_word(diagram, comp, gen_of)
-        linking[name] = diagram.linking_number(comp, pattern)
     return SurgeryPresentation(
         group=group,
         meridian=pres.meridians[0],
         longitude=lam,
-        curve_words=words,
-        curve_linking=linking,
-        orig_edge_gen=gen_of,
+        curve_words={},
+        orig_edge_gen={e: sub_arc_of[ne] for e, ne in edge_map.items()},
     )
 
 

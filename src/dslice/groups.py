@@ -7,10 +7,9 @@ Four independent services live here:
   attached to the original generators (maps, distinguished meridians)
   can be rewritten into the smaller presentation.  ``check_tietze``
   replays the record with free reduction alone and checks that the
-  Tietze words give an isomorphism, once per presentation.  Then
-  ``restrict_images`` reads a map of the full presentation on the small
-  one with no evaluation at all; the cover cross-checks run on that
-  small presentation.
+  Tietze words give an isomorphism, once per presentation; the cover
+  cross-checks of ``twisted`` read each map on the small presentation's
+  kept generators, with no evaluation at all.
 * Construction of the two metabelian quotient maps onto BS(1,2) from a
   certified module splitting, one per summand, with exact dyadic
   translation parts read off the small presentation's Alexander module
@@ -53,7 +52,6 @@ from .words import GroupPresentation, Word, _inverse_letters, _substitute, fox_r
 __all__ = [
     "simplify_presentation",
     "check_tietze",
-    "restrict_images",
     "MetabelianHom",
     "summand_homs",
     "metabelian_quotient_homs",
@@ -309,21 +307,6 @@ def check_tietze(pres: GroupPresentation, simplified, record) -> None:
         hit |= matched
     if len(hit) != len(small.relators):
         raise VerificationFailed("a small relator is the image of no relator")
-
-
-def restrict_images(simplified, images) -> tuple:
-    """A map on the original generators, read on ``simplified``.
-
-    ``simplified`` is ``(small, words, kept)`` from
-    ``SurgeryPresentation.simplified``, whose Tietze isomorphism
-    ``check_tietze`` has checked, and ``images`` must be a map that
-    ``metabelian_quotient_homs`` checked on every full relator.  Returns
-    ``images`` at the kept generators.  That is the map composed with the
-    inverse isomorphism, so it is a map of the small group whose
-    composite with the Tietze isomorphism is ``images``, and invariants
-    of the map read on either presentation are equal.
-    """
-    return tuple(images[i] for i in simplified[2])
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,19 @@ the left side never looks at covering spaces, the right side
 Both sides are invariants of the group and the map: the twisted
 cokernel is the Crowell module of the map (R. H. Crowell, "Corresponding
 group and module sequences", Nagoya Math. J. 19, 1961) and the cover is
-determined by the map's kernel.  Callers therefore pass the
+determined by the map's kernel.  So the comparisons run on the
 Tietze-simplified zero-surgery presentation
 (``SurgeryPresentation.simplified``, whose Tietze isomorphism
-``groups.check_tietze`` checks once) with each map restricted by
-``groups.restrict_images``: the map read on the kept generators, which
-is a map of the small group whose composite with the Tietze isomorphism
-is the enumerated map.  For 9_46 that is 3 generators and 4 relators
-instead of 9 and 10, and every matrix here shrinks with the generator
-count.
+``groups.check_tietze`` checks once), and ``_quotient_maps`` alone
+enumerates the maps with ``metabelian_quotient_homs``, which checks each
+on every full relator, and reads each on the kept generators.  That is
+the map composed with the inverse isomorphism: a map of the small group
+whose composite with the Tietze isomorphism is the enumerated map, so
+invariants of the map read on either presentation are equal.
+``first_cover_check`` compares the first map, for ``analyze`` and the
+knot certificate, and ``cover_compares`` every map, for ``oracle``.  For
+9_46 that is 3 generators and 4 relators instead of 9 and 10, and every
+matrix here shrinks with the generator count.
 
 ``crowell_compares`` reduces each twisted matrix over the image H of its
 map, which holds every Fox key: the whole-target matrix is d = [G : H]
@@ -44,17 +48,16 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from math import gcd
 
-from .diagrams import SurgeryPresentation, wirtinger
+from .diagrams import SurgeryPresentation
 from .errors import VerificationFailed
 from .groups import (
     MetabelianHom,
     _check_regular_budget,
     coset_action,
+    metabelian_quotient_homs,
     schreier_rows,
     second_derived_certificate,
 )
-from .laurent import ONE
-from .modules import alexander_polynomial
 from .snf import abelian_invariants
 from .words import fox_rows
 
@@ -63,6 +66,8 @@ __all__ = [
     "twisted_invariants",
     "crowell_check",
     "crowell_compares",
+    "first_cover_check",
+    "cover_compares",
     "summand_specialization_check",
     "TransportRecord",
     "transport_record",
@@ -177,6 +182,28 @@ def crowell_check(pres, images, target) -> bool:
     return next(crowell_compares(pres, [images], target))[2]
 
 
+def _quotient_maps(plain, n: int, m: int):
+    """``(small, target, maps)``: every map of ``plain.group`` onto
+    Z/n x| Z/m, read on the kept generators of ``plain.simplified``,
+    whose presentation is ``small``."""
+    target, homs = metabelian_quotient_homs(plain, n, m)
+    small, _, kept = plain.simplified
+    return small, target, [tuple(h[i] for i in kept) for h in homs]
+
+
+def first_cover_check(plain, n: int, m: int):
+    """``(maps, agree)``: the number of maps at (n, m), and whether both
+    paths agree on the first one, None when there is none."""
+    small, target, maps = _quotient_maps(plain, n, m)
+    return len(maps), crowell_check(small, maps[0], target) if maps else None
+
+
+def cover_compares(plain, n: int, m: int):
+    """``crowell_compares`` over every map at (n, m), lazily."""
+    small, target, maps = _quotient_maps(plain, n, m)
+    return crowell_compares(small, maps, target)
+
+
 def summand_specialization_check(plain, hom: MetabelianHom) -> bool:
     """Collapsing translations must recover the untwisted Jacobian.
 
@@ -222,20 +249,19 @@ class TransportRecord:
 def transport_record(
     plain: SurgeryPresentation,
     curve: str,
-    companion=None,
+    companion_alexander_trivial: bool | None,
 ) -> TransportRecord:
-    """Assess whether infection along ``curve`` preserves certificates."""
+    """Assess whether infection along ``curve`` preserves certificates,
+    given whether the companion has trivial module order, as
+    ``certify._family_record`` decides it (None when the companion is
+    arbitrary)."""
     winding = plain.curve_linking[curve]
     sd = False
     if winding == 0:
         sd = second_derived_certificate(plain, plain.curve_words[curve])
-    triv = None
-    if companion is not None:
-        lg = wirtinger(companion)
-        triv = alexander_polynomial(lg.group, lg.meridians[0]) == ONE
     return TransportRecord(
         curve=curve,
         winding=winding,
         second_derived=sd,
-        companion_alexander_trivial=triv,
+        companion_alexander_trivial=companion_alexander_trivial,
     )

@@ -31,6 +31,7 @@ from dslice.certify import (
     UNDETERMINED,
     certify_doubly_slice,
     certify_family,
+    certify_request,
     certify_satellite,
     ext_condition,
     family_946,
@@ -732,6 +733,37 @@ def test_family_trivial_order_companion_on_homology_curve(base_and_plain):
         registry=default_registry(),
     )
     assert cert.conclusion == CERTIFIED
+
+
+def test_family_with_a_conjugated_second_derived_curve_is_not_applicable():
+    # eta1 conjugated by a meridian dies in the second derived subgroup as
+    # eta1 does, but its word is no literal commutator of weight-zero
+    # words, so its membership after eta1's infection is not assured
+    pattern = bundled_document("946")
+    curves = pattern["marks"]["curves"]
+    curves["eta1c"] = [[1, 1], *curves["eta1"], [1, -1]]
+    doc = {
+        "format": "dslice-satellite/1",
+        "pattern": pattern,
+        "infections": [
+            {"curve": "eta1", "companion": "any"},
+            {"curve": "eta1c", "companion": "any"},
+        ],
+    }
+    reg = default_registry()
+    cert = certify_request(doc, reg)
+    assert cert.conclusion == NOT_APPLICABLE
+    assert (
+        "curve eta1c: winding 0, second derived True, companion trivial order False"
+        in cert.hypotheses
+    )
+    assert cert.hypotheses[-1] == (
+        "second-derived curves are commutators of weight-zero words,"
+        " so membership persists through earlier infections: False"
+    )
+    assert replay_certificate(
+        json.loads(cert.to_json()), lambda h: pattern, registry=reg
+    ) is True
 
 
 def test_each_summand_holds_its_own_evidence(base_and_plain):

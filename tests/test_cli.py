@@ -635,6 +635,47 @@ def test_cached_exit_code_round_trips(docs, capsys):
     assert code1 == code2 == 1
 
 
+def _forge_exit(cache, exit_code):
+    """Set, or with ``...`` delete, the exit of the one cached entry."""
+    (path,) = cache.glob("*.json")
+    entry = json.loads(path.read_text())
+    if exit_code is ...:
+        del entry["exit"]
+    else:
+        entry["exit"] = exit_code
+    path.write_text(json.dumps(entry))
+    return path
+
+
+@pytest.mark.parametrize(
+    "exit_code", [..., "x", 7, False], ids=["missing", "string", "seven", "false"]
+)
+def test_cached_exit_outside_zero_and_one_is_a_miss(docs, capsys, tmp_path, exit_code):
+    # trefoil's true exit is 1; a JSON false would otherwise read as 0
+    import dslice.cache as cache
+
+    code1, out1, _ = run(capsys, "certify", docs["trefoil"])
+    path = _forge_exit(tmp_path / "cache", exit_code)
+    assert cache.load_entry(path.stem, tmp_path / "cache") is None
+    code2, out2, err = run(capsys, "certify", docs["trefoil"])
+    assert (code1, code2, out2, err) == (1, 1, out1, "")
+    # the recomputation replaced the entry, which hits again
+    assert cache.load_entry(path.stem, tmp_path / "cache")["exit"] == 1
+
+
+def test_verify_cache_detects_a_wrong_exit(docs, capsys, tmp_path):
+    run(capsys, "certify", docs["946"])
+    path = _forge_exit(tmp_path / "cache", 1)
+    assert run(capsys, "certify", docs["946"])[0] == 1
+    code, out, err = run(capsys, "certify", docs["946"], "--verify-cache")
+    assert code == 1
+    assert "byte-match" in err
+    assert "DoublySliceCertified" in out
+    assert json.loads(path.read_text())["exit"] == 0
+    code, _, err = run(capsys, "certify", docs["946"], "--verify-cache")
+    assert (code, err) == (0, "")
+
+
 # ------------------------------------------------------------- entry point
 
 
@@ -822,16 +863,16 @@ def test_family_request_builds_the_module_basis_once(docs, capsys, work):
 def test_family_request_measures_each_companion_once(
     docs, capsys, monkeypatch, fmt
 ):
-    import dslice.twisted as twisted
+    import dslice.certify as certify
 
-    inner = twisted.alexander_polynomial
+    inner = certify.alexander_polynomial
     calls = []
 
     def counting(pres, meridian):
         calls.append(pres.num_generators)
         return inner(pres, meridian)
 
-    monkeypatch.setattr(twisted, "alexander_polynomial", counting)
+    monkeypatch.setattr(certify, "alexander_polynomial", counting)
     code, out, _ = run(
         capsys, "certify", docs["r-rr"], "--format", fmt, "--no-cache"
     )

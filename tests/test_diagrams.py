@@ -12,6 +12,7 @@ import pytest
 from dslice.diagrams import (
     Diagram,
     SurgeryPresentation,
+    attach_curve_words,
     canonical_code,
     diagram_hash,
     infect,
@@ -131,7 +132,8 @@ def test_trefoil_merid_fixture():
 
 def test_zero_surgery_with_curve():
     d = Diagram(TREFOIL_MERID)
-    s = zero_surgery(d, 0, curves={"m": 1})
+    # the meridian loop passes under edge 3 once, positively
+    s = attach_curve_words(zero_surgery(d, 0), {"m": [(3, 1)]})
     assert s.curve_words["m"] == Word(((0, 1),))
     assert s.curve_linking["m"] == 1
     assert s.meridian == 0

@@ -20,7 +20,6 @@ from dslice.groups import (
     MetabelianHom,
     finite_cover_homology,
     metabelian_quotient_homs,
-    restrict_images,
     second_derived_certificate,
     simplify_presentation,
     summand_homs,
@@ -144,27 +143,6 @@ def test_simplify_reports_kept_generators_of_a_kink():
     # an eliminated generator's image is also a single kept letter, so
     # reading kept off the one-letter images would name generator 4
     assert images[4] == images[5] == Word.gen(1)
-
-
-def _restriction_case():
-    _, plain, _ = bundled_pattern("946")
-    target, homs = metabelian_quotient_homs(plain, 3, 7)
-    return plain.simplified, target, homs
-
-
-def test_restrict_images_reads_the_kept_generators():
-    # the two per-map checks restrict_images made before the isomorphism
-    # was checked still hold on every map, with no check per map
-    simplified, target, homs = _restriction_case()
-    small, words, kept = simplified
-    assert len(kept) < len(homs[0])
-    for images in homs:
-        small_images = restrict_images(simplified, images)
-        assert small_images == tuple(images[i] for i in kept)
-        check_relators(small, small_images, target)
-        assert tuple(
-            evaluate_word(w, small_images, target) for w in words
-        ) == tuple(images)
 
 
 def _tietze_case(diagram):

@@ -308,11 +308,8 @@ def test_sparse_invariants_pinned_oracle_blocks(monkeypatch, n, m):
     import dslice.twisted as twisted
     from dslice.corpus import bundled_diagram
     from dslice.diagrams import zero_surgery
-    from dslice.groups import metabelian_quotient_homs, restrict_images
 
     plain = zero_surgery(bundled_diagram("946"), 0)
-    target, homs = metabelian_quotient_homs(plain, n, m)
-    simplified = plain.simplified
     blocks = []
 
     def recording(rows, ncols):
@@ -320,8 +317,7 @@ def test_sparse_invariants_pinned_oracle_blocks(monkeypatch, n, m):
         return abelian_invariants(rows, ncols)
 
     monkeypatch.setattr(twisted, "abelian_invariants", recording)
-    restricted = (restrict_images(simplified, h) for h in homs)
-    for _, _, agree in twisted.crowell_compares(simplified[0], restricted, target):
+    for _, _, agree in twisted.cover_compares(plain, n, m):
         assert agree
     got = [
         (len(rows), ncols, sum(len(r) for r in rows), sparse_invariants(rows, ncols))

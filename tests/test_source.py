@@ -887,3 +887,58 @@ def test_stage_rule_sees_a_second_path_come_back():
     assert _stage_callers("x = stage_b_certificate(p)\n", "cli.py") == [
         "cli.py None calls stage_b_certificate",
     ]
+
+
+# the cover comparison: ``_quotient_maps`` alone enumerates the maps at
+# (n, m) and reads each on the simplified presentation's kept generators;
+# ``first_cover_check`` hands the first to ``crowell_check`` and
+# ``cover_compares`` every one to ``crowell_compares``, which
+# ``crowell_check`` runs on its single map.  The CLI and the knot
+# certificate once enumerated and restricted the maps each
+_COVER_CALLERS = [
+    "twisted.py crowell_check calls crowell_compares",
+    "twisted.py _quotient_maps calls metabelian_quotient_homs",
+    "twisted.py first_cover_check calls crowell_check",
+    "twisted.py cover_compares calls crowell_compares",
+]
+_COVER_NAMES = {"metabelian_quotient_homs", "crowell_check", "crowell_compares"}
+
+
+def _cover_callers(source: str, filename: str) -> list:
+    """``file owner calls name`` for each call of a ``_COVER_NAMES`` name,
+    the owner being the enclosing function."""
+    hits = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in _COVER_NAMES:
+                hits.append(f"{filename} {owner} calls {name}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source, filename), None)
+    return hits
+
+
+def test_cover_comparison_has_one_owner():
+    assert _package_hits(_cover_callers) == _COVER_CALLERS
+
+
+def test_cover_rule_sees_a_second_caller_come_back():
+    source = (
+        "def _analyze_report(plain, n, m):\n"
+        "    target, homs = groups.metabelian_quotient_homs(plain, n, m)\n"
+        "    small = plain.simplified\n"
+        "    return crowell_check(small[0], homs[0], target)\n"
+        "def cmd_oracle(plain, n, m):\n"
+        "    return list(twisted.crowell_compares(plain.group, [], None))\n"
+    )
+    assert _cover_callers(source, "cli.py") == [
+        "cli.py _analyze_report calls metabelian_quotient_homs",
+        "cli.py _analyze_report calls crowell_check",
+        "cli.py cmd_oracle calls crowell_compares",
+    ]

@@ -3,16 +3,23 @@ from math import gcd
 
 import pytest
 
-from dslice.bs12 import FiniteMetabelian
+from dslice.bs12 import FiniteMetabelian, check_relators, evaluate_word
+from dslice.certify import _family_record
 from dslice.corpus import bundled_document
-from dslice.diagrams import Diagram, SurgeryPresentation, infect, wirtinger, zero_surgery
+from dslice.diagrams import (
+    Diagram,
+    SurgeryPresentation,
+    attach_curve_words,
+    infect,
+    wirtinger,
+    zero_surgery,
+)
 from dslice.errors import BudgetExceeded, VerificationFailed
 from dslice.documents import diagram_from_document
 from dslice.groups import (
     coset_action,
     finite_cover_homology,
     metabelian_quotient_homs,
-    restrict_images,
     summand_homs,
 )
 from dslice.modules import infinite_cyclic_weights
@@ -186,6 +193,30 @@ def _zero_surgery(name):
     return zero_surgery(diagram, 0)
 
 
+def test_quotient_maps_read_the_kept_generators():
+    # each map is read on the kept generators with no check per map: the
+    # read map meets every small relator, and the Tietze words carry it
+    # back to the enumerated map
+    plain = _zero_surgery("946")
+    target, homs = metabelian_quotient_homs(plain, 3, 7)
+    small, words, kept = plain.simplified
+    pres, _, maps = twisted._quotient_maps(plain, 3, 7)
+    assert pres is small and len(kept) < len(homs[0])
+    assert len(maps) == len(homs)
+    for images, full in zip(maps, homs):
+        assert images == tuple(full[i] for i in kept)
+        check_relators(small, images, target)
+        assert tuple(evaluate_word(w, images, target) for w in words) == full
+
+
+@pytest.mark.parametrize("name,n,m", [("trefoil", 4, 15), ("946", 2, 3)])
+def test_first_cover_check_is_the_first_of_cover_compares(name, n, m):
+    plain = _zero_surgery(name)
+    results = list(twisted.cover_compares(plain, n, m))
+    assert len(results) > 1 and all(agree for _, _, agree in results)
+    assert twisted.first_cover_check(plain, n, m) == (len(results), True)
+
+
 def _count_snf(monkeypatch):
     calls = []
     inner = twisted.abelian_invariants
@@ -253,18 +284,15 @@ def test_whole_target_invariants_are_copies_of_the_image_subgroups(name, n, m):
     # the whole-target matrix is, up to a permutation of rows and columns,
     # one copy of the image subgroup's matrix per coset, so its invariants
     # are each of the subgroup's repeated d times
-    plain = _zero_surgery(name)
-    small = plain.simplified
-    target, homs = metabelian_quotient_homs(plain, n, m)
-    ng = small[0].num_generators
+    pres, target, maps = twisted._quotient_maps(_zero_surgery(name), n, m)
+    ng = pres.num_generators
     indices = set()
-    for h in homs:
-        images = restrict_images(small, h)
+    for images in maps:
         sub = _image_elements(images, target)
         d = target.order() // len(sub)
-        rows = twisted.twisted_rows(small[0], images, target)
+        rows = twisted.twisted_rows(pres, images, target)
         free, torsion = abelian_invariants(*_regular_blocks(rows, target, ng, sub))
-        assert twisted_invariants(small[0], images, target) == (
+        assert twisted_invariants(pres, images, target) == (
             d * free, sorted(torsion * d)
         )
         indices.add(d)
@@ -273,12 +301,9 @@ def test_whole_target_invariants_are_copies_of_the_image_subgroups(name, n, m):
 
 
 def test_fox_key_outside_the_image_subgroup_is_refused(monkeypatch):
-    plain = _zero_surgery("trefoil")
-    small = plain.simplified
-    target, homs = metabelian_quotient_homs(plain, 4, 15)
+    pres, target, maps = twisted._quotient_maps(_zero_surgery("trefoil"), 4, 15)
     images = next(
-        im for im in (restrict_images(small, h) for h in homs)
-        if len(brute_subgroup(im, target)) < target.order()
+        im for im in maps if len(brute_subgroup(im, target)) < target.order()
     )
     sub = _image_elements(images, target)
     outside = next(x for x in target.elements() if x not in sub)
@@ -286,8 +311,8 @@ def test_fox_key_outside_the_image_subgroup_is_refused(monkeypatch):
     def forge(rows):
         return [(row[0] | {outside: 1},) + row[1:] for row in rows]
 
-    rows = twisted.twisted_rows(small[0], images, target)
-    ng = small[0].num_generators
+    rows = twisted.twisted_rows(pres, images, target)
+    ng = pres.num_generators
     assert _regular_blocks(rows, target, ng, sub)
     with pytest.raises(VerificationFailed):
         _regular_blocks(forge(rows), target, ng, sub)
@@ -296,7 +321,7 @@ def test_fox_key_outside_the_image_subgroup_is_refused(monkeypatch):
         twisted, "twisted_rows", lambda *args: forge(genuine(*args))
     )
     with pytest.raises(VerificationFailed):
-        next(crowell_compares(small[0], [images], target))
+        next(crowell_compares(pres, [images], target))
 
 
 def _count_builders(monkeypatch):
@@ -337,16 +362,13 @@ def test_automorphic_maps_build_the_same_action_and_matrix(name, n, m):
     # with every key moved by alpha, and so h's regular-block matrix over
     # its image elements; checked for random conjugations, unit scalings
     # and composites of the two
-    plain = _zero_surgery(name)
-    small = plain.simplified
-    target, homs = metabelian_quotient_homs(plain, n, m)
-    pres, ng = small[0], small[0].num_generators
+    pres, target, maps = twisted._quotient_maps(_zero_surgery(name), n, m)
+    ng = pres.num_generators
     rng = random.Random(f"{name}-{n}-{m}")
     whole = target.elements()
     identity = target.identity()
     kinds = set()
-    for h in homs:
-        images = restrict_images(small, h)
+    for images in maps:
         action = coset_action(pres, images, target)
         rows = twisted.twisted_rows(pres, images, target)
         mat = _regular_blocks(rows, target, ng, _tree_elements(action, images, target))
@@ -413,21 +435,25 @@ def test_collapse_meridian_infection():
 
 def test_transport_record_winding_zero_second_derived():
     d = Diagram(UNLINK_W, signs=UNLINK_W_SIGNS)
-    plain = zero_surgery(d, 0, curves={"w": 1})
+    # the circle passes under edge 2 twice, with opposite signs
+    plain = attach_curve_words(zero_surgery(d, 0), {"w": [(2, 1), (2, -1)]})
     assert plain.curve_linking["w"] == 0
     assert plain.curve_words["w"] == Word.identity()
-    rec = transport_record(plain, "w")
+    rec = transport_record(plain, "w", None)
     assert rec.winding == 0 and rec.second_derived
     assert rec.valid
     # with companions attached the verdict only improves
-    rec2 = transport_record(plain, "w", companion=Diagram(TREFOIL))
+    slot = {"curve": "w", "companion": Diagram(TREFOIL)}
+    rec2 = _family_record(plain, slot, "trefoil", {})
     assert rec2.valid and rec2.companion_alexander_trivial is False
 
 
 def test_transport_record_winding_one_fails():
     d = Diagram(TREFOIL_MERID, signs=TREFOIL_MERID_SIGNS)
-    plain = zero_surgery(d, 0, curves={"m": 1})
-    rec = transport_record(plain, "m")
+    # the meridian circle passes under edge 3 once, positively
+    plain = attach_curve_words(zero_surgery(d, 0), {"m": [(3, 1)]})
+    assert plain.curve_linking["m"] == 1
+    rec = transport_record(plain, "m", None)
     assert rec.winding == 1
     assert not rec.valid
 
@@ -441,12 +467,15 @@ def test_transport_record_trivial_companion_branch():
         curve_linking={"c": 0},
     )
     # the curve survives in homology, so only a trivial companion helps
-    rec_plain = transport_record(fake, "c")
+    rec_plain = transport_record(fake, "c", None)
     assert not rec_plain.valid and not rec_plain.second_derived
-    rec_kink = transport_record(fake, "c", companion=Diagram(KINK))
+    orders = {}
+    rec_kink = _family_record(fake, {"curve": "c", "companion": Diagram(KINK)}, "kink", orders)
     assert rec_kink.companion_alexander_trivial and rec_kink.valid
-    rec_tref = transport_record(fake, "c", companion=Diagram(TREFOIL))
+    slot = {"curve": "c", "companion": Diagram(TREFOIL)}
+    rec_tref = _family_record(fake, slot, "trefoil", orders)
     assert not rec_tref.valid
+    assert orders == {"kink": True, "trefoil": False}
 
 
 def test_transport_record_is_frozen_data():
