@@ -470,7 +470,8 @@ def test_transport_record_trivial_companion_branch():
     rec_plain = transport_record(fake, "c", None)
     assert not rec_plain.valid and not rec_plain.second_derived
     orders = {}
-    rec_kink = _family_record(fake, {"curve": "c", "companion": Diagram(KINK)}, "kink", orders)
+    slot = {"curve": "c", "companion": Diagram(KINK)}
+    rec_kink = _family_record(fake, slot, "kink", orders)
     assert rec_kink.companion_alexander_trivial and rec_kink.valid
     slot = {"curve": "c", "companion": Diagram(TREFOIL)}
     rec_tref = _family_record(fake, slot, "trefoil", orders)
