@@ -25,7 +25,11 @@ Finite quotients replace Z by Z/n and Z[1/2] by Z/m for odd m with
 drive the homology cross-checks.  ``check_metabelian_relators`` checks a
 whole list of maps to one such quotient in one pass over each relator:
 maps that share their a-exponents share every letter's a-coordinate and
-multiplier, so only the translations are computed map by map.
+multiplier, so only the translations are computed map by map.  The same
+observation makes a relator's translation Z/m-linear in the vector of
+translations once the a-exponents are fixed, so a span of maps holds
+every relator exactly when the zero map and the span's generators do;
+``groups.metabelian_quotient_homs`` checks only those.
 Group-ring sums and products over any of these targets are
 ``words.ring_add`` and ``words.ring_mul``.
 """
@@ -281,6 +285,11 @@ def check_metabelian_relators(pres, homs, target) -> None:
     translation is then the sum of the multipliers times that map's q,
     taken mod m.  Raises RelatorViolation, naming the relator, when the
     value of some map is not the identity.
+
+    That sum is Z/m-linear in the map's translations, with the common
+    a-coordinate as its a-part, so the maps whose translation vectors
+    lie in the Z/m-span of some checked maps' vectors hold every relator
+    once the checked maps and the zero map do.
     """
     if not homs:
         return

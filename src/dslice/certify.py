@@ -377,8 +377,7 @@ def _knot_report(plain, quotient) -> list:
     try:
         maps, ok = first_cover_check(plain, qn, qm)
         hyps.append(f"metabelian quotient maps at ({qn},{qm}): {maps}")
-        if maps:
-            hyps.append(f"cover homology cross-check at ({qn},{qm}): {ok}")
+        hyps.append(f"cover homology cross-check at ({qn},{qm}): {ok}")
     except BudgetExceeded:
         hyps.append(f"metabelian quotient maps at ({qn},{qm}): skipped")
     return hyps

@@ -242,8 +242,8 @@ def _run_cached(args, operation: str, payload, compute):
     stale = entry is not None and (entry["result"], entry["exit"]) != (text, code)
     if stale:
         sys.stderr.write(
-            "dslice: cache entry does not byte-match recomputation;"
-            " replacing it\n"
+            "dslice: cache entry's output bytes or exit code differ from"
+            " recomputation; replacing it\n"
         )
     store_entry(key, operation, text, code)
     sys.stdout.write(text)
@@ -256,7 +256,7 @@ def _add_common(p):
     p.add_argument("--no-cache", action="store_true",
                    help="do not read or write the result cache")
     p.add_argument("--verify-cache", action="store_true",
-                   help="recompute on cache hits and check byte equality")
+                   help="recompute on cache hits and compare output bytes and exit code")
 
 
 def _add_documents(p):

@@ -16,8 +16,11 @@ Four independent services live here:
   at t = 2 and t = 1/2 and extended through the Tietze words.
 * Enumeration of homomorphisms onto the finite metabelian groups
   Z/n x| Z/m, read off the kernel of the Fox Jacobian at t = 2 over Z/m
-  that the surgery presentation keeps, one per m, and checked on every
-  full relator in one pass by ``bs12.check_metabelian_relators``.
+  that the surgery presentation keeps, one per m.  A relator's
+  translation is Z/m-linear in the translation vector once the
+  a-exponents are fixed, so ``bs12.check_metabelian_relators``, run on
+  the zero map and the kernel's generators in one pass, proves every
+  map of their span a homomorphism on every full relator.
 * Reidemeister-Schreier rewriting for the homology of finite covers,
   and a membership certificate for the second derived subgroup.
 """
@@ -409,13 +412,25 @@ def metabelian_quotient_homs(plain, n: int, m: int):
     the relator conditions are exactly the kernel of the full Fox
     Jacobian evaluated at t = 2 over Z/m, which ``plain.kernel_mod(m)``
     computes once per presentation, on the small presentation and carried
-    back through the Tietze words.  Every map is still checked on every
-    full relator, all in one pass by ``check_metabelian_relators``, so
-    the maps never rest on that kernel or on the isomorphism alone.
+    back through the Tietze words.  The maps are the Z/m-span of that
+    kernel's generators, with the a-exponents fixed by the weights.
     Returns ``(target, image_tuples)`` over the full generators, sorted
-    on the full tuples.  A target of more than ``_REGULAR_CAP``
-    elements, which every cover cross-check of a map would refuse, is
-    refused before the kernel is requested.
+    on the full tuples, so the zero translation vector comes first.  A
+    target of more than ``_REGULAR_CAP`` elements, which every cover
+    cross-check of a map would refuse, is refused before the kernel is
+    requested.
+
+    Every enumerated map is still proved a homomorphism on every full
+    relator, resting neither on ``nullspace_mod`` nor on the Tietze
+    isomorphism, by one ``check_metabelian_relators`` call on the zero
+    map and the kernel's generators alone.  Lemma: with the a-exponents
+    fixed, a relator r = x_1^e_1 ... x_l^e_l maps under translation
+    vector chi to (a_r, sum_i c_i chi_{g_i} mod m), where a_r and the
+    multipliers c_i = +-2^(a_i), a_i the a-coordinate at letter i, depend
+    on the a-exponents alone (the ``steps`` of that check).  So the
+    translation part is Z/m-linear in chi: it vanishes on the whole span
+    exactly when it vanishes on each generator, and the zero map checks
+    a_r.
     """
     target = FiniteMetabelian(n, m)
     _check_regular_budget(target)
@@ -434,9 +449,10 @@ def metabelian_quotient_homs(plain, n: int, m: int):
             for k in range(m)
         }
     exps = [w % n for w in weights]
-    homs = [tuple(zip(exps, chi)) for chi in sorted(span)]
-    check_metabelian_relators(pres, homs, target)
-    return target, homs
+    check_metabelian_relators(
+        pres, [tuple(zip(exps, chi)) for chi in ((0,) * ng, *basis)], target
+    )
+    return target, [tuple(zip(exps, chi)) for chi in sorted(span)]
 
 
 def coset_action(pres: GroupPresentation, images, target):
@@ -486,20 +502,24 @@ def schreier_rows(pres: GroupPresentation, action):
     step, tree = action
     ncosets = len(step)
     ng = pres.num_generators
-    # back[i][q]: the coset p with step[p][i] = q, since right
-    # multiplication by an image permutes the image subgroup
+    # per generator i: forward[i][p] = step[p][i], back[i][q] the coset p
+    # with step[p][i] = q (right multiplication by an image permutes the
+    # image subgroup), and schreier[i][p] the Schreier generator of edge
+    # (p, i), None on a tree edge
+    forward = list(zip(*step))
     back = [[0] * ncosets for _ in range(ng)]
-    for p, out in enumerate(step):
-        for i, q in enumerate(out):
+    for i, col in enumerate(forward):
+        for p, q in enumerate(col):
             back[i][q] = p
-
-    tree = set(tree)
-    schreier: dict[tuple[int, int], int] = {}
+    schreier = [[0] * ncosets for _ in range(ng)]
+    for p, i in tree:
+        schreier[i][p] = None
+    nschreier = 0
     for p in range(ncosets):
         for i in range(ng):
-            if (p, i) not in tree:
-                schreier[(p, i)] = len(schreier)
-    nschreier = len(schreier)
+            if schreier[i][p] is not None:
+                schreier[i][p] = nschreier
+                nschreier += 1
     if nschreier != ncosets * ng - (ncosets - 1):
         raise VerificationFailed("Schreier generator count is off")
 
@@ -510,13 +530,13 @@ def schreier_rows(pres: GroupPresentation, action):
             p = p0
             for g, e in r.letters:
                 if e == 1:
-                    s = schreier.get((p, g))
+                    s = schreier[g][p]
                     if s is not None:
                         row[s] = row.get(s, 0) + 1
-                    p = step[p][g]
+                    p = forward[g][p]
                 else:
                     p = back[g][p]
-                    s = schreier.get((p, g))
+                    s = schreier[g][p]
                     if s is not None:
                         row[s] = row.get(s, 0) - 1
             rows.append({k: v for k, v in row.items() if v})

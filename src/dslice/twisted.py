@@ -20,11 +20,15 @@ determined by the map's kernel.  So the comparisons run on the
 Tietze-simplified zero-surgery presentation
 (``SurgeryPresentation.simplified``, whose Tietze isomorphism
 ``groups.check_tietze`` checks once), and ``_quotient_maps`` alone
-enumerates the maps with ``metabelian_quotient_homs``, which checks each
-on every full relator, and reads each on the kept generators.  That is
-the map composed with the inverse isomorphism: a map of the small group
-whose composite with the Tietze isomorphism is the enumerated map, so
-invariants of the map read on either presentation are equal.
+enumerates the maps with ``metabelian_quotient_homs`` and reads each on
+the kept generators.  That is the map composed with the inverse
+isomorphism: a map of the small group whose composite with the Tietze
+isomorphism is the enumerated map, so invariants of the map read on
+either presentation are equal.  The enumeration proves every map a
+homomorphism on every full relator by checking only the zero map and
+the kernel's generators: once the a-exponents are fixed, a relator's
+translation is Z/m-linear in the map's translation vector, so it
+vanishes on their whole span when it vanishes on each generator.
 ``first_cover_check`` compares the first map, for ``analyze`` and the
 knot certificate, and ``cover_compares`` every map, for ``oracle``.  For
 9_46 that is 3 generators and 4 relators instead of 9 and 10, and every
@@ -85,22 +89,29 @@ def _regular_blocks(rows, target, ncols, elements):
     ``elements`` lists a subgroup H holding every key of ``rows``; a key
     outside it raises VerificationFailed.  The integer row for (r, u),
     u in H, has at column (j, index of u*k) the coefficient of k in entry
-    j, so the matrix is a function of the rows and ``elements``.  Raises
+    j, so the matrix is a function of the rows and ``elements``.  The
+    indices of u*k over u in H are tabled once per distinct key.  Raises
     BudgetExceeded, before building anything, when the target has more
     than ``groups._REGULAR_CAP`` elements.
     """
     _check_regular_budget(target)
     size = len(elements)
     index = {e: i for i, e in enumerate(elements)}
+    mul = target.mul
+    translates = {}  # key k -> [index of u*k for u in elements]
     out = []
     for row in rows:
         coeffs, cols = [], []
         for j, entry in enumerate(row):
+            base = j * size
             for k, c in entry.items():
-                if k not in index:
-                    raise VerificationFailed(f"Fox key {k!r} outside the subgroup")
+                table = translates.get(k)
+                if table is None:
+                    if k not in index:
+                        raise VerificationFailed(f"Fox key {k!r} outside the subgroup")
+                    table = translates[k] = [index[mul(u, k)] for u in elements]
                 coeffs.append(c)
-                cols.append([j * size + index[target.mul(u, k)] for u in elements])
+                cols.append([base + t for t in table] if base else table)
         blocks = zip(*cols) if cols else [()] * size
         out.extend(dict(zip(block, coeffs)) for block in blocks)
     return out, ncols * size
@@ -193,9 +204,10 @@ def _quotient_maps(plain, n: int, m: int):
 
 def first_cover_check(plain, n: int, m: int):
     """``(maps, agree)``: the number of maps at (n, m), and whether both
-    paths agree on the first one, None when there is none."""
+    paths agree on the first one, the zero-translation map, which
+    ``metabelian_quotient_homs`` always enumerates."""
     small, target, maps = _quotient_maps(plain, n, m)
-    return len(maps), crowell_check(small, maps[0], target) if maps else None
+    return len(maps), crowell_check(small, maps[0], target)
 
 
 def cover_compares(plain, n: int, m: int):
