@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd
 
@@ -426,6 +427,78 @@ def test_one_pass_check_agrees_with_per_map_checks(case):
         bad = _first_violation(pres, sample, target)
         assert str(err.value).startswith(f"relator {bad!r} maps to")
     assert 0 < raised < 40
+
+
+# (2,9) breaks 2^n = 1 mod 9, so the composite modulus 9 comes with n = 6
+_BASIS_CASES = {
+    f"{source}-{n}-{m}": (source, n, m)
+    for source in ("946", 4, 7)
+    for n, m in ((2, 3), (3, 7), (4, 15), (6, 9))
+}
+
+
+def _span(basis, m):
+    """Every Z/m combination of ``basis``, enumerated independently of
+    ``metabelian_quotient_homs``."""
+    ng = len(basis[0])
+    return {
+        tuple(sum(k * b[i] for k, b in zip(ks, basis)) % m for i in range(ng))
+        for ks in itertools.product(range(m), repeat=len(basis))
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_BASIS_CASES))
+def test_quotient_maps_are_checked_on_their_kernel_generators(case, monkeypatch):
+    # one kernel generator replaced: the enumeration refuses exactly when
+    # some map of the corrupted span breaks a relator, so checking the
+    # zero map and the generators checks every map; a check of the zero
+    # map alone, or none, lets the broken spans through
+    source, n, m = _BASIS_CASES[case]
+    if isinstance(source, str):
+        plain = bundled_pattern(source)[1]
+    else:
+        plain = as_surgery(presentation_from_rows(_synthetic_rows(source)))
+    pres = plain.group
+    target, homs = metabelian_quotient_homs(plain, n, m)
+    basis = plain.kernel_mod(m)
+    assert basis
+    zero = (0,) * pres.num_generators
+    assert tuple(q for _, q in homs[0]) == zero
+    rng = random.Random(case)
+    outcomes = []
+    for _ in range(12):
+        j = rng.randrange(len(basis))
+        if rng.random() < 0.5:
+            # a random shift, which some relator usually refuses
+            delta = [rng.randrange(m) for _ in zero]
+        else:
+            # a shift inside the kernel, which every relator accepts
+            delta = [0] * len(zero)
+            for b in basis:
+                k = rng.randrange(m)
+                delta = [x + k * y for x, y in zip(delta, b)]
+        corrupted = list(basis)
+        corrupted[j] = tuple((x + d) % m for x, d in zip(basis[j], delta))
+        corrupted = tuple(corrupted)
+        monkeypatch.setitem(plain._kernels, m, corrupted)
+        exps = [x for x, _ in homs[0]]
+        span = sorted(_span(corrupted, m))
+        broken = False
+        for chi in span:
+            try:
+                check_relators(pres, tuple(zip(exps, chi)), target)
+            except RelatorViolation:
+                broken = True
+                break
+        outcomes.append(broken)
+        if broken:
+            with pytest.raises(RelatorViolation):
+                metabelian_quotient_homs(plain, n, m)
+            continue
+        got = metabelian_quotient_homs(plain, n, m)[1]
+        assert got == [tuple(zip(exps, chi)) for chi in span]
+        assert tuple(q for _, q in got[0]) == zero
+    assert any(outcomes) and not all(outcomes)
 
 
 @pytest.mark.parametrize("where", ("first", "middle", "last"))

@@ -904,8 +904,8 @@ _COVER_CALLERS = [
 _COVER_NAMES = {"metabelian_quotient_homs", "crowell_check", "crowell_compares"}
 
 
-def _cover_callers(source: str, filename: str) -> list:
-    """``file owner calls name`` for each call of a ``_COVER_NAMES`` name,
+def _cover_callers(source: str, filename: str, names=_COVER_NAMES) -> list:
+    """``file owner calls name`` for each call of a name in ``names``,
     the owner being the enclosing function."""
     hits = []
 
@@ -913,7 +913,7 @@ def _cover_callers(source: str, filename: str) -> list:
         if isinstance(node, ast.Call):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name in _COVER_NAMES:
+            if name in names:
                 hits.append(f"{filename} {owner} calls {name}")
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
@@ -941,4 +941,31 @@ def test_cover_rule_sees_a_second_caller_come_back():
         "cli.py _analyze_report calls metabelian_quotient_homs",
         "cli.py _analyze_report calls crowell_check",
         "cli.py cmd_oracle calls crowell_compares",
+    ]
+
+
+# the relator check of the maps onto Z/n x| Z/m: the enumeration runs it
+# on the zero map and the kernel's generators, whose span is every map
+# it returns, so a second caller would check maps already proved
+_METABELIAN_CHECK_CALLERS = [
+    "groups.py metabelian_quotient_homs calls check_metabelian_relators",
+]
+
+
+def test_metabelian_relator_check_has_one_caller():
+    assert _package_hits(
+        _cover_callers, {"check_metabelian_relators"}
+    ) == _METABELIAN_CHECK_CALLERS
+
+
+def test_metabelian_check_rule_sees_a_second_caller_come_back():
+    source = (
+        "def metabelian_quotient_homs(plain, n, m):\n"
+        "    check_metabelian_relators(plain.group, [zero, *basis], target)\n"
+        "def cover_compares(plain, n, m):\n"
+        "    bs12.check_metabelian_relators(plain.group, homs, target)\n"
+    )
+    assert _cover_callers(source, "groups.py", {"check_metabelian_relators"}) == [
+        *_METABELIAN_CHECK_CALLERS,
+        "groups.py cover_compares calls check_metabelian_relators",
     ]
