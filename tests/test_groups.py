@@ -464,6 +464,7 @@ def test_quotient_maps_are_checked_on_their_kernel_generators(case, monkeypatch)
     assert basis
     zero = (0,) * pres.num_generators
     assert tuple(q for _, q in homs[0]) == zero
+    exps = [x for x, _ in homs[0]]
     rng = random.Random(case)
     outcomes = []
     for _ in range(12):
@@ -481,7 +482,6 @@ def test_quotient_maps_are_checked_on_their_kernel_generators(case, monkeypatch)
         corrupted[j] = tuple((x + d) % m for x, d in zip(basis[j], delta))
         corrupted = tuple(corrupted)
         monkeypatch.setitem(plain._kernels, m, corrupted)
-        exps = [x for x, _ in homs[0]]
         span = sorted(_span(corrupted, m))
         broken = False
         for chi in span:
